@@ -119,13 +119,6 @@ class Algebra:
             [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
         )
 
-    def right_mul_matrix(self, x: Vector) -> Matrix:
-        """Matrix of y -> y x in the algebra basis."""
-        cols = [self.mul_vec(unit_vec(self.dim, j), x) for j in range(self.dim)]
-        return Matrix.from_rows(
-            [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
-        )
-
     def element(self, coords) -> "Element":
         return Element(self, vec(coords))
 
@@ -139,14 +132,6 @@ class Algebra:
         """A as a bimodule over itself via the algebra product."""
         t = self.mul_tensor
         return Bimodule(self, t, t, basis_names=self.basis_names, _skip_check=True)
-
-    def is_commutative(self) -> bool:
-        n = self.dim
-        return all(
-            self.mul_tensor[i][j] == self.mul_tensor[j][i]
-            for i in range(n)
-            for j in range(i)
-        )
 
     def unit(self) -> Optional[Vector]:
         """Coordinates of the two-sided unit, or None.
@@ -371,10 +356,6 @@ class LinearMap:
         if isinstance(v, Element):
             return Element(self.target, self.matrix.apply(v.coords))
         return self.matrix.apply(v)
-
-    def compose(self, inner: "LinearMap") -> "LinearMap":
-        """self o inner."""
-        return LinearMap(inner.source, self.target, self.matrix * inner.matrix)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         return LinearMap(self.source, self.target, self.matrix + other.matrix)

@@ -16,11 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import sympy
 
 from .algebra import Algebra, Bimodule, Element, LinearMap
+from .derivations import LeibnizSystem
 from .extension import ideal_check
 from .linalg import (
     Matrix,
@@ -175,28 +176,28 @@ def radical(a: Algebra) -> RadicalReport:
     )
 
 
+def _with_unit(a: Algebra, x) -> Tuple[Algebra, Vector, Vector]:
+    """(algebra, its unit, x in it): A itself if unital, else the unitization."""
+    coords = list(x.coords if isinstance(x, Element) else vec(x))
+    e = a.unit()
+    if e is None:
+        return unitization(a), unit_vec(a.dim + 1, 0), [Fraction(0)] + coords
+    return a, e, coords
+
+
 def min_poly(a: Algebra, x) -> Polynomial:
     """Monic minimal polynomial of x, from the first power dependence.
 
     Powers start at the algebra's unit; when A has none, a formal unit
     is adjoined first.
     """
-    coords = x.coords if isinstance(x, Element) else vec(x)
-    e = a.unit()
-    if e is None:
-        alg = unitization(a)
-        coords = [Fraction(0)] + list(coords)
-        e = unit_vec(alg.dim, 0)
-    else:
-        alg = a
-        coords = list(coords)
+    alg, e, coords = _with_unit(a, x)
     powers = [e]
     while True:
         m = Matrix.from_rows(powers).transpose()
         nxt = alg.mul_vec(powers[-1], coords)
         dep = solve(m, nxt)
         if dep is not None:
-            k = len(powers)
             coeffs = [-c for c in dep] + [Fraction(1)]
             return Polynomial(coeffs)
         powers.append(nxt)
@@ -206,15 +207,7 @@ def min_poly(a: Algebra, x) -> Polynomial:
 
 def poly_eval_in_algebra(a: Algebra, poly: Polynomial, x) -> Vector:
     """Horner evaluation of poly at x (in the unitization if needed)."""
-    coords = x.coords if isinstance(x, Element) else vec(x)
-    e = a.unit()
-    if e is None:
-        alg = unitization(a)
-        coords = [Fraction(0)] + list(coords)
-        e = unit_vec(alg.dim, 0)
-    else:
-        alg = a
-        coords = list(coords)
+    alg, e, coords = _with_unit(a, x)
     acc = zero_vec(alg.dim)
     for c in reversed(poly.coefficients):
         acc = alg.mul_vec(acc, coords)
@@ -304,18 +297,9 @@ def find_surjective_left_hom(a: Algebra, u: Bimodule) -> Optional[LinearMap]:
     m, n = a.dim, u.dim
     if n > m:
         return None
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            c_ij = a.mul_tensor[i][j]
-            for k in range(n):
-                row = zero_vec(m * n)
-                for s in range(m):
-                    row[k * m + s] += c_ij[s]
-                for t in range(n):
-                    row[t * m + j] -= u.left[i][t][k]
-                rows.append(row)
-    sol = nullspace(Matrix.from_rows(rows)) if rows else Subspace.full(m * n)
+    # f(ab) = a f(b) are the Leibniz rows of U with its right action zeroed
+    left_only = Bimodule(a, u.left, [[[0] * n] * m] * n, _skip_check=True)
+    sol = nullspace(LeibnizSystem(a, left_only).matrix)
     if sol.dim == 0:
         return None
     for k in range(a.dim + 1):

@@ -148,6 +148,15 @@ def _start(args, command: str) -> Output:
     return out
 
 
+def _map(art, name: str, source: str, target: str):
+    """The named map of the file, which must be declared source -> target."""
+    entry = art.maps.get(name)
+    if entry is not None and (entry.source, entry.target) != (source, target):
+        raise fileio.ParseError("maps", "map %r is declared %s -> %s, not %s -> %s"
+                                % (name, entry.source, entry.target, source, target))
+    return art.linear_map(name)
+
+
 def cmd_validate(args) -> int:
     out = _start(args, "validate")
     art = fileio.load_file(args.file)  # constructors enforce the axioms
@@ -193,9 +202,7 @@ def cmd_decompose(args) -> int:
     out = _start(args, "decompose")
     art = fileio.load_file(args.file)
     t = art.extension()
-    d = art.linear_map(args.map)
-    if d.matrix.rows != t.total.dim or d.matrix.cols != t.total.dim:
-        raise fileio.ParseError("maps", "map %r is not a square map on T(A,U)" % args.map)
+    d = _map(art, args.map, "total", "total")
     b = blocks_of(t, d)
     out.put("blocks", {
         "delta1": _fmt_matrix(b.delta1.matrix),
@@ -252,27 +259,26 @@ def cmd_construct(args) -> int:
     a = art.algebra
     if args.recipe == "lift":
         t = art.extension()
-        delta = art.linear_map(args.delta)
-        result = lift(t, delta)
+        result = lift(t, _map(art, args.delta, "algebra", "module"))
     elif args.recipe == "transport":
         t = art.extension()
         result = transport(
             t,
-            art.linear_map(args.delta),
-            art.linear_map(args.phi),
-            art.linear_map(args.psi),
+            _map(art, args.delta, "algebra", "algebra"),
+            _map(art, args.phi, "algebra", "module"),
+            _map(art, args.psi, "module", "algebra"),
         )
     elif args.recipe == "quotient":
         if args.ideal not in art.subspaces:
             raise fileio.ParseError("subspaces", "no subspace named %r" % args.ideal)
         result = quotient_derivation(
-            a, art.subspaces[args.ideal], art.linear_map(args.delta)
+            a, art.subspaces[args.ideal], _map(art, args.delta, "algebra", "algebra")
         )
     else:  # corner
-        if args.idempotent not in art.elements:
-            raise fileio.ParseError("elements", "no element named %r" % args.idempotent)
         result = corner_tau(
-            a, art.elements[args.idempotent], art.linear_map(args.delta)
+            a,
+            art.algebra_element(args.idempotent),
+            _map(art, args.delta, "algebra", "algebra"),
         )
     _write_result(args, out, result)
     sys.stdout.write(out.render(args.json))
@@ -280,6 +286,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("MODEXT_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise fileio.ParseError("MODEXT_SEED", "not an integer seed: %r" % env)
     out = _start(args, "analyze")
     art = fileio.load_file(args.file)
     a = art.algebra
@@ -301,7 +314,7 @@ def cmd_analyze(args) -> int:
         e = unit_element(a)
         out.put("unit", None if e is None else _fmt_vec(e.coords))
     if args.simple:
-        rep = is_simple_prime(a, seed=args.seed)
+        rep = is_simple_prime(a, seed=seed)
         out.put("simple", {
             "simple": rep.simple,
             "prime": rep.prime,
@@ -316,9 +329,7 @@ def cmd_analyze(args) -> int:
             "basis": [_fmt_vec(v) for v in ann.basis],
         })
     if args.idempotent is not None:
-        if args.idempotent not in art.elements:
-            raise fileio.ParseError("elements", "no element named %r" % args.idempotent)
-        coords = art.elements[args.idempotent]
+        coords = art.algebra_element(args.idempotent)
         out.put("idempotent", {
             "name": args.idempotent,
             "idempotent": is_idempotent(a, coords),
@@ -381,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("MODEXT_SEED", "0")),
-        help="seed for the randomized simplicity probe",
+        help="seed for the randomized simplicity probe (default: MODEXT_SEED or 0)",
     )
     p.set_defaults(func=cmd_analyze)
     return parser

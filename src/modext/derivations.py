@@ -12,14 +12,12 @@ bases are canonical.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List
 
 from .algebra import Algebra, Bimodule, Element, LinearMap
 from .linalg import (
     Matrix,
     Subspace,
-    Vector,
     nullspace,
     unit_vec,
     vec_add,
@@ -105,15 +103,18 @@ def is_derivation(a: Algebra, u: Bimodule, f: LinearMap) -> ConditionReport:
 
 
 def derivation_space(a: Algebra, u: Bimodule) -> DerivationSpace:
-    """All derivations A -> U, as the nullspace of the Leibniz system."""
+    """All derivations A -> U, as the nullspace of the Leibniz system.
+
+    Certificate: each basis vector k has zero residual S k on the system
+    S that was solved, checked over the nonzeros of each row.
+    """
     system = LeibnizSystem(a, u)
     ker = nullspace(system.matrix)
-    basis = []
-    for v in ker.basis:
-        f = LinearMap(a, u, Matrix.unflatten(u.dim, a.dim, v))
-        if not is_derivation(a, u, f).passed:
-            raise AssertionError("nullspace vector failed the Leibniz re-check")
-        basis.append(f)
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in system.matrix.data]
+    for k in ker.basis:
+        if any(sum(x * k[j] for j, x in row) for row in rows):
+            raise AssertionError("nullspace vector has a nonzero Leibniz residual")
+    basis = [LinearMap(a, u, Matrix.unflatten(u.dim, a.dim, k)) for k in ker.basis]
     return DerivationSpace(system, basis)
 
 
@@ -145,9 +146,5 @@ def inner_space(a: Algebra, u: Bimodule) -> Subspace:
 
 
 def h1_dimension(a: Algebra, u: Bimodule) -> int:
-    """dim Der(A,U) - dim Inn(A,U); the containment is asserted first."""
-    der = derivation_space(a, u)
-    inn = inner_space(a, u)
-    if not der.as_subspace().contains(inn):
-        raise AssertionError("inner derivations escaped the derivation space")
-    return der.dim - inn.dim
+    """dim Der(A,U) - dim Inn(A,U)."""
+    return derivation_space(a, u).dim - inner_space(a, u).dim

@@ -9,10 +9,10 @@ coordinate l1 norm splits as ||(a,u)|| = ||a|| + ||u|| by construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Tuple
+from typing import List, Tuple
 
-from .algebra import Algebra, Bimodule, LinearMap, is_module_hom
-from .linalg import Matrix, Subspace, Vector, unit_vec, zero_vec
+from .algebra import Algebra, Bimodule, LinearMap
+from .linalg import Matrix, Subspace, Vector, unit_vec
 from .reports import ConditionReport, HypothesisError
 
 
@@ -132,63 +132,45 @@ def ideal_check(a: Algebra, s: Subspace) -> ConditionReport:
     return rep
 
 
-def quotient_algebra(a: Algebra, ideal: Subspace) -> Tuple[Algebra, Matrix]:
-    """The algebra A/I with its projection matrix.
+def quotient_coordinates(ideal: Subspace) -> Tuple[List[int], Matrix]:
+    """Coordinates on A/I and the projection A -> A/I in them.
 
-    Same coordinate choice as quotient_bimodule: cosets of the standard
-    basis vectors at the non-pivot columns of I's echelon basis.
+    The basis of A/I is the cosets of the standard basis vectors at the
+    non-pivot columns of I's echelon basis (pivot-greedy, so the
+    construction is reproducible bit for bit).  Returns those columns
+    and the (dim A/I x dim A) projection matrix.
     """
+    m = ideal.ambient_dim
+    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in ideal.basis]
+    complement = [j for j in range(m) if j not in pivots]
+    reduced = [ideal.reduce(unit_vec(m, j)) for j in range(m)]
+    proj = Matrix.from_rows([[r[c] for c in complement] for r in reduced]).transpose()
+    return complement, proj
+
+
+def _require_ideal(a: Algebra, ideal: Subspace):
     rep = ideal_check(a, ideal)
     if not rep.passed:
         raise HypothesisError("subspace is not a two-sided ideal", rep)
-    m = a.dim
-    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in ideal.basis]
-    complement = [j for j in range(m) if j not in pivots]
 
-    def project(v: Vector) -> Vector:
-        red = ideal.reduce(v)
-        return [red[j] for j in complement]
 
-    mul = [
-        [project(a.mul_vec(unit_vec(m, c), unit_vec(m, d))) for d in complement]
-        for c in complement
-    ]
+def quotient_algebra(a: Algebra, ideal: Subspace) -> Tuple[Algebra, Matrix]:
+    """The algebra A/I with its projection matrix (see quotient_coordinates)."""
+    _require_ideal(a, ideal)
+    complement, proj = quotient_coordinates(ideal)
+    mul = [[proj.apply(a.mul_basis(c, d)) for d in complement] for c in complement]
     names = [a.basis_names[c] + "+I" for c in complement]
-    quotient = Algebra(mul, basis_names=names)
-    proj = Matrix.from_rows([project(unit_vec(m, j)) for j in range(m)]).transpose()
-    return quotient, proj
+    return Algebra(mul, basis_names=names), proj
 
 
 def quotient_bimodule(a: Algebra, ideal: Subspace) -> Tuple[Bimodule, LinearMap]:
-    """The A-bimodule A/I with its canonical projection.
-
-    Coordinates on A/I are the cosets of the standard basis vectors at
-    the non-pivot columns of I's echelon basis (pivot-greedy, so the
-    construction is reproducible bit for bit).
-    """
-    rep = ideal_check(a, ideal)
-    if not rep.passed:
-        raise HypothesisError("subspace is not a two-sided ideal", rep)
+    """The A-bimodule A/I with its canonical projection (see
+    quotient_coordinates)."""
+    _require_ideal(a, ideal)
+    complement, proj = quotient_coordinates(ideal)
     m = a.dim
-    pivots = []
-    for row in ideal.basis:
-        pivots.append(next(i for i, x in enumerate(row) if x != 0))
-    complement = [j for j in range(m) if j not in pivots]
-    q = len(complement)
-
-    def project(v: Vector) -> Vector:
-        red = ideal.reduce(v)
-        return [red[j] for j in complement]
-
-    left = [[project(a.mul_vec(unit_vec(m, i), unit_vec(m, c))) for c in complement]
-            for i in range(m)]
-    right = [[project(a.mul_vec(unit_vec(m, c), unit_vec(m, i))) for i in range(m)]
-             for c in complement]
+    left = [[proj.apply(a.mul_basis(i, c)) for c in complement] for i in range(m)]
+    right = [[proj.apply(a.mul_basis(c, i)) for i in range(m)] for c in complement]
     names = [a.basis_names[c] + "+I" for c in complement]
     quotient = Bimodule(a, left, right, basis_names=names)
-    proj_matrix = Matrix.from_rows([project(unit_vec(m, j)) for j in range(m)]).transpose()
-    projection = LinearMap(a.self_bimodule(), quotient, proj_matrix)
-    hom = is_module_hom(projection, "both")
-    if not hom.passed:
-        raise AssertionError("quotient projection failed the hom re-check")
-    return quotient, projection
+    return quotient, LinearMap(a.self_bimodule(), quotient, proj)

@@ -103,6 +103,7 @@ class ArtifactFile:
     module: Optional[Bimodule] = None
     maps: Dict[str, MapEntry] = field(default_factory=dict)
     elements: Dict[str, list] = field(default_factory=dict)
+    element_carriers: Dict[str, str] = field(default_factory=dict)
     subspaces: Dict[str, Subspace] = field(default_factory=dict)
 
     _extension: Optional[ModuleExtension] = None
@@ -114,38 +115,37 @@ class ArtifactFile:
             self._extension = trivial_extension(self.algebra, self.module)
         return self._extension
 
-    def carrier(self, tag: str):
-        if tag == "algebra":
-            return self.algebra
-        if tag == "module":
-            if self.module is None:
-                raise ParseError("maps", "map refers to a missing module section")
-            return self.module
+    def _carrier(self, tag: str):
+        """The carrier of a tag that parse_document has already admitted."""
         if tag == "total":
             return self.extension().total
-        raise ParseError("maps", "unknown carrier %r" % tag)
+        return self.algebra if tag == "algebra" else self.module
 
     def linear_map(self, name: str) -> LinearMap:
         if name not in self.maps:
             raise ParseError("maps", "no map named %r in file" % name)
         entry = self.maps[name]
         return LinearMap(
-            self.carrier(entry.source), self.carrier(entry.target), entry.matrix
+            self._carrier(entry.source), self._carrier(entry.target), entry.matrix
         )
 
+    def algebra_element(self, name: str) -> list:
+        """Coordinates of the named element, which must live in the algebra."""
+        if name not in self.elements:
+            raise ParseError("elements", "no element named %r" % name)
+        if self.element_carriers[name] != "algebra":
+            raise ParseError("elements", "element %r is not an algebra element" % name)
+        return self.elements[name]
 
-def _carrier_dim(doc_dim, tag, algebra_dim, module_dim, path):
+
+def _carrier_dim(tag, algebra_dim, module_dim, path):
+    if tag not in ("algebra", "module", "total"):
+        raise ParseError(path, "unknown carrier %r" % tag)
     if tag == "algebra":
         return algebra_dim
-    if tag == "module":
-        if module_dim is None:
-            raise ParseError(path, "map refers to a missing module section")
-        return module_dim
-    if tag == "total":
-        if module_dim is None:
-            raise ParseError(path, "map refers to a missing module section")
-        return algebra_dim + module_dim
-    raise ParseError(path, "unknown carrier %r" % tag)
+    if module_dim is None:
+        raise ParseError(path, "carrier %r needs the missing module section" % tag)
+    return module_dim if tag == "module" else algebra_dim + module_dim
 
 
 def parse_document(doc) -> ArtifactFile:
@@ -191,8 +191,8 @@ def parse_document(doc) -> ArtifactFile:
             raise ParseError(path, "map entries need a name")
         src = entry.get("source", "algebra")
         tgt = entry.get("target", "algebra")
-        rows = _carrier_dim(doc, tgt, dim, module_dim, path)
-        cols = _carrier_dim(doc, src, dim, module_dim, path)
+        rows = _carrier_dim(tgt, dim, module_dim, path)
+        cols = _carrier_dim(src, dim, module_dim, path)
         matrix = _parse_matrix(rows, cols, entry.get("matrix"), path + ".matrix")
         out.maps[entry["name"]] = MapEntry(entry["name"], src, tgt, matrix)
 
@@ -201,13 +201,14 @@ def parse_document(doc) -> ArtifactFile:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ParseError(path, "element entries need a name")
         carrier = entry.get("carrier", "algebra")
-        d = _carrier_dim(doc, carrier, dim, module_dim, path)
+        d = _carrier_dim(carrier, dim, module_dim, path)
         coords = entry.get("coords")
         if not isinstance(coords, list) or len(coords) != d:
             raise ParseError(path + ".coords", "expected %d coordinates" % d)
         out.elements[entry["name"]] = [
             parse_rational(x, "%s.coords[%d]" % (path, j)) for j, x in enumerate(coords)
         ]
+        out.element_carriers[entry["name"]] = carrier
 
     for i, entry in enumerate(doc.get("subspaces", [])):
         path = "subspaces[%d]" % i

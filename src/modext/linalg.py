@@ -169,9 +169,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.data)
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, self.data)
-
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")

@@ -39,9 +39,6 @@ class ConditionReport:
     def __bool__(self):
         return self.passed
 
-    def merge(self, other: "ConditionReport"):
-        self.checks.extend(other.checks)
-
     def summary(self) -> str:
         lines = []
         for c in self.checks:

@@ -6,6 +6,8 @@ independent naive oracle (tests/oracles.py) or is a structural identity
 re-verified from scratch here.
 """
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -293,37 +295,46 @@ def test_criterion_7_norm_constant(corpus_pairs):
 
 
 def test_criterion_8_cli_determinism(capsys):
-    """Every CLI command is byte-identical across repeated runs."""
-    data = ROOT / "data"
+    """Every CLI command is byte-identical across repeated runs, and its
+    stdout matches the sha256 digest in perfbench/cli_expected.json."""
+    expected = json.loads(
+        (ROOT / "perfbench" / "cli_expected.json").read_text(encoding="utf-8")
+    )
     commands = [
-        ["validate", str(data / "dual_numbers.json")],
-        ["validate", str(data / "m2.json")],
-        ["validate", str(data / "zero_product2.json")],
-        ["der", str(data / "dual_numbers.json"), "--inner", "--h1"],
-        ["der", str(data / "m2.json"), "--inner", "--h1"],
-        ["decompose", str(data / "dual_numbers.json"), "--map", "D"],
-        ["decompose", str(data / "m2.json"), "--map", "D"],
-        ["construct", "lift", str(data / "dual_numbers.json")],
-        ["construct", "transport", str(data / "transport.json")],
-        ["construct", "quotient", str(data / "upper_triangular.json")],
-        ["construct", "corner", str(data / "m2.json")],
-        ["analyze", str(data / "dual_numbers.json"),
-         "--radical", "--unit", "--submult"],
-        ["analyze", str(data / "m2.json"), "--simple", "--annihilator"],
+        ["validate", "data/dual_numbers.json"],
+        ["validate", "data/m2.json"],
+        ["validate", "data/zero_product2.json"],
+        ["der", "data/dual_numbers.json", "--inner", "--h1"],
+        ["der", "data/m2.json", "--inner", "--h1"],
+        ["decompose", "data/dual_numbers.json", "--map", "D"],
+        ["decompose", "data/m2.json", "--map", "D"],
+        ["construct", "lift", "data/dual_numbers.json"],
+        ["construct", "transport", "data/transport.json"],
+        ["construct", "quotient", "data/upper_triangular.json"],
+        ["construct", "corner", "data/m2.json"],
+        ["analyze", "data/dual_numbers.json", "--radical", "--unit", "--submult"],
+        ["analyze", "data/m2.json", "--simple", "--annihilator"],
     ]
-    ok = True
+    ok = len(expected) == 2 * len(commands)
+    mismatched = []
     for argv in commands:
         for extra in ([], ["--json"]):
+            key = " ".join(argv + extra)
+            resolved = [str(ROOT / x) if x.endswith(".json") else x for x in argv]
             outputs = []
             for _ in range(3):
-                code = cli_main(argv + extra)
+                code = cli_main(resolved + extra)
                 outputs.append(capsys.readouterr().out)
                 if code != 0:
                     ok = False
             if len(set(outputs)) != 1:
                 ok = False
-    verdict(8, "CLI determinism", ok, "%d commands x 2 formats x 3 runs"
-            % len(commands))
+            digest = hashlib.sha256(outputs[0].encode("utf-8")).hexdigest()
+            if digest != expected.get(key):
+                mismatched.append(key)
+    verdict(8, "CLI determinism", ok and not mismatched,
+            "%d commands x 2 formats x 3 runs; golden digest mismatches: %s"
+            % (len(commands), mismatched or "none"))
 
 
 def test_criterion_9_continuity_scope_is_documented():

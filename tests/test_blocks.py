@@ -14,7 +14,7 @@ from modext.blocks import (
 )
 from modext.derivations import inner_derivation, is_derivation
 from modext.extension import trivial_extension
-from modext.linalg import Matrix, unit_vec, zero_vec
+from modext.linalg import Matrix, unit_vec, vec_add, zero_vec
 from modext.reports import HypothesisError
 from modext.samples import dual_numbers, field_q, matrix_units
 
@@ -212,3 +212,18 @@ class TestInnerWitness:
                 w = inner_witness(t, d)
                 member = inn.contains_vector(d.matrix.flatten())
                 assert (w is not None) == member, name
+
+    def test_wrong_solution_is_rejected(self, monkeypatch):
+        import modext.blocks as blocks
+
+        a = matrix_units(2)
+        t = trivial_extension(a, a.self_bimodule())
+        tsb = t.total.self_bimodule()
+        d = inner_derivation(t.total, tsb, unit_vec(t.total.dim, 1))
+        real = blocks.solve
+        # E12 is not central, so shifting the solution by it changes ad
+        monkeypatch.setattr(
+            blocks, "solve", lambda m, b: vec_add(real(m, b), unit_vec(m.cols, 1))
+        )
+        with pytest.raises(AssertionError, match="witness"):
+            inner_witness(t, d)

@@ -182,6 +182,43 @@ class TestConstruct:
         assert code == 2
 
 
+class TestCarriers:
+    """Maps and elements whose declared carriers do not fit the command."""
+
+    def expect_input_error(self, capsys, name, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "input error" in err and repr(name) in err
+        assert "Traceback" not in err
+
+    def test_lift_rejects_an_algebra_to_algebra_delta(self, capsys, tmp_path):
+        # same shape as A -> U here, so only the declared target tells them apart
+        a = dual_numbers()
+        doc = algebra_to_document(
+            a,
+            module=a.self_bimodule(),
+            maps=[("delta", "algebra", "algebra", Matrix.from_rows([[0, 0], [0, 1]]))],
+        )
+        path = tmp_path / "algebra_delta.json"
+        save_file(str(path), doc)
+        self.expect_input_error(capsys, "delta", "construct", "lift", str(path))
+
+    def test_lift_rejects_a_map_on_the_extension(self, capsys):
+        self.expect_input_error(capsys, "D", "construct", "lift", DUAL, "--delta", "D")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "FILE", "--idempotent", "q"],
+        ["construct", "corner", "FILE", "--idempotent", "q"],
+    ], ids=["analyze", "corner"])
+    def test_idempotent_must_be_an_algebra_element(self, capsys, tmp_path, argv):
+        doc = json.loads(Path(M2).read_text(encoding="utf-8"))
+        doc["elements"].append({"name": "q", "carrier": "module", "coords": ["1", "0"]})
+        path = tmp_path / "module_element.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if x == "FILE" else x for x in argv]
+        self.expect_input_error(capsys, "q", *argv)
+
+
 class TestAnalyze:
     def test_dual_numbers_radical(self, capsys):
         code, out, _ = run(capsys, "analyze", DUAL, "--radical")
@@ -212,6 +249,13 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", M2, "--annihilator", "--json")
         doc = json.loads(out)
         assert doc["annihilator"]["dim"] == 0
+
+    def test_bad_seed_environment_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("MODEXT_SEED", "abc")
+        code, out, err = run(capsys, "analyze", M2, "--simple")
+        assert code == 2
+        assert "input error" in err and "MODEXT_SEED" in err
+        assert "Traceback" not in err
 
     def test_idempotent_report(self, capsys):
         code, out, _ = run(capsys, "analyze", M2, "--idempotent", "p", "--json")

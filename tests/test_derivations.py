@@ -11,7 +11,7 @@ from modext.derivations import (
     inner_space,
     is_derivation,
 )
-from modext.linalg import Matrix, rank, rref, solve, unit_vec
+from modext.linalg import Matrix, Subspace, rank, rref, solve, unit_vec
 from modext.samples import dual_numbers, matrix_units, upper_triangular_2, zero_product
 
 from oracles import derivation_dim, inner_dim, leibniz_holds, tensors_of
@@ -65,6 +65,22 @@ class TestDerivationSpace:
             mul, left, right = tensors_of(a, u)
             for d in derivation_space(a, u).basis:
                 assert leibniz_holds(mul, left, right, d.matrix.data), name
+
+
+class TestResidualCertificate:
+    def test_vector_outside_the_kernel_is_rejected(self, monkeypatch):
+        import modext.derivations as derivations
+
+        real = derivations.nullspace
+
+        def leaky(m):
+            # D(1) = 1 on the dual numbers is no derivation
+            return Subspace(m.cols, real(m).basis + [unit_vec(m.cols, 0)])
+
+        monkeypatch.setattr(derivations, "nullspace", leaky)
+        a = dual_numbers()
+        with pytest.raises(AssertionError, match="residual"):
+            derivation_space(a, a.self_bimodule())
 
 
 class TestInner:
