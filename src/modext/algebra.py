@@ -56,6 +56,22 @@ def _coerce_tensor(t, d1: int, d2: int, d3: int):
     return out
 
 
+def _bilinear(tensor, x: Vector, y: Vector, dim: int) -> Vector:
+    """sum_ij x_i y_j tensor[i][j]: a product given by structure constants."""
+    out = zero_vec(dim)
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            c = xi * yj
+            for k, t in enumerate(tensor[i][j]):
+                if t != 0:
+                    out[k] += c * t
+    return out
+
+
 class Algebra:
     """Finite-dimensional associative algebra over Q."""
 
@@ -99,18 +115,7 @@ class Algebra:
         return list(self.mul_tensor[i][j])
 
     def mul_vec(self, x: Vector, y: Vector) -> Vector:
-        out = zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                c = xi * yj
-                for k, t in enumerate(self.mul_tensor[i][j]):
-                    if t != 0:
-                        out[k] += c * t
-        return out
+        return _bilinear(self.mul_tensor, x, y, self.dim)
 
     def left_mul_matrix(self, x: Vector) -> Matrix:
         """Matrix of y -> x y in the algebra basis."""
@@ -142,15 +147,10 @@ class Algebra:
         if self._unit_computed:
             return None if self._unit is None else list(self._unit)
         n = self.dim
-        rows = []
-        rhs = []
-        for i in range(n):
-            # sum_s x_s (e_s e_i)_k = delta_{ik} and the mirror image
-            for k in range(n):
-                rows.append([self.mul_tensor[s][i][k] for s in range(n)])
-                rhs.append(Fraction(1 if k == i else 0))
-                rows.append([self.mul_tensor[i][s][k] for s in range(n)])
-                rhs.append(Fraction(1 if k == i else 0))
+        rows = _action_rows(self.mul_tensor, self.mul_tensor)
+        # each row pair (x e_i, e_i x) at coordinate k equals delta_{ik}
+        rhs = [Fraction(1 if k == i else 0)
+               for i in range(n) for k in range(n) for _ in range(2)]
         x = solve(Matrix.from_rows(rows), rhs)
         self._unit = x
         self._unit_computed = True
@@ -230,32 +230,10 @@ class Bimodule:
         return rep
 
     def left_act(self, a: Vector, u: Vector) -> Vector:
-        out = zero_vec(self.dim)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, uj in enumerate(u):
-                if uj == 0:
-                    continue
-                c = ai * uj
-                for k, t in enumerate(self.left[i][j]):
-                    if t != 0:
-                        out[k] += c * t
-        return out
+        return _bilinear(self.left, a, u, self.dim)
 
     def right_act(self, u: Vector, a: Vector) -> Vector:
-        out = zero_vec(self.dim)
-        for j, uj in enumerate(u):
-            if uj == 0:
-                continue
-            for i, ai in enumerate(a):
-                if ai == 0:
-                    continue
-                c = uj * ai
-                for k, t in enumerate(self.right[j][i]):
-                    if t != 0:
-                        out[k] += c * t
-        return out
+        return _bilinear(self.right, u, a, self.dim)
 
     def element(self, coords) -> "Element":
         return Element(self, vec(coords))
@@ -373,6 +351,22 @@ class LinearMap:
         return "LinearMap(%d -> %d)" % (self.matrix.cols, self.matrix.rows)
 
 
+def _action_rows(left, right) -> list:
+    """Rows of the linear map x -> (x u_j, u_j x) in the coordinates of x.
+
+    ``left`` and ``right`` are the action tensors of a bimodule over the
+    algebra of x.  For each j and output coordinate k there are two rows:
+    coordinate k of x u_j, then of u_j x.
+    """
+    m, n = len(left), len(right)
+    rows = []
+    for j in range(n):
+        for k in range(n):
+            rows.append([left[s][j][k] for s in range(m)])
+            rows.append([right[j][s][k] for s in range(m)])
+    return rows
+
+
 def validate_algebra(mul_tensor, basis_names=None):
     """Construct an Algebra, or return the violation report.
 
@@ -396,14 +390,9 @@ def annihilator(a: Algebra, u: Bimodule) -> Subspace:
     """ann_A U = {x in A : x U = U x = 0}, as an exact subspace of A."""
     if u.algebra is not a:
         raise ValueError("bimodule is not over the given algebra")
-    m, n = a.dim, u.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([u.left[i][j][k] for i in range(m)])
-            rows.append([u.right[j][i][k] for i in range(m)])
+    rows = _action_rows(u.left, u.right)
     if not rows:
-        return Subspace.full(m)
+        return Subspace.full(a.dim)
     return nullspace(Matrix.from_rows(rows))
 
 

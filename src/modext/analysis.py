@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import sympy
 
 from .algebra import Algebra, Bimodule, Element, LinearMap
-from .derivations import LeibnizSystem
+from .derivations import LeibnizSystem, inner_map
 from .extension import ideal_check
 from .linalg import (
     Matrix,
@@ -94,17 +94,12 @@ class SimplePrimeReport:
 
 
 def center(a: Algebra) -> Subspace:
-    """{z : z e_i = e_i z for all i}, exactly."""
-    n = a.dim
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            rows.append(
-                [a.mul_tensor[s][i][k] - a.mul_tensor[i][s][k] for s in range(n)]
-            )
-    if not rows:
-        return Subspace.full(0)
-    return nullspace(Matrix.from_rows(rows))
+    """{z : z e_i = e_i z for all i}, exactly.
+
+    Z(A) = ker ad: the center is the kernel of the inner map z -> ad_z of
+    A on itself, the map whose image is Inn(A).
+    """
+    return nullspace(inner_map(a, a.self_bimodule()))
 
 
 def unitization(a: Algebra) -> Algebra:

@@ -9,9 +9,18 @@ derivation exactly when
   C3  tau2(a u) = a tau2(u) + delta1(a) u,
   C4  tau2(u a) = tau2(u) a + u delta1(a),
   C5  tau1 is a two-sided A-module homomorphism U -> A,
-  C6  u tau1(v) + tau1(u) v = 0,
+  C6  u tau1(v) + tau1(u) v = 0.
 
-and every derivation splits as D = D1 + D2 with D2((a,u)) = (0,
+Read row by row, C1-C6 are the Leibniz identity on T, split by the block
+(A or U) of x, of y and of the output coordinate k of row (x, y, k):
+
+  (A, A, A) C1    (A, U, U) C3    (A, U, A) C5, left     (U, U, U) C6
+  (A, A, U) C2    (U, A, U) C4    (U, A, A) C5, right
+
+Rows (U, U, A) are identically zero, because U U = 0 in T.  The checker
+sorts the failing Leibniz rows of T by this table (BLOCK_TABLE).
+
+Every derivation splits as D = D1 + D2 with D2((a,u)) = (0,
 delta2(a)).  D is inner iff it equals ad_{(b,v)} for some (b,v), which
 forces tau1 = 0 and couples delta1 and tau2 through the same b.
 
@@ -28,35 +37,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .algebra import Element, LinearMap, is_module_hom
-from .derivations import inner_derivation, is_derivation
-from .extension import ModuleExtension
-from .linalg import (
-    Matrix,
-    is_zero_vec,
-    solve,
-    unit_vec,
-    vec_add,
-    zero_vec,
+from .algebra import Element, LinearMap
+from .derivations import (
+    failing_rows,
+    inner_map,
+    is_derivation,
+    leibniz_rows,
+    leibniz_sides,
 )
+from .extension import ModuleExtension
+from .linalg import Matrix, solve, zero_vec
 from .reports import ConditionReport, HypothesisError
+
+C5 = "C5: tau1 is an A-bimodule homomorphism"
+C6 = "C6: u tau1(v) + tau1(u) v = 0"
+
+# Leibniz row (x, y, k) on T, keyed by (x in U, y in U, k in U): the
+# condition it belongs to, in report order.  Rows (U, U, A) are zero.
+BLOCK_TABLE = {
+    (False, False, False): "C1: delta1 in Der(A)",
+    (False, False, True): "C2: delta2 in Der(A,U)",
+    (False, True, True): "C3: tau2(au) = a tau2(u) + delta1(a) u",
+    (True, False, True): "C4: tau2(ua) = tau2(u) a + u delta1(a)",
+    (False, True, False): C5,  # left identity
+    (True, False, False): C5,  # right identity
+    (True, True, True): C6,
+}
 
 
 @dataclass
 class BlockDecomposition:
-    delta1: LinearMap  # A -> A
-    tau1: LinearMap    # U -> A
-    delta2: LinearMap  # A -> U
-    tau2: LinearMap    # U -> U
+    """The four blocks of a map on T; a block left as None is zero."""
 
-
-def _as_matrix(d) -> Matrix:
-    return d.matrix if isinstance(d, LinearMap) else d
+    delta1: Optional[LinearMap] = None  # A -> A
+    tau1: Optional[LinearMap] = None    # U -> A
+    delta2: Optional[LinearMap] = None  # A -> U
+    tau2: Optional[LinearMap] = None    # U -> U
 
 
 def blocks_of(t: ModuleExtension, d) -> BlockDecomposition:
     """Corner blocks of a square map on T in the (A, U) split; lossless."""
-    dm = _as_matrix(d)
+    dm = d.matrix if isinstance(d, LinearMap) else d
     m, n = t.base_dim, t.module_dim
     if dm.rows != m + n or dm.cols != m + n:
         raise ValueError("map is not square of dimension dim A + dim U")
@@ -73,88 +94,48 @@ def blocks_of(t: ModuleExtension, d) -> BlockDecomposition:
 
 
 def assemble(t: ModuleExtension, b: BlockDecomposition) -> LinearMap:
-    """Block matrix [[delta1, tau1], [delta2, tau2]] as a map on T."""
+    """Block matrix [[delta1, tau1], [delta2, tau2]] as a map on T; a
+    block left as None is filled with zeros."""
     m, n = t.base_dim, t.module_dim
-    d = Matrix.zeros(m + n, m + n)
-    for i in range(m):
-        for j in range(m):
-            d.data[i][j] = b.delta1.matrix.data[i][j]
-        for j in range(n):
-            d.data[i][m + j] = b.tau1.matrix.data[i][j]
-    for i in range(n):
-        for j in range(m):
-            d.data[m + i][j] = b.delta2.matrix.data[i][j]
-        for j in range(n):
-            d.data[m + i][m + j] = b.tau2.matrix.data[i][j]
-    return LinearMap(t.total, t.total, d)
+
+    def rows(block, r, c):
+        return block.matrix.data if block is not None else [zero_vec(c) for _ in range(r)]
+
+    top = [x + y for x, y in zip(rows(b.delta1, m, m), rows(b.tau1, m, n))]
+    bottom = [x + y for x, y in zip(rows(b.delta2, n, m), rows(b.tau2, n, n))]
+    return LinearMap(t.total, t.total, Matrix(m + n, m + n, top + bottom))
 
 
 def check_block_conditions(t: ModuleExtension, b: BlockDecomposition) -> ConditionReport:
-    """The six block conditions equivalent to D being a derivation."""
-    a, u = t.base, t.module
-    asb = a.self_bimodule()
-    m, n = a.dim, u.dim
+    """The six block conditions equivalent to D being a derivation.
+
+    Each condition is the set of Leibniz rows on T that BLOCK_TABLE
+    assigns to it.  A failing condition's witness is its first failing
+    pair, A index first, with C5's left identity before its right one.
+    """
+    m = t.base_dim
+    total = t.total
+    tsb = total.self_bimodule()
+    d = assemble(t, b).matrix
+    first = {}
+    for x, y, k in failing_rows(leibniz_rows(total, tsb), d.flatten()):
+        name = BLOCK_TABLE[x >= m, y >= m, k >= m]
+        i, j = x - m * (x >= m), y - m * (y >= m)
+        key = (x >= m, (j, i) if x >= m > y else (i, j))
+        if name not in first or key < first[name][0]:
+            first[name] = (key, x, y, k >= m)
+
     rep = ConditionReport("block conditions")
-
-    c1 = is_derivation(a, asb, b.delta1)
-    rep.add("C1: delta1 in Der(A)", c1.passed,
-            witness=None if c1.passed else c1.failures()[0].witness)
-    c2 = is_derivation(a, u, b.delta2)
-    rep.add("C2: delta2 in Der(A,U)", c2.passed,
-            witness=None if c2.passed else c2.failures()[0].witness)
-
-    for name, left_side in (
-        ("C3: tau2(au) = a tau2(u) + delta1(a) u", True),
-        ("C4: tau2(ua) = tau2(u) a + u delta1(a)", False),
-    ):
-        ok = True
-        witness = None
-        for i in range(m):
-            ei = unit_vec(m, i)
-            d1_ei = b.delta1.matrix.col(i)
-            for j in range(n):
-                uj = unit_vec(n, j)
-                if left_side:
-                    lhs = b.tau2.matrix.apply(u.left_act(ei, uj))
-                    rhs = vec_add(
-                        u.left_act(ei, b.tau2.matrix.col(j)),
-                        u.left_act(d1_ei, uj),
-                    )
-                else:
-                    lhs = b.tau2.matrix.apply(u.right_act(uj, ei))
-                    rhs = vec_add(
-                        u.right_act(b.tau2.matrix.col(j), ei),
-                        u.right_act(uj, d1_ei),
-                    )
-                if lhs != rhs:
-                    ok = False
-                    witness = ((i, j), lhs, rhs)
-                    break
-            if not ok:
-                break
-        rep.add(name, ok, witness=witness)
-
-    tau1_map = LinearMap(u, asb, b.tau1.matrix)
-    c5 = is_module_hom(tau1_map, "both")
-    rep.add("C5: tau1 is an A-bimodule homomorphism", c5.passed,
-            witness=None if c5.passed else c5.failures()[0].witness)
-
-    ok = True
-    witness = None
-    for j in range(n):
-        t1_uj = b.tau1.matrix.col(j)
-        for l in range(n):
-            val = vec_add(
-                u.right_act(unit_vec(n, j), b.tau1.matrix.col(l)),
-                u.left_act(t1_uj, unit_vec(n, l)),
-            )
-            if not is_zero_vec(val):
-                ok = False
-                witness = ((j, l), val, zero_vec(n))
-                break
-        if not ok:
-            break
-    rep.add("C6: u tau1(v) + tau1(u) v = 0", ok, witness=witness)
+    for name in dict.fromkeys(BLOCK_TABLE.values()):
+        if name not in first:
+            rep.add(name, True)
+            continue
+        (_, indices), x, y, in_u = first[name]
+        part = slice(m, None) if in_u else slice(0, m)
+        lhs, rhs = (side[part] for side in leibniz_sides(total, tsb, d, x, y))
+        if name == C6:  # C6 states that the right side of the identity is zero
+            lhs, rhs = rhs, lhs
+        rep.add(name, False, witness=(indices, lhs, rhs))
 
     rep.add(
         "C3/C4 alternative (delta2 coupling)",
@@ -187,17 +168,8 @@ def split_d1_d2(t: ModuleExtension, d) -> Tuple[LinearMap, LinearMap]:
     """
     d = _require_derivation(t, d)
     b = blocks_of(t, d)
-    zero_d2 = LinearMap.zero(t.base, t.module)
-    d1 = assemble(t, BlockDecomposition(b.delta1, b.tau1, zero_d2, b.tau2))
-    d2 = assemble(
-        t,
-        BlockDecomposition(
-            LinearMap.zero(t.base, t.base),
-            LinearMap.zero(t.module, t.base),
-            b.delta2,
-            LinearMap.zero(t.module, t.module),
-        ),
-    )
+    d1 = assemble(t, BlockDecomposition(b.delta1, b.tau1, None, b.tau2))
+    d2 = assemble(t, BlockDecomposition(delta2=b.delta2))
     if d1.matrix + d2.matrix != d.matrix:
         raise AssertionError("split parts do not sum to the input")
     return d1, d2
@@ -206,25 +178,18 @@ def split_d1_d2(t: ModuleExtension, d) -> Tuple[LinearMap, LinearMap]:
 def inner_witness(t: ModuleExtension, d) -> Optional[Tuple[Element, Element]]:
     """Solve D = ad_{(b,v)} exactly; (b, v) or None.
 
-    The joint system keeps one shared b across the delta1 and tau2
-    blocks and forces tau1 = 0.  Certificate: substituting the witness
-    back gives ad_{(b,v)} = D exactly.
+    The system is the inner map of T, whose columns are the ad of the
+    basis elements; one solution keeps a shared b across the delta1 and
+    tau2 blocks and forces tau1 = 0.  Certificate: the residual S x = D
+    on that same system.
     """
     d = _require_derivation(t, d)
-    total = t.total
-    tsb = total.self_bimodule()
-    dim = total.dim
-    cols = [
-        inner_derivation(total, tsb, unit_vec(dim, s)).matrix.flatten()
-        for s in range(dim)
-    ]
-    system = Matrix.from_rows(
-        [[cols[s][r] for s in range(dim)] for r in range(dim * dim)]
-    )
-    x = solve(system, d.matrix.flatten())
+    system = inner_map(t.total, t.total.self_bimodule())
+    target = d.matrix.flatten()
+    x = solve(system, target)
     if x is None:
         return None
-    if inner_derivation(total, tsb, x).matrix != d.matrix:
+    if system.apply(x) != target:
         raise AssertionError("witness does not reproduce the derivation")
     b_coords, v_coords = t.split(x)
     return t.base.element(b_coords), t.module.element(v_coords)

@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .blocks import blocks_of, check_block_conditions, inner_witness, split_d1_d2
 from .constructions import corner_tau, lift, quotient_derivation, transport
-from .derivations import derivation_space, inner_space, is_derivation
+from .derivations import derivation_space, inner_space
 from .extension import submultiplicativity_constant
 from .linalg import is_zero_vec
 from .reports import ConditionReport, HypothesisError
@@ -212,9 +212,9 @@ def cmd_decompose(args) -> int:
     })
     rep = check_block_conditions(t, b)
     out.report("block_conditions", rep)
-    der = is_derivation(t.total, t.total.self_bimodule(), d)
-    out.put("is_derivation", der.passed)
-    if der.passed:
+    # C1-C6 together are the Leibniz identity on T
+    out.put("is_derivation", rep.passed)
+    if rep.passed:
         d1, d2 = split_d1_d2(t, d)
         out.put("split", {
             "D1": _fmt_matrix(d1.matrix),
@@ -249,7 +249,10 @@ def _write_result(args, out: Output, result) -> None:
             module=t.module,
             maps=[("D", "total", "total", result.derivation.matrix)],
         )
-        fileio.save_file(args.out, doc)
+        try:
+            fileio.save_file(args.out, doc)
+        except OSError as e:
+            raise fileio.ParseError("--out", str(e))
         out.put("written", os.path.basename(args.out))
 
 
@@ -406,7 +409,7 @@ def main(argv=None) -> int:
     except fileio.ParseError as e:
         sys.stderr.write("input error: %s\n" % e)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         sys.stderr.write("input error: %s\n" % e)
         return 2
     except ValidationError as e:

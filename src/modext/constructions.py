@@ -60,16 +60,7 @@ def lift(t: ModuleExtension, delta: LinearMap) -> ConstructionResult:
     rep = is_derivation(t.base, t.module, delta)
     if not rep.passed:
         raise HypothesisError("delta is not a derivation A -> U", rep)
-    d = assemble(
-        t,
-        BlockDecomposition(
-            LinearMap.zero(t.base, t.base),
-            LinearMap.zero(t.module, t.base),
-            delta,
-            LinearMap.zero(t.module, t.module),
-        ),
-    )
-    return _verify(t, d, "lift")
+    return _verify(t, assemble(t, BlockDecomposition(delta2=delta)), "lift")
 
 
 def transport(
@@ -98,15 +89,7 @@ def transport(
         raise HypothesisError("delta is not a derivation on A", der)
 
     tau = phi.matrix * delta.matrix * psi.matrix
-    d = assemble(
-        t,
-        BlockDecomposition(
-            delta,
-            LinearMap.zero(u, a),
-            LinearMap.zero(a, u),
-            LinearMap(u, u, tau),
-        ),
-    )
+    d = assemble(t, BlockDecomposition(delta1=delta, tau2=LinearMap(u, u, tau)))
     return _verify(t, d, "transport")
 
 
@@ -136,15 +119,8 @@ def quotient_derivation(
     tau = Matrix.from_rows([[row[c] for c in complement] for row in image.data])
 
     t = trivial_extension(a, quotient)
-    d = assemble(
-        t,
-        BlockDecomposition(
-            delta,
-            LinearMap.zero(quotient, a),
-            LinearMap.zero(a, quotient),
-            LinearMap(quotient, quotient, tau),
-        ),
-    )
+    tau = LinearMap(quotient, quotient, tau)
+    d = assemble(t, BlockDecomposition(delta1=delta, tau2=tau))
     return _verify(t, d, "quotient")
 
 
@@ -204,13 +180,5 @@ def corner_tau(a: Algebra, p, delta: LinearMap) -> ConstructionResult:
     tau = Matrix.from_rows([[tau_cols[j][k] for j in range(q)] for k in range(q)])
 
     t = trivial_extension(a, module)
-    d = assemble(
-        t,
-        BlockDecomposition(
-            delta,
-            LinearMap.zero(module, a),
-            LinearMap.zero(a, module),
-            LinearMap(module, module, tau),
-        ),
-    )
+    d = assemble(t, BlockDecomposition(delta1=delta, tau2=LinearMap(module, module, tau)))
     return _verify(t, d, "corner")

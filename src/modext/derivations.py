@@ -2,8 +2,12 @@
 
 A linear map D: A -> U is a derivation when D(ab) = a D(b) + D(a) b.  On
 basis pairs this is a linear system in the entries of D's matrix; the
-derivation space is its exact nullspace.  Inner derivations are the
-image of U under x -> (a -> a x - x a).
+derivation space is its exact nullspace.  The sparse rows of that
+system are the one place the identity is written down: ``is_derivation``,
+the certificate of ``derivation_space`` and the C1-C6 checker in
+``blocks`` all evaluate their residuals.  Inner derivations are the
+image of the inner map x -> (a -> a x - x a); its kernel on A itself is
+the center.
 
 Row order of the Leibniz system is lexicographic in (i, j, k); columns
 are D's matrix entries in row-major order.  Both are fixed so computed
@@ -15,24 +19,60 @@ from __future__ import annotations
 from typing import List
 
 from .algebra import Algebra, Bimodule, Element, LinearMap
-from .linalg import (
-    Matrix,
-    Subspace,
-    nullspace,
-    unit_vec,
-    vec_add,
-    vec_sub,
-    zero_vec,
-)
+from .linalg import Matrix, Subspace, nullspace, unit_vec, vec, vec_add, zero_vec
 from .reports import ConditionReport
+
+
+def _nonzeros(values) -> list:
+    return [(s, x) for s, x in enumerate(values) if x]
+
+
+def leibniz_rows(algebra: Algebra, module: Bimodule):
+    """Sparse rows of the Leibniz system, as ((i, j, k), [(column, coeff)]).
+
+    Row (i, j, k) states that coordinate k of D(e_i e_j) - e_i D(e_j)
+    - D(e_i) e_j vanishes; column t * dim A + s is the entry d[t][s].
+    Rows are yielded in (i, j, k) order, so a check can stop at the first
+    failure, and are read off the nonzero structure constants only.
+    """
+    m, n = algebra.dim, module.dim
+    mul = [[_nonzeros(algebra.mul_tensor[i][j]) for j in range(m)] for i in range(m)]
+    left = [[_nonzeros([module.left[i][t][k] for t in range(n)]) for k in range(n)]
+            for i in range(m)]
+    right = [[_nonzeros([module.right[t][j][k] for t in range(n)]) for k in range(n)]
+             for j in range(m)]
+    for i in range(m):
+        for j in range(m):
+            for k in range(n):
+                # D(e_i e_j)_k = sum_s c[i][j][s] d[k][s]
+                row = {k * m + s: c for s, c in mul[i][j]}
+                # (e_i D(e_j))_k = sum_t l[i][t][k] d[t][j]
+                for t, c in left[i][k]:
+                    row[t * m + j] = row.get(t * m + j, 0) - c
+                # (D(e_i) e_j)_k = sum_t r[t][j][k] d[t][i]
+                for t, c in right[j][k]:
+                    row[t * m + i] = row.get(t * m + i, 0) - c
+                yield (i, j, k), [(col, c) for col, c in row.items() if c]
+
+
+def failing_rows(rows, x):
+    """Labels of the sparse rows whose residual on the vector x is nonzero."""
+    return (label for label, row in rows if sum(c * x[col] for col, c in row))
+
+
+def leibniz_sides(a: Algebra, u: Bimodule, d: Matrix, i: int, j: int):
+    """(D(e_i e_j), e_i D(e_j) + D(e_i) e_j) for the matrix d of D: A -> U."""
+    return d.apply(a.mul_basis(i, j)), vec_add(
+        u.left_act(unit_vec(a.dim, i), d.col(j)),
+        u.right_act(d.col(i), unit_vec(a.dim, j)),
+    )
 
 
 class LeibnizSystem:
     """The linear system expressing the derivation identity.
 
-    Unknowns are the entries d[t][s] of D's (u.dim x a.dim) matrix; row
-    (i, j, k) states that coordinate k of D(e_i e_j) - e_i D(e_j)
-    - D(e_i) e_j vanishes.
+    Unknowns are the entries d[t][s] of D's (u.dim x a.dim) matrix; see
+    ``leibniz_rows`` for the rows, which ``matrix`` holds densely.
     """
 
     def __init__(self, algebra: Algebra, module: Bimodule):
@@ -40,26 +80,13 @@ class LeibnizSystem:
             raise ValueError("module is not over the given algebra")
         self.algebra = algebra
         self.module = module
-        m, n = algebra.dim, module.dim
-        rows = []
-        for i in range(m):
-            for j in range(m):
-                c_ij = algebra.mul_tensor[i][j]
-                for k in range(n):
-                    row = zero_vec(m * n)
-                    # D(e_i e_j)_k = sum_s c[i][j][s] d[k][s]
-                    for s in range(m):
-                        row[k * m + s] += c_ij[s]
-                    # (e_i D(e_j))_k = sum_t l[i][t][k] d[t][j]
-                    for t in range(n):
-                        row[t * m + j] -= module.left[i][t][k]
-                    # (D(e_i) e_j)_k = sum_t r[t][j][k] d[t][i]
-                    for t in range(n):
-                        row[t * m + i] -= module.right[t][j][k]
-                    rows.append(row)
-        self.matrix = (
-            Matrix.from_rows(rows) if rows else Matrix.zeros(0, m * n)
-        )
+        self.rows = list(leibniz_rows(algebra, module))
+        cols = algebra.dim * module.dim
+        dense = [zero_vec(cols) for _ in self.rows]  # one shared zero per row
+        for out, (_, row) in zip(dense, self.rows):
+            for col, c in row:
+                out[col] = c
+        self.matrix = Matrix(len(dense), cols, dense)
 
 
 class DerivationSpace:
@@ -83,39 +110,51 @@ class DerivationSpace:
 
 
 def is_derivation(a: Algebra, u: Bimodule, f: LinearMap) -> ConditionReport:
-    """Check D(e_i e_j) = e_i D(e_j) + D(e_i) e_j on all basis pairs."""
+    """Check D(e_i e_j) = e_i D(e_j) + D(e_i) e_j on all basis pairs.
+
+    The check is the residual of the Leibniz rows on D's entries; the
+    witness is the first failing pair (i, j).
+    """
     if f.matrix.rows != u.dim or f.matrix.cols != a.dim:
         raise ValueError("map shape does not match A -> U")
     rep = ConditionReport("Leibniz identity")
-    for i in range(a.dim):
-        di = f.matrix.col(i)
-        for j in range(a.dim):
-            lhs = f.matrix.apply(a.mul_basis(i, j))
-            rhs = vec_add(
-                u.left_act(unit_vec(a.dim, i), f.matrix.col(j)),
-                u.right_act(di, unit_vec(a.dim, j)),
-            )
-            if lhs != rhs:
-                rep.add("D(ab) = aD(b) + D(a)b", False, witness=((i, j), lhs, rhs))
-                return rep
-    rep.add("D(ab) = aD(b) + D(a)b", True, note="%d pairs" % a.dim**2)
+    bad = next(failing_rows(leibniz_rows(a, u), f.matrix.flatten()), None)
+    if bad is None:
+        rep.add("D(ab) = aD(b) + D(a)b", True, note="%d pairs" % a.dim**2)
+    else:
+        i, j, _ = bad
+        rep.add("D(ab) = aD(b) + D(a)b", False,
+                witness=((i, j),) + leibniz_sides(a, u, f.matrix, i, j))
     return rep
 
 
 def derivation_space(a: Algebra, u: Bimodule) -> DerivationSpace:
     """All derivations A -> U, as the nullspace of the Leibniz system.
 
-    Certificate: each basis vector k has zero residual S k on the system
-    S that was solved, checked over the nonzeros of each row.
+    Certificate: each basis vector k has zero residual S k on the sparse
+    rows of the system S that was solved.
     """
     system = LeibnizSystem(a, u)
     ker = nullspace(system.matrix)
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in system.matrix.data]
     for k in ker.basis:
-        if any(sum(x * k[j] for j, x in row) for row in rows):
+        if next(failing_rows(system.rows, k), None) is not None:
             raise AssertionError("nullspace vector has a nonzero Leibniz residual")
     basis = [LinearMap(a, u, Matrix.unflatten(u.dim, a.dim, k)) for k in ker.basis]
     return DerivationSpace(system, basis)
+
+
+def inner_map(a: Algebra, u: Bimodule) -> Matrix:
+    """The linear map x -> ad_x from U into flattened Hom(A, U).
+
+    Column s is the flattened matrix of ad_{u_s}: b -> b u_s - u_s b, so
+    entry (k * dim A + i, s) is coordinate k of e_i u_s - u_s e_i.
+    """
+    m, n = a.dim, u.dim
+    return Matrix(n * m, n, [
+        [u.left[i][s][k] - u.right[s][i][k] for s in range(n)]
+        for k in range(n)
+        for i in range(m)
+    ])
 
 
 def inner_derivation(a: Algebra, u: Bimodule, x) -> LinearMap:
@@ -123,26 +162,13 @@ def inner_derivation(a: Algebra, u: Bimodule, x) -> LinearMap:
     coords = x.coords if isinstance(x, Element) else list(x)
     if len(coords) != u.dim:
         raise ValueError("element length does not match module dimension")
-    cols = [
-        vec_sub(
-            u.left_act(unit_vec(a.dim, i), coords),
-            u.right_act(coords, unit_vec(a.dim, i)),
-        )
-        for i in range(a.dim)
-    ]
-    matrix = Matrix.from_rows(
-        [[cols[i][k] for i in range(a.dim)] for k in range(u.dim)]
-    )
-    return LinearMap(a, u, matrix)
+    flat = inner_map(a, u).apply(vec(coords))
+    return LinearMap(a, u, Matrix.unflatten(u.dim, a.dim, flat))
 
 
 def inner_space(a: Algebra, u: Bimodule) -> Subspace:
-    """Image of x -> id_x inside flattened Hom(A, U) coordinates."""
-    vectors = [
-        inner_derivation(a, u, unit_vec(u.dim, j)).matrix.flatten()
-        for j in range(u.dim)
-    ]
-    return Subspace.from_vectors(a.dim * u.dim, vectors)
+    """Image of the inner map x -> ad_x inside flattened Hom(A, U)."""
+    return Subspace.from_vectors(a.dim * u.dim, inner_map(a, u).transpose().data)
 
 
 def h1_dimension(a: Algebra, u: Bimodule) -> int:

@@ -141,8 +141,7 @@ def quotient_coordinates(ideal: Subspace) -> Tuple[List[int], Matrix]:
     and the (dim A/I x dim A) projection matrix.
     """
     m = ideal.ambient_dim
-    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in ideal.basis]
-    complement = [j for j in range(m) if j not in pivots]
+    complement = [j for j in range(m) if j not in ideal.pivots]
     reduced = [ideal.reduce(unit_vec(m, j)) for j in range(m)]
     proj = Matrix.from_rows([[r[c] for c in complement] for r in reduced]).transpose()
     return complement, proj

@@ -12,6 +12,7 @@ violations surface as ValidationError from the constructors.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional
@@ -31,6 +32,11 @@ class ParseError(ValueError):
         super().__init__("%s: %s" % (path, message))
 
 
+# an optionally signed integer or p/q; no exponent or decimal point, so a
+# short string cannot ask for a huge power of ten
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
 def parse_rational(value, path: str = "") -> Fraction:
     if isinstance(value, bool):
         raise ParseError(path, "expected a rational, got a boolean")
@@ -39,6 +45,8 @@ def parse_rational(value, path: str = "") -> Fraction:
     if isinstance(value, float):
         raise ParseError(path, "floats are not allowed; use rational strings")
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise ParseError(path, "bad rational %r (expected an integer or p/q)" % value)
         try:
             f = Fraction(value)
         except (ValueError, ZeroDivisionError) as e:
@@ -67,24 +75,10 @@ def _parse_matrix(rows, cols, data, path: str) -> Matrix:
 def _parse_tensor(d1, d2, d3, data, path: str):
     if not isinstance(data, list) or len(data) != d1:
         raise ParseError(path, "expected %d slices" % d1)
-    out = []
-    for i, plane in enumerate(data):
-        if not isinstance(plane, list) or len(plane) != d2:
-            raise ParseError("%s[%d]" % (path, i), "expected %d rows" % d2)
-        rows = []
-        for j, row in enumerate(plane):
-            if not isinstance(row, list) or len(row) != d3:
-                raise ParseError(
-                    "%s[%d][%d]" % (path, i, j), "expected %d entries" % d3
-                )
-            rows.append(
-                [
-                    parse_rational(x, "%s[%d][%d][%d]" % (path, i, j, k))
-                    for k, x in enumerate(row)
-                ]
-            )
-        out.append(rows)
-    return out
+    return [
+        _parse_matrix(d2, d3, plane, "%s[%d]" % (path, i)).data
+        for i, plane in enumerate(data)
+    ]
 
 
 @dataclass
@@ -148,6 +142,26 @@ def _carrier_dim(tag, algebra_dim, module_dim, path):
     return module_dim if tag == "module" else algebra_dim + module_dim
 
 
+def _named_entries(doc, section: str, kind: str):
+    """(JSON path, entry) for each entry of a list section, checking that
+    every entry is an object with a string name not used before."""
+    entries = doc.get(section, [])
+    if not isinstance(entries, list):
+        raise ParseError(section, "expected a list of %s entries" % kind)
+    seen = set()
+    for i, entry in enumerate(entries):
+        path = "%s[%d]" % (section, i)
+        if not isinstance(entry, dict) or "name" not in entry:
+            raise ParseError(path, "%s entries need a name" % kind)
+        name = entry["name"]
+        if not isinstance(name, str):
+            raise ParseError(path + ".name", "must be a string")
+        if name in seen:
+            raise ParseError(path + ".name", "duplicate name %r" % name)
+        seen.add(name)
+        yield path, entry
+
+
 def parse_document(doc) -> ArtifactFile:
     if not isinstance(doc, dict):
         raise ParseError("$", "top level must be an object")
@@ -185,10 +199,7 @@ def parse_document(doc) -> ArtifactFile:
 
     out = ArtifactFile(algebra=algebra, module=module)
 
-    for i, entry in enumerate(doc.get("maps", [])):
-        path = "maps[%d]" % i
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ParseError(path, "map entries need a name")
+    for path, entry in _named_entries(doc, "maps", "map"):
         src = entry.get("source", "algebra")
         tgt = entry.get("target", "algebra")
         rows = _carrier_dim(tgt, dim, module_dim, path)
@@ -196,10 +207,7 @@ def parse_document(doc) -> ArtifactFile:
         matrix = _parse_matrix(rows, cols, entry.get("matrix"), path + ".matrix")
         out.maps[entry["name"]] = MapEntry(entry["name"], src, tgt, matrix)
 
-    for i, entry in enumerate(doc.get("elements", [])):
-        path = "elements[%d]" % i
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ParseError(path, "element entries need a name")
+    for path, entry in _named_entries(doc, "elements", "element"):
         carrier = entry.get("carrier", "algebra")
         d = _carrier_dim(carrier, dim, module_dim, path)
         coords = entry.get("coords")
@@ -210,26 +218,12 @@ def parse_document(doc) -> ArtifactFile:
         ]
         out.element_carriers[entry["name"]] = carrier
 
-    for i, entry in enumerate(doc.get("subspaces", [])):
-        path = "subspaces[%d]" % i
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ParseError(path, "subspace entries need a name")
+    for path, entry in _named_entries(doc, "subspaces", "subspace"):
         vectors = entry.get("vectors")
         if not isinstance(vectors, list):
             raise ParseError(path + ".vectors", "expected a list of vectors")
-        parsed = []
-        for j, v in enumerate(vectors):
-            if not isinstance(v, list) or len(v) != dim:
-                raise ParseError(
-                    "%s.vectors[%d]" % (path, j), "expected %d coordinates" % dim
-                )
-            parsed.append(
-                [
-                    parse_rational(x, "%s.vectors[%d][%d]" % (path, j, k))
-                    for k, x in enumerate(v)
-                ]
-            )
-        out.subspaces[entry["name"]] = Subspace.from_vectors(dim, parsed)
+        parsed = _parse_matrix(len(vectors), dim, vectors, path + ".vectors")
+        out.subspaces[entry["name"]] = Subspace.from_vectors(dim, parsed.data)
 
     return out
 
@@ -238,7 +232,7 @@ def load_file(path: str) -> ArtifactFile:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # bad UTF-8, long ints, deep nesting
             raise ParseError("$", "invalid JSON: %s" % e)
     return parse_document(doc)
 

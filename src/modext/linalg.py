@@ -251,11 +251,13 @@ class Subspace:
     ``==`` is entrywise comparison.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, basis: Sequence[Vector]):
         self.ambient_dim = ambient_dim
         self.basis = [list(v) for v in basis]
+        # the pivot column of each basis row
+        self.pivots = [next(i for i, x in enumerate(v) if x != 0) for v in self.basis]
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
@@ -304,22 +306,21 @@ class Subspace:
         turn yields the canonical coset representative.
         """
         v = list(v)
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x != 0)
+        for p, row in zip(self.pivots, self.basis):
             if v[p] != 0:
                 f = v[p]
                 v = [x - f * y for x, y in zip(v, row)]
         return v
 
     def coords_of(self, v: Vector) -> Optional[Vector]:
-        """Coefficients of v in this basis, or None if v is outside."""
-        if self.dim == 0:
-            return [] if is_zero_vec(v) else None
-        m = Matrix.from_rows(self.basis).transpose()
-        x = solve(m, vec(v))
-        if x is None:
+        """Coefficients of v in this basis, or None if v is outside.
+
+        In RREF each basis row is 1 at its own pivot and 0 at the others,
+        so the coefficients of a vector in the span are its pivot entries.
+        """
+        if not self.contains_vector(v):
             return None
-        return x
+        return [frac(v[p]) for p in self.pivots]
 
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)

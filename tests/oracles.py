@@ -58,11 +58,12 @@ def apply_matrix(d, v):
     return [sum((row[s] * v[s] for s in range(len(v))), Fraction(0)) for row in d]
 
 
-def leibniz_holds(mul, left, right, d):
-    """Does the map with matrix d satisfy D(ab) = aD(b) + D(a)b?
+def leibniz_first_failure(mul, left, right, d):
+    """First basis pair, in (i, j) order, where D(ab) = aD(b) + D(a)b fails.
 
     d is an (n x m) nested list for a map A -> U, where m = dim A and
-    n = dim U.  Checked on every basis pair by direct evaluation.
+    n = dim U.  Returns ((i, j), lhs, rhs) by direct evaluation, or None
+    when the identity holds on every basis pair.
     """
     m = len(mul)
     for i, j in product(range(m), repeat=2):
@@ -73,8 +74,13 @@ def leibniz_holds(mul, left, right, d):
         dj = apply_matrix(d, ej)
         rhs = [a + b for a, b in zip(left_act(left, ei, dj), right_act(right, di, ej))]
         if lhs != rhs:
-            return False
-    return True
+            return (i, j), lhs, rhs
+    return None
+
+
+def leibniz_holds(mul, left, right, d):
+    """Does the map with matrix d satisfy D(ab) = aD(b) + D(a)b?"""
+    return leibniz_first_failure(mul, left, right, d) is None
 
 
 def _leibniz_sympy_matrix(mul, left, right):

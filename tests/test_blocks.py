@@ -34,6 +34,33 @@ def rand_blocks(rng, t, lo=-3, hi=3):
     )
 
 
+def single_entry(r, c):
+    m = Matrix.zeros(4, 4)
+    m.data[r][c] = Fraction(1)
+    return m
+
+
+# tau1 = right multiplication by E12 on M2: a left but not a right module map
+RIGHT_MUL_E12 = Matrix.from_rows([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]])
+
+# id: (condition, nonzero blocks on T(M2, M2), its witness (indices, lhs, rhs))
+PINNED_WITNESSES = {
+    "C1": ("C1", {"delta1": Matrix.identity(4)}, ((0, 0), [1, 0, 0, 0], [2, 0, 0, 0])),
+    "C2": ("C2", {"delta2": Matrix.identity(4)}, ((0, 0), [1, 0, 0, 0], [2, 0, 0, 0])),
+    "C3": ("C3", {"tau2": single_entry(0, 1)}, ((1, 3), [1, 0, 0, 0], [0, 0, 0, 0])),
+    # A index first: the pair (e_0, u_1), though u_0 e_1 fails too
+    "C4": ("C4", {"tau2": single_entry(0, 1)}, ((0, 1), [0, 0, 0, 0], [1, 0, 0, 0])),
+    "C5-right-only": (
+        "C5", {"tau1": RIGHT_MUL_E12}, ((0, 0), [0, 1, 0, 0], [0, 0, 0, 0])),
+    # the left failure (1, 3) is reported before the right failure (1, 0)
+    "C5-left-first": (
+        "C5", {"tau1": single_entry(0, 1)}, ((1, 3), [1, 0, 0, 0], [0, 0, 0, 0])),
+    "C6": ("C6", {"tau1": Matrix.identity(4)}, ((0, 0), [2, 0, 0, 0], [0, 0, 0, 0])),
+    "C6-off-diagonal": (
+        "C6", {"tau1": single_entry(0, 1)}, ((0, 1), [1, 0, 0, 0], [0, 0, 0, 0])),
+}
+
+
 class TestRoundTrip:
     def test_identity_splits_into_identity_blocks(self):
         a = dual_numbers()
@@ -117,6 +144,23 @@ class TestConditions:
         assert any(c.name.startswith("C1") for c in fails)
         c1 = next(c for c in fails if c.name.startswith("C1"))
         assert c1.witness[0] == (0, 0)
+
+    @pytest.mark.parametrize("condition, nonzero, witness",
+                             list(PINNED_WITNESSES.values()), ids=list(PINNED_WITNESSES))
+    def test_pinned_witness(self, condition, nonzero, witness):
+        a = matrix_units(2)
+        t = trivial_extension(a, a.self_bimodule())
+        carriers = {"delta1": (a, a), "tau1": (t.module, a),
+                    "delta2": (a, t.module), "tau2": (t.module, t.module)}
+        b = BlockDecomposition(**{
+            name: LinearMap(src, tgt, nonzero[name]) if name in nonzero
+            else LinearMap.zero(src, tgt)
+            for name, (src, tgt) in carriers.items()
+        })
+        rep = check_block_conditions(t, b)
+        check = next(c for c in rep.checks if c.name.startswith(condition))
+        assert not check.passed
+        assert check.witness == witness
 
     def test_alternative_reading_is_recorded(self):
         a = dual_numbers()

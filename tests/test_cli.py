@@ -219,6 +219,72 @@ class TestCarriers:
         self.expect_input_error(capsys, "q", *argv)
 
 
+class TestInputBoundary:
+    """Malformed files and outputs: exit 2, an input error naming the JSON
+    path or the option, and no traceback."""
+
+    def expect_input_error(self, capsys, where, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("input error: ") and where in err
+        assert "Traceback" not in err
+
+    def edited(self, tmp_path, edit, source=M2):
+        doc = json.loads(Path(source).read_text(encoding="utf-8"))
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("section", ["maps", "elements", "subspaces"])
+    def test_section_that_is_not_a_list(self, capsys, tmp_path, section):
+        path = self.edited(tmp_path, lambda doc: doc.update({section: 5}))
+        self.expect_input_error(capsys, "%s: expected a list" % section, "validate", path)
+
+    def test_map_name_that_is_not_a_string(self, capsys, tmp_path):
+        path = self.edited(tmp_path, lambda doc: doc["maps"][0].update(name=["delta"]))
+        self.expect_input_error(capsys, "maps[0].name", "validate", path)
+
+    @pytest.mark.parametrize("section, source", [
+        ("maps", M2), ("elements", M2), ("subspaces", TRIANGLE)],
+        ids=["maps", "elements", "subspaces"])
+    def test_duplicate_names(self, capsys, tmp_path, section, source):
+        def edit(doc):
+            doc[section].append(dict(doc[section][0]))
+        path = self.edited(tmp_path, edit, source)
+        n = len(json.loads(Path(source).read_text(encoding="utf-8"))[section])
+        self.expect_input_error(capsys, "%s[%d].name: duplicate name" % (section, n),
+                                "validate", path)
+
+    def test_integer_too_long_to_convert(self, capsys, tmp_path):
+        text = Path(DUAL).read_text(encoding="utf-8")
+        text = text.replace('"dim": 2', '"dim": 1' + "0" * 5000, 1)
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        self.expect_input_error(capsys, "$: invalid JSON", "validate", str(path))
+
+    def test_bytes_that_are_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        latin1 = Path(DUAL).read_bytes().replace(b'"format_version"', b'"\xe9"', 1)
+        path.write_bytes(latin1)
+        self.expect_input_error(capsys, "$: invalid JSON", "validate", str(path))
+
+    def test_arrays_nested_too_deeply(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"maps": ' + "[" * 100000 + "]" * 100000 + "}")
+        self.expect_input_error(capsys, "$: invalid JSON", "validate", str(path))
+
+    def test_exponent_literal(self, capsys, tmp_path):
+        def edit(doc):
+            doc["mul"][0][0][0] = "1e400"
+        path = self.edited(tmp_path, edit, DUAL)
+        self.expect_input_error(capsys, "mul[0][0][0]", "validate", path)
+
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        self.expect_input_error(capsys, "--out", "construct", "lift", DUAL,
+                                "--out", str(tmp_path))
+
+
 class TestAnalyze:
     def test_dual_numbers_radical(self, capsys):
         code, out, _ = run(capsys, "analyze", DUAL, "--radical")

@@ -14,7 +14,13 @@ from modext.derivations import (
 from modext.linalg import Matrix, Subspace, rank, rref, solve, unit_vec
 from modext.samples import dual_numbers, matrix_units, upper_triangular_2, zero_product
 
-from oracles import derivation_dim, inner_dim, leibniz_holds, tensors_of
+from oracles import (
+    derivation_dim,
+    inner_dim,
+    leibniz_first_failure,
+    leibniz_holds,
+    tensors_of,
+)
 
 
 class TestIsDerivation:
@@ -37,6 +43,32 @@ class TestIsDerivation:
         (idx, lhs, rhs) = rep.failures()[0].witness
         assert idx == (0, 0)  # E11 E11: LHS E11, RHS 2 E11
         assert rhs == [x * 2 for x in lhs]
+
+    def test_agrees_with_the_naive_oracle_on_random_maps(self, corpus_pairs):
+        # members of Der(A,U), some with one entry changed, and random maps
+        rng = random.Random(41)
+        verdicts = []
+        for name, a, u in corpus_pairs:
+            mul, left, right = tensors_of(a, u)
+            basis = [d.matrix.flatten() for d in derivation_space(a, u).basis]
+            for trial in range(6):
+                flat = [0] * (a.dim * u.dim)
+                if trial < 4:
+                    for k in basis:
+                        c = rng.randint(-2, 2)
+                        flat = [x + c * y for x, y in zip(flat, k)]
+                    if trial % 2 and flat:
+                        flat[rng.randrange(len(flat))] += rng.choice([-1, 1])
+                else:
+                    flat = [rng.randint(-2, 2) for _ in flat]
+                f = LinearMap(a, u, Matrix.unflatten(u.dim, a.dim, flat))
+                rep = is_derivation(a, u, f)
+                expected = leibniz_first_failure(mul, left, right, f.matrix.data)
+                assert rep.passed == (expected is None), name
+                if expected is not None:
+                    assert rep.failures()[0].witness == expected, name
+                verdicts.append(rep.passed)
+        assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
 class TestDerivationSpace:

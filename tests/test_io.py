@@ -48,6 +48,17 @@ class TestParseRational:
         with pytest.raises(ParseError):
             parse_rational("one half")
 
+    def test_signs_and_surrounding_spaces(self):
+        assert parse_rational("+3") == Fraction(3)
+        assert parse_rational(" 3 ") == Fraction(3)
+        assert parse_rational("-1/2") == Fraction(-1, 2)
+
+    @pytest.mark.parametrize("text", ["1e400", "0.5", "1/2e3", "1_000"])
+    def test_exponent_and_decimal_forms_rejected(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_rational(text, "mul[0][0][0]")
+        assert exc.value.path == "mul[0][0][0]"
+
     def test_error_carries_the_json_path(self):
         with pytest.raises(ParseError) as exc:
             parse_rational(0.5, "mul[0][1][0]")

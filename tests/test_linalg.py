@@ -114,6 +114,13 @@ class TestSubspace:
             combo = [x + w * y for x, y in zip(combo, b)]
         assert combo == v
 
+    def test_coords_of_outside_the_span_is_none(self):
+        s = Subspace.from_vectors(3, [[1, 0, 1], [0, 1, 1]])
+        assert s.coords_of([1, 1, 0]) is None
+        assert Subspace.zero(3).coords_of([0, 0, 1]) is None
+        with pytest.raises(ValueError):
+            s.coords_of([1, 0])
+
 
 small_entries = st.integers(min_value=-5, max_value=5)
 
@@ -157,3 +164,12 @@ def test_grassmann_identity(data):
     a = Subspace.from_vectors(n, va)
     b = Subspace.from_vectors(n, vb)
     assert a.sum(b).dim + a.intersection(b).dim == a.dim + b.dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.lists(small_entries, min_size=4, max_size=4))
+def test_coords_of_agrees_with_solve_inside_the_span(m, weights):
+    s = Subspace.from_vectors(m.cols, m.data)
+    v = [sum(w * row[j] for w, row in zip(weights, m.data)) for j in range(m.cols)]
+    expected = solve(Matrix.from_rows(s.basis).transpose(), v) if s.dim else []
+    assert s.coords_of(v) == expected
