@@ -72,6 +72,17 @@ def _bilinear(tensor, x: Vector, y: Vector, dim: int) -> Vector:
     return out
 
 
+def _combine(weights: Vector, vectors: Sequence[Vector], dim: int) -> Vector:
+    """sum_k weights[k] vectors[k], over the nonzero weights and entries."""
+    out = zero_vec(dim)
+    for w, v in zip(weights, vectors):
+        if w:
+            for k, x in enumerate(v):
+                if x:
+                    out[k] += w * x
+    return out
+
+
 class Algebra:
     """Finite-dimensional associative algebra over Q."""
 
@@ -410,6 +421,7 @@ def is_module_hom(f: LinearMap, side: str = "both") -> ConditionReport:
     if src.algebra is not tgt.algebra:
         raise ValueError("source and target are over different algebras")
     a = src.algebra
+    images = [f.matrix.col(j) for j in range(src.dim)]  # f(u_j)
     rep = ConditionReport("module homomorphism (%s)" % side)
     for want in ("left", "right"):
         if side != "both" and side != want:
@@ -418,13 +430,13 @@ def is_module_hom(f: LinearMap, side: str = "both") -> ConditionReport:
         for i in range(a.dim):
             ei = unit_vec(a.dim, i)
             for j in range(src.dim):
-                uj = unit_vec(src.dim, j)
+                # f(e_i u_j) and f(u_j e_i) from the action constants
                 if want == "left":
-                    lhs = f(src.left_act(ei, uj))
-                    rhs = tgt.left_act(ei, f(uj))
+                    lhs = _combine(src.left[i][j], images, tgt.dim)
+                    rhs = tgt.left_act(ei, images[j])
                 else:
-                    lhs = f(src.right_act(uj, ei))
-                    rhs = tgt.right_act(f(uj), ei)
+                    lhs = _combine(src.right[j][i], images, tgt.dim)
+                    rhs = tgt.right_act(images[j], ei)
                 if lhs != rhs:
                     ok = False
                     witness = ((i, j), lhs, rhs)

@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import product
 
 import sympy
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 
 def tensors_of(algebra, module):
@@ -22,6 +24,8 @@ def mul_vec(mul, x, y):
     n = len(mul)
     out = [Fraction(0)] * len(mul[0][0]) if n else []
     for i in range(n):
+        if not x[i]:
+            continue
         for j in range(n):
             c = x[i] * y[j]
             if c:
@@ -34,6 +38,8 @@ def left_act(left, a, u):
     m, n = len(left), len(u)
     out = [Fraction(0)] * n
     for i in range(m):
+        if not a[i]:
+            continue
         for j in range(n):
             c = a[i] * u[j]
             if c:
@@ -46,6 +52,8 @@ def right_act(right, u, a):
     n, m = len(u), len(a)
     out = [Fraction(0)] * n
     for j in range(n):
+        if not u[j]:
+            continue
         for i in range(m):
             c = u[j] * a[i]
             if c:
@@ -55,7 +63,74 @@ def right_act(right, u, a):
 
 
 def apply_matrix(d, v):
-    return [sum((row[s] * v[s] for s in range(len(v))), Fraction(0)) for row in d]
+    return [sum((row[s] * v[s] for s in range(len(v)) if v[s]), Fraction(0))
+            for row in d]
+
+
+def dense_rref(rows):
+    """Reduced row echelon form by dense Gauss-Jordan over Fractions.
+
+    rows is a nonempty list of equal-length rows.  Every entry is touched
+    at every pivot step, with no fraction-free tricks and no pivot
+    choice beyond the first nonzero: the plain reference for the sparse
+    kernel.  Returns (reduced rows, pivot columns).
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    nrows, cols = len(a), len(a[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
+def dense_nullspace(rows):
+    """RREF basis of the right kernel of rows, through dense_rref alone."""
+    red, pivots = dense_rref(rows)
+    cols = len(rows[0])
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(cols)]
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(v)
+    return dense_rref(basis)[0][: len(basis)] if basis else []
+
+
+def _domain_matrix(rows):
+    return DomainMatrix([[QQ(Fraction(x).numerator, Fraction(x).denominator)
+                          for x in row] for row in rows],
+                        (len(rows), len(rows[0])), QQ)
+
+
+def _fractions(dm):
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in row]
+            for row in dm.to_list()]
+
+
+def sympy_rref(rows):
+    """(reduced rows, pivot columns) from sympy's DomainMatrix over QQ."""
+    red, pivots = _domain_matrix(rows).rref()
+    return _fractions(red), list(pivots)
+
+
+def sympy_nullspace(rows):
+    """RREF basis of the right kernel of rows, from sympy's DomainMatrix."""
+    ker = _fractions(_domain_matrix(rows).nullspace())
+    return sympy_rref(ker)[0][: len(ker)] if ker else []
 
 
 def leibniz_first_failure(mul, left, right, d):
@@ -66,13 +141,12 @@ def leibniz_first_failure(mul, left, right, d):
     when the identity holds on every basis pair.
     """
     m = len(mul)
+    units = [[Fraction(1 if s == i else 0) for s in range(m)] for i in range(m)]
+    images = [apply_matrix(d, e) for e in units]  # D(e_i)
     for i, j in product(range(m), repeat=2):
-        ei = [Fraction(1 if s == i else 0) for s in range(m)]
-        ej = [Fraction(1 if s == j else 0) for s in range(m)]
         lhs = apply_matrix(d, mul[i][j])
-        di = apply_matrix(d, ei)
-        dj = apply_matrix(d, ej)
-        rhs = [a + b for a, b in zip(left_act(left, ei, dj), right_act(right, di, ej))]
+        rhs = [a + b for a, b in zip(left_act(left, units[i], images[j]),
+                                     right_act(right, images[i], units[j]))]
         if lhs != rhs:
             return (i, j), lhs, rhs
     return None

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from modext.algebra import (
     validate_algebra,
     validate_bimodule,
 )
-from modext.linalg import Matrix, Subspace, unit_vec, zero_vec
+from modext.linalg import Matrix, Subspace, solve, unit_vec, zero_vec
 from modext.samples import (
     column_module,
     dual_numbers,
@@ -25,6 +26,8 @@ from modext.samples import (
     zero_action_module,
     zero_product,
 )
+
+from oracles import apply_matrix, left_act, right_act
 
 
 class TestValidateAlgebra:
@@ -141,6 +144,60 @@ class TestModuleHom:
         rep = is_module_hom(f, "left")
         assert not rep.passed
         assert rep.failures()[0].witness is not None
+
+
+    @pytest.mark.parametrize("r, s, left, right", [
+        # f = identity + 3 E_rs on M2 as a bimodule over itself
+        (0, 0, ((1, 2), [4, 0, 0, 0], [1, 0, 0, 0]), ((1, 0), [0, 1, 0, 0], [0, 4, 0, 0])),
+        (2, 2, ((1, 2), [1, 0, 0, 0], [4, 0, 0, 0]), ((1, 2), [0, 0, 0, 1], [0, 0, 0, 4])),
+        (3, 3, ((1, 3), [0, 1, 0, 0], [0, 4, 0, 0]), ((1, 2), [0, 0, 0, 4], [0, 0, 0, 1])),
+    ])
+    def test_first_failing_pair_and_both_sides_are_pinned(self, r, s, left, right):
+        a = matrix_units(2)
+        u = a.self_bimodule()
+        m = [[int(i == j) for j in range(4)] for i in range(4)]
+        m[r][s] += 3
+        f = LinearMap(u, u, Matrix.from_rows(m))
+        rep = is_module_hom(f, "both")
+        assert [c.name for c in rep.checks] == ["f(au) = a f(u)", "f(ua) = f(u) a"]
+        assert [c.witness for c in rep.checks] == [left, right]
+        assert [c.witness for c in is_module_hom(f, "left").checks] == [left]
+        assert [c.witness for c in is_module_hom(f, "right").checks] == [right]
+
+
+    def test_witness_agrees_with_naive_evaluation(self):
+        # M2 on the basis E11 + E12, E12 - E21, E21 + 2 E22, E22: action
+        # constants of either sign and above 1
+        cols = [[1, 1, 0, 0], [0, 1, -1, 0], [0, 0, 1, 2], [0, 0, 0, 1]]
+        m2 = matrix_units(2)
+        p = Matrix.from_rows(cols).transpose()
+        a = Algebra([[solve(p, m2.mul_vec(x, y)) for y in cols] for x in cols])
+        u = a.self_bimodule()
+        n = u.dim
+        rng = random.Random(7)
+        failing = 0
+        for _ in range(40):
+            m = [[int(i == j) for j in range(n)] for i in range(n)]
+            m[rng.randrange(n)][rng.randrange(n)] += rng.choice([-2, 1, 3])
+            f = LinearMap(u, u, Matrix.from_rows(m))
+            want = []
+            for side in ("left", "right"):
+                witness = None
+                for i in range(n):
+                    for j in range(n):
+                        ei, uj = unit_vec(n, i), unit_vec(n, j)
+                        if side == "left":
+                            lhs = apply_matrix(m, left_act(u.left, ei, uj))
+                            rhs = left_act(u.left, ei, apply_matrix(m, uj))
+                        else:
+                            lhs = apply_matrix(m, right_act(u.right, uj, ei))
+                            rhs = right_act(u.right, apply_matrix(m, uj), ei)
+                        if lhs != rhs and witness is None:
+                            witness = ((i, j), lhs, rhs)
+                want.append(witness)
+            failing += want != [None, None]
+            assert [c.witness for c in is_module_hom(f, "both").checks] == want
+        assert failing > 20
 
 
 class TestUnit:

@@ -12,7 +12,14 @@ from modext.derivations import (
     is_derivation,
 )
 from modext.linalg import Matrix, Subspace, rank, rref, solve, unit_vec
-from modext.samples import dual_numbers, matrix_units, upper_triangular_2, zero_product
+from modext.extension import trivial_extension
+from modext.samples import (
+    dual_numbers,
+    matrix_units,
+    truncated_poly,
+    upper_triangular_2,
+    zero_product,
+)
 
 from oracles import (
     derivation_dim,
@@ -107,7 +114,7 @@ class TestResidualCertificate:
 
         def leaky(m):
             # D(1) = 1 on the dual numbers is no derivation
-            return Subspace(m.cols, real(m).basis + [unit_vec(m.cols, 0)])
+            return Subspace.from_vectors(m.cols, real(m).basis + [unit_vec(m.cols, 0)])
 
         monkeypatch.setattr(derivations, "nullspace", leaky)
         a = dual_numbers()
@@ -161,6 +168,46 @@ class TestInner:
             for j in range(u.dim):
                 d = inner_derivation(a, u, unit_vec(u.dim, j))
                 assert is_derivation(a, u, d).passed, name
+
+
+def upper_triangular(n):
+    """UT_n(Q) on the matrix units E_ij with i <= j, in row-major order."""
+    index = [(i, j) for i in range(n) for j in range(i, n)]
+    d = len(index)
+    mul = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for p, (i, j) in enumerate(index):
+        for q, (k, l) in enumerate(index):
+            if j == k:
+                mul[p][q][index.index((i, l))] = 1
+    return Algebra(mul)
+
+
+def self_extension(a):
+    return trivial_extension(a, a.self_bimodule()).total
+
+
+class TestTheoremFamilies:
+    """Families past the dim <= 4 corpus whose answers are known theorems.
+
+    dim Der T(M_n, M_n) = 2n^2 - 1 with Inn one less (the grading
+    derivation, identity on U, is outer); dim Der T(UT_n, UT_n) =
+    n(n + 1) - 1 with Inn one less; Q[t]/(t^n) is commutative, so Inn = 0,
+    and Der is spanned by t^k d/dt for k = 1..n-1.
+    """
+
+    @pytest.mark.parametrize("build, want_der, want_inn", [
+        (lambda: self_extension(matrix_units(3)), 17, 16),
+        (lambda: self_extension(upper_triangular(4)), 19, 18),
+        (lambda: truncated_poly(16), 15, 0),
+    ], ids=["T(M3,M3)", "T(UT4,UT4)", "Q[t]/(t^16)"])
+    def test_dimensions_and_every_basis_map(self, build, want_der, want_inn):
+        a = build()
+        u = a.self_bimodule()
+        der = derivation_space(a, u)
+        assert (der.dim, inner_space(a, u).dim) == (want_der, want_inn)
+        mul, left, right = tensors_of(a, u)
+        for d in der.basis:
+            assert leibniz_holds(mul, left, right, d.matrix.data)
 
 
 class TestH1:

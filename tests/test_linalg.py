@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modext.linalg import Matrix, Subspace, nullspace, rref, solve, unit_vec
+from modext.linalg import Matrix, Subspace, nullspace, rank, rref, solve, unit_vec
+from oracles import dense_nullspace, dense_rref, sympy_nullspace, sympy_rref
 
 
 def M(rows):
@@ -122,6 +123,50 @@ class TestSubspace:
             s.coords_of([1, 0])
 
 
+class TestSubspaceConstructor:
+    """The raw constructor takes a basis already in RREF and nothing else."""
+
+    def test_rref_basis_is_kept(self):
+        s = Subspace(3, [[1, 0, 2], [0, 1, -1]])
+        assert s.pivots == [0, 1]
+        assert s == Subspace.from_vectors(3, [[1, 1, 1], [1, 0, 2]])
+
+    @pytest.mark.parametrize("dim, basis, message", [
+        (2, [[0, 0]], "row 0 is zero"),
+        (2, [[1, 0], [0, 0]], "row 1 is zero"),
+        (2, [[2, 0]], "row 0 has leading entry 2"),
+        (2, [[0, 1], [1, 0]], "row 1 has its pivot in column 0"),
+        (3, [[1, 0, 0], [1, 0, 0]], "row 1 has its pivot in column 0"),
+        (3, [[1, 3, 0], [0, 1, 0]], "row 0 is nonzero in column 1, the pivot of row 1"),
+        (3, [[1, 0]], "row 0 has 2 entries, expected 3"),
+    ])
+    def test_non_rref_basis_is_rejected_naming_the_row(self, dim, basis, message):
+        with pytest.raises(ValueError, match=message):
+            Subspace(dim, basis)
+
+    def test_from_vectors_canonicalises_what_the_constructor_rejects(self):
+        s = Subspace.from_vectors(2, [[2, 0], [0, 0]])
+        assert s.basis == [[1, 0]]
+        assert s.contains_vector([2, 0])
+
+
+class TestKernelEdgeCases:
+    def test_rank_reads_the_pivot_count(self):
+        assert rank(M([[1, 2], [2, 4], [0, 0]])) == 1
+        assert rank(Matrix.zeros(2, 3)) == 0
+
+    def test_zero_rows_and_columns_are_skipped(self):
+        m = M([[0, 0, 0], [0, 2, 4], [0, 0, 0], [0, 1, 3]])
+        red, pivots, rk = rref(m)
+        assert red == M([[0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]])
+        assert (pivots, rk) == ([1, 2], 2)
+        assert nullspace(m) == Subspace(3, [[1, 0, 0]])
+
+    def test_solve_with_a_zero_system(self):
+        assert solve(Matrix.zeros(2, 2), [0, 0]) == [0, 0]
+        assert solve(Matrix.zeros(2, 2), [0, 1]) is None
+
+
 small_entries = st.integers(min_value=-5, max_value=5)
 
 
@@ -173,3 +218,70 @@ def test_coords_of_agrees_with_solve_inside_the_span(m, weights):
     v = [sum(w * row[j] for w, row in zip(weights, m.data)) for j in range(m.cols)]
     expected = solve(Matrix.from_rows(s.basis).transpose(), v) if s.dim else []
     assert s.coords_of(v) == expected
+
+
+# -- differential tests of the sparse kernel --------------------------------
+
+BIG = 2**70
+
+shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 7)),
+    st.tuples(st.integers(1, 7), st.just(1)),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+)
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+big_rationals = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(BIG // 2, BIG))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Sparse or dense rational matrices, with zero rows and columns forced in.
+
+    Entries are either small or have numerators and denominators above
+    2^64; a density of 0 gives the all-zero matrix.
+    """
+    r, c = draw(shapes)
+    nonzero = draw(st.sampled_from([small_rationals, big_rationals]))
+    density = draw(st.sampled_from([0, 1, 3, 4]))  # out of 4
+    rows = [[draw(nonzero) if draw(st.integers(0, 3)) < density else Fraction(0)
+             for _ in range(c)] for _ in range(r)]
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=r - 1)):
+        rows[i] = [Fraction(0)] * c
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=c - 1)):
+        for row in rows:
+            row[j] = Fraction(0)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_rref_matches_dense_gauss_jordan_and_sympy(rows):
+    red, pivots, rk = rref(M(rows))
+    want, want_pivots = dense_rref(rows)
+    assert red.data == want
+    assert pivots == want_pivots
+    assert rk == len(pivots) == rank(M(rows))
+    assert (red.data, pivots) == sympy_rref(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_nullspace_matches_dense_gauss_jordan_and_sympy(rows):
+    ker = nullspace(M(rows))
+    assert ker.basis == dense_nullspace(rows)
+    assert ker.basis == sympy_nullspace(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.lists(big_rationals, min_size=7, max_size=7))
+def test_solve_matches_dense_gauss_jordan(rows, rhs):
+    b = rhs[: len(rows)]
+    red, pivots = dense_rref([row + [x] for row, x in zip(rows, b)])
+    cols = len(rows[0])
+    if cols in pivots:
+        assert solve(M(rows), b) is None
+    else:
+        want = [Fraction(0)] * cols
+        for r, p in enumerate(pivots):
+            want[p] = red[r][cols]
+        assert solve(M(rows), b) == want
