@@ -14,8 +14,6 @@ from .algebra import (
     Element,
     LinearMap,
     ValidationError,
-    act_left,
-    act_right,
     annihilator,
     is_module_hom,
     mul,

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import sympy
 
-from .algebra import Algebra, Bimodule, Element, LinearMap
+from .algebra import Algebra, Bimodule, LinearMap
 from .derivations import LeibnizSystem, inner_map
 from .extension import ideal_check
 from .linalg import (
@@ -103,7 +103,10 @@ def center(a: Algebra) -> Subspace:
 
 
 def unitization(a: Algebra) -> Algebra:
-    """A with a formal unit adjoined at coordinate 0."""
+    """A with a formal unit adjoined at coordinate 0.
+
+    Associative because A is, so it is built without the re-check.
+    """
     n = a.dim
     mul = [[[Fraction(0)] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
     mul[0][0][0] = Fraction(1)
@@ -113,7 +116,7 @@ def unitization(a: Algebra) -> Algebra:
         for j in range(n):
             for k in range(n):
                 mul[i + 1][j + 1][k + 1] = a.mul_tensor[i][j][k]
-    return Algebra(mul, basis_names=["1"] + list(a.basis_names))
+    return Algebra(mul, basis_names=["1"] + list(a.basis_names), _skip_check=True)
 
 
 def _trace_of_left_mul(alg: Algebra) -> Vector:
@@ -173,7 +176,7 @@ def radical(a: Algebra) -> RadicalReport:
 
 def _with_unit(a: Algebra, x) -> Tuple[Algebra, Vector, Vector]:
     """(algebra, its unit, x in it): A itself if unital, else the unitization."""
-    coords = list(x.coords if isinstance(x, Element) else vec(x))
+    coords = vec(x)
     e = a.unit()
     if e is None:
         return unitization(a), unit_vec(a.dim + 1, 0), [Fraction(0)] + coords
@@ -227,13 +230,12 @@ def _factor_over_q(poly: Polynomial):
 
 
 def is_idempotent(a: Algebra, p) -> bool:
-    coords = p.coords if isinstance(p, Element) else vec(p)
-    return a.mul_vec(coords, coords) == list(coords)
+    coords = vec(p)
+    return a.mul_vec(coords, coords) == coords
 
 
 def is_nontrivial_idempotent(a: Algebra, p) -> bool:
-    coords = p.coords if isinstance(p, Element) else vec(p)
-    return is_idempotent(a, coords) and not is_zero_vec(coords)
+    return is_idempotent(a, p) and not is_zero_vec(vec(p))
 
 
 def is_simple_prime(a: Algebra, seed: int = 0, retries: int = 8) -> SimplePrimeReport:

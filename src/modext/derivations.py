@@ -5,9 +5,10 @@ basis pairs this is a linear system in the entries of D's matrix; the
 derivation space is its exact nullspace.  The sparse rows of that
 system are the one place the identity is written down: ``is_derivation``,
 the certificate of ``derivation_space`` and the C1-C6 checker in
-``blocks`` all evaluate their residuals.  Inner derivations are the
-image of the inner map x -> (a -> a x - x a); its kernel on A itself is
-the center.
+``blocks`` all evaluate their residuals, and ``LeibnizSystem`` holds
+only them, as the ``SparseMatrix`` the kernel solves (no dense copy).
+Inner derivations are the image of the inner map x -> (a -> a x - x a);
+its kernel on A itself is the center.
 
 Row order of the Leibniz system is lexicographic in (i, j, k); columns
 are D's matrix entries in row-major order.  Both are fixed so computed
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 from typing import List
 
-from .algebra import Algebra, Bimodule, Element, LinearMap
-from .linalg import Matrix, Subspace, nullspace, unit_vec, vec, vec_add, zero_vec
+from .algebra import Algebra, Bimodule, LinearMap
+from .linalg import Matrix, SparseMatrix, Subspace, nullspace, unit_vec, vec, vec_add
 from .reports import ConditionReport
 
 
@@ -71,8 +72,9 @@ def leibniz_sides(a: Algebra, u: Bimodule, d: Matrix, i: int, j: int):
 class LeibnizSystem:
     """The linear system expressing the derivation identity.
 
-    Unknowns are the entries d[t][s] of D's (u.dim x a.dim) matrix; see
-    ``leibniz_rows`` for the rows, which ``matrix`` holds densely.
+    Unknowns are the entries d[t][s] of D's (u.dim x a.dim) matrix.
+    ``rows`` are the labelled rows of ``leibniz_rows``, empty ones
+    included; ``matrix`` is the same rows, unlabelled, as a SparseMatrix.
     """
 
     def __init__(self, algebra: Algebra, module: Bimodule):
@@ -81,12 +83,8 @@ class LeibnizSystem:
         self.algebra = algebra
         self.module = module
         self.rows = list(leibniz_rows(algebra, module))
-        cols = algebra.dim * module.dim
-        dense = [zero_vec(cols) for _ in self.rows]  # one shared zero per row
-        for out, (_, row) in zip(dense, self.rows):
-            for col, c in row:
-                out[col] = c
-        self.matrix = Matrix(len(dense), cols, dense)
+        self.matrix = SparseMatrix(len(self.rows), algebra.dim * module.dim,
+                                   [row for _, row in self.rows])
 
 
 class DerivationSpace:
@@ -131,13 +129,24 @@ def is_derivation(a: Algebra, u: Bimodule, f: LinearMap) -> ConditionReport:
 def derivation_space(a: Algebra, u: Bimodule) -> DerivationSpace:
     """All derivations A -> U, as the nullspace of the Leibniz system.
 
-    Certificate: each basis vector k has zero residual S k on the sparse
-    rows of the system S that was solved.
+    Certificate: each basis vector k has zero residual S k on every row of
+    the system S that was solved.  S is indexed by column once, so each
+    residual is summed over the nonzeros of k only; a row that meets none
+    of them has residual 0.
     """
     system = LeibnizSystem(a, u)
     ker = nullspace(system.matrix)
+    by_col = [[] for _ in range(system.matrix.cols)]
+    for r, row in enumerate(system.matrix.data):
+        for col, c in row:
+            by_col[col].append((r, c))
     for k in ker.basis:
-        if next(failing_rows(system.rows, k), None) is not None:
+        residual = {}
+        for col, x in enumerate(k):
+            if x:
+                for r, c in by_col[col]:
+                    residual[r] = residual.get(r, 0) + c * x
+        if any(residual.values()):
             raise AssertionError("nullspace vector has a nonzero Leibniz residual")
     basis = [LinearMap(a, u, Matrix.unflatten(u.dim, a.dim, k)) for k in ker.basis]
     return DerivationSpace(system, basis)
@@ -158,11 +167,11 @@ def inner_map(a: Algebra, u: Bimodule) -> Matrix:
 
 
 def inner_derivation(a: Algebra, u: Bimodule, x) -> LinearMap:
-    """The inner derivation b -> b x - x b for a module element x."""
-    coords = x.coords if isinstance(x, Element) else list(x)
-    if len(coords) != u.dim:
+    """The inner derivation b -> b x - x b for the coordinates x of a
+    module element."""
+    if len(x) != u.dim:
         raise ValueError("element length does not match module dimension")
-    flat = inner_map(a, u).apply(vec(coords))
+    flat = inner_map(a, u).apply(vec(x))
     return LinearMap(a, u, Matrix.unflatten(u.dim, a.dim, flat))
 
 

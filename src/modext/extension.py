@@ -1,7 +1,11 @@
 """Trivial (module) extension algebras T(A,U) and quotient bimodules.
 
 T(A,U) is A + U with the product (a,u)(b,v) = (ab, av + ub); the copy of
-U becomes a square-zero two-sided ideal.  Coordinates on the total
+U becomes a square-zero two-sided ideal.  T(A,U) is associative exactly
+when A is and U satisfies the bimodule axioms, and A/I (as an algebra or
+as an A-bimodule) inherits its axioms from A once I is checked to be an
+ideal, so these structures are built from validated parts without the
+constructors' re-check.  Coordinates on the total
 algebra are the A coordinates followed by the U coordinates, so the
 coordinate l1 norm splits as ||(a,u)|| = ||a|| + ||u|| by construction.
 """
@@ -41,8 +45,8 @@ class ModuleExtension:
         names = ["a:%s" % s for s in base.basis_names] + [
             "u:%s" % s for s in module.basis_names
         ]
-        # associativity is re-verified by the Algebra constructor
-        self.total = Algebra(mul, basis_names=names)
+        # associative because A is and U is an A-bimodule
+        self.total = Algebra(mul, basis_names=names, _skip_check=True)
 
         embed_a = Matrix.zeros(d, m)
         embed_u = Matrix.zeros(d, n)
@@ -159,7 +163,7 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> Tuple[Algebra, Matrix]:
     complement, proj = quotient_coordinates(ideal)
     mul = [[proj.apply(a.mul_basis(c, d)) for d in complement] for c in complement]
     names = [a.basis_names[c] + "+I" for c in complement]
-    return Algebra(mul, basis_names=names), proj
+    return Algebra(mul, basis_names=names, _skip_check=True), proj
 
 
 def quotient_bimodule(a: Algebra, ideal: Subspace) -> Tuple[Bimodule, LinearMap]:
@@ -171,5 +175,5 @@ def quotient_bimodule(a: Algebra, ideal: Subspace) -> Tuple[Bimodule, LinearMap]
     left = [[proj.apply(a.mul_basis(i, c)) for c in complement] for i in range(m)]
     right = [[proj.apply(a.mul_basis(c, i)) for i in range(m)] for c in complement]
     names = [a.basis_names[c] + "+I" for c in complement]
-    quotient = Bimodule(a, left, right, basis_names=names)
+    quotient = Bimodule(a, left, right, basis_names=names, _skip_check=True)
     return quotient, LinearMap(a.self_bimodule(), quotient, proj)

@@ -162,20 +162,33 @@ def _named_entries(doc, section: str, kind: str):
         yield path, entry
 
 
+def _dimension(value, path: str) -> int:
+    # bool is a subclass of int, but true is not a dimension
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ParseError(path, "must be a nonnegative integer")
+    return value
+
+
+def _basis_names(names, dim: int, path: str):
+    """The basis names of a section, or None when it gives none."""
+    if names is None:
+        return None
+    if not isinstance(names, list) or len(names) != dim:
+        raise ParseError(path, "must list %d names" % dim)
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise ParseError("%s[%d]" % (path, i), "must be a string")
+    return names
+
+
 def parse_document(doc) -> ArtifactFile:
     if not isinstance(doc, dict):
         raise ParseError("$", "top level must be an object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ParseError("format_version", "unsupported version %r" % version)
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 0:
-        raise ParseError("dim", "must be a nonnegative integer")
-    names = doc.get("basis_names")
-    if names is not None and (
-        not isinstance(names, list) or len(names) != dim
-    ):
-        raise ParseError("basis_names", "must list %d names" % dim)
+    dim = _dimension(doc.get("dim"), "dim")
+    names = _basis_names(doc.get("basis_names"), dim, "basis_names")
     mul = _parse_tensor(dim, dim, dim, doc.get("mul"), "mul")
     algebra = Algebra(mul, basis_names=names)
 
@@ -185,14 +198,8 @@ def parse_document(doc) -> ArtifactFile:
         sec = doc["module"]
         if not isinstance(sec, dict):
             raise ParseError("module", "must be an object")
-        module_dim = sec.get("dim")
-        if not isinstance(module_dim, int) or module_dim < 0:
-            raise ParseError("module.dim", "must be a nonnegative integer")
-        mnames = sec.get("basis_names")
-        if mnames is not None and (
-            not isinstance(mnames, list) or len(mnames) != module_dim
-        ):
-            raise ParseError("module.basis_names", "must list %d names" % module_dim)
+        module_dim = _dimension(sec.get("dim"), "module.dim")
+        mnames = _basis_names(sec.get("basis_names"), module_dim, "module.basis_names")
         left = _parse_tensor(dim, module_dim, module_dim, sec.get("left"), "module.left")
         right = _parse_tensor(module_dim, dim, module_dim, sec.get("right"), "module.right")
         module = Bimodule(algebra, left, right, basis_names=mnames)

@@ -4,12 +4,15 @@ Everything here is built on ``fractions.Fraction``: no floats, no
 tolerances.  Vectors and matrices are dense lists, but the systems
 solved are very sparse (the Leibniz system of T(M3, M3) is 5832 x 324
 with 3,951 nonzeros), so there is one elimination kernel, ``_echelon``,
-and it reads only the nonzeros.  It works fraction-free on primitive
-integer rows: each row's denominators are cleared and its content
-divided out, a column is cancelled from a row by ``a*row - b*pivot``
-with a and b reduced by their gcd, and the result is made primitive
-again (Bareiss, Math. Comp. 22, 1968), so entries stay small.  Rationals
-come back only at the end, by one division per entry by its row's pivot.
+and it reads each row as ``(column, value)`` pairs: a dense ``Matrix``
+hands it ``enumerate`` of each row, and a ``SparseMatrix`` hands it its
+stored nonzeros, so the Leibniz system is never written out densely.
+The kernel works fraction-free on primitive integer rows: each row's
+denominators are cleared and its content divided out, a column is
+cancelled from a row by ``a*row - b*pivot`` with a and b reduced by
+their gcd, and the result is made primitive again (Bareiss, Math. Comp.
+22, 1968), so entries stay small.  Rationals come back only at the end,
+by one division per entry by its row's pivot.
 
 ``rref``, ``rank``, ``nullspace``, ``solve`` and ``Subspace`` all go
 through that kernel.  The reduced row echelon form of a matrix is
@@ -21,6 +24,7 @@ give, entry by entry, and equal objects compare equal.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -50,15 +54,6 @@ def unit_vec(n: int, i: int) -> Vector:
 
 def vec_add(u: Vector, v: Vector) -> Vector:
     return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = frac(c)
-    return [c * a for a in v]
 
 
 def is_zero_vec(v: Vector) -> bool:
@@ -106,9 +101,6 @@ class Matrix:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(map(tuple, self.data))))
-
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         return Matrix(
@@ -122,14 +114,8 @@ class Matrix:
         return Matrix(
             self.rows,
             self.cols,
-            [vec_sub(a, b) for a, b in zip(self.data, other.data)],
+            [[x - y for x, y in zip(a, b)] for a, b in zip(self.data, other.data)],
         )
-
-    def __neg__(self) -> "Matrix":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Matrix":
-        return Matrix(self.rows, self.cols, [vec_scale(c, r) for r in self.data])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -162,9 +148,6 @@ class Matrix:
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
 
-    def row(self, i: int) -> Vector:
-        return list(self.data[i])
-
     def col(self, j: int) -> Vector:
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -183,12 +166,27 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.data)
 
+    def pairs(self):
+        """Each row as (column, value) pairs, the form ``_echelon`` reads."""
+        return map(enumerate, self.data)
+
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
     def __repr__(self):
         return "Matrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
+
+
+class SparseMatrix(NamedTuple):
+    """A matrix kept as its rows of (column, value) pairs, zeros left out."""
+
+    rows: int
+    cols: int
+    data: list
+
+    def pairs(self):
+        return self.data
 
 
 class RrefResult(NamedTuple):
@@ -204,8 +202,9 @@ def _primitive(row: dict) -> dict:
 
 
 def _integer_row(row) -> dict:
-    """The nonzeros {column: int} of a rational row, scaled to be primitive."""
-    nz = [(c, x) for c, x in enumerate(row) if x is not _ZERO and x]
+    """The nonzeros {column: int} of a row of (column, rational) pairs,
+    scaled to be primitive."""
+    nz = [(c, x) for c, x in row if x is not _ZERO and x]
     den = lcm(*(x.denominator for _, x in nz))
     return _primitive({c: x.numerator * (den // x.denominator) for c, x in nz})
 
@@ -224,8 +223,9 @@ def _cancel(row: dict, prow: dict, c: int) -> dict:
     return _primitive(out)
 
 
-def _echelon(data: Sequence[Sequence], cols: int):
-    """Pivot columns and sparse rows {column: Fraction} of the RREF of data.
+def _echelon(data: Iterable[Iterable], cols: int):
+    """Pivot columns and sparse rows {column: Fraction} of the RREF of data,
+    whose rows are iterables of (column, value) pairs.
 
     Fraction-free elimination on primitive integer rows: each column in
     turn is cleared from the other live rows by the live row with the
@@ -276,23 +276,24 @@ def _dense(row: dict, cols: int) -> Vector:
 
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form, with pivot columns and rank."""
-    pivots, rows = _echelon(m.data, m.cols)
+    pivots, rows = _echelon(m.pairs(), m.cols)
     dense = [_dense(row, m.cols) for row in rows]
     dense += [zero_vec(m.cols) for _ in range(m.rows - len(rows))]
     return RrefResult(Matrix(m.rows, m.cols, dense), pivots, len(pivots))
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(m.data, m.cols)[0])
+    return len(_echelon(m.pairs(), m.cols)[0])
 
 
-def nullspace(m: Matrix) -> "Subspace":
-    """Canonical basis of the right kernel {x : m x = 0}.
+def nullspace(m) -> "Subspace":
+    """Canonical basis of the right kernel {x : m x = 0} of a Matrix or
+    SparseMatrix.
 
     One kernel vector per free column f: 1 at f and minus the f entry of
     each reduced pivot row at that row's pivot, then put into RREF.
     """
-    pivots, rows = _echelon(m.data, m.cols)
+    pivots, rows = _echelon(m.pairs(), m.cols)
     taken = set(pivots)
     basis = []
     for f in range(m.cols):
@@ -311,7 +312,7 @@ def solve(m: Matrix, b: Vector) -> Optional[Vector]:
     """One solution of m x = b (free variables zeroed), or None."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    aug = [row + [frac(bi)] for row, bi in zip(m.data, b)]
+    aug = (chain(row, ((m.cols, frac(bi)),)) for row, bi in zip(m.pairs(), b))
     pivots, rows = _echelon(aug, m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         return None
@@ -362,7 +363,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        _, rows = _echelon(vectors, ambient_dim)
+        _, rows = _echelon(map(enumerate, vectors), ambient_dim)
         return cls(ambient_dim, [_dense(row, ambient_dim) for row in rows])
 
     @classmethod

@@ -6,7 +6,7 @@ import pytest
 from modext.cli import main
 from modext.io import algebra_to_document, load_file, save_file
 from modext.linalg import Matrix
-from modext.samples import dual_numbers, matrix_units
+from modext.samples import dual_numbers, field_q, matrix_units, zero_action_module
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -279,6 +279,27 @@ class TestInputBoundary:
             doc["mul"][0][0][0] = "1e400"
         path = self.edited(tmp_path, edit, DUAL)
         self.expect_input_error(capsys, "mul[0][0][0]", "validate", path)
+
+    @pytest.mark.parametrize("command", ["validate", "der"])
+    @pytest.mark.parametrize("path, edit", [
+        ("dim", lambda doc: doc.update(dim=True)),
+        ("module.dim", lambda doc: doc["module"].update(dim=True)),
+        ("basis_names[0]", lambda doc: doc.update(basis_names=[{"x": 1}])),
+        ("module.basis_names[0]",
+         lambda doc: doc["module"].update(basis_names=[{"x": 1}])),
+    ])
+    def test_dimension_and_basis_names(self, capsys, tmp_path, command, path, edit):
+        # Q over itself with dimension 1 everywhere: true would read as 1
+        q = field_q()
+        doc = algebra_to_document(q, zero_action_module(q, 1))
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        self.expect_input_error(capsys, "input error: %s: " % path, command, str(bad))
+
+    def test_boolean_dim_is_blamed_before_basis_names(self, capsys, tmp_path):
+        path = self.edited(tmp_path, lambda doc: doc.update(dim=True), DUAL)
+        self.expect_input_error(capsys, "input error: dim: ", "validate", path)
 
     def test_out_is_a_directory(self, capsys, tmp_path):
         self.expect_input_error(capsys, "--out", "construct", "lift", DUAL,

@@ -5,14 +5,14 @@ import pytest
 
 from modext.algebra import Algebra, LinearMap
 from modext.derivations import (
+    LeibnizSystem,
     derivation_space,
     h1_dimension,
     inner_derivation,
     inner_space,
     is_derivation,
 )
-from modext.linalg import Matrix, Subspace, rank, rref, solve, unit_vec
-from modext.extension import trivial_extension
+from modext.linalg import Matrix, Subspace, nullspace, rank, rref, solve, unit_vec
 from modext.samples import (
     dual_numbers,
     matrix_units,
@@ -21,6 +21,7 @@ from modext.samples import (
     zero_product,
 )
 
+from families import self_extension, upper_triangular
 from oracles import (
     derivation_dim,
     inner_dim,
@@ -170,22 +171,6 @@ class TestInner:
                 assert is_derivation(a, u, d).passed, name
 
 
-def upper_triangular(n):
-    """UT_n(Q) on the matrix units E_ij with i <= j, in row-major order."""
-    index = [(i, j) for i in range(n) for j in range(i, n)]
-    d = len(index)
-    mul = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for p, (i, j) in enumerate(index):
-        for q, (k, l) in enumerate(index):
-            if j == k:
-                mul[p][q][index.index((i, l))] = 1
-    return Algebra(mul)
-
-
-def self_extension(a):
-    return trivial_extension(a, a.self_bimodule()).total
-
-
 class TestTheoremFamilies:
     """Families past the dim <= 4 corpus whose answers are known theorems.
 
@@ -208,6 +193,34 @@ class TestTheoremFamilies:
         mul, left, right = tensors_of(a, u)
         for d in der.basis:
             assert leibniz_holds(mul, left, right, d.matrix.data)
+
+    def test_t_m4_m4_by_one_random_combination(self):
+        a = self_extension(matrix_units(4))
+        u = a.self_bimodule()
+        der = derivation_space(a, u)
+        assert (der.dim, inner_space(a, u).dim) == (31, 30)
+        # the Leibniz identity is linear, so a generic combination of the
+        # basis fails it as soon as one basis map does
+        rng = random.Random(4)
+        weights = [rng.randint(1, 10**6) for _ in der.basis]
+        combination = [
+            [sum(w * d.matrix.data[r][s] for w, d in zip(weights, der.basis))
+             for s in range(a.dim)]
+            for r in range(u.dim)
+        ]
+        mul, left, right = tensors_of(a, u)
+        assert leibniz_holds(mul, left, right, combination)
+
+
+class TestLeibnizSystemShape:
+    def test_t_m3_m3_shape_as_counted_from_the_pair_rows(self):
+        # rows and columns of the system, and its nonzeros counted the way
+        # the benchmark's tracer counts them
+        t = self_extension(matrix_units(3))
+        m = LeibnizSystem(t, t.self_bimodule()).matrix
+        assert (m.rows, m.cols) == (5832, 324)
+        assert sum(1 for row in m.data for x in row if x) == 3951
+        assert nullspace(m).dim == 17
 
 
 class TestH1:

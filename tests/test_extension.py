@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from modext.algebra import is_module_hom
+from modext.analysis import is_nontrivial_idempotent, radical, unitization
+from modext.constructions import corner_module
 from modext.extension import (
     ideal_check,
     norm_l1,
@@ -15,6 +17,7 @@ from modext.extension import (
 from modext.linalg import Matrix, Subspace, unit_vec, zero_vec
 from modext.reports import HypothesisError
 from modext.samples import (
+    corpus,
     dual_numbers,
     field_q,
     matrix_units,
@@ -22,6 +25,8 @@ from modext.samples import (
     zero_action_module,
     zero_product,
 )
+
+from families import upper_triangular
 
 
 def rand_vec(rng, n):
@@ -187,3 +192,60 @@ class TestQuotient:
         q, proj = quotient_algebra(a, ideal)
         assert q.dim == 1
         assert q.mul_tensor == [[[1]]]
+
+
+def corpus_algebras():
+    """Each algebra of the corpus once, by name of its first pair."""
+    seen = {}
+    for name, a, _ in corpus():
+        seen.setdefault(id(a), (name, a))
+    return list(seen.values())
+
+
+class TestDerivedStructuresHoldTheirAxioms:
+    """T(A,U), the unitization, A/I and A p are built from validated parts
+    without the constructors' re-check; their axioms hold by construction,
+    and these tests check them in full."""
+
+    def test_extensions_of_the_corpus(self, corpus_extensions):
+        for name, a, u, t in corpus_extensions:
+            assert t.total.associativity_report().passed, name
+
+    @pytest.mark.parametrize("build", [
+        lambda: matrix_units(2), lambda: matrix_units(3), upper_triangular_2,
+        lambda: upper_triangular(3), lambda: upper_triangular(4),
+    ], ids=["M2", "M3", "UT2", "UT3", "UT4"])
+    def test_self_extensions_past_the_corpus(self, build):
+        a = build()
+        assert trivial_extension(a, a.self_bimodule()).total.associativity_report().passed
+
+    def test_unitizations_of_the_corpus(self):
+        for name, a in corpus_algebras():
+            assert unitization(a).associativity_report().passed, name
+
+    def test_quotients_of_the_corpus(self):
+        for name, a in corpus_algebras():
+            ideals = [Subspace.zero(a.dim), Subspace.full(a.dim), radical(a).radical]
+            ideals += [Subspace.from_vectors(a.dim, [unit_vec(a.dim, i)])
+                       for i in range(a.dim)]
+            for ideal in ideals:
+                if not ideal_check(a, ideal).passed:
+                    continue
+                q, _ = quotient_algebra(a, ideal)
+                assert q.associativity_report().passed, name
+                qm, _ = quotient_bimodule(a, ideal)
+                assert qm.axiom_report().passed, name
+
+    def test_corner_modules_of_the_corpus(self):
+        for name, a in corpus_algebras():
+            candidates = [unit_vec(a.dim, i) for i in range(a.dim)]
+            if a.unit() is not None:
+                candidates.append(a.unit())
+            for p in candidates:
+                if is_nontrivial_idempotent(a, p):
+                    assert corner_module(a, p).axiom_report().passed, (name, p)
+
+    def test_modules_of_the_corpus(self, corpus_pairs):
+        # the corpus holds quotient and corner modules too
+        for name, a, u in corpus_pairs:
+            assert u.axiom_report().passed, name

@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modext.linalg import Matrix, Subspace, nullspace, rank, rref, solve, unit_vec
+from modext.linalg import (
+    Matrix,
+    SparseMatrix,
+    Subspace,
+    nullspace,
+    rank,
+    rref,
+    solve,
+    unit_vec,
+)
 from oracles import dense_nullspace, dense_rref, sympy_nullspace, sympy_rref
 
 
@@ -285,3 +294,12 @@ def test_solve_matches_dense_gauss_jordan(rows, rhs):
         for r, p in enumerate(pivots):
             want[p] = red[r][cols]
         assert solve(M(rows), b) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices())
+def test_sparse_pairs_and_dense_rows_give_the_same_kernel(rows):
+    sparse = SparseMatrix(len(rows), len(rows[0]),
+                          [[(c, x) for c, x in enumerate(row) if x] for row in rows])
+    assert nullspace(sparse) == nullspace(M(rows))
+    assert rank(sparse) == rank(M(rows))
