@@ -16,7 +16,6 @@ from .algebra import (
     ValidationError,
     annihilator,
     is_module_hom,
-    mul,
     unit_element,
     validate_algebra,
     validate_bimodule,

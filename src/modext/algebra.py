@@ -84,6 +84,16 @@ def _combine(weights: Vector, vectors: Sequence[Vector], dim: int) -> Vector:
     return out
 
 
+def _names(basis_names, dim: int, prefix: str) -> list:
+    """The given basis names, one per dimension, or prefix0, prefix1, ..."""
+    if basis_names is None:
+        return ["%s%d" % (prefix, i) for i in range(dim)]
+    names = list(basis_names)
+    if len(names) != dim:
+        raise ValueError("basis name count does not match dimension")
+    return names
+
+
 class Algebra:
     """Finite-dimensional associative algebra over Q."""
 
@@ -92,13 +102,7 @@ class Algebra:
         dim = len(mul)
         self.dim = dim
         self.mul_tensor = _coerce_tensor(mul, dim, dim, dim)
-        self.basis_names = (
-            list(basis_names)
-            if basis_names is not None
-            else ["e%d" % i for i in range(dim)]
-        )
-        if len(self.basis_names) != dim:
-            raise ValueError("basis name count does not match dimension")
+        self.basis_names = _names(basis_names, dim, "e")
         if not _skip_check:
             report = self.associativity_report()
             if not report.passed:
@@ -137,15 +141,6 @@ class Algebra:
         return Matrix.from_rows(
             [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
         )
-
-    def element(self, coords) -> "Element":
-        return Element(self, vec(coords))
-
-    def basis_element(self, i: int) -> "Element":
-        return Element(self, unit_vec(self.dim, i))
-
-    def zero(self) -> "Element":
-        return Element(self, zero_vec(self.dim))
 
     def self_bimodule(self) -> "Bimodule":
         """A as a bimodule over itself via the algebra product."""
@@ -190,17 +185,12 @@ class Bimodule:
         self.dim = dim
         self.left = _coerce_tensor(left, m, dim, dim)
         self.right = _coerce_tensor(right, dim, m, dim)
-        self.basis_names = (
-            list(basis_names)
-            if basis_names is not None
-            else ["u%d" % i for i in range(dim)]
-        )
-        if len(self.basis_names) != dim:
-            raise ValueError("basis name count does not match dimension")
+        self.basis_names = _names(basis_names, dim, "u")
+        self.report = None  # the axiom report, unless built with _skip_check
         if not _skip_check:
-            report = self.axiom_report()
-            if not report.passed:
-                raise ValidationError(report)
+            self.report = self.axiom_report()
+            if not self.report.passed:
+                raise ValidationError(self.report)
 
     def axiom_report(self) -> ConditionReport:
         """Compatibility axioms: (ab)u=a(bu), u(ab)=(ua)b, (au)b=a(ub),
@@ -249,12 +239,6 @@ class Bimodule:
     def right_act(self, u: Vector, a: Vector) -> Vector:
         return _bilinear(self.right, u, a, self.dim)
 
-    def element(self, coords) -> "Element":
-        return Element(self, vec(coords))
-
-    def basis_element(self, i: int) -> "Element":
-        return Element(self, unit_vec(self.dim, i))
-
     def __repr__(self):
         return "Bimodule(dim=%d over dim=%d)" % (self.dim, self.algebra.dim)
 
@@ -287,13 +271,6 @@ class Element:
         return "Element(%r)" % (self.coords,)
 
 
-def mul(x: Element, y: Element) -> Element:
-    """Product of two algebra elements."""
-    if x.carrier is not y.carrier or not isinstance(x.carrier, Algebra):
-        raise ValueError("mul requires two elements of the same algebra")
-    return Element(x.carrier, x.carrier.mul_vec(x.coords, y.coords))
-
-
 class LinearMap:
     """Exact linear map between carriers, as a (target x source) matrix."""
 
@@ -315,8 +292,6 @@ class LinearMap:
         return cls(carrier, carrier, Matrix.identity(carrier.dim))
 
     def __call__(self, v):
-        if isinstance(v, Element):
-            return Element(self.target, self.matrix.apply(v.coords))
         return self.matrix.apply(v)
 
     def __eq__(self, other):
@@ -345,23 +320,25 @@ def _action_rows(left, right) -> list:
     return rows
 
 
+def _built_or_report(build, *args):
+    """(build(*args), None), or (None, report) when an axiom fails."""
+    try:
+        return build(*args), None
+    except ValidationError as e:
+        return None, e.report
+
+
 def validate_algebra(mul_tensor, basis_names=None):
     """Construct an Algebra, or return the violation report.
 
     Returns (algebra, None) on success, (None, report) on failure.
     """
-    try:
-        return Algebra(mul_tensor, basis_names), None
-    except ValidationError as e:
-        return None, e.report
+    return _built_or_report(Algebra, mul_tensor, basis_names)
 
 
 def validate_bimodule(algebra: Algebra, left, right, basis_names=None):
     """Construct a Bimodule, or return the violation report."""
-    try:
-        return Bimodule(algebra, left, right, basis_names), None
-    except ValidationError as e:
-        return None, e.report
+    return _built_or_report(Bimodule, algebra, left, right, basis_names)
 
 
 def annihilator(a: Algebra, u: Bimodule) -> Subspace:

@@ -36,6 +36,8 @@ from .linalg import (
     zero_vec,
 )
 
+_PROBES = 8  # seeded central elements is_simple_prime tries before giving up
+
 
 @dataclass
 class RadicalReport:
@@ -88,7 +90,7 @@ class Polynomial:
 
 @dataclass
 class SimplePrimeReport:
-    simple: Optional[bool]   # None means indeterminate after all retries
+    simple: Optional[bool]   # None means indeterminate after all probes
     prime: Optional[bool]
     evidence: dict = field(default_factory=dict)
 
@@ -238,16 +240,19 @@ def is_nontrivial_idempotent(a: Algebra, p) -> bool:
     return is_idempotent(a, p) and not is_zero_vec(vec(p))
 
 
-def is_simple_prime(a: Algebra, seed: int = 0, retries: int = 8) -> SimplePrimeReport:
+def is_simple_prime(a: Algebra, seed: int = 0) -> SimplePrimeReport:
     """Simplicity / primeness of a finite-dimensional algebra.
 
     A finite-dimensional algebra is prime iff it is simple, and simple
     iff it is semisimple with a field for a center.  The center is
     probed with seeded random elements until one has a minimal
     polynomial of full degree dim Z; simplicity is then irreducibility
-    of that polynomial over Q.  If every retry is degenerate the result
-    is indeterminate (simple=None) with the attempts recorded.
+    of that polynomial over Q.  If every probe is degenerate the result
+    is indeterminate (simple=None) with the attempts recorded.  The zero
+    algebra is neither: both notions need a nonzero ring.
     """
+    if a.dim == 0:
+        return SimplePrimeReport(False, False, {"reason": "zero algebra"})
     rad = radical(a)
     if not rad.is_semisimple:
         return SimplePrimeReport(
@@ -258,7 +263,7 @@ def is_simple_prime(a: Algebra, seed: int = 0, retries: int = 8) -> SimplePrimeR
     z = center(a)
     rng = random.Random(seed)
     attempts = []
-    for _ in range(retries):
+    for _ in range(_PROBES):
         weights = [rng.randint(-9, 9) for _ in range(z.dim)]
         elem = zero_vec(a.dim)
         for w, b in zip(weights, z.basis):

@@ -166,7 +166,7 @@ def cmd_validate(args) -> int:
         "associativity", "%d/%d identities hold" % (n**3, n**3)
     )
     if art.module is not None:
-        out.report("bimodule_axioms", art.module.axiom_report())
+        out.report("bimodule_axioms", art.module.report)
     out.put("valid", True)
     sys.stdout.write(out.render(args.json))
     return 0

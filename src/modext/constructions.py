@@ -19,12 +19,7 @@ from typing import Tuple
 from .algebra import Algebra, Bimodule, LinearMap, is_module_hom
 from .blocks import BlockDecomposition, assemble
 from .derivations import is_derivation
-from .extension import (
-    ModuleExtension,
-    quotient_bimodule,
-    quotient_coordinates,
-    trivial_extension,
-)
+from .extension import ModuleExtension, quotient_bimodule, trivial_extension
 from .linalg import (
     Matrix,
     Subspace,
@@ -95,7 +90,7 @@ def quotient_derivation(
     tau(a + I) = delta(a) + I on quotient coordinates; the returned map
     is D((a,u)) = (delta(a), tau(u)).
     """
-    quotient, _ = quotient_bimodule(a, ideal)  # rejects non-ideals
+    quotient, proj = quotient_bimodule(a, ideal)  # rejects non-ideals
     asb = a.self_bimodule()
     der = is_derivation(a, asb, delta)
     if not der.passed:
@@ -108,8 +103,8 @@ def quotient_derivation(
             raise HypothesisError("delta does not preserve the ideal", rep)
 
     # tau(e_c + I) = delta(e_c) + I on the coset representatives e_c
-    complement, proj = quotient_coordinates(ideal)
-    image = proj * delta.matrix
+    complement = [c for c in range(a.dim) if c not in ideal.pivots]
+    image = proj.matrix * delta.matrix
     tau = Matrix.from_rows([[row[c] for c in complement] for row in image.data])
 
     t = trivial_extension(a, quotient)

@@ -5,8 +5,9 @@ basis pairs this is a linear system in the entries of D's matrix; the
 derivation space is its exact nullspace.  The sparse rows of that
 system are the one place the identity is written down: ``is_derivation``,
 the certificate of ``derivation_space`` and the C1-C6 checker in
-``blocks`` all evaluate their residuals, and ``LeibnizSystem`` holds
-only them, as the ``SparseMatrix`` the kernel solves (no dense copy).
+``blocks`` all evaluate their residuals.  ``LeibnizSystem`` holds only
+``.matrix``, the ``SparseMatrix`` of those rows that the kernel solves:
+no dense copy and no labelled copy.
 Inner derivations are the image of the inner map x -> (a -> a x - x a);
 its kernel on A itself is the center.
 
@@ -73,8 +74,8 @@ class LeibnizSystem:
     """The linear system expressing the derivation identity.
 
     Unknowns are the entries d[t][s] of D's (u.dim x a.dim) matrix.
-    ``rows`` are the labelled rows of ``leibniz_rows``, empty ones
-    included; ``matrix`` is the same rows, unlabelled, as a SparseMatrix.
+    ``matrix`` is the rows of ``leibniz_rows``, empty ones included, as a
+    SparseMatrix.
     """
 
     def __init__(self, algebra: Algebra, module: Bimodule):
@@ -82,9 +83,8 @@ class LeibnizSystem:
             raise ValueError("module is not over the given algebra")
         self.algebra = algebra
         self.module = module
-        self.rows = list(leibniz_rows(algebra, module))
-        self.matrix = SparseMatrix(len(self.rows), algebra.dim * module.dim,
-                                   [row for _, row in self.rows])
+        rows = [row for _, row in leibniz_rows(algebra, module)]
+        self.matrix = SparseMatrix(len(rows), algebra.dim * module.dim, rows)
 
 
 class DerivationSpace:

@@ -151,25 +151,20 @@ def quotient_coordinates(ideal: Subspace) -> Tuple[List[int], Matrix]:
     return complement, proj
 
 
-def _require_ideal(a: Algebra, ideal: Subspace):
-    rep = ideal_check(a, ideal)
-    if not rep.passed:
-        raise HypothesisError("subspace is not a two-sided ideal", rep)
-
-
 def quotient_algebra(a: Algebra, ideal: Subspace) -> Tuple[Algebra, Matrix]:
     """The algebra A/I with its projection matrix (see quotient_coordinates)."""
-    _require_ideal(a, ideal)
-    complement, proj = quotient_coordinates(ideal)
-    mul = [[proj.apply(a.mul_basis(c, d)) for d in complement] for c in complement]
-    names = [a.basis_names[c] + "+I" for c in complement]
-    return Algebra(mul, basis_names=names, _skip_check=True), proj
+    quotient, proj = quotient_bimodule(a, ideal)
+    # (e_c + I)(e_d + I) is e_c acting on the bimodule A/I, c in the complement
+    mul = [quotient.left[c] for c in range(a.dim) if c not in ideal.pivots]
+    return Algebra(mul, basis_names=quotient.basis_names, _skip_check=True), proj.matrix
 
 
 def quotient_bimodule(a: Algebra, ideal: Subspace) -> Tuple[Bimodule, LinearMap]:
     """The A-bimodule A/I with its canonical projection (see
     quotient_coordinates)."""
-    _require_ideal(a, ideal)
+    rep = ideal_check(a, ideal)
+    if not rep.passed:
+        raise HypothesisError("subspace is not a two-sided ideal", rep)
     complement, proj = quotient_coordinates(ideal)
     m = a.dim
     left = [[proj.apply(a.mul_basis(i, c)) for c in complement] for i in range(m)]

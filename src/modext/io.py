@@ -55,10 +55,6 @@ def parse_rational(value, path: str = "") -> Fraction:
     raise ParseError(path, "expected a rational, got %s" % type(value).__name__)
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def _parse_matrix(rows, cols, data, path: str) -> Matrix:
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(path, "expected %d rows" % rows)
@@ -245,11 +241,11 @@ def load_file(path: str) -> ArtifactFile:
 
 
 def matrix_to_lists(m: Matrix):
-    return [[format_rational(x) for x in row] for row in m.data]
+    return [[str(x) for x in row] for row in m.data]
 
 
 def tensor_to_lists(t):
-    return [[[format_rational(x) for x in row] for row in plane] for plane in t]
+    return [[[str(x) for x in row] for row in plane] for plane in t]
 
 
 def algebra_to_document(
@@ -287,13 +283,13 @@ def algebra_to_document(
             {
                 "name": name,
                 "carrier": carrier,
-                "coords": [format_rational(x) for x in coords],
+                "coords": [str(x) for x in coords],
             }
             for (name, carrier, coords) in elements
         ]
     if subspaces:
         doc["subspaces"] = [
-            {"name": name, "vectors": [[format_rational(x) for x in v] for v in sub.basis]}
+            {"name": name, "vectors": [[str(x) for x in v] for v in sub.basis]}
             for (name, sub) in subspaces
         ]
     return doc

@@ -89,10 +89,6 @@ class Matrix:
             m.data[i][i] = Fraction(1)
         return m
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -384,9 +380,6 @@ class Subspace:
             and self.ambient_dim == other.ambient_dim
             and self.basis == other.basis
         )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, tuple(map(tuple, self.basis))))
 
     def contains_vector(self, v: Vector) -> bool:
         if len(v) != self.ambient_dim:

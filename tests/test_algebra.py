@@ -10,7 +10,6 @@ from modext.algebra import (
     ValidationError,
     annihilator,
     is_module_hom,
-    mul,
     unit_element,
     validate_algebra,
     validate_bimodule,
@@ -27,7 +26,7 @@ from modext.samples import (
     zero_product,
 )
 
-from oracles import apply_matrix, left_act, right_act
+from oracles import apply_matrix, left_act, mul_vec, right_act
 
 
 class TestValidateAlgebra:
@@ -75,27 +74,113 @@ class TestValidateBimodule:
         assert rep.failures()[0].name == "(ab)u = a(bu)"
 
 
+def _m2_with_e12_e21_equal_to_one():
+    """M2's constants with E12 E21 = E11 + E22 in place of E11."""
+    t = [[list(x) for x in row] for row in matrix_units(2).mul_tensor]
+    t[1][2] = [1, 0, 0, 1]
+    return t
+
+
+def _identity_left(m, n):
+    """Each of m basis elements acting as the identity on Q^n from the left."""
+    return [[[int(k == j) for k in range(n)] for j in range(n)] for _ in range(m)]
+
+
+def _identity_right(n, m):
+    """Each of m basis elements acting as the identity on Q^n from the right."""
+    return [[[int(k == j) for k in range(n)] for _ in range(m)] for j in range(n)]
+
+
+def _zero_action(outer, inner, dim):
+    return [[[0] * dim for _ in range(inner)] for _ in range(outer)]
+
+
+def naive_first_associativity_failure(mul):
+    """((i, j, k), (e_i e_j) e_k, e_i (e_j e_k)) at the first failing triple."""
+    n = len(mul)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                ei, ej, ek = (unit_vec(n, s) for s in (i, j, k))
+                lhs = mul_vec(mul, mul_vec(mul, ei, ej), ek)
+                rhs = mul_vec(mul, ei, mul_vec(mul, ej, ek))
+                if lhs != rhs:
+                    return (i, j, k), lhs, rhs
+    return None
+
+
+def naive_first_bimodule_failure(mul, left, right):
+    """(identity, witness) at the first failure, in the order (i, j, t) and,
+    at each triple, (ab)u = a(bu), u(ab) = (ua)b, (au)b = a(ub)."""
+    m, n = len(mul), len(right)
+    for i in range(m):
+        for j in range(m):
+            ei, ej = unit_vec(m, i), unit_vec(m, j)
+            ab = mul_vec(mul, ei, ej)
+            for t in range(n):
+                u = unit_vec(n, t)
+                sides = [
+                    ("(ab)u = a(bu)", (i, j, t), left_act(left, ab, u),
+                     left_act(left, ei, left_act(left, ej, u))),
+                    ("u(ab) = (ua)b", (t, i, j), right_act(right, u, ab),
+                     right_act(right, right_act(right, u, ei), ej)),
+                    ("(au)b = a(ub)", (i, t, j), right_act(right, left_act(left, ei, u), ej),
+                     left_act(left, ei, right_act(right, u, ej))),
+                ]
+                for name, indices, lhs, rhs in sides:
+                    if lhs != rhs:
+                        return name, (indices, lhs, rhs)
+    return None
+
+
+class TestFirstWitness:
+    """The exact first failing triple and both sides, for associativity and
+    for each bimodule identity, checked against the naive evaluation."""
+
+    def test_associativity_beyond_the_first_triple(self):
+        # (E11 E12) E21 = E11 + E22, but E11 (E12 E21) = E11
+        mul_t = _m2_with_e12_e21_equal_to_one()
+        want = ((0, 1, 2), [1, 0, 0, 1], [1, 0, 0, 0])
+        _, rep = validate_algebra(mul_t)
+        (fail,) = rep.failures()
+        assert fail.witness == want
+        assert naive_first_associativity_failure(mul_t) == want
+
+    @pytest.mark.parametrize("algebra, left, right, name, want", [
+        # M2 acting as the identity from the left: (E11 E21) u0 = 0, E11 (E21 u0) = u0
+        (matrix_units(2), _identity_left(4, 2), _zero_action(2, 4, 2),
+         "(ab)u = a(bu)", ((0, 2, 0), [0, 0], [1, 0])),
+        # ... and from the right: u0 (E11 E21) = 0, (u0 E11) E21 = u0
+        (matrix_units(2), _zero_action(4, 2, 2), _identity_right(2, 4),
+         "u(ab) = (ua)b", ((0, 0, 2), [0, 0], [1, 0])),
+        # Q on Q^2 by two idempotents that do not commute: 1 . u1 = u1 and
+        # u1 . 1 = u0 + u1, so (1 u1) 1 = u0 + u1 but 1 (u1 1) = u1
+        (field_q(), [[[0, 0], [0, 1]]], [[[0, 0]], [[1, 1]]],
+         "(au)b = a(ub)", ((0, 1, 0), [1, 1], [0, 1])),
+    ], ids=["(ab)u", "u(ab)", "(au)b"])
+    def test_each_bimodule_identity(self, algebra, left, right, name, want):
+        _, rep = validate_bimodule(algebra, left, right)
+        (fail,) = rep.failures()
+        assert (fail.name, fail.witness) == (name, want)
+        assert naive_first_bimodule_failure(algebra.mul_tensor, left, right) == (name, want)
+
+
 class TestProducts:
     def test_unit_multiplication(self):
         a = matrix_units(2)
-        e = unit_element(a)
-        x = a.element([1, 2, 3, 4])
-        assert mul(e, x) == x
-        assert mul(x, e) == x
+        e = unit_element(a).coords
+        x = [1, 2, 3, 4]
+        assert a.mul_vec(e, x) == x
+        assert a.mul_vec(x, e) == x
 
     def test_matrix_unit_product(self):
         a = matrix_units(2)
-        e12, e21, e11 = a.basis_element(1), a.basis_element(2), a.basis_element(0)
-        assert mul(e12, e21) == e11
+        e12, e21, e11 = unit_vec(4, 1), unit_vec(4, 2), unit_vec(4, 0)
+        assert a.mul_vec(e12, e21) == e11
 
     def test_zero_annihilates(self):
         a = dual_numbers()
-        assert mul(a.zero(), a.element([3, 5])).is_zero()
-
-    def test_carrier_mismatch_rejected(self):
-        a, b = field_q(), field_q()
-        with pytest.raises(ValueError):
-            mul(a.element([1]), b.element([1]))
+        assert a.mul_vec(zero_vec(2), [3, 5]) == zero_vec(2)
 
 
 class TestAnnihilator:

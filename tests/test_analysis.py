@@ -14,7 +14,7 @@ from modext.analysis import (
     radical,
     unitization,
 )
-from modext.algebra import LinearMap, annihilator, is_module_hom
+from modext.algebra import Algebra, LinearMap, annihilator, is_module_hom
 from modext.extension import quotient_algebra, trivial_extension
 from modext.linalg import Matrix, Subspace, rank, unit_vec, zero_vec
 from modext.samples import (
@@ -193,6 +193,12 @@ class TestSimplePrime:
         r1 = is_simple_prime(a, seed=3)
         r2 = is_simple_prime(a, seed=3)
         assert r1.evidence == r2.evidence
+
+    def test_zero_algebra_is_neither(self):
+        # both notions need a nonzero ring; the probe would never reach dim Z = 0
+        rep = is_simple_prime(Algebra([]))
+        assert (rep.simple, rep.prime) == (False, False)
+        assert rep.evidence == {"reason": "zero algebra"}
 
 
 class TestSurjectiveLeftHom:

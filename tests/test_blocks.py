@@ -257,6 +257,14 @@ class TestInnerWitness:
                 member = inn.contains_vector(d.matrix.flatten())
                 assert (w is not None) == member, name
 
+    def test_non_derivation_rejected(self):
+        # no witness solves S x = D, so the Leibniz check runs and refuses D
+        a = matrix_units(2)
+        t = trivial_extension(a, a.self_bimodule())
+        with pytest.raises(HypothesisError) as exc:
+            inner_witness(t, LinearMap.identity(t.total))
+        assert not exc.value.report.passed
+
     def test_wrong_solution_is_rejected(self, monkeypatch):
         import modext.blocks as blocks
 

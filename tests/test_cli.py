@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from modext.algebra import Algebra, Bimodule
 from modext.cli import main
 from modext.io import algebra_to_document, load_file, save_file
 from modext.linalg import Matrix
@@ -34,6 +35,17 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", M2)
         assert code == 0
         assert "associativity: 64/64 identities hold" in out
+
+    def test_bimodule_axioms_are_checked_once(self, capsys, monkeypatch):
+        # the constructor's report is the one printed
+        calls = []
+        check = Bimodule.axiom_report
+        monkeypatch.setattr(Bimodule, "axiom_report",
+                            lambda self: calls.append(self) or check(self))
+        code, out, _ = run(capsys, "validate", M2)
+        assert code == 0
+        assert "bimodule_axioms:" in out and "passed: yes" in out
+        assert len(calls) == 1
 
     def test_missing_file_is_exit_2(self, capsys):
         code, out, err = run(capsys, "validate", "no_such_file.json")
@@ -118,6 +130,33 @@ class TestDecompose:
     def test_non_square_map_is_exit_2(self, capsys):
         code, out, err = run(capsys, "decompose", DUAL, "--map", "delta")
         assert code == 2
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_non_derivation_reports_the_c1_witness(self, capsys, tmp_path, as_json):
+        # D = E_00 on T(Q[eps], Q[eps]): D(1 1) = 1, but 1 D(1) + D(1) 1 = 2
+        doc = json.loads(Path(DUAL).read_text(encoding="utf-8"))
+        rows = [["1", "0", "0", "0"]] + [["0"] * 4 for _ in range(3)]
+        doc["maps"].append({"name": "N", "source": "total", "target": "total",
+                            "matrix": rows})
+        path = tmp_path / "not_a_derivation.json"
+        path.write_text(json.dumps(doc))
+        argv = ["decompose", str(path), "--map", "N"] + ["--json"] * as_json
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        if as_json:
+            doc = json.loads(out)
+            assert doc["is_derivation"] is False
+            c1 = doc["block_conditions"]["checks"][0]
+            assert c1["name"].startswith("C1") and c1["passed"] is False
+            assert c1["witness"] == {"indices": [0, 0], "lhs": ["1", "0"],
+                                     "rhs": ["2", "0"]}
+            assert "split" not in doc and "inner" not in doc
+        else:
+            assert "is_derivation: no" in out
+            assert ("name: C1: delta1 in Der(A)\n      passed: no\n      witness:\n"
+                    "        indices: [0, 0]\n        lhs: [1, 0]\n        rhs: [2, 0]\n"
+                    ) in out
+            assert "split:" not in out and "inner:" not in out
 
     def test_block_conditions_listed(self, capsys):
         code, out, _ = run(capsys, "decompose", DUAL, "--map", "D", "--json")
@@ -336,6 +375,19 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", M2, "--annihilator", "--json")
         doc = json.loads(out)
         assert doc["annihilator"]["dim"] == 0
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_zero_algebra_is_neither_simple_nor_prime(self, capsys, tmp_path, as_json):
+        path = tmp_path / "zero.json"
+        save_file(str(path), algebra_to_document(Algebra([])))
+        code, out, _ = run(capsys, "analyze", str(path), "--simple", *["--json"] * as_json)
+        assert code == 0
+        if as_json:
+            assert json.loads(out)["simple"] == {
+                "simple": False, "prime": False, "evidence": {"reason": "zero algebra"}}
+        else:
+            assert ("simple:\n  simple: no\n  prime: no\n  evidence:\n"
+                    "    reason: zero algebra\n") in out
 
     def test_bad_seed_environment_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("MODEXT_SEED", "abc")
