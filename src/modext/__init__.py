@@ -16,9 +16,6 @@ from .algebra import (
     ValidationError,
     annihilator,
     is_module_hom,
-    unit_element,
-    validate_algebra,
-    validate_bimodule,
 )
 from .analysis import (
     Polynomial,

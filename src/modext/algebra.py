@@ -2,18 +2,22 @@
 
 An algebra is given by a rank-3 rational tensor ``mul`` on a chosen
 basis: e_i e_j = sum_k mul[i][j][k] e_k.  A bimodule over it carries two
-such tensors for the left and right actions.  Associativity and the
-bimodule compatibility axioms are verified eagerly on input, so any
-constructed value is a genuine algebra / bimodule and downstream
-identities never have to requalify their inputs.  Structures derived
-from validated parts (T(A,U), the unitization, A/I, the corner A p) hold
-their axioms by construction; their builders pass the private
-``_skip_check`` instead of verifying them again.
+such tensors for the left and right actions.  The constructors also keep
+each tensor as a sparse table [i][j] -> [(k, c)] of its nonzero
+constants, which products, actions and axiom checks read.  They verify
+associativity and the bimodule axioms eagerly, so any constructed value
+is a genuine algebra / bimodule; a violation raises ValidationError with
+the report.  The four identities are the blocks of T(A,U)'s associator,
+evaluated by one helper.  Structures derived from validated parts
+(T(A,U), the unitization, A/I, the corner A p) hold their axioms by
+construction; their builders pass the private ``_skip_check`` instead of
+verifying them again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence, Union
 
 from .linalg import (
@@ -57,8 +61,14 @@ def _coerce_tensor(t, d1: int, d2: int, d3: int):
     return out
 
 
-def _bilinear(tensor, x: Vector, y: Vector, dim: int) -> Vector:
-    """sum_ij x_i y_j tensor[i][j]: a product given by structure constants."""
+def _sparse(tensor) -> list:
+    """The table [i][j] -> [(k, c)] of a rank-3 tensor's nonzero constants."""
+    return [[[(k, c) for k, c in enumerate(entries) if c] for entries in plane]
+            for plane in tensor]
+
+
+def _bilinear(table, x: Vector, y: Vector, dim: int) -> Vector:
+    """sum_ij x_i y_j e_i e_j for the product with the given sparse table."""
     out = zero_vec(dim)
     for i, xi in enumerate(x):
         if xi == 0:
@@ -67,21 +77,52 @@ def _bilinear(tensor, x: Vector, y: Vector, dim: int) -> Vector:
             if yj == 0:
                 continue
             c = xi * yj
-            for k, t in enumerate(tensor[i][j]):
-                if t != 0:
-                    out[k] += c * t
+            for k, t in table[i][j]:
+                out[k] += c * t
     return out
 
 
-def _combine(weights: Vector, vectors: Sequence[Vector], dim: int) -> Vector:
-    """sum_k weights[k] vectors[k], over the nonzero weights and entries."""
+def _associator(xy, xy_z, yz, x_yz, i: int, j: int, k: int, dim: int):
+    """((x_i y_j) z_k, x_i (y_j z_k)) in dimension dim, from the sparse
+    tables of the inner products xy, yz and the outer ones xy_z, x_yz."""
+    lhs, rhs = zero_vec(dim), zero_vec(dim)
+    for s, c in xy[i][j]:
+        for r, d in xy_z[s][k]:
+            lhs[r] += c * d
+    for s, c in yz[j][k]:
+        for r, d in x_yz[i][s]:
+            rhs[r] += c * d
+    return lhs, rhs
+
+
+def _combine(terms, vectors: Sequence[Vector], dim: int) -> Vector:
+    """sum w vectors[k] over the (k, w) pairs, skipping zero entries."""
     out = zero_vec(dim)
-    for w, v in zip(weights, vectors):
-        if w:
-            for k, x in enumerate(v):
-                if x:
-                    out[k] += w * x
+    for k, w in terms:
+        for r, x in enumerate(vectors[k]):
+            if x:
+                out[r] += w * x
     return out
+
+
+def block_tensor(dim: int, blocks) -> list:
+    """A dim^3 tensor, zero but for blocks (table, (p, q, r)): each sparse
+    table's constant (i, j) -> (k, c) lands at [p + i][q + j][r + k]."""
+    out = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for table, (p, q, r) in blocks:
+        for i, plane in enumerate(table):
+            for j, entries in enumerate(plane):
+                for k, c in entries:
+                    out[p + i][q + j][r + k] = c
+    return out
+
+
+def coordinates(carrier: Carrier, x) -> Vector:
+    """x as exact coordinates on the carrier; its length must be the dimension."""
+    if len(x) != carrier.dim:
+        raise ValueError("coordinate vector has length %d, expected %d"
+                         % (len(x), carrier.dim))
+    return vec(x)
 
 
 def _names(basis_names, dim: int, prefix: str) -> list:
@@ -102,6 +143,7 @@ class Algebra:
         dim = len(mul)
         self.dim = dim
         self.mul_tensor = _coerce_tensor(mul, dim, dim, dim)
+        self.mul_table = _sparse(self.mul_tensor)
         self.basis_names = _names(basis_names, dim, "e")
         if not _skip_check:
             report = self.associativity_report()
@@ -112,20 +154,12 @@ class Algebra:
 
     def associativity_report(self) -> ConditionReport:
         rep = ConditionReport("associativity")
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                ij = self.mul_basis(i, j)
-                for k in range(n):
-                    lhs = self.mul_vec(ij, unit_vec(n, k))
-                    rhs = self.mul_vec(unit_vec(n, i), self.mul_basis(j, k))
-                    if lhs != rhs:
-                        rep.add(
-                            "associativity",
-                            False,
-                            witness=((i, j, k), lhs, rhs),
-                        )
-                        return rep
+        n, t = self.dim, self.mul_table
+        for i, j, k in product(range(n), repeat=3):
+            lhs, rhs = _associator(t, t, t, t, i, j, k, n)
+            if lhs != rhs:
+                rep.add("associativity", False, witness=((i, j, k), lhs, rhs))
+                return rep
         rep.add("associativity", True, note="%d identities hold" % n**3)
         return rep
 
@@ -133,14 +167,12 @@ class Algebra:
         return list(self.mul_tensor[i][j])
 
     def mul_vec(self, x: Vector, y: Vector) -> Vector:
-        return _bilinear(self.mul_tensor, x, y, self.dim)
+        return _bilinear(self.mul_table, x, y, self.dim)
 
     def left_mul_matrix(self, x: Vector) -> Matrix:
         """Matrix of y -> x y in the algebra basis."""
         cols = [self.mul_vec(x, unit_vec(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_rows(
-            [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
-        )
+        return Matrix.from_rows(cols).transpose()
 
     def self_bimodule(self) -> "Bimodule":
         """A as a bimodule over itself via the algebra product."""
@@ -185,6 +217,8 @@ class Bimodule:
         self.dim = dim
         self.left = _coerce_tensor(left, m, dim, dim)
         self.right = _coerce_tensor(right, dim, m, dim)
+        self.left_table = _sparse(self.left)
+        self.right_table = _sparse(self.right)
         self.basis_names = _names(basis_names, dim, "u")
         self.report = None  # the axiom report, unless built with _skip_check
         if not _skip_check:
@@ -194,32 +228,27 @@ class Bimodule:
 
     def axiom_report(self) -> ConditionReport:
         """Compatibility axioms: (ab)u=a(bu), u(ab)=(ua)b, (au)b=a(ub),
-        plus the unit axiom e.u = u.e = u when the algebra is unital."""
+        plus the unit axiom e.u = u.e = u when the algebra is unital.
+
+        Each is T(A,U)'s associator on one triple of blocks, checked in
+        (i, j, t) order and, at each triple, in the order above.
+        """
         rep = ConditionReport("bimodule axioms")
         a = self.algebra
         m, n = a.dim, self.dim
-        ok = True
-        for i in range(m):
-            for j in range(m):
-                ab = a.mul_basis(i, j)
-                for t in range(n):
-                    u = unit_vec(n, t)
-                    lhs = self.left_act(ab, u)
-                    rhs = self.left_act(unit_vec(m, i), self.left_act(unit_vec(m, j), u))
-                    if lhs != rhs:
-                        rep.add("(ab)u = a(bu)", False, witness=((i, j, t), lhs, rhs))
-                        return rep
-                    lhs = self.right_act(u, ab)
-                    rhs = self.right_act(self.right_act(u, unit_vec(m, i)), unit_vec(m, j))
-                    if lhs != rhs:
-                        rep.add("u(ab) = (ua)b", False, witness=((t, i, j), lhs, rhs))
-                        return rep
-                    lhs = self.right_act(self.left_act(unit_vec(m, i), u), unit_vec(m, j))
-                    rhs = self.left_act(unit_vec(m, i), self.right_act(u, unit_vec(m, j)))
-                    if lhs != rhs:
-                        rep.add("(au)b = a(ub)", False, witness=((i, t, j), lhs, rhs))
-                        return rep
-        rep.add("compatibility", ok, note="%d triples checked" % (3 * m * m * n))
+        mul, left, right = a.mul_table, self.left_table, self.right_table
+        for i, j, t in product(range(m), range(m), range(n)):
+            for name, indices, (lhs, rhs) in (
+                ("(ab)u = a(bu)", (i, j, t), _associator(mul, left, left, left, i, j, t, n)),
+                # x(yz) = (xy)z with x = u: the associator's sides swapped
+                ("u(ab) = (ua)b", (t, i, j),
+                 _associator(right, right, mul, right, t, i, j, n)[::-1]),
+                ("(au)b = a(ub)", (i, t, j), _associator(left, right, right, left, i, t, j, n)),
+            ):
+                if lhs != rhs:
+                    rep.add(name, False, witness=(indices, lhs, rhs))
+                    return rep
+        rep.add("compatibility", True, note="%d triples checked" % (3 * m * m * n))
         # Unital action is recorded but not required: perfectly good
         # bimodules (e.g. a left ideal with the right action zeroed out)
         # are non-unital on one side even over a unital algebra.
@@ -234,10 +263,10 @@ class Bimodule:
         return rep
 
     def left_act(self, a: Vector, u: Vector) -> Vector:
-        return _bilinear(self.left, a, u, self.dim)
+        return _bilinear(self.left_table, a, u, self.dim)
 
     def right_act(self, u: Vector, a: Vector) -> Vector:
-        return _bilinear(self.right, u, a, self.dim)
+        return _bilinear(self.right_table, u, a, self.dim)
 
     def __repr__(self):
         return "Bimodule(dim=%d over dim=%d)" % (self.dim, self.algebra.dim)
@@ -252,10 +281,8 @@ class Element:
     __slots__ = ("carrier", "coords")
 
     def __init__(self, carrier: Carrier, coords: Vector):
-        if len(coords) != carrier.dim:
-            raise ValueError("coordinate length does not match carrier dimension")
         self.carrier = carrier
-        self.coords = vec(coords)
+        self.coords = coordinates(carrier, coords)
 
     def __eq__(self, other):
         return (
@@ -320,27 +347,6 @@ def _action_rows(left, right) -> list:
     return rows
 
 
-def _built_or_report(build, *args):
-    """(build(*args), None), or (None, report) when an axiom fails."""
-    try:
-        return build(*args), None
-    except ValidationError as e:
-        return None, e.report
-
-
-def validate_algebra(mul_tensor, basis_names=None):
-    """Construct an Algebra, or return the violation report.
-
-    Returns (algebra, None) on success, (None, report) on failure.
-    """
-    return _built_or_report(Algebra, mul_tensor, basis_names)
-
-
-def validate_bimodule(algebra: Algebra, left, right, basis_names=None):
-    """Construct a Bimodule, or return the violation report."""
-    return _built_or_report(Bimodule, algebra, left, right, basis_names)
-
-
 def annihilator(a: Algebra, u: Bimodule) -> Subspace:
     """ann_A U = {x in A : x U = U x = 0}, as an exact subspace of A."""
     if u.algebra is not a:
@@ -368,31 +374,21 @@ def is_module_hom(f: LinearMap, side: str = "both") -> ConditionReport:
     images = [f.matrix.col(j) for j in range(src.dim)]  # f(u_j)
     rep = ConditionReport("module homomorphism (%s)" % side)
     for want in ("left", "right"):
-        if side != "both" and side != want:
+        if side not in ("both", want):
             continue
-        ok = True
-        for i in range(a.dim):
+        witness = None
+        for i, j in product(range(a.dim), range(src.dim)):
+            # f(e_i u_j) and f(u_j e_i) from the action constants
             ei = unit_vec(a.dim, i)
-            for j in range(src.dim):
-                # f(e_i u_j) and f(u_j e_i) from the action constants
-                if want == "left":
-                    lhs = _combine(src.left[i][j], images, tgt.dim)
-                    rhs = tgt.left_act(ei, images[j])
-                else:
-                    lhs = _combine(src.right[j][i], images, tgt.dim)
-                    rhs = tgt.right_act(images[j], ei)
-                if lhs != rhs:
-                    ok = False
-                    witness = ((i, j), lhs, rhs)
-                    break
-            if not ok:
+            if want == "left":
+                lhs = _combine(src.left_table[i][j], images, tgt.dim)
+                rhs = tgt.left_act(ei, images[j])
+            else:
+                lhs = _combine(src.right_table[j][i], images, tgt.dim)
+                rhs = tgt.right_act(images[j], ei)
+            if lhs != rhs:
+                witness = ((i, j), lhs, rhs)
                 break
         name = "f(au) = a f(u)" if want == "left" else "f(ua) = f(u) a"
-        rep.add(name, ok, witness=None if ok else witness)
+        rep.add(name, witness is None, witness=witness)
     return rep
-
-
-def unit_element(a: Algebra) -> Optional[Element]:
-    """Two-sided unit of the algebra, or None."""
-    e = a.unit()
-    return None if e is None else Element(a, e)

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import sympy
 
-from .algebra import Algebra, Bimodule, LinearMap
+from .algebra import Algebra, Bimodule, LinearMap, _combine, block_tensor, coordinates
 from .derivations import LeibnizSystem, inner_map
 from .extension import ideal_check
 from .linalg import (
@@ -109,15 +109,10 @@ def unitization(a: Algebra) -> Algebra:
 
     Associative because A is, so it is built without the re-check.
     """
-    n = a.dim
-    mul = [[[Fraction(0)] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
-    mul[0][0][0] = Fraction(1)
+    n = a.dim + 1
+    mul = block_tensor(n, [(a.mul_table, (1, 1, 1))])
     for i in range(n):
-        mul[0][i + 1][i + 1] = Fraction(1)
-        mul[i + 1][0][i + 1] = Fraction(1)
-        for j in range(n):
-            for k in range(n):
-                mul[i + 1][j + 1][k + 1] = a.mul_tensor[i][j][k]
+        mul[0][i][i] = mul[i][0][i] = Fraction(1)
     return Algebra(mul, basis_names=["1"] + list(a.basis_names), _skip_check=True)
 
 
@@ -178,7 +173,7 @@ def radical(a: Algebra) -> RadicalReport:
 
 def _with_unit(a: Algebra, x) -> Tuple[Algebra, Vector, Vector]:
     """(algebra, its unit, x in it): A itself if unital, else the unitization."""
-    coords = vec(x)
+    coords = coordinates(a, x)
     e = a.unit()
     if e is None:
         return unitization(a), unit_vec(a.dim + 1, 0), [Fraction(0)] + coords
@@ -232,7 +227,7 @@ def _factor_over_q(poly: Polynomial):
 
 
 def is_idempotent(a: Algebra, p) -> bool:
-    coords = vec(p)
+    coords = coordinates(a, p)
     return a.mul_vec(coords, coords) == coords
 
 
@@ -265,9 +260,7 @@ def is_simple_prime(a: Algebra, seed: int = 0) -> SimplePrimeReport:
     attempts = []
     for _ in range(_PROBES):
         weights = [rng.randint(-9, 9) for _ in range(z.dim)]
-        elem = zero_vec(a.dim)
-        for w, b in zip(weights, z.basis):
-            elem = [x + w * y for x, y in zip(elem, b)]
+        elem = _combine(enumerate(weights), z.basis, a.dim)
         poly = min_poly(a, elem)
         attempts.append(str(poly))
         if poly.degree == z.dim:
@@ -306,9 +299,7 @@ def find_surjective_left_hom(a: Algebra, u: Bimodule) -> Optional[LinearMap]:
         return None
     for k in range(a.dim + 1):
         weights = [Fraction((i + 1) ** k) for i in range(sol.dim)]
-        flat = zero_vec(m * n)
-        for w, b in zip(weights, sol.basis):
-            flat = [x + w * y for x, y in zip(flat, b)]
+        flat = _combine(enumerate(weights), sol.basis, m * n)
         candidate = Matrix.unflatten(n, m, flat)
         if rank(candidate) == n:
             return LinearMap(a, u, candidate)

@@ -47,7 +47,7 @@ from .derivations import (
 )
 from .extension import ModuleExtension
 from .linalg import Matrix, solve, zero_vec
-from .reports import ConditionReport, HypothesisError
+from .reports import ConditionReport, require
 
 C5 = "C5: tau1 is an A-bimodule homomorphism"
 C6 = "C6: u tau1(v) + tau1(u) v = 0"
@@ -156,9 +156,8 @@ def _on_t(t: ModuleExtension, d) -> LinearMap:
 
 
 def _require_derivation(t: ModuleExtension, d: LinearMap):
-    rep = is_derivation(t.total, t.total.self_bimodule(), d)
-    if not rep.passed:
-        raise HypothesisError("input is not a derivation on T(A,U)", rep)
+    require(is_derivation(t.total, t.total.self_bimodule(), d),
+            "input is not a derivation on T(A,U)")
 
 
 def split_d1_d2(t: ModuleExtension, d) -> Tuple[LinearMap, LinearMap]:

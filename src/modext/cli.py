@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import io as fileio
-from .algebra import ValidationError, annihilator, unit_element
+from .algebra import ValidationError, annihilator
 from .analysis import (
     center,
     is_idempotent,
@@ -314,8 +314,8 @@ def cmd_analyze(args) -> int:
             "note": rep.note,
         })
     if args.unit:
-        e = unit_element(a)
-        out.put("unit", None if e is None else _fmt_vec(e.coords))
+        e = a.unit()
+        out.put("unit", None if e is None else _fmt_vec(e))
     if args.simple:
         rep = is_simple_prime(a, seed=seed)
         out.put("simple", {

@@ -16,17 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .algebra import Algebra, Bimodule, LinearMap, is_module_hom
+from .algebra import Algebra, Bimodule, LinearMap, coordinates, is_module_hom
 from .blocks import BlockDecomposition, assemble
 from .derivations import is_derivation
-from .extension import ModuleExtension, quotient_bimodule, trivial_extension
+from .extension import ModuleExtension, _quotient, trivial_extension
 from .linalg import (
     Matrix,
     Subspace,
     is_zero_vec,
     unit_vec,
 )
-from .reports import ConditionReport, HypothesisError
+from .reports import ConditionReport, HypothesisError, require
 
 
 @dataclass
@@ -46,9 +46,7 @@ def _verify(t: ModuleExtension, d: LinearMap, recipe: str) -> ConstructionResult
 
 def lift(t: ModuleExtension, delta: LinearMap) -> ConstructionResult:
     """D((a,u)) = (0, delta(a)); a derivation iff delta: A -> U is one."""
-    rep = is_derivation(t.base, t.module, delta)
-    if not rep.passed:
-        raise HypothesisError("delta is not a derivation A -> U", rep)
+    require(is_derivation(t.base, t.module, delta), "delta is not a derivation A -> U")
     return _verify(t, assemble(t, BlockDecomposition(delta2=delta)), "lift")
 
 
@@ -65,17 +63,13 @@ def transport(
     """
     a, u = t.base, t.module
     asb = a.self_bimodule()
-    phi_hom = is_module_hom(LinearMap(asb, u, phi.matrix), "both")
-    if not phi_hom.passed:
-        raise HypothesisError("phi is not an A-bimodule homomorphism", phi_hom)
-    psi_hom = is_module_hom(LinearMap(u, asb, psi.matrix), "both")
-    if not psi_hom.passed:
-        raise HypothesisError("psi is not an A-bimodule homomorphism", psi_hom)
+    require(is_module_hom(LinearMap(asb, u, phi.matrix), "both"),
+            "phi is not an A-bimodule homomorphism")
+    require(is_module_hom(LinearMap(u, asb, psi.matrix), "both"),
+            "psi is not an A-bimodule homomorphism")
     if phi.matrix * psi.matrix != Matrix.identity(u.dim):
         raise HypothesisError("phi o psi is not the identity on U")
-    der = is_derivation(a, asb, delta)
-    if not der.passed:
-        raise HypothesisError("delta is not a derivation on A", der)
+    require(is_derivation(a, asb, delta), "delta is not a derivation on A")
 
     tau = phi.matrix * delta.matrix * psi.matrix
     d = assemble(t, BlockDecomposition(delta1=delta, tau2=LinearMap(u, u, tau)))
@@ -90,11 +84,8 @@ def quotient_derivation(
     tau(a + I) = delta(a) + I on quotient coordinates; the returned map
     is D((a,u)) = (delta(a), tau(u)).
     """
-    quotient, proj = quotient_bimodule(a, ideal)  # rejects non-ideals
-    asb = a.self_bimodule()
-    der = is_derivation(a, asb, delta)
-    if not der.passed:
-        raise HypothesisError("delta is not a derivation on A", der)
+    complement, quotient, proj = _quotient(a, ideal)  # rejects non-ideals
+    require(is_derivation(a, a.self_bimodule(), delta), "delta is not a derivation on A")
     for w in ideal.basis:
         img = delta.matrix.apply(w)
         if not ideal.contains_vector(img):
@@ -103,7 +94,6 @@ def quotient_derivation(
             raise HypothesisError("delta does not preserve the ideal", rep)
 
     # tau(e_c + I) = delta(e_c) + I on the coset representatives e_c
-    complement = [c for c in range(a.dim) if c not in ideal.pivots]
     image = proj.matrix * delta.matrix
     tau = Matrix.from_rows([[row[c] for c in complement] for row in image.data])
 
@@ -115,8 +105,17 @@ def quotient_derivation(
 
 def corner_basis(a: Algebra, p) -> Subspace:
     """Canonical echelon basis of A p, the image of right multiplication by p."""
+    p = coordinates(a, p)
     vectors = [a.mul_vec(unit_vec(a.dim, i), p) for i in range(a.dim)]
     return Subspace.from_vectors(a.dim, vectors)
+
+
+def _in_corner(basis: Subspace, v, what: str) -> list:
+    """Coordinates of v on the echelon basis of A p; v must lie in A p."""
+    c = basis.coords_of(v)
+    if c is None:
+        raise AssertionError("%s escaped A p" % what)
+    return c
 
 
 def _corner(a: Algebra, p) -> Tuple[list, Subspace, Bimodule]:
@@ -126,7 +125,7 @@ def _corner(a: Algebra, p) -> Tuple[list, Subspace, Bimodule]:
     by associativity, and the zero right action trivially: the module is
     built without the re-check.
     """
-    coords = list(p)
+    coords = coordinates(a, p)
     if is_zero_vec(coords):
         raise HypothesisError("p = 0 is a trivial idempotent")
     square = a.mul_vec(coords, coords)
@@ -136,16 +135,8 @@ def _corner(a: Algebra, p) -> Tuple[list, Subspace, Bimodule]:
         raise HypothesisError("p is not idempotent", rep)
     basis = corner_basis(a, coords)
     q = basis.dim
-    left = []
-    for i in range(a.dim):
-        row = []
-        for j in range(q):
-            prod = a.mul_vec(unit_vec(a.dim, i), basis.basis[j])
-            c = basis.coords_of(prod)
-            if c is None:
-                raise AssertionError("left action escaped A p")
-            row.append(c)
-        left.append(row)
+    left = [[_in_corner(basis, a.mul_vec(unit_vec(a.dim, i), b), "left action")
+             for b in basis.basis] for i in range(a.dim)]
     right = [[[0] * q for _ in range(a.dim)] for _ in range(q)]
     names = ["b%d" % j for j in range(q)]
     return coords, basis, Bimodule(a, left, right, basis_names=names, _skip_check=True)
@@ -159,18 +150,10 @@ def corner_module(a: Algebra, p) -> Bimodule:
 def corner_tau(a: Algebra, p, delta: LinearMap) -> ConstructionResult:
     """D((a,x)) = (delta(a), tau(x)) on T(A, Ap) with tau(x) = delta(x) p."""
     coords, basis, module = _corner(a, p)
-    der = is_derivation(a, a.self_bimodule(), delta)
-    if not der.passed:
-        raise HypothesisError("delta is not a derivation on A", der)
-    q = basis.dim
-    tau_cols = []
-    for j in range(q):
-        img = a.mul_vec(delta.matrix.apply(basis.basis[j]), coords)
-        c = basis.coords_of(img)
-        if c is None:
-            raise AssertionError("tau image escaped A p")
-        tau_cols.append(c)
-    tau = Matrix.from_rows([[tau_cols[j][k] for j in range(q)] for k in range(q)])
+    require(is_derivation(a, a.self_bimodule(), delta), "delta is not a derivation on A")
+    tau_cols = [_in_corner(basis, a.mul_vec(delta.matrix.apply(b), coords), "tau image")
+                for b in basis.basis]
+    tau = Matrix.from_rows(tau_cols).transpose()
 
     t = trivial_extension(a, module)
     d = assemble(t, BlockDecomposition(delta1=delta, tau2=LinearMap(module, module, tau)))

@@ -18,15 +18,12 @@ bases are canonical.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import List
 
-from .algebra import Algebra, Bimodule, LinearMap
-from .linalg import Matrix, SparseMatrix, Subspace, nullspace, unit_vec, vec, vec_add
+from .algebra import Algebra, Bimodule, LinearMap, coordinates
+from .linalg import Matrix, SparseMatrix, Subspace, nullspace, unit_vec, vec_add
 from .reports import ConditionReport
-
-
-def _nonzeros(values) -> list:
-    return [(s, x) for s, x in enumerate(values) if x]
 
 
 def leibniz_rows(algebra: Algebra, module: Bimodule):
@@ -35,26 +32,24 @@ def leibniz_rows(algebra: Algebra, module: Bimodule):
     Row (i, j, k) states that coordinate k of D(e_i e_j) - e_i D(e_j)
     - D(e_i) e_j vanishes; column t * dim A + s is the entry d[t][s].
     Rows are yielded in (i, j, k) order, so a check can stop at the first
-    failure, and are read off the nonzero structure constants only.
+    failure, and are read off the nonzero structure constants only.  A
+    module over another algebra raises ValueError when the rows are read.
     """
+    if module.algebra is not algebra:
+        raise ValueError("module is not over the given algebra")
     m, n = algebra.dim, module.dim
-    mul = [[_nonzeros(algebra.mul_tensor[i][j]) for j in range(m)] for i in range(m)]
-    left = [[_nonzeros([module.left[i][t][k] for t in range(n)]) for k in range(n)]
-            for i in range(m)]
-    right = [[_nonzeros([module.right[t][j][k] for t in range(n)]) for k in range(n)]
-             for j in range(m)]
-    for i in range(m):
-        for j in range(m):
-            for k in range(n):
-                # D(e_i e_j)_k = sum_s c[i][j][s] d[k][s]
-                row = {k * m + s: c for s, c in mul[i][j]}
-                # (e_i D(e_j))_k = sum_t l[i][t][k] d[t][j]
-                for t, c in left[i][k]:
-                    row[t * m + j] = row.get(t * m + j, 0) - c
-                # (D(e_i) e_j)_k = sum_t r[t][j][k] d[t][i]
-                for t, c in right[j][k]:
-                    row[t * m + i] = row.get(t * m + i, 0) - c
-                yield (i, j, k), [(col, c) for col, c in row.items() if c]
+    for i, j in product(range(m), repeat=2):
+        # D(e_i e_j)_k = sum_s c[i][j][s] d[k][s]
+        rows = [{k * m + s: c for s, c in algebra.mul_table[i][j]} for k in range(n)]
+        for t in range(n):
+            # (e_i D(e_j))_k = sum_t l[i][t][k] d[t][j]
+            for k, c in module.left_table[i][t]:
+                rows[k][t * m + j] = rows[k].get(t * m + j, 0) - c
+            # (D(e_i) e_j)_k = sum_t r[t][j][k] d[t][i]
+            for k, c in module.right_table[t][j]:
+                rows[k][t * m + i] = rows[k].get(t * m + i, 0) - c
+        for k, row in enumerate(rows):
+            yield (i, j, k), [(col, c) for col, c in row.items() if c]
 
 
 def failing_rows(rows, x):
@@ -79,8 +74,6 @@ class LeibnizSystem:
     """
 
     def __init__(self, algebra: Algebra, module: Bimodule):
-        if module.algebra is not algebra:
-            raise ValueError("module is not over the given algebra")
         self.algebra = algebra
         self.module = module
         rows = [row for _, row in leibniz_rows(algebra, module)]
@@ -158,6 +151,8 @@ def inner_map(a: Algebra, u: Bimodule) -> Matrix:
     Column s is the flattened matrix of ad_{u_s}: b -> b u_s - u_s b, so
     entry (k * dim A + i, s) is coordinate k of e_i u_s - u_s e_i.
     """
+    if u.algebra is not a:
+        raise ValueError("module is not over the given algebra")
     m, n = a.dim, u.dim
     return Matrix(n * m, n, [
         [u.left[i][s][k] - u.right[s][i][k] for s in range(n)]
@@ -169,9 +164,7 @@ def inner_map(a: Algebra, u: Bimodule) -> Matrix:
 def inner_derivation(a: Algebra, u: Bimodule, x) -> LinearMap:
     """The inner derivation b -> b x - x b for the coordinates x of a
     module element."""
-    if len(x) != u.dim:
-        raise ValueError("element length does not match module dimension")
-    flat = inner_map(a, u).apply(vec(x))
+    flat = inner_map(a, u).apply(coordinates(u, x))
     return LinearMap(a, u, Matrix.unflatten(u.dim, a.dim, flat))
 
 

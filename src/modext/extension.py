@@ -6,8 +6,9 @@ when A is and U satisfies the bimodule axioms, and A/I (as an algebra or
 as an A-bimodule) inherits its axioms from A once I is checked to be an
 ideal, so these structures are built from validated parts without the
 constructors' re-check.  Coordinates on the total
-algebra are the A coordinates followed by the U coordinates, so the
-coordinate l1 norm splits as ||(a,u)|| = ||a|| + ||u|| by construction.
+algebra are the A coordinates followed by the U coordinates, read and
+written through ``pair`` and ``split``, so the coordinate l1 norm
+splits as ||(a,u)|| = ||a|| + ||u|| by construction.
 """
 
 from __future__ import annotations
@@ -15,53 +16,29 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Tuple
 
-from .algebra import Algebra, Bimodule, LinearMap
+from .algebra import Algebra, Bimodule, LinearMap, block_tensor, coordinates
 from .linalg import Matrix, Subspace, Vector, unit_vec
-from .reports import ConditionReport, HypothesisError
+from .reports import ConditionReport, require
 
 
 class ModuleExtension:
-    """The algebra T(A,U), with embeddings and projections for both legs."""
+    """The algebra T(A,U), with the coordinate maps ``pair`` and ``split``."""
 
     def __init__(self, base: Algebra, module: Bimodule):
         if module.algebra is not base:
             raise ValueError("module is not over the given base algebra")
         self.base = base
         self.module = module
-        m, n = base.dim, module.dim
-        d = m + n
-        mul = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    mul[i][j][k] = base.mul_tensor[i][j][k]
-        for i in range(m):
-            for j in range(n):
-                for k in range(n):
-                    # (e_i, 0)(0, u_j) = (0, e_i u_j)
-                    mul[i][m + j][m + k] = module.left[i][j][k]
-                    # (0, u_j)(e_i, 0) = (0, u_j e_i)
-                    mul[m + j][i][m + k] = module.right[j][i][k]
+        m = base.dim
+        # (e_i, 0)(0, u_j) = (0, e_i u_j) and (0, u_j)(e_i, 0) = (0, u_j e_i)
+        mul = block_tensor(m + module.dim, [(base.mul_table, (0, 0, 0)),
+                                            (module.left_table, (0, m, m)),
+                                            (module.right_table, (m, 0, m))])
         names = ["a:%s" % s for s in base.basis_names] + [
             "u:%s" % s for s in module.basis_names
         ]
         # associative because A is and U is an A-bimodule
         self.total = Algebra(mul, basis_names=names, _skip_check=True)
-
-        embed_a = Matrix.zeros(d, m)
-        embed_u = Matrix.zeros(d, n)
-        proj_a = Matrix.zeros(m, d)
-        proj_u = Matrix.zeros(n, d)
-        for i in range(m):
-            embed_a.data[i][i] = Fraction(1)
-            proj_a.data[i][i] = Fraction(1)
-        for j in range(n):
-            embed_u.data[m + j][j] = Fraction(1)
-            proj_u.data[j][m + j] = Fraction(1)
-        self.embed_A = LinearMap(base, self.total, embed_a)
-        self.embed_U = LinearMap(module, self.total, embed_u)
-        self.project_A = LinearMap(self.total, base, proj_a)
-        self.project_U = LinearMap(self.total, module, proj_u)
 
     @property
     def base_dim(self) -> int:
@@ -73,11 +50,10 @@ class ModuleExtension:
 
     def pair(self, a: Vector, u: Vector) -> Vector:
         """Total coordinates of (a, u)."""
-        if len(a) != self.base_dim or len(u) != self.module_dim:
-            raise ValueError("component lengths do not match")
-        return list(a) + list(u)
+        return coordinates(self.base, a) + coordinates(self.module, u)
 
     def split(self, x: Vector) -> Tuple[Vector, Vector]:
+        """The components (a, u) of total coordinates."""
         m = self.base_dim
         return list(x[:m]), list(x[m:])
 
@@ -153,22 +129,25 @@ def quotient_coordinates(ideal: Subspace) -> Tuple[List[int], Matrix]:
 
 def quotient_algebra(a: Algebra, ideal: Subspace) -> Tuple[Algebra, Matrix]:
     """The algebra A/I with its projection matrix (see quotient_coordinates)."""
-    quotient, proj = quotient_bimodule(a, ideal)
+    complement, quotient, proj = _quotient(a, ideal)
     # (e_c + I)(e_d + I) is e_c acting on the bimodule A/I, c in the complement
-    mul = [quotient.left[c] for c in range(a.dim) if c not in ideal.pivots]
+    mul = [quotient.left[c] for c in complement]
     return Algebra(mul, basis_names=quotient.basis_names, _skip_check=True), proj.matrix
 
 
 def quotient_bimodule(a: Algebra, ideal: Subspace) -> Tuple[Bimodule, LinearMap]:
     """The A-bimodule A/I with its canonical projection (see
     quotient_coordinates)."""
-    rep = ideal_check(a, ideal)
-    if not rep.passed:
-        raise HypothesisError("subspace is not a two-sided ideal", rep)
+    return _quotient(a, ideal)[1:]
+
+
+def _quotient(a: Algebra, ideal: Subspace) -> Tuple[List[int], Bimodule, LinearMap]:
+    """The coset columns of quotient_coordinates, A/I and the projection."""
+    require(ideal_check(a, ideal), "subspace is not a two-sided ideal")
     complement, proj = quotient_coordinates(ideal)
     m = a.dim
     left = [[proj.apply(a.mul_basis(i, c)) for c in complement] for i in range(m)]
     right = [[proj.apply(a.mul_basis(c, i)) for i in range(m)] for c in complement]
     names = [a.basis_names[c] + "+I" for c in complement]
     quotient = Bimodule(a, left, right, basis_names=names, _skip_check=True)
-    return quotient, LinearMap(a.self_bimodule(), quotient, proj)
+    return complement, quotient, LinearMap(a.self_bimodule(), quotient, proj)

@@ -61,3 +61,9 @@ class HypothesisError(ValueError):
         if report is not None and report.failures():
             msg += " (%s)" % report.failures()[0].name
         super().__init__(msg)
+
+
+def require(report: ConditionReport, hypothesis: str) -> None:
+    """Raise HypothesisError(hypothesis, report) unless the report passed."""
+    if not report.passed:
+        raise HypothesisError(hypothesis, report)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Algebra, Bimodule
+from .algebra import Algebra, Bimodule, block_tensor
 
 
 def _zero_tensor(d1, d2, d3):
@@ -74,16 +74,8 @@ def upper_triangular_2() -> Algebra:
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     """Block-diagonal sum of two algebras."""
-    m, n = a.dim, b.dim
-    mul = _zero_tensor(m + n, m + n, m + n)
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                mul[i][j][k] = a.mul_tensor[i][j][k]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                mul[m + i][m + j][m + k] = b.mul_tensor[i][j][k]
+    m = a.dim
+    mul = block_tensor(m + b.dim, [(a.mul_table, (0, 0, 0)), (b.mul_table, (m, m, m))])
     names = ["l:%s" % s for s in a.basis_names] + ["r:%s" % s for s in b.basis_names]
     return Algebra(mul, basis_names=names)
 

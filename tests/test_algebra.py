@@ -10,9 +10,6 @@ from modext.algebra import (
     ValidationError,
     annihilator,
     is_module_hom,
-    unit_element,
-    validate_algebra,
-    validate_bimodule,
 )
 from modext.linalg import Matrix, Subspace, solve, unit_vec, zero_vec
 from modext.samples import (
@@ -27,6 +24,23 @@ from modext.samples import (
 )
 
 from oracles import apply_matrix, left_act, mul_vec, right_act
+
+
+def built_or_report(build, *args):
+    """(build(*args), None), or (None, report) when the constructor rejects
+    an axiom."""
+    try:
+        return build(*args), None
+    except ValidationError as e:
+        return None, e.report
+
+
+def validate_algebra(mul):
+    return built_or_report(Algebra, mul)
+
+
+def validate_bimodule(algebra, left, right):
+    return built_or_report(Bimodule, algebra, left, right)
 
 
 class TestValidateAlgebra:
@@ -165,10 +179,41 @@ class TestFirstWitness:
         assert naive_first_bimodule_failure(algebra.mul_tensor, left, right) == (name, want)
 
 
+def test_first_witness_on_perturbed_corpus_tensors(corpus_pairs):
+    """One entry of a corpus algebra's or bimodule's tensor is shifted; the
+    first failure the constructor reports (identity, triple and both sides)
+    is the naive first failure, and every identity fails somewhere."""
+    rng = random.Random(8)
+    failed = {}
+    for _ in range(400):
+        _, a, u = rng.choice(corpus_pairs)
+        tensors = {"mul": a.mul_tensor, "left": u.left, "right": u.right}
+        which = rng.choice(sorted(tensors))
+        t = [[list(entry) for entry in plane] for plane in tensors[which]]
+        if not (t and t[0] and t[0][0]):
+            continue
+        entry = rng.choice(rng.choice(t))
+        entry[rng.randrange(len(entry))] += rng.choice([-2, -1, 1, Fraction(1, 2)])
+        if which == "mul":
+            _, rep = validate_algebra(t)
+            want = naive_first_associativity_failure(t)
+            want = want and ("associativity", want)
+        else:
+            left, right = (t, u.right) if which == "left" else (u.left, t)
+            _, rep = validate_bimodule(a, left, right)
+            want = naive_first_bimodule_failure(a.mul_tensor, left, right)
+        got = None if rep is None else (rep.failures()[0].name, rep.failures()[0].witness)
+        assert got == want
+        if want:
+            failed[want[0]] = failed.get(want[0], 0) + 1
+    assert sorted(failed) == sorted(["associativity", "(ab)u = a(bu)",
+                                     "u(ab) = (ua)b", "(au)b = a(ub)"]), failed
+
+
 class TestProducts:
     def test_unit_multiplication(self):
         a = matrix_units(2)
-        e = unit_element(a).coords
+        e = a.unit()
         x = [1, 2, 3, 4]
         assert a.mul_vec(e, x) == x
         assert a.mul_vec(x, e) == x
@@ -288,16 +333,16 @@ class TestModuleHom:
 class TestUnit:
     def test_matrix_algebra_unit(self):
         a = matrix_units(2)
-        assert unit_element(a).coords == [1, 0, 0, 1]
+        assert a.unit() == [1, 0, 0, 1]
 
     def test_zero_product_has_no_unit(self):
-        assert unit_element(zero_product(2)) is None
+        assert zero_product(2).unit() is None
 
     def test_dual_numbers_unit(self):
-        assert unit_element(dual_numbers()).coords == [1, 0]
+        assert dual_numbers().unit() == [1, 0]
 
     def test_q_plus_q_unit(self):
-        assert unit_element(q_plus_q()).coords == [1, 1]
+        assert q_plus_q().unit() == [1, 1]
 
 
 def test_associativity_independent_oracle(corpus_pairs):

@@ -89,7 +89,7 @@ class TestRadical:
         for name, a, u, t in corpus_extensions:
             rad = radical(t.total).radical
             for j in range(u.dim):
-                emb = t.embed_U(unit_vec(u.dim, j))
+                emb = t.pair(zero_vec(a.dim), unit_vec(u.dim, j))
                 assert rad.contains_vector(emb), name
 
     def test_quotient_by_radical_is_semisimple(self, corpus_pairs):
@@ -263,3 +263,20 @@ class TestHypothesisAudit:
         u = corner_module(a, p)
         t = trivial_extension(a, u)
         assert t.total.dim == 6
+
+
+class TestCoordinateLength:
+    """Coordinates of the wrong length are rejected, naming both lengths."""
+
+    @pytest.mark.parametrize("x, got", [([1], 1), ([1, 0, 5], 3)])
+    def test_min_poly(self, x, got):
+        with pytest.raises(ValueError, match="length %d, expected 2" % got):
+            min_poly(dual_numbers(), x)
+
+    def test_poly_eval_in_algebra(self):
+        with pytest.raises(ValueError, match="length 1, expected 4"):
+            poly_eval_in_algebra(matrix_units(2), Polynomial([0, 1]), [1])
+
+    def test_is_idempotent(self):
+        with pytest.raises(ValueError, match="length 1, expected 2"):
+            is_idempotent(dual_numbers(), [1])

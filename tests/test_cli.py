@@ -1,4 +1,6 @@
 import json
+import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -431,3 +433,24 @@ class TestDeterminism:
         _, j1, _ = run(capsys, *argv, "--json")
         _, j2, _ = run(capsys, *argv, "--json")
         assert j1 == j2
+
+
+def _readme_cli_examples():
+    """The ``modext ...`` lines of the README's CLI code block."""
+    text = (DATA.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("modext ")]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    # run where the README's relative paths resolve; --out writes a file
+    shutil.copytree(DATA, tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_cli_examples()
+    assert len(examples) >= 6
+    for argv in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out
+    assert (tmp_path / "lifted.json").is_file()

@@ -216,3 +216,15 @@ class TestNegativeCases:
         assert exc.value.hypothesis == "delta does not preserve the ideal"
         (_, w, img) = exc.value.report.failures()[0].witness
         assert w == [1, 0] and img == [0, 1]
+
+
+class TestCornerCoordinateLength:
+    """An idempotent of the wrong length is rejected before any product."""
+
+    def test_corner_module(self):
+        with pytest.raises(ValueError, match="length 2, expected 4"):
+            corner_module(matrix_units(2), [1, 0])
+
+    def test_corner_basis(self):
+        with pytest.raises(ValueError, match="length 2, expected 4"):
+            corner_basis(matrix_units(2), [1, 0])

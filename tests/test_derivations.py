@@ -16,6 +16,7 @@ from modext.linalg import Matrix, Subspace, nullspace, rank, rref, solve, unit_v
 from modext.samples import (
     dual_numbers,
     matrix_units,
+    q_plus_q,
     truncated_poly,
     upper_triangular_2,
     zero_product,
@@ -278,3 +279,29 @@ class TestStructuralProperties:
                 derivation_space(b, b.self_bimodule()).dim
                 == derivation_space(a, a.self_bimodule()).dim
             )
+
+
+class TestModuleOverAnotherAlgebra:
+    """A bimodule over a different algebra of the same dimension is refused
+    by every Leibniz and inner-map entry point, not only derivation_space."""
+
+    def setup_method(self):
+        self.a = dual_numbers()
+        self.u = q_plus_q().self_bimodule()  # dimension 2, over Q x Q
+
+    def test_is_derivation(self):
+        with pytest.raises(ValueError, match="not over the given algebra"):
+            is_derivation(self.a, self.u, LinearMap.zero(self.a, self.u))
+
+    def test_inner_space(self):
+        with pytest.raises(ValueError, match="not over the given algebra"):
+            inner_space(self.a, self.u)
+
+    def test_inner_derivation(self):
+        with pytest.raises(ValueError, match="not over the given algebra"):
+            inner_derivation(self.a, self.u, [1, 0])
+
+    def test_derivation_space_and_system(self):
+        for build in (derivation_space, LeibnizSystem, h1_dimension):
+            with pytest.raises(ValueError, match="not over the given algebra"):
+                build(self.a, self.u)
