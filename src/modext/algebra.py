@@ -67,9 +67,17 @@ def _sparse(tensor) -> list:
             for plane in tensor]
 
 
-def _bilinear(table, x: Vector, y: Vector, dim: int) -> Vector:
-    """sum_ij x_i y_j e_i e_j for the product with the given sparse table."""
-    out = zero_vec(dim)
+def _check_length(x, dim: int):
+    if len(x) != dim:
+        raise ValueError("coordinate vector has length %d, expected %d" % (len(x), dim))
+
+
+def _bilinear(table, x: Vector, y: Vector, dims) -> Vector:
+    """sum_ij x_i y_j e_i e_j for the product with the given sparse table;
+    dims are the lengths of x, y and the result."""
+    _check_length(x, dims[0])
+    _check_length(y, dims[1])
+    out = zero_vec(dims[2])
     for i, xi in enumerate(x):
         if xi == 0:
             continue
@@ -119,9 +127,7 @@ def block_tensor(dim: int, blocks) -> list:
 
 def coordinates(carrier: Carrier, x) -> Vector:
     """x as exact coordinates on the carrier; its length must be the dimension."""
-    if len(x) != carrier.dim:
-        raise ValueError("coordinate vector has length %d, expected %d"
-                         % (len(x), carrier.dim))
+    _check_length(x, carrier.dim)
     return vec(x)
 
 
@@ -151,6 +157,7 @@ class Algebra:
                 raise ValidationError(report)
         self._unit = None
         self._unit_computed = False
+        self._self_bimodule = None
 
     def associativity_report(self) -> ConditionReport:
         rep = ConditionReport("associativity")
@@ -167,7 +174,7 @@ class Algebra:
         return list(self.mul_tensor[i][j])
 
     def mul_vec(self, x: Vector, y: Vector) -> Vector:
-        return _bilinear(self.mul_table, x, y, self.dim)
+        return _bilinear(self.mul_table, x, y, (self.dim,) * 3)
 
     def left_mul_matrix(self, x: Vector) -> Matrix:
         """Matrix of y -> x y in the algebra basis."""
@@ -175,9 +182,11 @@ class Algebra:
         return Matrix.from_rows(cols).transpose()
 
     def self_bimodule(self) -> "Bimodule":
-        """A as a bimodule over itself via the algebra product."""
-        t = self.mul_tensor
-        return Bimodule(self, t, t, basis_names=self.basis_names, _skip_check=True)
+        """A as a bimodule over itself via the algebra product; built once."""
+        if self._self_bimodule is None:
+            t = self.mul_tensor
+            self._self_bimodule = Bimodule(self, t, t, self.basis_names, _skip_check=True)
+        return self._self_bimodule
 
     def unit(self) -> Optional[Vector]:
         """Coordinates of the two-sided unit, or None.
@@ -263,10 +272,10 @@ class Bimodule:
         return rep
 
     def left_act(self, a: Vector, u: Vector) -> Vector:
-        return _bilinear(self.left_table, a, u, self.dim)
+        return _bilinear(self.left_table, a, u, (self.algebra.dim, self.dim, self.dim))
 
     def right_act(self, u: Vector, a: Vector) -> Vector:
-        return _bilinear(self.right_table, u, a, self.dim)
+        return _bilinear(self.right_table, u, a, (self.dim, self.algebra.dim, self.dim))
 
     def __repr__(self):
         return "Bimodule(dim=%d over dim=%d)" % (self.dim, self.algebra.dim)

@@ -61,12 +61,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1 if self.coefficients else -1
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.coefficients == other.coefficients
-        )
-
     def __str__(self):
         if not self.coefficients:
             return "0"

@@ -18,7 +18,9 @@ Read row by row, C1-C6 are the Leibniz identity on T, split by the block
   (A, A, U) C2    (U, A, U) C4    (U, A, A) C5, right
 
 Rows (U, U, A) are identically zero, because U U = 0 in T.  The checker
-sorts the failing Leibniz rows of T by this table (BLOCK_TABLE).
+evaluates both sides of the Leibniz identity on T once per basis pair,
+from the same terms the Leibniz system is built of, and sorts each
+differing coordinate by this table (BLOCK_TABLE); it builds no system.
 
 Every derivation splits as D = D1 + D2 with D2((a,u)) = (0,
 delta2(a)).  D is inner iff it equals ad_{(b,v)} for some (b,v), which
@@ -38,13 +40,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .algebra import Element, LinearMap
-from .derivations import (
-    failing_rows,
-    inner_map,
-    is_derivation,
-    leibniz_rows,
-    leibniz_sides,
-)
+from .derivations import _failing_pairs, inner_map, is_derivation
 from .extension import ModuleExtension
 from .linalg import Matrix, solve, zero_vec
 from .reports import ConditionReport, require
@@ -75,9 +71,9 @@ class BlockDecomposition:
     tau2: Optional[LinearMap] = None    # U -> U
 
 
-def blocks_of(t: ModuleExtension, d) -> BlockDecomposition:
+def blocks_of(t: ModuleExtension, d: LinearMap) -> BlockDecomposition:
     """Corner blocks of a square map on T in the (A, U) split; lossless."""
-    dm = d.matrix if isinstance(d, LinearMap) else d
+    dm = d.matrix
     m, n = t.base_dim, t.module_dim
     if dm.rows != m + n or dm.cols != m + n:
         raise ValueError("map is not square of dimension dim A + dim U")
@@ -109,33 +105,31 @@ def assemble(t: ModuleExtension, b: BlockDecomposition) -> LinearMap:
 def check_block_conditions(t: ModuleExtension, b: BlockDecomposition) -> ConditionReport:
     """The six block conditions equivalent to D being a derivation.
 
-    Each condition is the set of Leibniz rows on T that BLOCK_TABLE
-    assigns to it.  A failing condition's witness is its first failing
-    pair, A index first, with C5's left identity before its right one.
+    Each condition is the set of Leibniz identities on T, one per basis
+    pair and output coordinate, that BLOCK_TABLE assigns to it.  A failing
+    condition's witness is its first failing pair, A index first, with
+    C5's left identity before its right one, and the two sides of the
+    Leibniz identity at that pair cut to the block of the coordinate.
     """
     m = t.base_dim
-    total = t.total
-    tsb = total.self_bimodule()
-    d = assemble(t, b).matrix
+    d = assemble(t, b).matrix.flatten()
     first = {}
-    for x, y, k in failing_rows(leibniz_rows(total, tsb), d.flatten()):
-        name = BLOCK_TABLE[x >= m, y >= m, k >= m]
+    for (x, y), lhs, rhs in _failing_pairs(t.total, t.total.self_bimodule(), d):
         i, j = x - m * (x >= m), y - m * (y >= m)
-        key = (x >= m, (j, i) if x >= m > y else (i, j))
-        if name not in first or key < first[name][0]:
-            first[name] = (key, x, y, k >= m)
+        indices = (j, i) if x >= m > y else (i, j)
+        key = (x >= m, indices)
+        for in_u, part in ((False, slice(0, m)), (True, slice(m, None))):
+            if lhs[part] == rhs[part]:
+                continue
+            name = BLOCK_TABLE[x >= m, y >= m, in_u]
+            if name not in first or key < first[name][0]:
+                # C6 states that the right side of the identity is zero
+                sides = (rhs[part], lhs[part]) if name == C6 else (lhs[part], rhs[part])
+                first[name] = (key, (indices,) + sides)
 
     rep = ConditionReport("block conditions")
     for name in dict.fromkeys(BLOCK_TABLE.values()):
-        if name not in first:
-            rep.add(name, True)
-            continue
-        (_, indices), x, y, in_u = first[name]
-        part = slice(m, None) if in_u else slice(0, m)
-        lhs, rhs = (side[part] for side in leibniz_sides(total, tsb, d, x, y))
-        if name == C6:  # C6 states that the right side of the identity is zero
-            lhs, rhs = rhs, lhs
-        rep.add(name, False, witness=(indices, lhs, rhs))
+        rep.add(name, name not in first, witness=first[name][1] if name in first else None)
 
     rep.add(
         "C3/C4 alternative (delta2 coupling)",
@@ -150,9 +144,9 @@ def check_block_conditions(t: ModuleExtension, b: BlockDecomposition) -> Conditi
     return rep
 
 
-def _on_t(t: ModuleExtension, d) -> LinearMap:
-    """d, a Matrix or a LinearMap, as a map on T; other shapes raise."""
-    return LinearMap(t.total, t.total, d.matrix if isinstance(d, LinearMap) else d)
+def _on_t(t: ModuleExtension, d: LinearMap) -> LinearMap:
+    """d as a map on T; other shapes raise."""
+    return LinearMap(t.total, t.total, d.matrix)
 
 
 def _require_derivation(t: ModuleExtension, d: LinearMap):
@@ -160,7 +154,7 @@ def _require_derivation(t: ModuleExtension, d: LinearMap):
             "input is not a derivation on T(A,U)")
 
 
-def split_d1_d2(t: ModuleExtension, d) -> Tuple[LinearMap, LinearMap]:
+def split_d1_d2(t: ModuleExtension, d: LinearMap) -> Tuple[LinearMap, LinearMap]:
     """Write a derivation D on T as D1 + D2 with D2((a,u)) = (0, delta2(a)).
 
     The input is checked to be a derivation.  D2 is one by C2, so D1 =
@@ -174,7 +168,7 @@ def split_d1_d2(t: ModuleExtension, d) -> Tuple[LinearMap, LinearMap]:
     return d1, d2
 
 
-def inner_witness(t: ModuleExtension, d) -> Optional[Tuple[Element, Element]]:
+def inner_witness(t: ModuleExtension, d: LinearMap) -> Optional[Tuple[Element, Element]]:
     """Solve D = ad_{(b,v)} exactly; (b, v) or None.
 
     The system is the inner map of T, whose columns are the ad of the

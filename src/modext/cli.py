@@ -140,14 +140,6 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def _start(args, command: str) -> Output:
-    out = Output()
-    out.put("command", command)
-    out.put("input", os.path.basename(args.file))
-    out.put("input_digest", _digest(args.file))
-    return out
-
-
 def _map(art, name: str, source: str, target: str):
     """The named map of the file, which must be declared source -> target."""
     entry = art.maps.get(name)
@@ -157,10 +149,8 @@ def _map(art, name: str, source: str, target: str):
     return art.linear_map(name)
 
 
-def cmd_validate(args) -> int:
-    out = _start(args, "validate")
-    art = fileio.load_file(args.file)  # constructors enforce the axioms
-    n = art.algebra.dim
+def cmd_validate(args, art, out: Output) -> None:
+    n = art.algebra.dim  # the constructors enforced the axioms
     out.put("algebra_dim", n)
     out.put(
         "associativity", "%d/%d identities hold" % (n**3, n**3)
@@ -168,18 +158,12 @@ def cmd_validate(args) -> int:
     if art.module is not None:
         out.report("bimodule_axioms", art.module.report)
     out.put("valid", True)
-    sys.stdout.write(out.render(args.json))
-    return 0
 
 
-def cmd_der(args) -> int:
-    out = _start(args, "der")
-    art = fileio.load_file(args.file)
+def cmd_der(args, art, out: Output) -> None:
     a = art.algebra
     if args.module == "file":
-        if art.module is None:
-            raise fileio.ParseError("module", "file declares no bimodule section")
-        u = art.module
+        u = art.bimodule()
         out.put("module", "file bimodule (dim %d)" % u.dim)
     else:
         u = a.self_bimodule()
@@ -194,13 +178,9 @@ def cmd_der(args) -> int:
             out.put("inner_basis", [_fmt_vec(v) for v in inn.basis])
     if args.h1:
         out.put("H1", der.dim - inn.dim)
-    sys.stdout.write(out.render(args.json))
-    return 0
 
 
-def cmd_decompose(args) -> int:
-    out = _start(args, "decompose")
-    art = fileio.load_file(args.file)
+def cmd_decompose(args, art, out: Output) -> None:
     t = art.extension()
     d = _map(art, args.map, "total", "total")
     b = blocks_of(t, d)
@@ -229,8 +209,6 @@ def cmd_decompose(args) -> int:
                 "b": _fmt_vec(bb.coords),
                 "v": _fmt_vec(vv.coords),
             })
-    sys.stdout.write(out.render(args.json))
-    return 0
 
 
 def _write_result(args, out: Output, result) -> None:
@@ -256,9 +234,7 @@ def _write_result(args, out: Output, result) -> None:
         out.put("written", os.path.basename(args.out))
 
 
-def cmd_construct(args) -> int:
-    out = _start(args, "construct")
-    art = fileio.load_file(args.file)
+def cmd_construct(args, art, out: Output) -> None:
     a = art.algebra
     if args.recipe == "lift":
         t = art.extension()
@@ -284,20 +260,17 @@ def cmd_construct(args) -> int:
             _map(art, args.delta, "algebra", "algebra"),
         )
     _write_result(args, out, result)
-    sys.stdout.write(out.render(args.json))
-    return 0
 
 
-def cmd_analyze(args) -> int:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("MODEXT_SEED", "0")
-        try:
-            seed = int(env)
-        except ValueError:
-            raise fileio.ParseError("MODEXT_SEED", "not an integer seed: %r" % env)
-    out = _start(args, "analyze")
-    art = fileio.load_file(args.file)
+def _env_seed() -> int:
+    env = os.environ.get("MODEXT_SEED", "0")
+    try:
+        return int(env)
+    except ValueError:
+        raise fileio.ParseError("MODEXT_SEED", "not an integer seed: %r" % env)
+
+
+def cmd_analyze(args, art, out: Output) -> None:
     a = art.algebra
     if args.center:
         z = center(a)
@@ -317,16 +290,14 @@ def cmd_analyze(args) -> int:
         e = a.unit()
         out.put("unit", None if e is None else _fmt_vec(e))
     if args.simple:
-        rep = is_simple_prime(a, seed=seed)
+        rep = is_simple_prime(a, seed=args.seed)
         out.put("simple", {
             "simple": rep.simple,
             "prime": rep.prime,
             "evidence": rep.evidence,
         })
     if args.annihilator:
-        if art.module is None:
-            raise fileio.ParseError("module", "file declares no bimodule section")
-        ann = annihilator(a, art.module)
+        ann = annihilator(a, art.bimodule())
         out.put("annihilator", {
             "dim": ann.dim,
             "basis": [_fmt_vec(v) for v in ann.basis],
@@ -341,8 +312,6 @@ def cmd_analyze(args) -> int:
         })
     if args.submult:
         out.put("submultiplicativity_constant", _fmt(submultiplicativity_constant(a)))
-    sys.stdout.write(out.render(args.json))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,7 +374,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.cmd == "analyze" and args.seed is None:  # refused before the file is read
+            args.seed = _env_seed()
+        out = Output()
+        out.put("command", args.cmd)
+        out.put("input", os.path.basename(args.file))
+        out.put("input_digest", _digest(args.file))
+        args.func(args, fileio.load_file(args.file), out)
+        sys.stdout.write(out.render(args.json))
+        return 0
     except fileio.ParseError as e:
         sys.stderr.write("input error: %s\n" % e)
         return 2

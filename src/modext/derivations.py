@@ -2,14 +2,14 @@
 
 A linear map D: A -> U is a derivation when D(ab) = a D(b) + D(a) b.  On
 basis pairs this is a linear system in the entries of D's matrix; the
-derivation space is its exact nullspace.  The sparse rows of that
-system are the one place the identity is written down: ``is_derivation``,
-the certificate of ``derivation_space`` and the C1-C6 checker in
-``blocks`` all evaluate their residuals.  ``LeibnizSystem`` holds only
-``.matrix``, the ``SparseMatrix`` of those rows that the kernel solves:
-no dense copy and no labelled copy.
-Inner derivations are the image of the inner map x -> (a -> a x - x a);
-its kernel on A itself is the center.
+derivation space is its exact nullspace.  The identity is written down
+once, as the terms of its two sides at each basis pair
+(``_leibniz_terms``).  ``leibniz_rows`` sums them into the sparse rows
+that ``LeibnizSystem.matrix`` holds for the kernel and the certificate of
+``derivation_space``; ``is_derivation`` and the C1-C6 checker in
+``blocks`` sum them into the two sides on D's entries, so no check
+builds the system.  Inner derivations are the image of the inner map
+x -> (a -> a x - x a); its kernel on A itself is the center.
 
 Row order of the Leibniz system is lexicographic in (i, j, k); columns
 are D's matrix entries in row-major order.  Both are fixed so computed
@@ -22,47 +22,60 @@ from itertools import product
 from typing import List
 
 from .algebra import Algebra, Bimodule, LinearMap, coordinates
-from .linalg import Matrix, SparseMatrix, Subspace, nullspace, unit_vec, vec_add
+from .linalg import Matrix, SparseMatrix, Subspace, nullspace, zero_vec
 from .reports import ConditionReport
 
 
-def leibniz_rows(algebra: Algebra, module: Bimodule):
-    """Sparse rows of the Leibniz system, as ((i, j, k), [(column, coeff)]).
+def _leibniz_terms(algebra: Algebra, module: Bimodule):
+    """(i, j, lhs, rhs) per basis pair in (i, j) order: the terms of the
+    two sides of D(e_i e_j) = e_i D(e_j) + D(e_i) e_j.
 
-    Row (i, j, k) states that coordinate k of D(e_i e_j) - e_i D(e_j)
-    - D(e_i) e_j vanishes; column t * dim A + s is the entry d[t][s].
-    Rows are yielded in (i, j, k) order, so a check can stop at the first
-    failure, and are read off the nonzero structure constants only.  A
-    module over another algebra raises ValueError when the rows are read.
+    A term (k, column, coeff) adds coeff * d[t][s] to coordinate k, where
+    column t * dim A + s is the entry d[t][s]; the terms are read off the
+    nonzero structure constants only.  A module over another algebra
+    raises ValueError when they are read.
     """
     if module.algebra is not algebra:
         raise ValueError("module is not over the given algebra")
     m, n = algebra.dim, module.dim
     for i, j in product(range(m), repeat=2):
         # D(e_i e_j)_k = sum_s c[i][j][s] d[k][s]
-        rows = [{k * m + s: c for s, c in algebra.mul_table[i][j]} for k in range(n)]
-        for t in range(n):
-            # (e_i D(e_j))_k = sum_t l[i][t][k] d[t][j]
-            for k, c in module.left_table[i][t]:
-                rows[k][t * m + j] = rows[k].get(t * m + j, 0) - c
-            # (D(e_i) e_j)_k = sum_t r[t][j][k] d[t][i]
-            for k, c in module.right_table[t][j]:
-                rows[k][t * m + i] = rows[k].get(t * m + i, 0) - c
-        for k, row in enumerate(rows):
-            yield (i, j, k), [(col, c) for col, c in row.items() if c]
+        lhs = [(k, k * m + s, c) for s, c in algebra.mul_table[i][j] for k in range(n)]
+        # (e_i D(e_j))_k = sum_t l[i][t][k] d[t][j]; (D(e_i) e_j)_k = sum_t r[t][j][k] d[t][i]
+        rhs = [(k, t * m + j, c) for t in range(n) for k, c in module.left_table[i][t]]
+        rhs += [(k, t * m + i, c) for t in range(n) for k, c in module.right_table[t][j]]
+        yield i, j, lhs, rhs
 
 
-def failing_rows(rows, x):
-    """Labels of the sparse rows whose residual on the vector x is nonzero."""
-    return (label for label, row in rows if sum(c * x[col] for col, c in row))
+def leibniz_rows(algebra: Algebra, module: Bimodule):
+    """Sparse rows [(column, coeff)] of the Leibniz system in (i, j, k) order:
+    row (i, j, k) states that coordinate k of D(e_i e_j) - e_i D(e_j) -
+    D(e_i) e_j vanishes."""
+    for _, _, lhs, rhs in _leibniz_terms(algebra, module):
+        rows = [{} for _ in range(module.dim)]
+        for k, col, c in lhs:  # one term per (k, column) on this side
+            rows[k][col] = c
+        for k, col, c in rhs:
+            row = rows[k]
+            if col in row:
+                row[col] -= c
+            else:
+                row[col] = -c
+        for row in rows:
+            yield [item for item in row.items() if item[1]]
 
 
-def leibniz_sides(a: Algebra, u: Bimodule, d: Matrix, i: int, j: int):
-    """(D(e_i e_j), e_i D(e_j) + D(e_i) e_j) for the matrix d of D: A -> U."""
-    return d.apply(a.mul_basis(i, j)), vec_add(
-        u.left_act(unit_vec(a.dim, i), d.col(j)),
-        u.right_act(d.col(i), unit_vec(a.dim, j)),
-    )
+def _failing_pairs(algebra: Algebra, module: Bimodule, d):
+    """((i, j), D(e_i e_j), e_i D(e_j) + D(e_i) e_j) for each basis pair
+    whose sides differ, in (i, j) order, on D's row-major entries d."""
+    for i, j, *terms in _leibniz_terms(algebra, module):
+        lhs, rhs = sides = zero_vec(module.dim), zero_vec(module.dim)
+        for side, side_terms in zip(sides, terms):
+            for k, col, c in side_terms:
+                if d[col]:  # zero entries of D add nothing
+                    side[k] += c * d[col]
+        if lhs != rhs:
+            yield (i, j), lhs, rhs
 
 
 class LeibnizSystem:
@@ -76,7 +89,7 @@ class LeibnizSystem:
     def __init__(self, algebra: Algebra, module: Bimodule):
         self.algebra = algebra
         self.module = module
-        rows = [row for _, row in leibniz_rows(algebra, module)]
+        rows = list(leibniz_rows(algebra, module))
         self.matrix = SparseMatrix(len(rows), algebra.dim * module.dim, rows)
 
 
@@ -103,19 +116,16 @@ class DerivationSpace:
 def is_derivation(a: Algebra, u: Bimodule, f: LinearMap) -> ConditionReport:
     """Check D(e_i e_j) = e_i D(e_j) + D(e_i) e_j on all basis pairs.
 
-    The check is the residual of the Leibniz rows on D's entries; the
-    witness is the first failing pair (i, j).
+    The witness is the first failing pair (i, j) with both sides.
     """
     if f.matrix.rows != u.dim or f.matrix.cols != a.dim:
         raise ValueError("map shape does not match A -> U")
     rep = ConditionReport("Leibniz identity")
-    bad = next(failing_rows(leibniz_rows(a, u), f.matrix.flatten()), None)
+    bad = next(_failing_pairs(a, u, f.matrix.flatten()), None)
     if bad is None:
         rep.add("D(ab) = aD(b) + D(a)b", True, note="%d pairs" % a.dim**2)
     else:
-        i, j, _ = bad
-        rep.add("D(ab) = aD(b) + D(a)b", False,
-                witness=((i, j),) + leibniz_sides(a, u, f.matrix, i, j))
+        rep.add("D(ab) = aD(b) + D(a)b", False, witness=bad)
     return rep
 
 

@@ -98,11 +98,15 @@ class ArtifactFile:
 
     _extension: Optional[ModuleExtension] = None
 
-    def extension(self) -> ModuleExtension:
+    def bimodule(self) -> Bimodule:
+        """The bimodule section, which the file must declare."""
         if self.module is None:
             raise ParseError("module", "file declares no bimodule section")
+        return self.module
+
+    def extension(self) -> ModuleExtension:
         if self._extension is None:
-            self._extension = trivial_extension(self.algebra, self.module)
+            self._extension = trivial_extension(self.algebra, self.bimodule())
         return self._extension
 
     def _carrier(self, tag: str):

@@ -133,20 +133,28 @@ def sympy_nullspace(rows):
     return sympy_rref(ker)[0][: len(ker)] if ker else []
 
 
+def leibniz_pair_sides(mul, left, right, d, i, j):
+    """(D(e_i e_j), e_i D(e_j) + D(e_i) e_j) by direct evaluation.
+
+    d is an (n x m) nested list for a map A -> U, where m = dim A and
+    n = dim U.
+    """
+    m = len(mul)
+    ei, ej = ([Fraction(1 if s == x else 0) for s in range(m)] for x in (i, j))
+    lhs = apply_matrix(d, mul[i][j])
+    rhs = [a + b for a, b in zip(left_act(left, ei, apply_matrix(d, ej)),
+                                 right_act(right, apply_matrix(d, ei), ej))]
+    return lhs, rhs
+
+
 def leibniz_first_failure(mul, left, right, d):
     """First basis pair, in (i, j) order, where D(ab) = aD(b) + D(a)b fails.
 
-    d is an (n x m) nested list for a map A -> U, where m = dim A and
-    n = dim U.  Returns ((i, j), lhs, rhs) by direct evaluation, or None
-    when the identity holds on every basis pair.
+    Returns ((i, j), lhs, rhs) by direct evaluation, or None when the
+    identity holds on every basis pair.
     """
-    m = len(mul)
-    units = [[Fraction(1 if s == i else 0) for s in range(m)] for i in range(m)]
-    images = [apply_matrix(d, e) for e in units]  # D(e_i)
-    for i, j in product(range(m), repeat=2):
-        lhs = apply_matrix(d, mul[i][j])
-        rhs = [a + b for a, b in zip(left_act(left, units[i], images[j]),
-                                     right_act(right, images[i], units[j]))]
+    for i, j in product(range(len(mul)), repeat=2):
+        lhs, rhs = leibniz_pair_sides(mul, left, right, d, i, j)
         if lhs != rhs:
             return (i, j), lhs, rhs
     return None

@@ -228,6 +228,34 @@ class TestProducts:
         assert a.mul_vec(zero_vec(2), [3, 5]) == zero_vec(2)
 
 
+class TestProductCoordinateLength:
+    """Products and actions refuse coordinates of the wrong length with the
+    message ``coordinates`` gives, on either argument."""
+
+    def test_mul_vec(self):
+        a = dual_numbers()
+        with pytest.raises(ValueError, match="has length 1, expected 2"):
+            a.mul_vec([1], [1])
+        with pytest.raises(ValueError, match="has length 3, expected 2"):
+            a.mul_vec([1, 0, 1], [1, 0, 1])
+        with pytest.raises(ValueError, match="has length 3, expected 2"):
+            a.mul_vec([1, 0], [1, 0, 1])
+
+    def test_left_act(self):
+        u = column_module(2)  # dimension 2 over M2, of dimension 4
+        with pytest.raises(ValueError, match="has length 1, expected 4"):
+            u.left_act([1], [1, 0])
+        with pytest.raises(ValueError, match="has length 3, expected 2"):
+            u.left_act([1, 0, 0, 0], [1, 0, 0])
+
+    def test_right_act(self):
+        u = column_module(2)
+        with pytest.raises(ValueError, match="has length 3, expected 2"):
+            u.right_act([1, 0, 0], [1, 0, 0, 0])
+        with pytest.raises(ValueError, match="has length 3, expected 4"):
+            u.right_act([1, 0], [1, 0, 0])
+
+
 class TestAnnihilator:
     def test_zero_actions_annihilated_by_everything(self):
         a = dual_numbers()
@@ -343,6 +371,17 @@ class TestUnit:
 
     def test_q_plus_q_unit(self):
         assert q_plus_q().unit() == [1, 1]
+
+
+def test_self_bimodule_is_built_once(corpus_pairs):
+    from modext.extension import trivial_extension
+
+    a = corpus_pairs[-1][1]  # M2
+    total = trivial_extension(a, a.self_bimodule()).total
+    for alg in (a, total):
+        u = alg.self_bimodule()
+        assert u is alg.self_bimodule()
+        assert (u.algebra, u.left, u.right) == (alg, alg.mul_tensor, alg.mul_tensor)
 
 
 def test_associativity_independent_oracle(corpus_pairs):

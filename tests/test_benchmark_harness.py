@@ -5,7 +5,8 @@ The tracer looks methods up by name (``Algebra.associativity_report``,
 workloads read attributes such as ``Element.coords``, ``mul_tensor``,
 ``LinearMap`` and the raw ``Subspace(...)`` constructor.  A deletion that
 removes one of them shows up here, not only as failed benchmark
-operations.  Nothing under perfbench/ is changed by this test.
+operations.  A traced der-ladder pass also pins the Leibniz system the
+benchmark measures.  Nothing under perfbench/ is changed by these tests.
 """
 
 from pathlib import Path
@@ -29,3 +30,23 @@ def test_tracer_installs_and_one_verify_mix_pass_succeeds(monkeypatch):
     w.one_pass()
     assert w.attempted > 0
     assert w.failed == 0
+
+
+def test_traced_der_ladder_pass_keeps_the_system_shape(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import der_ladder
+    import tracer
+
+    t = tracer.Tracer()
+    w = der_ladder.Workload(modext, 1)
+    try:
+        w.start_trace(t)
+        w.one_pass()
+    finally:
+        t.uninstall()
+    assert w.failed == 0
+    layers = w.layers(t)
+    shape = [layers["derivations.system_" + k] for k in ("rows", "cols", "nnz")]
+    assert shape == [13048, 1092, 27315]
+    assert layers["linalg.rank"] == 998
+    assert layers["linalg.max_entry_bits"] == 66

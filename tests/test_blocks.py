@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from modext.blocks import (
     inner_witness,
     split_d1_d2,
 )
+import modext.derivations as derivations
+from modext.constructions import lift
 from modext.derivations import inner_derivation, is_derivation
 from modext.extension import trivial_extension
 from modext.linalg import Matrix, unit_vec, vec_add, zero_vec
@@ -279,3 +282,68 @@ class TestInnerWitness:
         )
         with pytest.raises(AssertionError, match="witness"):
             inner_witness(t, d)
+
+
+def _comparable(out):
+    """A report as its checks, a construction result as its report and map,
+    a map as its matrix and an element as its coordinates."""
+    if hasattr(out, "checks"):
+        return [(c.name, c.passed, c.witness, c.note) for c in out.checks]
+    if hasattr(out, "verification"):
+        return _comparable(out.verification), out.derivation.matrix
+    if isinstance(out, tuple):
+        return tuple(map(_comparable, out))
+    return getattr(out, "matrix", getattr(out, "coords", out))
+
+
+def _outcome(f, *args):
+    """What f(*args) returned, or the HypothesisError it raised, comparably."""
+    try:
+        return _comparable(f(*args))
+    except HypothesisError as e:
+        return "HypothesisError", str(e), _comparable(e.report)
+
+
+class TestChecksBuildNoSystem:
+    def test_reports_unchanged_with_the_system_builders_raising(self, monkeypatch):
+        # every check reads the terms of the identity, never the Leibniz
+        # system: with its builders patched to raise in every modext module
+        # that holds them, the reports are the same
+        calls = []
+        for a in (dual_numbers(), matrix_units(2)):
+            u = a.self_bimodule()
+            t = trivial_extension(a, u)
+            tot, tsb = t.total, t.total.self_bimodule()
+            ident = LinearMap.identity(tot)
+            # the lift of a derivation A -> U; not inner for the dual numbers
+            delta = derivations.derivation_space(a, u).basis[-1]
+            lifted = assemble(t, BlockDecomposition(delta2=delta))
+            calls += [
+                (is_derivation, a, u, delta),
+                (is_derivation, a, u, LinearMap.identity(a)),
+                (is_derivation, tot, tsb, lifted),
+                (is_derivation, tot, tsb, ident),
+                (check_block_conditions, t, blocks_of(t, lifted)),
+                (check_block_conditions, t, blocks_of(t, ident)),
+                (split_d1_d2, t, lifted),
+                (split_d1_d2, t, ident),
+                (inner_witness, t, lifted),
+                (inner_witness, t, ident),
+                (lift, t, delta),
+                (lift, t, LinearMap.identity(a)),
+            ]
+        before = [_outcome(*call) for call in calls]
+        assert before[8] is None  # inner_witness of the dual numbers' lift
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check built the Leibniz system")
+
+        for original in (derivations.leibniz_rows, derivations.LeibnizSystem):
+            for modname, mod in list(sys.modules.items()):
+                if modname == "modext" or modname.startswith("modext."):
+                    for key, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, key, refuse)
+        with pytest.raises(AssertionError, match="built the Leibniz system"):
+            derivations.derivation_space(dual_numbers(), dual_numbers().self_bimodule())
+        assert [_outcome(*call) for call in calls] == before

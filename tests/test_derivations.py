@@ -6,11 +6,13 @@ import pytest
 from modext.algebra import Algebra, LinearMap
 from modext.derivations import (
     LeibnizSystem,
+    _failing_pairs,
     derivation_space,
     h1_dimension,
     inner_derivation,
     inner_space,
     is_derivation,
+    leibniz_rows,
 )
 from modext.linalg import Matrix, Subspace, nullspace, rank, rref, solve, unit_vec
 from modext.samples import (
@@ -28,6 +30,7 @@ from oracles import (
     inner_dim,
     leibniz_first_failure,
     leibniz_holds,
+    leibniz_pair_sides,
     tensors_of,
 )
 
@@ -78,6 +81,54 @@ class TestIsDerivation:
                     assert rep.failures()[0].witness == expected, name
                 verdicts.append(rep.passed)
         assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def _random_maps(rng, basis, size):
+    """Members of the span of basis, each also with one entry changed, and
+    random maps, as flat entry vectors of the given size."""
+    out = []
+    for _ in range(3):
+        flat = [0] * size
+        for k in basis:
+            c = rng.randint(-2, 2)
+            flat = [x + c * y for x, y in zip(flat, k)]
+        out.append(flat)
+        if size:
+            flat = list(flat)
+            flat[rng.randrange(size)] += rng.choice([-1, 1, 2])
+            out.append(flat)
+    out += [[rng.choice([0, 0, 1, -1]) for _ in range(size)] for _ in range(2)]
+    return out
+
+
+class TestOneStatementOfTheIdentity:
+    def test_failing_pairs_are_the_rows_with_a_residual(self, corpus_der_t):
+        # the check and the solver's rows read the same terms: the pairs the
+        # check reports are exactly those whose rows have a nonzero residual,
+        # and each pair's sides are the naive evaluation
+        rng = random.Random(59)
+        counts = [0, 0]
+        for name, a, u, t, der_t in corpus_der_t:
+            tsb = t.total.self_bimodule()
+            for alg, mod, der in ((a, u, derivation_space(a, u)), (t.total, tsb, der_t)):
+                m, n = alg.dim, mod.dim
+                rows = list(leibniz_rows(alg, mod))
+                mul, left, right = tensors_of(alg, mod)
+                basis = [d.matrix.flatten() for d in der.basis]
+                for flat in _random_maps(rng, basis, m * n):
+                    residual = {divmod(r // n, m) for r, row in enumerate(rows)
+                                if sum(c * flat[col] for col, c in row)}
+                    failures = list(_failing_pairs(alg, mod, flat))
+                    assert [pair for pair, _, _ in failures] == sorted(residual), name
+                    d = Matrix.unflatten(n, m, flat)
+                    for (i, j), lhs, rhs in failures:
+                        assert (lhs, rhs) == leibniz_pair_sides(mul, left, right, d.data, i, j)
+                    rep = is_derivation(alg, mod, LinearMap(alg, mod, d))
+                    assert rep.passed == (not failures), name
+                    if failures:
+                        assert rep.failures()[0].witness == failures[0], name
+                    counts[bool(failures)] += 1
+        assert min(counts) >= 100, counts
 
 
 class TestDerivationSpace:
