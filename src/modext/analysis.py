@@ -8,7 +8,7 @@ is re-verified to be a nilpotent two-sided ideal.
 Simplicity (equivalently primeness, for finite-dimensional algebras)
 is decided through the center: a semisimple algebra is simple iff the
 minimal polynomial of a generic central element has degree dim Z and is
-irreducible over Q.
+irreducible over Q.  sympy does the factoring and is imported only then.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
-
-import sympy
 
 from .algebra import Algebra, Bimodule, LinearMap, _combine, block_tensor, coordinates
 from .derivations import LeibnizSystem, inner_map
@@ -207,6 +205,8 @@ def poly_eval_in_algebra(a: Algebra, poly: Polynomial, x) -> Vector:
 
 def _factor_over_q(poly: Polynomial):
     """Irreducible factorization over Q via sympy; [(coeffs, mult), ...]."""
+    import sympy  # only here: every other command runs without loading it
+
     t = sympy.Symbol("t")
     expr = sum(
         sympy.Rational(c.numerator, c.denominator) * t**k

@@ -2,9 +2,9 @@
 
 Everything is desk scale (dimension at most four), which is enough to
 exercise every identity in the toolkit: a simple algebra (matrix
-units), commutative algebras with and without nilpotents, a
-non-commutative non-semisimple algebra (upper triangular), and the
-degenerate zero-product algebras.
+units), commutative algebras with and without nilpotents, the
+separable group algebras Q[C_n], a non-commutative non-semisimple
+algebra (upper triangular), and the degenerate zero-product algebras.
 """
 
 from __future__ import annotations
@@ -59,6 +59,15 @@ def matrix_units(n: int) -> Algebra:
                         mul[i * n + j][k * n + l][i * n + l] = Fraction(1)
     names = ["E%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
     return Algebra(mul, basis_names=names)
+
+
+def cyclic_group_algebra(n: int) -> Algebra:
+    """Q[C_n], basis (g^0, ..., g^(n-1)) with g^i g^j = g^((i+j) mod n)."""
+    mul = _zero_tensor(n, n, n)
+    for i in range(n):
+        for j in range(n):
+            mul[i][j][(i + j) % n] = Fraction(1)
+    return Algebra(mul, basis_names=["g^%d" % i for i in range(n)])
 
 
 def upper_triangular_2() -> Algebra:

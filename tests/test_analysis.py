@@ -1,9 +1,12 @@
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from modext.analysis import (
     Polynomial,
+    _factor_over_q,
     center,
     find_surjective_left_hom,
     is_idempotent,
@@ -15,10 +18,12 @@ from modext.analysis import (
     unitization,
 )
 from modext.algebra import Algebra, LinearMap, annihilator, is_module_hom
+from modext.derivations import derivation_space
 from modext.extension import quotient_algebra, trivial_extension
 from modext.linalg import Matrix, Subspace, rank, unit_vec, zero_vec
 from modext.samples import (
     column_module,
+    cyclic_group_algebra,
     dual_numbers,
     field_q,
     matrix_units,
@@ -199,6 +204,63 @@ class TestSimplePrime:
         rep = is_simple_prime(Algebra([]))
         assert (rep.simple, rep.prime) == (False, False)
         assert rep.evidence == {"reason": "zero algebra"}
+
+
+def _degree(factor: str) -> int:
+    """Degree of a factor as is_simple_prime renders it ("t^2 - t + 1")."""
+    powers = [int(k) for k in re.findall(r"t\^(\d+)", factor)]
+    return max(powers, default=1 if "t" in factor else 0)
+
+
+class TestCyclicGroupAlgebra:
+    """Q[C_n] = Q[t]/(t^n - 1), the product of the fields Q(zeta_d), d | n."""
+
+    CYCLOTOMIC = {
+        1: "t - 1",
+        2: "t + 1",
+        3: "t^2 + t + 1",
+        4: "t^2 + 1",
+        5: "t^4 + t^3 + t^2 + t + 1",
+        6: "t^2 - t + 1",
+    }
+
+    @staticmethod
+    def divisors(n):
+        return [d for d in range(1, n + 1) if n % d == 0]
+
+    @staticmethod
+    def phi(d):
+        return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_separable_commutative_invariants(self, n):
+        a = cyclic_group_algebra(n)
+        assert radical(a).radical.dim == 0
+        assert center(a).dim == n
+        # commutative and separable: every derivation into A vanishes
+        assert derivation_space(a, a.self_bimodule()).dim == 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_irreducible_factor_per_divisor(self, n):
+        rep = is_simple_prime(cyclic_group_algebra(n))
+        assert rep.simple is (n == 1) and rep.prime is (n == 1)
+        assert rep.evidence["center_dim"] == n
+        factors = rep.evidence["factors"]
+        assert all(mult == 1 for _, mult in factors)
+        assert sorted(_degree(f) for f, _ in factors) == sorted(
+            self.phi(d) for d in self.divisors(n)
+        )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_generator_factors_into_cyclotomic_polynomials(self, n):
+        a = cyclic_group_algebra(n)
+        poly = min_poly(a, unit_vec(n, 1 % n))  # g, which is 1 when n = 1
+        assert str(poly) == ("t^%d - 1" % n if n > 1 else "t - 1")
+        factors = _factor_over_q(poly)
+        assert sorted(str(f) for f, _ in factors) == sorted(
+            self.CYCLOTOMIC[d] for d in self.divisors(n)
+        )
+        assert all(mult == 1 for _, mult in factors)
 
 
 class TestSurjectiveLeftHom:

@@ -1,0 +1,87 @@
+"""Cold start: sympy is loaded only when a minimal polynomial is factored.
+
+Each case runs in a fresh interpreter with ``PYTHONPATH=src``, so that
+nothing the test session imported can leak into ``sys.modules``.  The
+commands are the criterion-8 commands; their stdout is also compared
+with the golden digest in perfbench/cli_expected.json.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CHILD = """
+import contextlib, hashlib, io, json, sys
+case = json.loads(sys.argv[1])
+code = digest = None
+if isinstance(case, str):
+    __import__(case)
+else:
+    from modext.cli import main
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(case)
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+print(json.dumps({"code": code, "digest": digest, "sympy": "sympy" in sys.modules}))
+"""
+
+WITHOUT_SYMPY = [
+    ["validate", "data/dual_numbers.json"],
+    ["validate", "data/m2.json"],
+    ["validate", "data/zero_product2.json"],
+    ["der", "data/dual_numbers.json", "--inner", "--h1"],
+    ["der", "data/m2.json", "--inner", "--h1"],
+    ["decompose", "data/dual_numbers.json", "--map", "D"],
+    ["decompose", "data/m2.json", "--map", "D"],
+    ["construct", "lift", "data/dual_numbers.json"],
+    ["construct", "transport", "data/transport.json"],
+    ["construct", "quotient", "data/upper_triangular.json"],
+    ["construct", "corner", "data/m2.json"],
+    ["analyze", "data/dual_numbers.json", "--radical", "--unit", "--submult"],
+]
+FACTORS = ["analyze", "data/m2.json", "--simple", "--annihilator"]
+
+
+def run_fresh(case):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("MODEXT_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(case)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def expected_digest(argv):
+    expected = json.loads(
+        (ROOT / "perfbench" / "cli_expected.json").read_text(encoding="utf-8")
+    )
+    return expected[" ".join(argv)]
+
+
+@pytest.mark.parametrize("module", ["modext", "modext.cli"])
+def test_import_leaves_sympy_unloaded(module):
+    assert run_fresh(module)["sympy"] is False
+
+
+@pytest.mark.parametrize("argv", WITHOUT_SYMPY, ids=" ".join)
+def test_command_leaves_sympy_unloaded(argv):
+    got = run_fresh(argv)
+    assert got["sympy"] is False
+    assert got["code"] == 0
+    assert got["digest"] == expected_digest(argv)
+
+
+def test_simple_on_a_semisimple_algebra_loads_sympy():
+    got = run_fresh(FACTORS)
+    assert got["sympy"] is True
+    assert got["code"] == 0
+    assert got["digest"] == expected_digest(FACTORS)
