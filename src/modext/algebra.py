@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .linalg import (
@@ -90,10 +91,20 @@ def _bilinear(table, x: Vector, y: Vector, dims) -> Vector:
     return out
 
 
+def _integer_tables(*tables) -> list:
+    """The sparse tables times one common denominator of their constants.
+    An identity homogeneous of degree 2 in the constants, as each axiom
+    is, holds on these integer tables exactly when on the rational ones."""
+    den = lcm(*(c.denominator for table in tables for plane in table
+                for entries in plane for _, c in entries))
+    return [[[[(k, c.numerator * (den // c.denominator)) for k, c in entries]
+              for entries in plane] for plane in table] for table in tables]
+
+
 def _associator(xy, xy_z, yz, x_yz, i: int, j: int, k: int, dim: int):
     """((x_i y_j) z_k, x_i (y_j z_k)) in dimension dim, from the sparse
     tables of the inner products xy, yz and the outer ones xy_z, x_yz."""
-    lhs, rhs = zero_vec(dim), zero_vec(dim)
+    lhs, rhs = [0] * dim, [0] * dim  # int zeros: sums of ints stay ints
     for s, c in xy[i][j]:
         for r, d in xy_z[s][k]:
             lhs[r] += c * d
@@ -162,10 +173,12 @@ class Algebra:
     def associativity_report(self) -> ConditionReport:
         rep = ConditionReport("associativity")
         n, t = self.dim, self.mul_table
+        (z,) = _integer_tables(t)
         for i, j, k in product(range(n), repeat=3):
-            lhs, rhs = _associator(t, t, t, t, i, j, k, n)
+            lhs, rhs = _associator(z, z, z, z, i, j, k, n)
             if lhs != rhs:
-                rep.add("associativity", False, witness=((i, j, k), lhs, rhs))
+                witness = map(vec, _associator(t, t, t, t, i, j, k, n))
+                rep.add("associativity", False, witness=((i, j, k), *witness))
                 return rep
         rep.add("associativity", True, note="%d identities hold" % n**3)
         return rep
@@ -245,17 +258,21 @@ class Bimodule:
         rep = ConditionReport("bimodule axioms")
         a = self.algebra
         m, n = a.dim, self.dim
-        mul, left, right = a.mul_table, self.left_table, self.right_table
+        tables = a.mul_table, self.left_table, self.right_table
+
+        def identities(mul, left, right):  # (name, indices, sides) at (i, j, t)
+            yield "(ab)u = a(bu)", (i, j, t), _associator(mul, left, left, left, i, j, t, n)
+            # x(yz) = (xy)z with x = u: the associator's sides swapped
+            yield ("u(ab) = (ua)b", (t, i, j),
+                   _associator(right, right, mul, right, t, i, j, n)[::-1])
+            yield "(au)b = a(ub)", (i, t, j), _associator(left, right, right, left, i, t, j, n)
+
+        integer = _integer_tables(*tables)
         for i, j, t in product(range(m), range(m), range(n)):
-            for name, indices, (lhs, rhs) in (
-                ("(ab)u = a(bu)", (i, j, t), _associator(mul, left, left, left, i, j, t, n)),
-                # x(yz) = (xy)z with x = u: the associator's sides swapped
-                ("u(ab) = (ua)b", (t, i, j),
-                 _associator(right, right, mul, right, t, i, j, n)[::-1]),
-                ("(au)b = a(ub)", (i, t, j), _associator(left, right, right, left, i, t, j, n)),
-            ):
+            for r, (_, _, (lhs, rhs)) in enumerate(identities(*integer)):
                 if lhs != rhs:
-                    rep.add(name, False, witness=(indices, lhs, rhs))
+                    name, indices, sides = list(identities(*tables))[r]
+                    rep.add(name, False, witness=(indices, *map(vec, sides)))
                     return rep
         rep.add("compatibility", True, note="%d triples checked" % (3 * m * m * n))
         # Unital action is recorded but not required: perfectly good

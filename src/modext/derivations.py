@@ -4,12 +4,14 @@ A linear map D: A -> U is a derivation when D(ab) = a D(b) + D(a) b.  On
 basis pairs this is a linear system in the entries of D's matrix; the
 derivation space is its exact nullspace.  The identity is written down
 once, as the terms of its two sides at each basis pair
-(``_leibniz_terms``).  ``leibniz_rows`` sums them into the sparse rows
-that ``LeibnizSystem.matrix`` holds for the kernel and the certificate of
-``derivation_space``; ``is_derivation`` and the C1-C6 checker in
-``blocks`` sum them into the two sides on D's entries, so no check
-builds the system.  Inner derivations are the image of the inner map
-x -> (a -> a x - x a); its kernel on A itself is the center.
+(``_leibniz_terms``).  ``leibniz_rows`` sums them into the sparse rows of
+``LeibnizSystem.matrix``, all of them kept; ``nullspace`` drops the empty
+and repeated ones, picks its row basis mod a prime and certifies the
+basis by a zero integer residual on every row.  ``is_derivation`` and
+the C1-C6 checker in ``blocks`` sum the terms into the two sides on D's
+entries, so no check builds the system.  Inner derivations are the image
+of the sparse inner map x -> (a -> a x - x a), read off the nonzero
+action constants; its kernel on A itself is the center.
 
 Row order of the Leibniz system is lexicographic in (i, j, k); columns
 are D's matrix entries in row-major order.  Both are fixed so computed
@@ -130,32 +132,14 @@ def is_derivation(a: Algebra, u: Bimodule, f: LinearMap) -> ConditionReport:
 
 
 def derivation_space(a: Algebra, u: Bimodule) -> DerivationSpace:
-    """All derivations A -> U, as the nullspace of the Leibniz system.
-
-    Certificate: each basis vector k has zero residual S k on every row of
-    the system S that was solved.  S is indexed by column once, so each
-    residual is summed over the nonzeros of k only; a row that meets none
-    of them has residual 0.
-    """
+    """All derivations A -> U, as the nullspace of the Leibniz system."""
     system = LeibnizSystem(a, u)
     ker = nullspace(system.matrix)
-    by_col = [[] for _ in range(system.matrix.cols)]
-    for r, row in enumerate(system.matrix.data):
-        for col, c in row:
-            by_col[col].append((r, c))
-    for k in ker.basis:
-        residual = {}
-        for col, x in enumerate(k):
-            if x:
-                for r, c in by_col[col]:
-                    residual[r] = residual.get(r, 0) + c * x
-        if any(residual.values()):
-            raise AssertionError("nullspace vector has a nonzero Leibniz residual")
     basis = [LinearMap(a, u, Matrix.unflatten(u.dim, a.dim, k)) for k in ker.basis]
     return DerivationSpace(system, basis)
 
 
-def inner_map(a: Algebra, u: Bimodule) -> Matrix:
+def inner_map(a: Algebra, u: Bimodule) -> SparseMatrix:
     """The linear map x -> ad_x from U into flattened Hom(A, U).
 
     Column s is the flattened matrix of ad_{u_s}: b -> b u_s - u_s b, so
@@ -164,11 +148,13 @@ def inner_map(a: Algebra, u: Bimodule) -> Matrix:
     if u.algebra is not a:
         raise ValueError("module is not over the given algebra")
     m, n = a.dim, u.dim
-    return Matrix(n * m, n, [
-        [u.left[i][s][k] - u.right[s][i][k] for s in range(n)]
-        for k in range(n)
-        for i in range(m)
-    ])
+    rows = [{} for _ in range(n * m)]
+    for i, s in product(range(m), range(n)):
+        for k, c in u.left_table[i][s]:
+            rows[k * m + i][s] = c
+        for k, c in u.right_table[s][i]:
+            rows[k * m + i][s] = rows[k * m + i].get(s, 0) - c
+    return SparseMatrix(n * m, n, [[(s, c) for s, c in row.items() if c] for row in rows])
 
 
 def inner_derivation(a: Algebra, u: Bimodule, x) -> LinearMap:
@@ -180,7 +166,7 @@ def inner_derivation(a: Algebra, u: Bimodule, x) -> LinearMap:
 
 def inner_space(a: Algebra, u: Bimodule) -> Subspace:
     """Image of the inner map x -> ad_x inside flattened Hom(A, U)."""
-    return Subspace.from_vectors(a.dim * u.dim, inner_map(a, u).transpose().data)
+    return Subspace.row_space(inner_map(a, u).transpose())
 
 
 def h1_dimension(a: Algebra, u: Bimodule) -> int:

@@ -1,24 +1,23 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: ``fractions.Fraction`` and
+Python ints, no floats, no tolerances.
 
-Everything here is built on ``fractions.Fraction``: no floats, no
-tolerances.  Vectors and matrices are dense lists, but the systems
-solved are very sparse (the Leibniz system of T(M3, M3) is 5832 x 324
-with 3,951 nonzeros), so there is one elimination kernel, ``_echelon``,
-and it reads each row as ``(column, value)`` pairs: a dense ``Matrix``
-hands it ``enumerate`` of each row, and a ``SparseMatrix`` hands it its
-stored nonzeros, so the Leibniz system is never written out densely.
-The kernel works fraction-free on primitive integer rows: each row's
-denominators are cleared and its content divided out, a column is
-cancelled from a row by ``a*row - b*pivot`` with a and b reduced by
-their gcd, and the result is made primitive again (Bareiss, Math. Comp.
-22, 1968), so entries stay small.  Rationals come back only at the end,
-by one division per entry by its row's pivot.
+Vectors and matrices are dense lists, but the systems solved are very
+sparse, so there is one elimination loop, ``_echelon``, on sparse rows: a
+``Matrix`` hands it ``enumerate`` of each row, a ``SparseMatrix`` its
+stored nonzeros.  Each row is read once as a primitive integer row, first
+entry positive, and empty and repeated rows are dropped (the Leibniz
+system of T(M3, M3) has 5,832 rows, 810 of them distinct).  The loop
+takes its row arithmetic as a parameter, under one pivot rule: primitive
+integers, cancelling by ``a*row - b*pivot`` with a, b reduced by their
+gcd (Bareiss, Math. Comp. 22, 1968), or residues mod PRIME.
 
-``rref``, ``rank``, ``nullspace``, ``solve`` and ``Subspace`` all go
-through that kernel.  The reduced row echelon form of a matrix is
-unique, so the pivot order the kernel picks for speed never shows in a
-result: every canonical basis is the same as plain Gauss-Jordan would
-give, entry by entry, and equal objects compare equal.
+``nullspace`` picks its row basis mod PRIME, eliminates exactly over
+those rows, and certifies the kernel by a zero integer residual on every
+distinct row (Dixon, Numer. Math. 40, 1982); ``rref``, ``rank``,
+``solve`` and ``Subspace`` eliminate exactly.  Rationals come back only
+at the end, one division per entry by its row's pivot.  The reduced row
+echelon form is unique, so the rows and pivot order the kernel picks
+never show: every canonical basis is the one plain Gauss-Jordan gives.
 """
 
 from __future__ import annotations
@@ -31,6 +30,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 Vector = list  # list[Fraction]
 
 _ZERO = Fraction(0)  # the one zero that zero_vec shares, skipped by identity
+
+PRIME = 2**31 - 1  # the modulus of nullspace's row basis; residue products < 2^62
 
 
 def frac(x) -> Fraction:
@@ -184,6 +185,19 @@ class SparseMatrix(NamedTuple):
     def pairs(self):
         return self.data
 
+    def apply(self, v: Vector) -> Vector:
+        """The product with v, summed over the nonzeros of v only."""
+        if len(v) != self.cols:
+            raise ValueError("vector length does not match column count")
+        return [sum((a * v[c] for c, a in row if v[c]), Fraction(0)) for row in self.data]
+
+    def transpose(self) -> "SparseMatrix":
+        out = [[] for _ in range(self.cols)]
+        for r, row in enumerate(self.data):
+            for c, x in row:
+                out[c].append((r, x))
+        return SparseMatrix(self.cols, self.rows, out)
+
 
 class RrefResult(NamedTuple):
     reduced: Matrix
@@ -191,24 +205,25 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-def _primitive(row: dict) -> dict:
-    """The integer row divided by the gcd of its entries."""
-    g = gcd(*row.values())
-    return row if g == 1 else {c: x // g for c, x in row.items()}
+def _distinct_rows(data: Iterable[Iterable]) -> list:
+    """Primitive integer rows {column: int}, positive in their first
+    column: one per nonzero row of data (rows of (column, value) pairs) up
+    to a rational factor, in order of first appearance."""
+    distinct = {}
+    for row in filter(None, data):  # an empty sparse row has no pairs
+        nz = [(c, x) for c, x in row if x is not _ZERO and x]
+        if nz:
+            den = lcm(*[x.denominator for _, x in nz])
+            out = {c: x.numerator * (den // x.denominator) for c, x in nz}
+            g = gcd(*out.values()) * (1 if out[min(out)] > 0 else -1)
+            if g != 1:
+                out = {c: x // g for c, x in out.items()}
+            distinct.setdefault(frozenset(out.items()), out)
+    return list(distinct.values())
 
 
-def _integer_row(row) -> dict:
-    """The nonzeros {column: int} of a row of (column, rational) pairs,
-    scaled to be primitive."""
-    nz = [(c, x) for c, x in row if x is not _ZERO and x]
-    den = lcm(*(x.denominator for _, x in nz))
-    return _primitive({c: x.numerator * (den // x.denominator) for c, x in nz})
-
-
-def _cancel(row: dict, prow: dict, c: int) -> dict:
-    """Primitive a*row - b*prow with a, b chosen to clear column c."""
-    g = gcd(prow[c], row[c])
-    a, b = prow[c] // g, row[c] // g
+def _combination(row: dict, prow: dict, a: int, b: int) -> dict:
+    """a*row - b*prow, zeros left out."""
     out = dict(row) if a == 1 else {k: a * x for k, x in row.items()}
     for k, y in prow.items():
         x = out.get(k, 0) - b * y
@@ -216,51 +231,71 @@ def _cancel(row: dict, prow: dict, c: int) -> dict:
             out[k] = x
         else:
             del out[k]
-    return _primitive(out)
+    return out
 
 
-def _echelon(data: Iterable[Iterable], cols: int):
-    """Pivot columns and sparse rows {column: Fraction} of the RREF of data,
-    whose rows are iterables of (column, value) pairs.
+def _cancel(row: dict, prow: dict, c: int) -> dict:
+    """Primitive a*row - b*prow with a, b chosen to clear column c."""
+    g = gcd(prow[c], row[c])
+    out = _combination(row, prow, prow[c] // g, row[c] // g)
+    g = gcd(*out.values())
+    return out if g == 1 else {k: x // g for k, x in out.items()}
 
-    Fraction-free elimination on primitive integer rows: each column in
-    turn is cleared from the other live rows by the live row with the
-    fewest nonzeros (lowest index on ties), then back-substitution clears
-    every pivot column above its pivot.  Each entry is divided by its
-    row's pivot only at the end, so the rows come out with leading 1.
-    """
-    rows = [r for r in map(_integer_row, data) if r]
+
+def _monic(row: dict, c: int) -> dict:
+    """The residue row scaled mod PRIME to 1 at column c."""
+    inv = pow(row[c], -1, PRIME)
+    return {k: x * inv % PRIME for k, x in row.items()}
+
+
+def _cancel_mod_p(row: dict, prow: dict, c: int) -> dict:
+    """row - row[c] * prow mod PRIME, for a prow that is 1 at column c."""
+    return {k: r for k, x in _combination(row, prow, 1, row[c]).items() if (r := x % PRIME)}
+
+
+def _echelon(rows: list, cols: int, prepare=lambda row, c: row, cancel=_cancel):
+    """Forward elimination: (pivots, picked, done), where row picked[j] of
+    rows, made ready once by prepare, cleared column pivots[j] from the
+    other live rows by cancel and ended as done[j].  Each column's pivot
+    is the live row with the fewest nonzeros, lowest index on ties."""
+    rows = list(rows)
     where = [set() for _ in range(cols)]  # column -> live rows nonzero there
     for i, row in enumerate(rows):
         for c in row:
             where[c].add(i)
-    pivots, done = [], []
+    pivots, picked, done = [], [], []
     for c in range(cols):
         if not where[c]:
             continue
         p = min(where[c], key=lambda i: (len(rows[i]), i))
-        prow = rows[p]
+        prow = prepare(rows[p], c)
         for k in prow:
             where[k].discard(p)
         for i in list(where[c]):
             row = rows[i]
-            rows[i] = new = _cancel(row, prow, c)
+            rows[i] = new = cancel(row, prow, c)
             for k in row.keys() - new.keys():
                 where[k].discard(i)
             for k in new.keys() - row.keys():
                 where[k].add(i)
         pivots.append(c)
+        picked.append(p)
         done.append(prow)
+    return pivots, picked, done
+
+
+def _rref(rows: list, cols: int):
+    """Pivot columns and rows {column: Fraction} of the RREF of integer
+    rows.  Back-substitution, last pivot first, adds only free columns to
+    a row, so the rows holding each pivot column are indexed once."""
+    pivots, _, done = _echelon(rows, cols)
+    holders = SparseMatrix(len(done), cols, [row.items() for row in done]).transpose().data
     for j in range(len(done) - 1, 0, -1):
-        c, prow = pivots[j], done[j]
-        for i in range(j):
-            if c in done[i]:
-                done[i] = _cancel(done[i], prow, c)
-    reduced = []
-    for c, row in zip(pivots, done):
-        q = row[c]
-        reduced.append({k: Fraction(x, q) for k, x in row.items()})
-    return pivots, reduced
+        for i, _ in holders[pivots[j]]:
+            if i != j:
+                done[i] = _cancel(done[i], done[j], pivots[j])
+    return pivots, [{k: Fraction(x, row[c]) for k, x in row.items()}
+                    for c, row in zip(pivots, done)]
 
 
 def _dense(row: dict, cols: int) -> Vector:
@@ -272,36 +307,61 @@ def _dense(row: dict, cols: int) -> Vector:
 
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form, with pivot columns and rank."""
-    pivots, rows = _echelon(m.pairs(), m.cols)
+    pivots, rows = _rref(_distinct_rows(m.pairs()), m.cols)
     dense = [_dense(row, m.cols) for row in rows]
     dense += [zero_vec(m.cols) for _ in range(m.rows - len(rows))]
     return RrefResult(Matrix(m.rows, m.cols, dense), pivots, len(pivots))
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(m.pairs(), m.cols)[0])
+    return len(_echelon(_distinct_rows(m.pairs()), m.cols)[0])
+
+
+def _kernel_vectors(pivots: list, rows: list, cols: int) -> list:
+    """One kernel vector {column: value} of the RREF rows per free column
+    f: 1 at f and minus the f entry of each row at that row's pivot."""
+    taken = set(pivots)
+    vectors = {f: {f: 1} for f in range(cols) if f not in taken}
+    for p, row in zip(pivots, rows):
+        for k, x in row.items():
+            if k in vectors:
+                vectors[k][p] = -x
+    return list(vectors.values())
+
+
+def _annihilates(rows: list, vectors: SparseMatrix) -> bool:
+    """Whether every integer row has zero product with every integer row
+    of vectors, each product summed over the nonzeros of that row only."""
+    at = vectors.transpose().data  # column -> (vector, entry)
+    for row in rows:
+        products = [0] * vectors.rows
+        for c, a in row.items():
+            for j, x in at[c]:
+                products[j] += a * x
+        if any(products):
+            return False
+    return True
 
 
 def nullspace(m) -> "Subspace":
     """Canonical basis of the right kernel {x : m x = 0} of a Matrix or
     SparseMatrix.
 
-    One kernel vector per free column f: 1 at f and minus the f entry of
-    each reduced pivot row at that row's pivot, then put into RREF.
+    The rows picked as pivots mod PRIME are independent over Q, so the
+    kernel of those rows alone contains ker m; it is returned once every
+    distinct row of m has zero product with it, in integers.  If PRIME
+    divides a minor of m, that fails, and all rows are eliminated.
     """
-    pivots, rows = _echelon(m.pairs(), m.cols)
-    taken = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in taken:
-            continue
-        v = unit_vec(m.cols, f)
-        for p, row in zip(pivots, rows):
-            x = row.get(f)
-            if x:
-                v[p] = -x
-        basis.append(v)
-    return Subspace.from_vectors(m.cols, basis)
+    rows = _distinct_rows(m.pairs())
+    residues = [{c: x % PRIME for c, x in row.items() if x % PRIME} for row in rows]
+    picked = _echelon(residues, m.cols, _monic, _cancel_mod_p)[1]
+    for basis_rows in ([rows[i] for i in picked], rows):
+        kernel = _kernel_vectors(*_rref(basis_rows, m.cols), m.cols)
+        kernel = _distinct_rows(v.items() for v in kernel)  # integer vectors
+        kernel = SparseMatrix(len(kernel), m.cols, [list(v.items()) for v in kernel])
+        if _annihilates(rows, kernel):
+            return Subspace.row_space(kernel)
+    raise AssertionError("nullspace vector has a nonzero residual")
 
 
 def solve(m: Matrix, b: Vector) -> Optional[Vector]:
@@ -309,7 +369,7 @@ def solve(m: Matrix, b: Vector) -> Optional[Vector]:
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
     aug = (chain(row, ((m.cols, frac(bi)),)) for row, bi in zip(m.pairs(), b))
-    pivots, rows = _echelon(aug, m.cols + 1)
+    pivots, rows = _rref(_distinct_rows(aug), m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         return None
     x = zero_vec(m.cols)
@@ -355,12 +415,15 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
         """The span of any vectors, with its basis put into RREF."""
-        vectors = [vec(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        _, rows = _echelon(map(enumerate, vectors), ambient_dim)
-        return cls(ambient_dim, [_dense(row, ambient_dim) for row in rows])
+        if any(len(v) != ambient_dim for v in vectors):
+            raise ValueError("vector length does not match ambient dimension")
+        return cls.row_space(Matrix(len(vectors), ambient_dim, vectors))
+
+    @classmethod
+    def row_space(cls, m) -> "Subspace":
+        """The span of the rows of a Matrix or SparseMatrix."""
+        rows = _rref(_distinct_rows(m.pairs()), m.cols)[1]
+        return cls(m.cols, [_dense(row, m.cols) for row in rows])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

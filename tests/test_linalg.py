@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modext import linalg
 from modext.linalg import (
+    PRIME,
     Matrix,
     SparseMatrix,
     Subspace,
@@ -64,6 +66,31 @@ class TestNullspace:
         m = M([[1, 2, 3], [4, 5, 6]])
         for v in nullspace(m).basis:
             assert all(x == 0 for x in m.apply(v))
+
+
+class TestModularRowBasis:
+    """nullspace picks its rows by elimination mod PRIME.  Where the rank
+    mod PRIME is below the rank over Q, the kernel of the picked rows is
+    too large, the certificate fails, and every row is eliminated again."""
+
+    @pytest.mark.parametrize("rows, verdicts", [
+        ([[PRIME]], [True]),
+        ([[PRIME, 1], [0, 1]], [False, True]),
+        ([[1, 1], [1, 1 + PRIME]], [False, True]),
+        ([[PRIME, 0, 1], [0, PRIME, 1], [1, 1, 0]], [False, True]),
+    ])
+    def test_kernel_is_the_dense_one_after_the_certificate(self, rows, verdicts,
+                                                             monkeypatch):
+        seen = []
+        real = linalg._annihilates
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(linalg, "_annihilates", spy)
+        assert nullspace(M(rows)).basis == dense_nullspace(rows)
+        assert seen == verdicts
 
 
 class TestSolve:
@@ -293,6 +320,45 @@ def test_solve_matches_dense_gauss_jordan(rows, rhs):
         want = [Fraction(0)] * cols
         for r, p in enumerate(pivots):
             want[p] = red[r][cols]
+        assert solve(M(rows), b) == want
+
+
+nonzero_factors = st.builds(lambda sign, p, q: Fraction(sign * p, q),
+                            st.sampled_from([1, -1]), st.integers(1, 6), st.integers(1, 4))
+
+
+@st.composite
+def repeated_row_matrices(draw):
+    """Matrices whose rows repeat up to three base rows, each time times a
+    nonzero rational of either sign, in any order.
+
+    Base entries may be multiples of PRIME or one past one, so that some
+    systems have a lower rank mod PRIME than over Q.
+    """
+    c = draw(st.integers(1, 6))
+    entries = st.one_of(small_rationals,
+                        st.sampled_from([PRIME, -PRIME, PRIME + 1, Fraction(1, PRIME)]))
+    base = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=1, max_size=3))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), nonzero_factors),
+                          min_size=1, max_size=8))
+    return [[f * x for x in base[i]] for i, f in picks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_row_matrices(), st.lists(small_rationals, min_size=8, max_size=8))
+def test_repeated_rows_match_dense_gauss_jordan_and_sympy(rows, rhs):
+    assert nullspace(M(rows)).basis == dense_nullspace(rows) == sympy_nullspace(rows)
+    red, pivots, _ = rref(M(rows))
+    assert (red.data, pivots) == dense_rref(rows)
+    b = rhs[: len(rows)]
+    aug, aug_pivots = dense_rref([row + [x] for row, x in zip(rows, b)])
+    cols = len(rows[0])
+    if cols in aug_pivots:
+        assert solve(M(rows), b) is None
+    else:
+        want = [Fraction(0)] * cols
+        for r, p in enumerate(aug_pivots):
+            want[p] = aug[r][cols]
         assert solve(M(rows), b) == want
 
 
