@@ -8,7 +8,7 @@ is re-verified to be a nilpotent two-sided ideal.
 Simplicity (equivalently primeness, for finite-dimensional algebras)
 is decided through the center: a semisimple algebra is simple iff the
 minimal polynomial of a generic central element has degree dim Z and is
-irreducible over Q.  sympy does the factoring and is imported only then.
+irreducible over Q.  sympy factors it, imported only for a degree above 1.
 """
 
 from __future__ import annotations
@@ -205,6 +205,8 @@ def poly_eval_in_algebra(a: Algebra, poly: Polynomial, x) -> Vector:
 
 def _factor_over_q(poly: Polynomial):
     """Irreducible factorization over Q via sympy; [(coeffs, mult), ...]."""
+    if poly.degree == 1:  # monic and linear: its own factor (a constant has none)
+        return [(poly, 1)]
     import sympy  # only here: every other command runs without loading it
 
     t = sympy.Symbol("t")

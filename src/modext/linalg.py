@@ -11,13 +11,15 @@ takes its row arithmetic as a parameter, under one pivot rule: primitive
 integers, cancelling by ``a*row - b*pivot`` with a, b reduced by their
 gcd (Bareiss, Math. Comp. 22, 1968), or residues mod PRIME.
 
-``nullspace`` picks its row basis mod PRIME, eliminates exactly over
-those rows, and certifies the kernel by a zero integer residual on every
-distinct row (Dixon, Numer. Math. 40, 1982); ``rref``, ``rank``,
-``solve`` and ``Subspace`` eliminate exactly.  Rationals come back only
-at the end, one division per entry by its row's pivot.  The reduced row
-echelon form is unique, so the rows and pivot order the kernel picks
-never show: every canonical basis is the one plain Gauss-Jordan gives.
+``nullspace`` picks its row basis mod PRIME from the ``cols`` sparsest
+distinct rows, eliminates exactly over the picked rows, certifies the
+kernel by a zero integer residual on every distinct row (Dixon, Numer.
+Math. 40, 1982) and adds the rows it rejects to the next pick; ``rref``,
+``rank``, ``solve`` and ``Subspace`` eliminate exactly.  Rationals come
+back only at the end, one division per entry by its row's pivot.  The
+reduced row echelon form is unique, so the rows and pivot order the
+kernel picks never show: every canonical basis is the one plain
+Gauss-Jordan gives.
 """
 
 from __future__ import annotations
@@ -329,39 +331,46 @@ def _kernel_vectors(pivots: list, rows: list, cols: int) -> list:
     return list(vectors.values())
 
 
-def _annihilates(rows: list, vectors: SparseMatrix) -> bool:
-    """Whether every integer row has zero product with every integer row
-    of vectors, each product summed over the nonzeros of that row only."""
+def _rejected(rows: list, vectors: SparseMatrix) -> list:
+    """Indices of the integer rows with a nonzero product with some integer
+    row of vectors, each product summed over the nonzeros of that row only."""
     at = vectors.transpose().data  # column -> (vector, entry)
-    for row in rows:
-        products = [0] * vectors.rows
+    out = []
+    for i, row in enumerate(rows):
+        products = {}  # vector -> product, for the vectors the row meets
         for c, a in row.items():
             for j, x in at[c]:
-                products[j] += a * x
-        if any(products):
-            return False
-    return True
+                products[j] = products.get(j, 0) + a * x
+        if any(products.values()):
+            out.append(i)
+    return out
 
 
 def nullspace(m) -> "Subspace":
     """Canonical basis of the right kernel {x : m x = 0} of a Matrix or
     SparseMatrix.
 
-    The rows picked as pivots mod PRIME are independent over Q, so the
-    kernel of those rows alone contains ker m; it is returned once every
-    distinct row of m has zero product with it, in integers.  If PRIME
-    divides a minor of m, that fails, and all rows are eliminated.
+    The first sample is the m.cols sparsest distinct rows.  Its rows picked
+    as pivots mod PRIME are independent over Q, so their kernel contains
+    ker m; it is returned once every distinct row has zero product with it,
+    in integers.  A rejected row joins the next sample; if the pick mod PRIME
+    stops growing, PRIME divides a minor of m, and all rows are eliminated.
     """
     rows = _distinct_rows(m.pairs())
     residues = [{c: x % PRIME for c, x in row.items() if x % PRIME} for row in rows]
-    picked = _echelon(residues, m.cols, _monic, _cancel_mod_p)[1]
-    for basis_rows in ([rows[i] for i in picked], rows):
-        kernel = _kernel_vectors(*_rref(basis_rows, m.cols), m.cols)
+    sample = sorted(range(len(rows)), key=lambda i: len(rows[i]))[: m.cols]
+    picked = []
+    while True:
+        pick = _echelon([residues[i] for i in sample], m.cols, _monic, _cancel_mod_p)[1]
+        picked = [sample[j] for j in pick] if len(pick) > len(picked) else range(len(rows))
+        kernel = _kernel_vectors(*_rref([rows[i] for i in picked], m.cols), m.cols)
         kernel = _distinct_rows(v.items() for v in kernel)  # integer vectors
         kernel = SparseMatrix(len(kernel), m.cols, [list(v.items()) for v in kernel])
-        if _annihilates(rows, kernel):
+        if not (rejected := _rejected(rows, kernel)):
             return Subspace.row_space(kernel)
-    raise AssertionError("nullspace vector has a nonzero residual")
+        if len(picked) == len(rows):
+            raise AssertionError("nullspace vector has a nonzero residual")
+        sample = picked + rejected
 
 
 def solve(m: Matrix, b: Vector) -> Optional[Vector]:

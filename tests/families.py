@@ -1,7 +1,10 @@
 """Algebra families past the dim <= 4 corpus, shared by the test modules."""
 
+import random
+
 from modext.algebra import Algebra
 from modext.extension import trivial_extension
+from modext.linalg import Matrix, rref, unit_vec
 
 
 def upper_triangular(n):
@@ -19,3 +22,20 @@ def upper_triangular(n):
 def self_extension(a):
     """The algebra T(A, A)."""
     return trivial_extension(a, a.self_bimodule()).total
+
+
+def basis_change(d, seed):
+    """A seeded invertible integer matrix P with entries in [-2, 2], and P^-1."""
+    rng = random.Random(seed)
+    while True:
+        p = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        r = rref(Matrix(d, 2 * d, [row + unit_vec(d, i) for i, row in enumerate(p)]))
+        if r.pivots[:d] == list(range(d)):  # [P | I] reduces to [I | P^-1]
+            return Matrix(d, d, p), Matrix(d, d, [row[d:] for row in r.reduced.data])
+
+
+def twin(a, p, q):
+    """A on the basis f_i = sum_k p[k][i] e_k, whose products are dense:
+    f_i f_j in e-coordinates, mapped to f-coordinates by q = p^-1."""
+    f = p.transpose().data  # row i: the e-coordinates of f_i
+    return Algebra([[q.apply(a.mul_vec(x, y)) for y in f] for x in f])

@@ -3,10 +3,14 @@
 Each case runs in a fresh interpreter with ``PYTHONPATH=src``, so that
 nothing the test session imported can leak into ``sys.modules``.  The
 commands are the criterion-8 commands; their stdout is also compared
-with the golden digest in perfbench/cli_expected.json.
+with the golden digest in perfbench/cli_expected.json.  The one command
+that factors (a semisimple algebra with dim Z = 2) is compared with the
+same command run in this process.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -14,6 +18,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from modext.cli import main
+from modext.io import algebra_to_document, save_file
+from modext.samples import q_plus_q
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,8 +53,8 @@ WITHOUT_SYMPY = [
     ["construct", "quotient", "data/upper_triangular.json"],
     ["construct", "corner", "data/m2.json"],
     ["analyze", "data/dual_numbers.json", "--radical", "--unit", "--submult"],
+    ["analyze", "data/m2.json", "--simple", "--annihilator"],  # dim Z = 1: degree 1
 ]
-FACTORS = ["analyze", "data/m2.json", "--simple", "--annihilator"]
 
 
 def run_fresh(case):
@@ -80,8 +88,18 @@ def test_command_leaves_sympy_unloaded(argv):
     assert got["digest"] == expected_digest(argv)
 
 
-def test_simple_on_a_semisimple_algebra_loads_sympy():
-    got = run_fresh(FACTORS)
+def test_simple_on_a_semisimple_algebra_loads_sympy(tmp_path, monkeypatch):
+    # Q x Q has dim Z = 2, so its minimal polynomial has degree 2 and is factored
+    path = tmp_path / "q_plus_q.json"
+    save_file(str(path), algebra_to_document(q_plus_q()))
+    argv = ["analyze", str(path), "--simple"]
+    got = run_fresh(argv)
     assert got["sympy"] is True
     assert got["code"] == 0
-    assert got["digest"] == expected_digest(FACTORS)
+    monkeypatch.delenv("MODEXT_SEED", raising=False)  # as in run_fresh
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    text = buf.getvalue()
+    assert "factors: [('t - 4', 1), ('t - 3', 1)]" in text
+    assert got["digest"] == hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -14,7 +14,8 @@ from modext.derivations import (
     is_derivation,
     leibniz_rows,
 )
-from modext.linalg import Matrix, nullspace, rank, rref, solve, unit_vec
+from modext import linalg
+from modext.linalg import Matrix, Subspace, nullspace, rank, rref, solve, unit_vec
 from modext.samples import (
     dual_numbers,
     matrix_units,
@@ -24,7 +25,7 @@ from modext.samples import (
     zero_product,
 )
 
-from families import self_extension, upper_triangular
+from families import basis_change, self_extension, twin, upper_triangular
 from oracles import (
     derivation_dim,
     inner_dim,
@@ -264,6 +265,48 @@ class TestTheoremFamilies:
         ]
         mul, left, right = tensors_of(a, u)
         assert leibniz_holds(mul, left, right, combination)
+
+
+def _twice(m):
+    """m (+) m: the basis change of T(A, A) made by m on both summands."""
+    d = m.rows
+    pad = [0] * d
+    return Matrix(2 * d, 2 * d, [row + pad for row in m.data] + [pad + row for row in m.data])
+
+
+class TestDenseTwins:
+    """Seeded basis-change twins A', so that no pin depends on a sparse
+    basis.  With p the change of basis and q = p^-1, Der A' is {q D p : D
+    in Der A}, and T(A', A') is T(A, A) changed by p on both summands.  The
+    first sample of nullspace's row basis is enough for Q[t]/(t^10)'; for
+    T(M2', M2') the certificate rejects rows and a second round is needed.
+    """
+
+    @pytest.mark.parametrize("build, extend, want_der, want_inn, rounds", [
+        (lambda: truncated_poly(10), False, 9, 0, 1),
+        (lambda: matrix_units(2), True, 7, 6, 2),
+    ], ids=["Q[t]/(t^10)'", "T(M2',M2')"])
+    def test_der_is_the_conjugate_of_the_untwisted_der(self, build, extend, want_der,
+                                                       want_inn, rounds, monkeypatch):
+        a = build()
+        p, q = basis_change(a.dim, seed=1)
+        dense = twin(a, p, q)
+        if extend:
+            a, dense, p, q = self_extension(a), self_extension(dense), _twice(p), _twice(q)
+        rejected = []
+        real = linalg._rejected
+
+        def spy(*args):
+            rejected.append(real(*args))
+            return rejected[-1]
+
+        monkeypatch.setattr(linalg, "_rejected", spy)
+        der = derivation_space(dense, dense.self_bimodule())
+        assert len(rejected) == rounds and not rejected[-1]
+        assert (der.dim, inner_space(dense, dense.self_bimodule()).dim) == (want_der, want_inn)
+        conjugates = [(q * d.matrix * p).flatten()
+                      for d in derivation_space(a, a.self_bimodule()).basis]
+        assert der.as_subspace() == Subspace.from_vectors(a.dim ** 2, conjugates)
 
 
 class TestLeibnizSystemShape:

@@ -69,26 +69,40 @@ class TestNullspace:
 
 
 class TestModularRowBasis:
-    """nullspace picks its rows by elimination mod PRIME.  Where the rank
-    mod PRIME is below the rank over Q, the kernel of the picked rows is
-    too large, the certificate fails, and every row is eliminated again."""
+    """nullspace picks its rows by elimination mod PRIME, from the m.cols
+    sparsest distinct rows first.  The certificate rejects each row outside
+    the span of the picked rows, and the next sample is the picked rows and
+    the rejected ones.  Where the rank mod PRIME is below the rank over Q,
+    the pick stops growing and every row is eliminated.  verdicts holds, per
+    round, the number of rows sampled mod PRIME, eliminated exactly, and
+    rejected by the certificate."""
 
     @pytest.mark.parametrize("rows, verdicts", [
-        ([[PRIME]], [True]),
-        ([[PRIME, 1], [0, 1]], [False, True]),
-        ([[1, 1], [1, 1 + PRIME]], [False, True]),
-        ([[PRIME, 0, 1], [0, PRIME, 1], [1, 1, 0]], [False, True]),
+        ([[PRIME]], [(1, 1, 0)]),
+        # rank mod PRIME below rank over Q: round 2 eliminates every row
+        ([[PRIME, 1], [0, 1]], [(2, 1, 1), (2, 2, 0)]),
+        ([[1, 1], [1, 1 + PRIME]], [(2, 1, 1), (2, 2, 0)]),
+        ([[PRIME, 0, 1], [0, PRIME, 1], [1, 1, 0]], [(3, 2, 1), (3, 3, 0)]),
+        # the 3 sparsest rows have rank 2: round 1 rejects only (1,1,1), and
+        # round 2 samples it with the 2 picked rows, not all 4 rows
+        ([[1, 1, 1], [1, 1, 0], [1, 0, 0], [0, 1, 0]], [(3, 2, 1), (3, 3, 0)]),
     ])
     def test_kernel_is_the_dense_one_after_the_certificate(self, rows, verdicts,
                                                              monkeypatch):
-        seen = []
-        real = linalg._annihilates
+        sizes, seen = {}, []
+        real_echelon, real_rejected = linalg._echelon, linalg._rejected
 
-        def spy(*args):
-            seen.append(real(*args))
-            return seen[-1]
+        def echelon_spy(basis_rows, cols, *arithmetic):
+            sizes["mod p" if arithmetic else "exact"] = len(basis_rows)
+            return real_echelon(basis_rows, cols, *arithmetic)
 
-        monkeypatch.setattr(linalg, "_annihilates", spy)
+        def rejected_spy(*args):
+            out = real_rejected(*args)
+            seen.append((sizes["mod p"], sizes["exact"], len(out)))
+            return out
+
+        monkeypatch.setattr(linalg, "_echelon", echelon_spy)
+        monkeypatch.setattr(linalg, "_rejected", rejected_spy)
         assert nullspace(M(rows)).basis == dense_nullspace(rows)
         assert seen == verdicts
 
