@@ -12,6 +12,15 @@ evaluated by one helper.  Structures derived from validated parts
 (T(A,U), the unitization, A/I, the corner A p) hold their axioms by
 construction; their builders pass the private ``_skip_check`` instead of
 verifying them again.
+
+Identities are checked in integers: each structure keeps its sparse
+tables times one common denominator of the constants
+(``integer_table``, ``integer_tables``), built by the axiom check or, for
+a structure built with ``_skip_check``, on first use.  An identity
+homogeneous in the constants and in the map it checks holds on those
+integer tables, with the map scaled to integers, exactly when on the
+rational ones; rationals come back only for a failing check's witness.
+A self-bimodule shares its algebra's tensor and table.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _dense,
+    _integer_row,
     frac,
     is_zero_vec,
     nullspace,
@@ -68,9 +79,32 @@ def _sparse(tensor) -> list:
             for plane in tensor]
 
 
+def _action(t, algebra: "Algebra", shape) -> tuple:
+    """(exact tensor, sparse table) of an action tensor of the given shape;
+    the algebra's own product tensor and table serve as they are."""
+    if t is algebra.mul_tensor and shape == (algebra.dim,) * 3:
+        return t, algebra.mul_table
+    t = _coerce_tensor(t, *shape)
+    return t, _sparse(t)
+
+
 def _check_length(x, dim: int):
     if len(x) != dim:
         raise ValueError("coordinate vector has length %d, expected %d" % (len(x), dim))
+
+
+def _product(table, x: dict, y: dict) -> dict:
+    """x y for sparse coordinates {index: value}, summed over the nonzero
+    entries of x and y and the constants of the sparse table only."""
+    out = {}
+    for i, xi in x.items():
+        plane = table[i]
+        for j, yj in y.items():
+            if entries := plane[j]:
+                xy = xi * yj
+                for k, c in entries:
+                    out[k] = out.get(k, 0) + xy * c
+    return {k: v for k, v in out.items() if v}
 
 
 def _bilinear(table, x: Vector, y: Vector, dims) -> Vector:
@@ -78,27 +112,24 @@ def _bilinear(table, x: Vector, y: Vector, dims) -> Vector:
     dims are the lengths of x, y and the result."""
     _check_length(x, dims[0])
     _check_length(y, dims[1])
-    out = zero_vec(dims[2])
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            c = xi * yj
-            for k, t in table[i][j]:
-                out[k] += c * t
-    return out
+    nonzero = lambda v: {i: c for i, c in enumerate(v) if c}
+    return _dense(_product(table, nonzero(x), nonzero(y)), dims[2])
 
 
-def _integer_tables(*tables) -> list:
-    """The sparse tables times one common denominator of their constants.
-    An identity homogeneous of degree 2 in the constants, as each axiom
-    is, holds on these integer tables exactly when on the rational ones."""
+def _integer_tables(*tables) -> tuple:
+    """(den, tables): one common denominator of the sparse tables'
+    constants, and the tables times it.  An identity homogeneous in the
+    constants, as each axiom and the Leibniz identity are, holds on these
+    integer tables exactly when on the rational ones."""
     den = lcm(*(c.denominator for table in tables for plane in table
                 for entries in plane for _, c in entries))
-    return [[[[(k, c.numerator * (den // c.denominator)) for k, c in entries]
-              for entries in plane] for plane in table] for table in tables]
+    scaled = {}  # a table given twice, as a self-bimodule's are, is scaled once
+    for table in tables:
+        if id(table) not in scaled:
+            scaled[id(table)] = [[[(k, c.numerator * (den // c.denominator))
+                                   for k, c in entries] for entries in plane]
+                                 for plane in table]
+    return den, [scaled[id(table)] for table in tables]
 
 
 def _associator(xy, xy_z, yz, x_yz, i: int, j: int, k: int, dim: int):
@@ -112,6 +143,19 @@ def _associator(xy, xy_z, yz, x_yz, i: int, j: int, k: int, dim: int):
         for r, d in x_yz[i][s]:
             rhs[r] += c * d
     return lhs, rhs
+
+
+def _sum_sparse(terms, vectors) -> dict:
+    """sum w vectors[k] over the (k, w) pairs, for sparse vectors {index: value}."""
+    out = {}
+    for k, w in terms:
+        for r, x in vectors[k].items():
+            out[r] = out.get(r, 0) + w * x
+    return {r: x for r, x in out.items() if x}
+
+
+def _scaled(x: dict, c: int) -> dict:
+    return {k: v * c for k, v in x.items()}
 
 
 def _combine(terms, vectors: Sequence[Vector], dim: int) -> Vector:
@@ -162,6 +206,7 @@ class Algebra:
         self.mul_tensor = _coerce_tensor(mul, dim, dim, dim)
         self.mul_table = _sparse(self.mul_tensor)
         self.basis_names = _names(basis_names, dim, "e")
+        self._integers = None
         if not _skip_check:
             report = self.associativity_report()
             if not report.passed:
@@ -170,10 +215,19 @@ class Algebra:
         self._unit_computed = False
         self._self_bimodule = None
 
+    @property
+    def integer_table(self) -> tuple:
+        """(den, table): mul_table times one common denominator of its
+        constants; built once, by the associativity check or on first use."""
+        if self._integers is None:
+            den, (table,) = _integer_tables(self.mul_table)
+            self._integers = den, table
+        return self._integers
+
     def associativity_report(self) -> ConditionReport:
         rep = ConditionReport("associativity")
         n, t = self.dim, self.mul_table
-        (z,) = _integer_tables(t)
+        z = self.integer_table[1]
         for i, j, k in product(range(n), repeat=3):
             lhs, rhs = _associator(z, z, z, z, i, j, k, n)
             if lhs != rhs:
@@ -195,7 +249,8 @@ class Algebra:
         return Matrix.from_rows(cols).transpose()
 
     def self_bimodule(self) -> "Bimodule":
-        """A as a bimodule over itself via the algebra product; built once."""
+        """A as a bimodule over itself via the algebra product; built once,
+        on the product's own tensor and table."""
         if self._self_bimodule is None:
             t = self.mul_tensor
             self._self_bimodule = Bimodule(self, t, t, self.basis_names, _skip_check=True)
@@ -237,16 +292,30 @@ class Bimodule:
             raise ValueError("left tensor first axis must match algebra dim")
         dim = len(right)
         self.dim = dim
-        self.left = _coerce_tensor(left, m, dim, dim)
-        self.right = _coerce_tensor(right, dim, m, dim)
-        self.left_table = _sparse(self.left)
-        self.right_table = _sparse(self.right)
+        self.left, self.left_table = _action(left, algebra, (m, dim, dim))
+        self.right, self.right_table = _action(right, algebra, (dim, m, dim))
         self.basis_names = _names(basis_names, dim, "u")
+        self._integers = None
         self.report = None  # the axiom report, unless built with _skip_check
         if not _skip_check:
             self.report = self.axiom_report()
             if not self.report.passed:
                 raise ValidationError(self.report)
+
+    @property
+    def tables(self) -> tuple:
+        """The sparse tables (mul, left, right) of the algebra and the actions."""
+        return self.algebra.mul_table, self.left_table, self.right_table
+
+    @property
+    def integer_tables(self) -> tuple:
+        """(den, (mul, left, right)): the sparse tables times one common
+        denominator of their constants; built once, by the axiom check or
+        on first use."""
+        if self._integers is None:
+            den, tables = _integer_tables(*self.tables)
+            self._integers = den, tuple(tables)
+        return self._integers
 
     def axiom_report(self) -> ConditionReport:
         """Compatibility axioms: (ab)u=a(bu), u(ab)=(ua)b, (au)b=a(ub),
@@ -258,7 +327,7 @@ class Bimodule:
         rep = ConditionReport("bimodule axioms")
         a = self.algebra
         m, n = a.dim, self.dim
-        tables = a.mul_table, self.left_table, self.right_table
+        tables = self.tables
 
         def identities(mul, left, right):  # (name, indices, sides) at (i, j, t)
             yield "(ab)u = a(bu)", (i, j, t), _associator(mul, left, left, left, i, j, t, n)
@@ -267,7 +336,7 @@ class Bimodule:
                    _associator(right, right, mul, right, t, i, j, n)[::-1])
             yield "(au)b = a(ub)", (i, t, j), _associator(left, right, right, left, i, t, j, n)
 
-        integer = _integer_tables(*tables)
+        integer = self.integer_tables[1]
         for i, j, t in product(range(m), range(m), range(n)):
             for r, (_, _, (lhs, rhs)) in enumerate(identities(*integer)):
                 if lhs != rhs:
@@ -397,23 +466,40 @@ def is_module_hom(f: LinearMap, side: str = "both") -> ConditionReport:
     if src.algebra is not tgt.algebra:
         raise ValueError("source and target are over different algebras")
     a = src.algebra
-    images = [f.matrix.col(j) for j in range(src.dim)]  # f(u_j)
+
+    def sides(src_tables, tgt_tables, images, i, j, left):
+        """f(e_i u_j) and e_i f(u_j), or f(u_j e_i) and f(u_j) e_i, from
+        the action constants, on the images f(u_j) as {t: value}."""
+        if left:
+            return (_sum_sparse(src_tables[1][i][j], images),
+                    _product(tgt_tables[1], {i: 1}, images[j]))
+        return (_sum_sparse(src_tables[2][j][i], images),
+                _product(tgt_tables[2], images[j], {i: 1}))
+
+    def images(entries):
+        out = [{} for _ in range(src.dim)]
+        for col, x in entries.items():
+            t, j = divmod(col, src.dim)
+            out[j][t] = x
+        return out
+
+    # the sides in integers: f and each bimodule's tables times their own
+    # denominators, compared after scaling each side by the other side's
+    flat = f.matrix.flatten()
+    sden, stables = src.integer_tables
+    tden, ttables = tgt.integer_tables
+    scaled = images(_integer_row(enumerate(flat)))
     rep = ConditionReport("module homomorphism (%s)" % side)
     for want in ("left", "right"):
         if side not in ("both", want):
             continue
         witness = None
         for i, j in product(range(a.dim), range(src.dim)):
-            # f(e_i u_j) and f(u_j e_i) from the action constants
-            ei = unit_vec(a.dim, i)
-            if want == "left":
-                lhs = _combine(src.left_table[i][j], images, tgt.dim)
-                rhs = tgt.left_act(ei, images[j])
-            else:
-                lhs = _combine(src.right_table[j][i], images, tgt.dim)
-                rhs = tgt.right_act(images[j], ei)
-            if lhs != rhs:
-                witness = ((i, j), lhs, rhs)
+            lhs, rhs = sides(stables, ttables, scaled, i, j, want == "left")
+            if _scaled(lhs, tden) != _scaled(rhs, sden):  # the witness, in rationals
+                exact = images({c: x for c, x in enumerate(flat) if x})
+                lhs, rhs = sides(src.tables, tgt.tables, exact, i, j, want == "left")
+                witness = ((i, j), _dense(lhs, tgt.dim), _dense(rhs, tgt.dim))
                 break
         name = "f(au) = a f(u)" if want == "left" else "f(ua) = f(u) a"
         rep.add(name, witness is None, witness=witness)

@@ -2,8 +2,12 @@
 
 The radical uses the characteristic-zero trace criterion on the
 unitization: x is in rad(A) iff trace(L_{xy}) = 0 for every y, where L
-is left multiplication on A with a unit adjoined.  The computed radical
-is re-verified to be a nilpotent two-sided ideal.
+is left multiplication on A with a unit adjoined.  The trace rows are
+read off A's sparse integer table.  The computed radical is re-verified
+to be a nilpotent two-sided ideal, in integers: products are formed from
+the sparse table on the basis rows times their denominators, membership
+is tested on those sparse rows, and each power is kept as integer
+echelon rows.
 
 Simplicity (equivalently primeness, for finite-dimensional algebras)
 is decided through the center: a semisimple algebra is simple iff the
@@ -14,17 +18,21 @@ irreducible over Q.  sympy factors it, imported only for a degree above 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
-from .algebra import Algebra, Bimodule, LinearMap, _combine, block_tensor, coordinates
+from .algebra import (Algebra, Bimodule, LinearMap, _combine, _product, block_tensor,
+                      coordinates)
 from .derivations import LeibnizSystem, inner_map
 from .extension import ideal_check
 from .linalg import (
     Matrix,
+    SparseMatrix,
     Subspace,
     Vector,
+    _distinct_rows,
+    _echelon,
+    _integer_row,
     is_zero_vec,
     nullspace,
     rank,
@@ -33,25 +41,24 @@ from .linalg import (
     vec,
     zero_vec,
 )
+from .reports import Record
 
 _PROBES = 8  # seeded central elements is_simple_prime tries before giving up
 
 
-@dataclass
-class RadicalReport:
+class RadicalReport(NamedTuple):
     radical: Subspace
     is_semisimple: bool
     note: str = ""
 
 
-@dataclass
-class Polynomial:
+class Polynomial(Record):
     """Rational polynomial, coefficients lowest degree first."""
 
-    coefficients: List[Fraction]
+    _fields = ("coefficients",)
 
-    def __post_init__(self):
-        self.coefficients = [Fraction(c) for c in self.coefficients]
+    def __init__(self, coefficients: List[Fraction]):
+        self.coefficients = [Fraction(c) for c in coefficients]
         while self.coefficients and self.coefficients[-1] == 0:
             self.coefficients.pop()
 
@@ -80,11 +87,14 @@ class Polynomial:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-@dataclass
-class SimplePrimeReport:
-    simple: Optional[bool]   # None means indeterminate after all probes
-    prime: Optional[bool]
-    evidence: dict = field(default_factory=dict)
+class SimplePrimeReport(Record):
+    _fields = ("simple", "prime", "evidence")
+
+    def __init__(self, simple: Optional[bool], prime: Optional[bool],
+                 evidence: Optional[dict] = None):
+        self.simple = simple  # None means indeterminate after all probes
+        self.prime = prime
+        self.evidence = {} if evidence is None else evidence
 
 
 def center(a: Algebra) -> Subspace:
@@ -108,50 +118,43 @@ def unitization(a: Algebra) -> Algebra:
     return Algebra(mul, basis_names=["1"] + list(a.basis_names), _skip_check=True)
 
 
-def _trace_of_left_mul(alg: Algebra) -> Vector:
-    """t_s = trace of left multiplication by basis element s."""
-    n = alg.dim
-    return [
-        sum((alg.mul_tensor[s][j][j] for j in range(n)), Fraction(0))
-        for s in range(n)
-    ]
-
-
-def subspace_product(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
-    """Span of {v w : v in s, w in t}."""
-    vectors = [a.mul_vec(v, w) for v in s.basis for w in t.basis]
-    return Subspace.from_vectors(a.dim, vectors)
-
-
 def is_nilpotent_subspace(a: Algebra, s: Subspace) -> bool:
     """Does some power of the subspace (under products) vanish?
 
     Checked up to dim + 1 steps; for a subalgebra this settles
-    nilpotency in finite dimension.
+    nilpotency in finite dimension.  Each power is spanned by the
+    products of the last one with s, formed in integers from the sparse
+    table and kept as its integer echelon rows.
     """
-    power = s
+    table = a.integer_table[1]
+    gens = [_integer_row(enumerate(v)) for v in s.basis]
+    power = gens
     for _ in range(a.dim + 1):
-        if power.dim == 0:
+        if not power:
             return True
-        power = subspace_product(a, power, s)
-    return power.dim == 0
+        products = (_product(table, x, y).items() for x in power for y in gens)
+        power = _echelon(_distinct_rows(products), a.dim)[2]
+    return not power
 
 
 def radical(a: Algebra) -> RadicalReport:
-    """Jacobson radical via the trace criterion, with re-verification."""
+    """Jacobson radical via the trace criterion, with re-verification.
+
+    x in A is in rad(A) iff trace(L_{x y}) = 0 for y = 1 and y = e_j,
+    with L left multiplication on the unitization.  For x in A that
+    trace is the trace on A (L_x sends the unit to x, which has no unit
+    coordinate), so the rows are read off A's integer table: t_s =
+    trace(L_{e_s}) from its diagonal constants, the unit's row t_i and
+    row j sum_k c[i][j][k] t_k, all times powers of its denominator.
+    """
     n = a.dim
-    tilde = unitization(a)
-    traces = _trace_of_left_mul(tilde)
-    rows = []
-    for j in range(tilde.dim):
-        # condition on x in A (coordinates 1..n of the unitization):
-        # trace(L_{x f_j}) = 0
-        row = []
-        for i in range(n):
-            prod = tilde.mul_basis(i + 1, j)
-            row.append(sum((p * t for p, t in zip(prod, traces)), Fraction(0)))
-        rows.append(row)
-    rad = nullspace(Matrix.from_rows(rows))
+    table = a.integer_table[1]
+    traces = [sum(c for j, entries in enumerate(plane) for k, c in entries if k == j)
+              for plane in table]
+    rows = [traces] + [[sum(c * traces[k] for k, c in table[i][j]) for i in range(n)]
+                       for j in range(n)]
+    rad = nullspace(SparseMatrix(n + 1, n, [[(i, x) for i, x in enumerate(row) if x]
+                                            for row in rows]))
     if not ideal_check(a, rad).passed:
         raise AssertionError("computed radical is not a two-sided ideal")
     if not is_nilpotent_subspace(a, rad):

@@ -36,8 +36,7 @@ entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .algebra import Element, LinearMap
 from .derivations import _failing_pairs, inner_map, is_derivation
@@ -61,8 +60,7 @@ BLOCK_TABLE = {
 }
 
 
-@dataclass
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """The four blocks of a map on T; a block left as None is zero."""
 
     delta1: Optional[LinearMap] = None  # A -> A

@@ -13,8 +13,7 @@ identity and an exact witness; no unverified map is ever emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .algebra import Algebra, Bimodule, LinearMap, coordinates, is_module_hom
 from .blocks import BlockDecomposition, assemble
@@ -29,8 +28,7 @@ from .linalg import (
 from .reports import ConditionReport, HypothesisError, require
 
 
-@dataclass
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     derivation: LinearMap          # a verified derivation on T
     extension: ModuleExtension
     recipe: str

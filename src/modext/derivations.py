@@ -8,10 +8,13 @@ once, as the terms of its two sides at each basis pair
 ``LeibnizSystem.matrix``, all of them kept; ``nullspace`` drops the empty
 and repeated ones, picks its row basis mod a prime and certifies the
 basis by a zero integer residual on every row.  ``is_derivation`` and
-the C1-C6 checker in ``blocks`` sum the terms into the two sides on D's
-entries, so no check builds the system.  Inner derivations are the image
-of the sparse inner map x -> (a -> a x - x a), read off the nonzero
-action constants; its kernel on A itself is the center.
+the C1-C6 checker in ``blocks`` sum the terms into the two sides in
+integers: the terms come from the module's integer tables and only over
+D's nonzero entries, with D scaled by the common denominator of its
+entries; a pair whose sides differ is summed again from the rational
+terms for its witness.  No check builds the system.  Inner derivations
+are the image of the sparse inner map x -> (a -> a x - x a), read off
+the nonzero action constants; its kernel on A itself is the center.
 
 Row order of the Leibniz system is lexicographic in (i, j, k); columns
 are D's matrix entries in row-major order.  Both are fixed so computed
@@ -24,28 +27,34 @@ from itertools import product
 from typing import List
 
 from .algebra import Algebra, Bimodule, LinearMap, coordinates
-from .linalg import Matrix, SparseMatrix, Subspace, nullspace, zero_vec
+from .linalg import Matrix, SparseMatrix, Subspace, _integer_row, nullspace, zero_vec
 from .reports import ConditionReport
 
 
-def _leibniz_terms(algebra: Algebra, module: Bimodule):
+def _leibniz_terms(algebra: Algebra, module: Bimodule, tables=None, support=None,
+                   pairs=None):
     """(i, j, lhs, rhs) per basis pair in (i, j) order: the terms of the
     two sides of D(e_i e_j) = e_i D(e_j) + D(e_i) e_j.
 
     A term (k, column, coeff) adds coeff * d[t][s] to coordinate k, where
-    column t * dim A + s is the entry d[t][s]; the terms are read off the
-    nonzero structure constants only.  A module over another algebra
-    raises ValueError when they are read.
+    column t * dim A + s is the entry d[t][s].  The terms are read off the
+    nonzero constants of tables, the sparse (mul, left, right) tables of
+    the pair unless others are given, and off the entries d[t][s] with t
+    in support[s] only, every entry unless support is given.  pairs
+    restricts the basis pairs.  A module over another algebra raises
+    ValueError when the terms are read.
     """
     if module.algebra is not algebra:
         raise ValueError("module is not over the given algebra")
     m, n = algebra.dim, module.dim
-    for i, j in product(range(m), repeat=2):
+    mul, left, right = tables or module.tables
+    rows = support or [range(n)] * m
+    for i, j in pairs or product(range(m), repeat=2):
         # D(e_i e_j)_k = sum_s c[i][j][s] d[k][s]
-        lhs = [(k, k * m + s, c) for s, c in algebra.mul_table[i][j] for k in range(n)]
+        lhs = [(k, k * m + s, c) for s, c in mul[i][j] for k in rows[s]]
         # (e_i D(e_j))_k = sum_t l[i][t][k] d[t][j]; (D(e_i) e_j)_k = sum_t r[t][j][k] d[t][i]
-        rhs = [(k, t * m + j, c) for t in range(n) for k, c in module.left_table[i][t]]
-        rhs += [(k, t * m + i, c) for t in range(n) for k, c in module.right_table[t][j]]
+        rhs = [(k, t * m + j, c) for t in rows[j] for k, c in left[i][t]]
+        rhs += [(k, t * m + i, c) for t in rows[i] for k, c in right[t][j]]
         yield i, j, lhs, rhs
 
 
@@ -67,17 +76,36 @@ def leibniz_rows(algebra: Algebra, module: Bimodule):
             yield [item for item in row.items() if item[1]]
 
 
+def _sides(terms, d, start):
+    """The two sides, each summed from start over its terms on the entries d."""
+    sides = list(start), list(start)
+    for side, side_terms in zip(sides, terms):
+        for k, col, c in side_terms:
+            side[k] += c * d[col]
+    return sides
+
+
 def _failing_pairs(algebra: Algebra, module: Bimodule, d):
     """((i, j), D(e_i e_j), e_i D(e_j) + D(e_i) e_j) for each basis pair
-    whose sides differ, in (i, j) order, on D's row-major entries d."""
-    for i, j, *terms in _leibniz_terms(algebra, module):
-        lhs, rhs = sides = zero_vec(module.dim), zero_vec(module.dim)
-        for side, side_terms in zip(sides, terms):
-            for k, col, c in side_terms:
-                if d[col]:  # zero entries of D add nothing
-                    side[k] += c * d[col]
-        if lhs != rhs:
-            yield (i, j), lhs, rhs
+    whose sides differ, in (i, j) order, on D's row-major entries d.
+
+    The sides are compared in integers: D times one common denominator of
+    its entries, on the module's integer tables, over D's nonzero entries
+    only.  A failing pair is evaluated again in rationals for its witness.
+    """
+    m, n = algebra.dim, module.dim
+    entries = _integer_row(enumerate(d))
+    scaled = [0] * len(d)
+    support = [[] for _ in range(m)]  # column s -> the rows t with d[t][s] != 0
+    for col, x in entries.items():
+        scaled[col] = x
+        support[col % m].append(col // m)
+    for i, j, *terms in _leibniz_terms(algebra, module, module.integer_tables[1], support):
+        lhs, rhs = _sides(terms, scaled, [0] * n)
+        if lhs != rhs:  # the witness: the same pair's rational terms
+            _, _, *terms = next(_leibniz_terms(algebra, module, support=support,
+                                               pairs=[(i, j)]))
+            yield ((i, j), *_sides(terms, d, zero_vec(n)))
 
 
 class LeibnizSystem:

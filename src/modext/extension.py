@@ -14,10 +14,12 @@ splits as ||(a,u)|| = ||a|| + ||u|| by construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import List, Tuple
 
-from .algebra import Algebra, Bimodule, LinearMap, block_tensor, coordinates
-from .linalg import Matrix, Subspace, Vector, unit_vec
+from .algebra import (Algebra, Bimodule, LinearMap, _combine, _product, block_tensor,
+                      coordinates)
+from .linalg import Matrix, Subspace, Vector, _integer_row, _row_space_test, unit_vec
 from .reports import ConditionReport, require
 
 
@@ -91,24 +93,24 @@ def submultiplicativity_constant(a: Algebra) -> Fraction:
 
 def ideal_check(a: Algebra, s: Subspace) -> ConditionReport:
     """Is the subspace a two-sided ideal?  A.s and s.A checked on basis
-    generators, with the escaping product as witness."""
+    generators, with the escaping product as witness.  The products are
+    formed in integers from the sparse table, on the basis rows times
+    their denominators, and tested for membership on those sparse rows."""
     if s.ambient_dim != a.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
     rep = ConditionReport("two-sided ideal")
+    table = a.integer_table[1]
+    rows = [_integer_row(enumerate(w)) for w in s.basis]
+    contains = _row_space_test(s.pivots, rows)
     for name, left in (("A.s in s", True), ("s.A in s", False)):
-        ok = True
         witness = None
-        for i in range(a.dim):
-            ei = unit_vec(a.dim, i)
-            for w in s.basis:
-                prod = a.mul_vec(ei, w) if left else a.mul_vec(w, ei)
-                if not s.contains_vector(prod):
-                    ok = False
-                    witness = ((i,), w, prod)
-                    break
-            if not ok:
+        for i, (w, row) in product(range(a.dim), zip(s.basis, rows)):
+            prod = _product(table, {i: 1}, row) if left else _product(table, row, {i: 1})
+            if not contains(prod):
+                ei = unit_vec(a.dim, i)
+                witness = ((i,), w, a.mul_vec(ei, w) if left else a.mul_vec(w, ei))
                 break
-        rep.add(name, ok, witness=witness)
+        rep.add(name, witness is None, witness=witness)
     return rep
 
 
@@ -145,9 +147,11 @@ def _quotient(a: Algebra, ideal: Subspace) -> Tuple[List[int], Bimodule, LinearM
     """The coset columns of quotient_coordinates, A/I and the projection."""
     require(ideal_check(a, ideal), "subspace is not a two-sided ideal")
     complement, proj = quotient_coordinates(ideal)
-    m = a.dim
-    left = [[proj.apply(a.mul_basis(i, c)) for c in complement] for i in range(m)]
-    right = [[proj.apply(a.mul_basis(c, i)) for i in range(m)] for c in complement]
+    m, q = a.dim, len(complement)
+    # e_i e_c + I: the constants of e_i e_c pushed through the projection
+    images = [proj.col(k) for k in range(m)]
+    left = [[_combine(a.mul_table[i][c], images, q) for c in complement] for i in range(m)]
+    right = [[_combine(a.mul_table[c][i], images, q) for i in range(m)] for c in complement]
     names = [a.basis_names[c] + "+I" for c in complement]
     quotient = Bimodule(a, left, right, basis_names=names, _skip_check=True)
     return complement, quotient, LinearMap(a.self_bimodule(), quotient, proj)

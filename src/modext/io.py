@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from .algebra import Algebra, Bimodule, LinearMap
 from .extension import ModuleExtension, trivial_extension
 from .linalg import Matrix, Subspace
+from .reports import Record
 
 FORMAT_VERSION = "1"
 
@@ -77,26 +77,26 @@ def _parse_tensor(d1, d2, d3, data, path: str):
     ]
 
 
-@dataclass
-class MapEntry:
+class MapEntry(NamedTuple):
     name: str
     source: str  # "algebra" | "module" | "total"
     target: str
     matrix: Matrix
 
 
-@dataclass
-class ArtifactFile:
+class ArtifactFile(Record):
     """Parsed (but structurally validated only) contents of one file."""
 
-    algebra: Algebra
-    module: Optional[Bimodule] = None
-    maps: Dict[str, MapEntry] = field(default_factory=dict)
-    elements: Dict[str, list] = field(default_factory=dict)
-    element_carriers: Dict[str, str] = field(default_factory=dict)
-    subspaces: Dict[str, Subspace] = field(default_factory=dict)
+    _fields = ("algebra", "module", "maps", "elements", "element_carriers", "subspaces")
 
-    _extension: Optional[ModuleExtension] = None
+    def __init__(self, algebra: Algebra, module: Optional[Bimodule] = None):
+        self.algebra = algebra
+        self.module = module
+        self.maps: Dict[str, MapEntry] = {}
+        self.elements: Dict[str, list] = {}
+        self.element_carriers: Dict[str, str] = {}
+        self.subspaces: Dict[str, Subspace] = {}
+        self._extension: Optional[ModuleExtension] = None  # built on first use
 
     def bimodule(self) -> Bimodule:
         """The bimodule section, which the file must declare."""

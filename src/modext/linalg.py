@@ -207,21 +207,47 @@ class RrefResult(NamedTuple):
     rank: int
 
 
+def _integer_row(pairs: Iterable) -> dict:
+    """{index: int}: the nonzero rational values of (index, value) pairs
+    times one common denominator of them."""
+    nz = [(c, x) for c, x in pairs if x is not _ZERO and x]
+    den = lcm(*[x.denominator for _, x in nz])
+    return {c: x.numerator * (den // x.denominator) for c, x in nz}
+
+
 def _distinct_rows(data: Iterable[Iterable]) -> list:
     """Primitive integer rows {column: int}, positive in their first
     column: one per nonzero row of data (rows of (column, value) pairs) up
     to a rational factor, in order of first appearance."""
     distinct = {}
     for row in filter(None, data):  # an empty sparse row has no pairs
-        nz = [(c, x) for c, x in row if x is not _ZERO and x]
-        if nz:
-            den = lcm(*[x.denominator for _, x in nz])
-            out = {c: x.numerator * (den // x.denominator) for c, x in nz}
+        out = _integer_row(row)
+        if out:
             g = gcd(*out.values()) * (1 if out[min(out)] > 0 else -1)
             if g != 1:
                 out = {c: x // g for c, x in out.items()}
             distinct.setdefault(frozenset(out.items()), out)
     return list(distinct.values())
+
+
+def _row_space_test(pivots: list, rows: list):
+    """Membership in the span of the integer rows, one multiple of each
+    RREF basis row (pivot column pivots[r]): a test of integer vectors
+    {column: int}.  v lies in the span iff v is the sum of v[p] / row[p]
+    times each row, compared here with the denominators cleared."""
+    scale = lcm(*(row[p] for p, row in zip(pivots, rows)))
+    factors = [(p, scale // row[p], row) for p, row in zip(pivots, rows)]
+
+    def contains(v: dict) -> bool:
+        residual = {c: scale * x for c, x in v.items()}
+        for p, f, row in factors:
+            if x := v.get(p):
+                x *= f
+                for c, y in row.items():
+                    residual[c] = residual.get(c, 0) - x * y
+        return not any(residual.values())
+
+    return contains
 
 
 def _combination(row: dict, prow: dict, a: int, b: int) -> dict:

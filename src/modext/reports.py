@@ -8,12 +8,28 @@ toward the overall verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass
-class Check:
+class Record:
+    """A mutable record: equal to a record of its own class whose fields
+    are equal, and shown as Name(field=value, ...), for the _fields."""
+
+    _fields = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    __hash__ = None  # mutable: equal records may stop being equal
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__name__,
+                           ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
+class Check(NamedTuple):
     name: str
     passed: bool
     witness: Optional[tuple] = None  # (indices, lhs, rhs) for a failure
@@ -21,10 +37,12 @@ class Check:
     informational: bool = False
 
 
-@dataclass
-class ConditionReport:
-    title: str
-    checks: list = field(default_factory=list)
+class ConditionReport(Record):
+    _fields = ("title", "checks")
+
+    def __init__(self, title: str, checks: Optional[list] = None):
+        self.title = title
+        self.checks = [] if checks is None else checks
 
     def add(self, name, passed, witness=None, note="", informational=False):
         self.checks.append(Check(name, passed, witness, note, informational))

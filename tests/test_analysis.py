@@ -33,6 +33,7 @@ from modext.samples import (
     zero_product,
 )
 
+from families import basis_change, self_extension, twin, upper_triangular
 from oracles import largest_nilpotent_ideal_dim
 
 
@@ -108,6 +109,56 @@ class TestRadical:
             if q.dim == 0:
                 continue  # the whole algebra was radical
             assert radical(q).is_semisimple, name
+
+
+def _twin(a, seed=3):
+    """A seeded dense-basis twin of a; seed 3 gives every family below a
+    common denominator other than 1, so the integer scaling is exercised."""
+    p, q = basis_change(a.dim, seed)
+    b = twin(a, p, q)
+    assert b.integer_table[0] != 1
+    return b
+
+
+RADICAL_FAMILIES = (
+    [("Q[t]/(t^%d)" % n, truncated_poly(n), n - 1) for n in range(2, 7)]
+    + [("UT%d" % n, upper_triangular(n), n * (n - 1) // 2) for n in range(2, 6)]
+    + [("M%d" % n, matrix_units(n), 0) for n in (2, 3)]
+)
+# T(A, A) for UT_n up to n = 4, M_n up to 3 and Q[t]/(t^n) up to 5
+EXTENSION_FAMILIES = [f for f in RADICAL_FAMILIES if f[0] not in ("Q[t]/(t^6)", "UT5")]
+
+
+class TestTheoremRadicals:
+    """Radical dimensions that theorems give, on the sparse bases and on
+    dense twins whose constants have a common denominator other than 1.
+
+    rad Q[t]/(t^n) = (t), of dimension n - 1; rad UT_n is the strictly
+    upper triangular part, n(n - 1)/2; M_n is simple.  In T(A, A) the
+    copy of A is a square-zero ideal and T / (0, A) = A, so
+    rad T(A, A) = rad A + (0, A), of dimension dim rad A + dim A.
+    """
+
+    @pytest.mark.parametrize("name, a, want", RADICAL_FAMILIES,
+                             ids=[f[0] for f in RADICAL_FAMILIES])
+    def test_dim_rad(self, name, a, want):
+        for alg in (a, _twin(a)):
+            rep = radical(alg)
+            assert rep.radical.dim == want, name
+            assert rep.is_semisimple == (want == 0)
+
+    @pytest.mark.parametrize("name, a, want", EXTENSION_FAMILIES,
+                             ids=[f[0] for f in EXTENSION_FAMILIES])
+    def test_dim_rad_of_t_a_a(self, name, a, want):
+        for alg in (a, _twin(a)):
+            assert radical(self_extension(alg)).radical.dim == want + a.dim, name
+
+    def test_radical_of_t_ut_n_is_the_strict_part_plus_the_module(self):
+        a = upper_triangular(3)  # basis E_ij, i <= j, in row-major order
+        units = [(i, j) for i in range(3) for j in range(i, 3)]
+        strict = [k for k, (i, j) in enumerate(units) if i < j]
+        want = Subspace.from_vectors(12, [unit_vec(12, k) for k in strict + list(range(6, 12))])
+        assert radical(self_extension(a)).radical == want
 
 
 class TestMinPoly:

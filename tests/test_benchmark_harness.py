@@ -6,7 +6,7 @@ workloads read attributes such as ``Element.coords``, ``mul_tensor``,
 ``LinearMap`` and the raw ``Subspace(...)`` constructor.  A deletion that
 removes one of them shows up here, not only as failed benchmark
 operations.  A traced der-ladder pass also pins the Leibniz system the
-benchmark measures.  Nothing under perfbench/ is changed by these tests.
+benchmark measures, and a traced verify-mix pass the checks it counts.  Nothing under perfbench/ is changed by these tests.
 """
 
 from pathlib import Path
@@ -50,3 +50,23 @@ def test_traced_der_ladder_pass_keeps_the_system_shape(monkeypatch):
     assert shape == [13048, 1092, 27315]
     assert layers["linalg.rank"] == 998
     assert layers["linalg.max_entry_bits"] == 66
+
+
+def test_traced_verify_mix_pass_still_sees_the_checks(monkeypatch):
+    # the Leibniz and radical checks run on integer tables inside the
+    # functions the tracer wraps: it still counts and times them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import verify_mix
+
+    t = tracer.Tracer()
+    w = verify_mix.Workload(modext, 1)
+    try:
+        w.start_trace(t)
+        w.one_pass()
+    finally:
+        t.uninstall()
+    assert w.failed == 0
+    layers = w.layers(t)
+    assert layers["derivations.is_derivation_calls"] == 40
+    assert layers["analysis.radical_s"] > 0

@@ -1,4 +1,5 @@
-"""Cold start: sympy is loaded only when a minimal polynomial is factored.
+"""Cold start: sympy is loaded only when a minimal polynomial is factored,
+and dataclasses (which loads inspect, ast, dis and tokenize) never.
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=src``, so that
 nothing the test session imported can leak into ``sys.modules``.  The
@@ -37,7 +38,8 @@ else:
     with contextlib.redirect_stdout(buf):
         code = main(case)
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
-print(json.dumps({"code": code, "digest": digest, "sympy": "sympy" in sys.modules}))
+print(json.dumps({"code": code, "digest": digest, "sympy": "sympy" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules}))
 """
 
 WITHOUT_SYMPY = [
@@ -77,13 +79,24 @@ def expected_digest(argv):
 
 @pytest.mark.parametrize("module", ["modext", "modext.cli"])
 def test_import_leaves_sympy_unloaded(module):
-    assert run_fresh(module)["sympy"] is False
+    got = run_fresh(module)
+    assert got["sympy"] is False
+    assert got["dataclasses"] is False
 
 
 @pytest.mark.parametrize("argv", WITHOUT_SYMPY, ids=" ".join)
 def test_command_leaves_sympy_unloaded(argv):
     got = run_fresh(argv)
     assert got["sympy"] is False
+    assert got["dataclasses"] is False
+    assert got["code"] == 0
+    assert got["digest"] == expected_digest(argv)
+
+
+@pytest.mark.parametrize("argv", [argv + ["--json"] for argv in WITHOUT_SYMPY], ids=" ".join)
+def test_json_command_leaves_sympy_and_dataclasses_unloaded(argv):
+    got = run_fresh(argv)
+    assert (got["sympy"], got["dataclasses"]) == (False, False)
     assert got["code"] == 0
     assert got["digest"] == expected_digest(argv)
 
