@@ -4,10 +4,11 @@ A linear map D: A -> U is a derivation when D(ab) = a D(b) + D(a) b.  On
 basis pairs this is a linear system in the entries of D's matrix; the
 derivation space is its exact nullspace.  The identity is written down
 once, as the terms of its two sides at each basis pair
-(``_leibniz_terms``).  ``leibniz_rows`` sums them into the sparse rows of
-``LeibnizSystem.matrix``, all of them kept; ``nullspace`` drops the empty
-and repeated ones, picks its row basis mod a prime and certifies the
-basis by a zero integer residual on every row.  ``is_derivation`` and
+(``_leibniz_terms``).  ``leibniz_rows`` sums them into the sparse integer
+rows of ``LeibnizSystem.matrix`` (the rational rows times the module's
+integer tables' denominator), all of them kept; ``nullspace`` drops the
+empty and repeated ones, picks its row basis mod a prime and certifies
+the basis by a zero integer residual on every row.  ``is_derivation`` and
 the C1-C6 checker in ``blocks`` sum the terms into the two sides in
 integers: the terms come from the module's integer tables and only over
 D's nonzero entries, with D scaled by the common denominator of its
@@ -59,10 +60,10 @@ def _leibniz_terms(algebra: Algebra, module: Bimodule, tables=None, support=None
 
 
 def leibniz_rows(algebra: Algebra, module: Bimodule):
-    """Sparse rows [(column, coeff)] of the Leibniz system in (i, j, k) order:
+    """Sparse rows [(column, int)] of the Leibniz system in (i, j, k) order:
     row (i, j, k) states that coordinate k of D(e_i e_j) - e_i D(e_j) -
-    D(e_i) e_j vanishes."""
-    for _, _, lhs, rhs in _leibniz_terms(algebra, module):
+    D(e_i) e_j vanishes, times the denominator module.integer_tables[0]."""
+    for _, _, lhs, rhs in _leibniz_terms(algebra, module, module.integer_tables[1]):
         rows = [{} for _ in range(module.dim)]
         for k, col, c in lhs:  # one term per (k, column) on this side
             rows[k][col] = c
@@ -112,8 +113,8 @@ class LeibnizSystem:
     """The linear system expressing the derivation identity.
 
     Unknowns are the entries d[t][s] of D's (u.dim x a.dim) matrix.
-    ``matrix`` is the rows of ``leibniz_rows``, empty ones included, as a
-    SparseMatrix.
+    ``matrix`` is the integer rows of ``leibniz_rows``, empty ones
+    included, as a SparseMatrix.
     """
 
     def __init__(self, algebra: Algebra, module: Bimodule):

@@ -9,7 +9,8 @@ entry positive, and empty and repeated rows are dropped (the Leibniz
 system of T(M3, M3) has 5,832 rows, 810 of them distinct).  The loop
 takes its row arithmetic as a parameter, under one pivot rule: primitive
 integers, cancelling by ``a*row - b*pivot`` with a, b reduced by their
-gcd (Bareiss, Math. Comp. 22, 1968), or residues mod PRIME.
+gcd (Bareiss, Math. Comp. 22, 1968), or residues mod PRIME.  Either
+cancel updates a live row in place, in the loop's own copy of the rows.
 
 ``nullspace`` picks its row basis mod PRIME from the ``cols`` sparsest
 distinct rows, eliminates exactly over the picked rows, certifies the
@@ -208,11 +209,13 @@ class RrefResult(NamedTuple):
 
 
 def _integer_row(pairs: Iterable) -> dict:
-    """{index: int}: the nonzero rational values of (index, value) pairs
-    times one common denominator of them."""
-    nz = [(c, x) for c, x in pairs if x is not _ZERO and x]
-    den = lcm(*[x.denominator for _, x in nz])
-    return {c: x.numerator * (den // x.denominator) for c, x in nz}
+    """{index: int}: the nonzero values of (index, value) pairs, as they
+    are if all are ints, else times one common denominator of them."""
+    row = {c: x for c, x in pairs if x is not _ZERO and x}
+    if all(type(x) is int for x in row.values()):
+        return row
+    den = lcm(*[x.denominator for x in row.values()])
+    return {c: x.numerator * (den // x.denominator) for c, x in row.items()}
 
 
 def _distinct_rows(data: Iterable[Iterable]) -> list:
@@ -250,24 +253,39 @@ def _row_space_test(pivots: list, rows: list):
     return contains
 
 
-def _combination(row: dict, prow: dict, a: int, b: int) -> dict:
-    """a*row - b*prow, zeros left out."""
-    out = dict(row) if a == 1 else {k: a * x for k, x in row.items()}
+def _subtract(row: dict, prow: dict, b: int, modulus: int = 0):
+    """row -= b*prow in place, mod modulus when one is given: (the columns
+    that became nonzero, the columns that became zero)."""
+    gained, lost = [], []
     for k, y in prow.items():
-        x = out.get(k, 0) - b * y
-        if x:
-            out[k] = x
+        if k in row:
+            x = row[k] - b * y
+            if modulus:
+                x %= modulus
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+                lost.append(k)
         else:
-            del out[k]
-    return out
+            row[k] = -b * y % modulus if modulus else -b * y
+            gained.append(k)
+    return gained, lost
 
 
-def _cancel(row: dict, prow: dict, c: int) -> dict:
-    """Primitive a*row - b*prow with a, b chosen to clear column c."""
+def _cancel(row: dict, prow: dict, c: int):
+    """row <- primitive a*row - b*prow in place, with a, b chosen to clear
+    column c: the columns it gained and lost, as ``_subtract``."""
     g = gcd(prow[c], row[c])
-    out = _combination(row, prow, prow[c] // g, row[c] // g)
-    g = gcd(*out.values())
-    return out if g == 1 else {k: x // g for k, x in out.items()}
+    a, b = prow[c] // g, row[c] // g
+    if a != 1:
+        for k, x in row.items():
+            row[k] = a * x
+    changed = _subtract(row, prow, b)
+    if (g := gcd(*row.values())) > 1:
+        for k, x in row.items():
+            row[k] = x // g
+    return changed
 
 
 def _monic(row: dict, c: int) -> dict:
@@ -276,17 +294,18 @@ def _monic(row: dict, c: int) -> dict:
     return {k: x * inv % PRIME for k, x in row.items()}
 
 
-def _cancel_mod_p(row: dict, prow: dict, c: int) -> dict:
-    """row - row[c] * prow mod PRIME, for a prow that is 1 at column c."""
-    return {k: r for k, x in _combination(row, prow, 1, row[c]).items() if (r := x % PRIME)}
+def _cancel_mod_p(row: dict, prow: dict, c: int):
+    """row -= row[c] * prow mod PRIME in place, for a prow 1 at column c."""
+    return _subtract(row, prow, row[c], PRIME)
 
 
 def _echelon(rows: list, cols: int, prepare=lambda row, c: row, cancel=_cancel):
     """Forward elimination: (pivots, picked, done), where row picked[j] of
     rows, made ready once by prepare, cleared column pivots[j] from the
     other live rows by cancel and ended as done[j].  Each column's pivot
-    is the live row with the fewest nonzeros, lowest index on ties."""
-    rows = list(rows)
+    is the live row with the fewest nonzeros, lowest index on ties.  The
+    rows handed in stay as they are: cancel updates a copy in place."""
+    rows = [dict(row) for row in rows]
     where = [set() for _ in range(cols)]  # column -> live rows nonzero there
     for i, row in enumerate(rows):
         for c in row:
@@ -299,12 +318,12 @@ def _echelon(rows: list, cols: int, prepare=lambda row, c: row, cancel=_cancel):
         prow = prepare(rows[p], c)
         for k in prow:
             where[k].discard(p)
-        for i in list(where[c]):
-            row = rows[i]
-            rows[i] = new = cancel(row, prow, c)
-            for k in row.keys() - new.keys():
+        live, where[c] = where[c], set()  # every live row leaves column c
+        for i in live:
+            gained, lost = cancel(rows[i], prow, c)
+            for k in lost:
                 where[k].discard(i)
-            for k in new.keys() - row.keys():
+            for k in gained:
                 where[k].add(i)
         pivots.append(c)
         picked.append(p)
@@ -321,7 +340,7 @@ def _rref(rows: list, cols: int):
     for j in range(len(done) - 1, 0, -1):
         for i, _ in holders[pivots[j]]:
             if i != j:
-                done[i] = _cancel(done[i], done[j], pivots[j])
+                _cancel(done[i], done[j], pivots[j])
     return pivots, [{k: Fraction(x, row[c]) for k, x in row.items()}
                     for c, row in zip(pivots, done)]
 

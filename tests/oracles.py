@@ -9,6 +9,7 @@ meaningful.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import sympy
 from sympy import QQ
@@ -165,22 +166,30 @@ def leibniz_holds(mul, left, right, d):
     return leibniz_first_failure(mul, left, right, d) is None
 
 
-def _leibniz_sympy_matrix(mul, left, right):
-    """The Leibniz system as a sympy Matrix (rows: (i,j,k), cols: d[t][s])."""
+def leibniz_rational_rows(mul, left, right):
+    """The Leibniz system as dense Fraction rows (rows: (i,j,k), cols: d[t][s])."""
     m = len(mul)
     n = len(left[0]) if m else 0
     rows = []
     for i in range(m):
         for j in range(m):
             for k in range(n):
-                row = [sympy.Rational(0)] * (m * n)
+                row = [Fraction(0)] * (m * n)
                 for s in range(m):
-                    row[k * m + s] += sympy.Rational(mul[i][j][s])
+                    row[k * m + s] += mul[i][j][s]
                 for t in range(n):
-                    row[t * m + j] -= sympy.Rational(left[i][t][k])
-                    row[t * m + i] -= sympy.Rational(right[t][j][k])
+                    row[t * m + j] -= left[i][t][k]
+                    row[t * m + i] -= right[t][j][k]
                 rows.append(row)
-    return sympy.Matrix(rows) if rows else sympy.zeros(0, m * n)
+    return rows
+
+
+def _leibniz_sympy_matrix(mul, left, right):
+    """The Leibniz system as a sympy Matrix."""
+    rows = leibniz_rational_rows(mul, left, right)
+    if not rows:
+        return sympy.zeros(0, len(mul) * (len(left[0]) if mul else 0))
+    return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
 
 
 def derivation_dim(mul, left, right):
@@ -286,3 +295,73 @@ def largest_nilpotent_ideal_dim(mul, max_seed_size=2):
     if total and not is_nilpotent(total):
         raise AssertionError("sum of nilpotent ideals failed the nilpotency check")
     return len(total)
+
+
+# -- a copying elimination loop, the reference for the kernel's in-place one -
+#
+# Each cancel builds a new row, and the loop finds the columns a row gained
+# or lost by comparing key sets.  The kernel's loop must pick the same
+# pivots and rows and end with the same rows, in both arithmetics.
+
+PRIME = 2**31 - 1
+
+
+def _combination(row, prow, a, b):
+    """a*row - b*prow, zeros left out."""
+    out = dict(row) if a == 1 else {k: a * x for k, x in row.items()}
+    for k, y in prow.items():
+        x = out.get(k, 0) - b * y
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    return out
+
+
+def copying_cancel(row, prow, c):
+    """Primitive a*row - b*prow with a, b chosen to clear column c."""
+    g = gcd(prow[c], row[c])
+    out = _combination(row, prow, prow[c] // g, row[c] // g)
+    g = gcd(*out.values())
+    return out if g == 1 else {k: x // g for k, x in out.items()}
+
+
+def monic(row, c):
+    """The residue row scaled mod PRIME to 1 at column c."""
+    inv = pow(row[c], -1, PRIME)
+    return {k: x * inv % PRIME for k, x in row.items()}
+
+
+def copying_cancel_mod_p(row, prow, c):
+    """row - row[c] * prow mod PRIME, for a prow that is 1 at column c."""
+    return {k: r for k, x in _combination(row, prow, 1, row[c]).items() if (r := x % PRIME)}
+
+
+def copying_echelon(rows, cols, prepare=lambda row, c: row, cancel=copying_cancel):
+    """(pivots, picked, done) of forward elimination with a new row per
+    cancel; the pivot of a column is the live row with the fewest nonzeros,
+    lowest index on ties."""
+    rows = list(rows)
+    where = [set() for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for c in row:
+            where[c].add(i)
+    pivots, picked, done = [], [], []
+    for c in range(cols):
+        if not where[c]:
+            continue
+        p = min(where[c], key=lambda i: (len(rows[i]), i))
+        prow = prepare(rows[p], c)
+        for k in prow:
+            where[k].discard(p)
+        for i in list(where[c]):
+            row = rows[i]
+            rows[i] = new = cancel(row, prow, c)
+            for k in row.keys() - new.keys():
+                where[k].discard(i)
+            for k in new.keys() - row.keys():
+                where[k].add(i)
+        pivots.append(c)
+        picked.append(p)
+        done.append(prow)
+    return pivots, picked, done

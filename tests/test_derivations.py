@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -25,13 +26,16 @@ from modext.samples import (
     zero_product,
 )
 
+import oracles
 from families import basis_change, self_extension, twin, upper_triangular
 from oracles import (
+    dense_nullspace,
     derivation_dim,
     inner_dim,
     leibniz_first_failure,
     leibniz_holds,
     leibniz_pair_sides,
+    leibniz_rational_rows,
     tensors_of,
 )
 
@@ -307,6 +311,76 @@ class TestDenseTwins:
         conjugates = [(q * d.matrix * p).flatten()
                       for d in derivation_space(a, a.self_bimodule()).basis]
         assert der.as_subspace() == Subspace.from_vectors(a.dim ** 2, conjugates)
+
+
+TWINS = pytest.mark.parametrize("build, extend", [
+    (lambda: truncated_poly(10), False),
+    (lambda: matrix_units(2), True),
+], ids=["Q[t]/(t^10)'", "T(M2',M2')"])
+
+
+def _dense_twin(build, extend):
+    a = build()
+    p, q = basis_change(a.dim, seed=1)
+    dense = twin(a, p, q)
+    return self_extension(dense) if extend else dense
+
+
+class TestIntegerLeibnizRows:
+    """The Leibniz rows are integers: each is the rational row times the
+    common denominator of the structure constants, on the dense twins
+    above, whose constants are not integers."""
+
+    @TWINS
+    def test_rows_are_the_rational_rows_times_the_denominator(self, build, extend):
+        a = _dense_twin(build, extend)
+        u = a.self_bimodule()
+        den = u.integer_tables[0]
+        assert den != 1
+        rational = leibniz_rational_rows(*tensors_of(a, u))
+        rows = list(leibniz_rows(a, u))
+        assert len(rows) == len(rational)
+        for row, want in zip(rows, rational):
+            assert all(type(x) is int for _, x in row)
+            assert dict(row) == {c: den * x for c, x in enumerate(want) if x}
+
+    # dense Gauss-Jordan on the 550 distinct rational rows of Q[t]/(t^10)'
+    # takes about 30 s, so the kernel is compared on the smaller twins
+    @pytest.mark.parametrize("build, extend", [
+        (lambda: truncated_poly(6), False),
+        (lambda: matrix_units(2), True),
+    ], ids=["Q[t]/(t^6)'", "T(M2',M2')"])
+    def test_der_is_the_dense_kernel_of_the_rational_rows(self, build, extend):
+        a = _dense_twin(build, extend)
+        u = a.self_bimodule()
+        assert u.integer_tables[0] != 1
+        rational = leibniz_rational_rows(*tensors_of(a, u))
+        distinct = [list(r) for r in dict.fromkeys(map(tuple, rational)) if any(r)]
+        der = derivation_space(a, u)
+        assert [d.matrix.flatten() for d in der.basis] == dense_nullspace(distinct)
+
+    @TWINS
+    def test_echelon_matches_the_copying_loop_on_the_system(self, build, extend,
+                                                             monkeypatch):
+        # every elimination derivation_space runs, mod PRIME and exact, ends
+        # as the copying loop's does and leaves the rows it was handed
+        calls = []
+        real = linalg._echelon
+
+        def spy(rows, cols, *arithmetic):
+            calls.append((rows, copy.deepcopy(rows), cols, arithmetic))
+            return real(rows, cols, *arithmetic)
+
+        monkeypatch.setattr(linalg, "_echelon", spy)
+        a = _dense_twin(build, extend)
+        derivation_space(a, a.self_bimodule())
+        oracle = {(): (), (linalg._monic, linalg._cancel_mod_p):
+                  (oracles.monic, oracles.copying_cancel_mod_p)}
+        assert {bool(arithmetic) for *_, arithmetic in calls} == {False, True}
+        for rows, before, cols, arithmetic in calls:
+            assert rows == before
+            assert real(rows, cols, *arithmetic) == \
+                oracles.copying_echelon(rows, cols, *oracle[arithmetic])
 
 
 class TestLeibnizSystemShape:

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from modext.linalg import (
     solve,
     unit_vec,
 )
+import oracles
 from oracles import dense_nullspace, dense_rref, sympy_nullspace, sympy_rref
 
 
@@ -383,3 +385,71 @@ def test_sparse_pairs_and_dense_rows_give_the_same_kernel(rows):
                           [[(c, x) for c, x in enumerate(row) if x] for row in rows])
     assert nullspace(sparse) == nullspace(M(rows))
     assert rank(sparse) == rank(M(rows))
+
+
+# -- the in-place elimination loop against the copying one -------------------
+
+integer_entries = st.one_of(st.integers(-6, 6), st.integers(-BIG, BIG),
+                            st.sampled_from([PRIME, -PRIME, 2 * PRIME, PRIME + 1]))
+
+
+@st.composite
+def sparse_integer_rows(draw):
+    """Sparse integer rows {column: int}, zeros left out, some of them
+    empty, equal or multiples of PRIME in places."""
+    cols = draw(st.integers(1, 8))
+    row = st.dictionaries(st.integers(0, cols - 1), integer_entries.filter(bool),
+                          max_size=cols)
+    rows = draw(st.lists(row, min_size=1, max_size=10))
+    rows += [dict(rows[i]) for i in draw(st.sets(st.integers(0, len(rows) - 1)))]
+    return rows, cols
+
+
+def test_the_oracle_reduces_mod_the_kernel_prime():
+    assert oracles.PRIME == PRIME
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_integer_rows())
+def test_echelon_matches_the_copying_loop_and_leaves_its_rows(data):
+    # the same (pivots, picked, done) on the integer rows and on their
+    # residues mod PRIME, and the rows handed in are left as they were
+    rows, cols = data
+    residues = [{c: x % PRIME for c, x in row.items() if x % PRIME} for row in rows]
+    for handed, arithmetic, oracle in (
+            (rows, (), ()),
+            (residues, (linalg._monic, linalg._cancel_mod_p),
+             (oracles.monic, oracles.copying_cancel_mod_p))):
+        before = copy.deepcopy(handed)
+        assert linalg._echelon(handed, cols, *arithmetic) == \
+            oracles.copying_echelon(handed, cols, *oracle)
+        assert handed == before
+
+
+@pytest.mark.parametrize("rows", [
+    [[PRIME, 1], [0, 1]],
+    [[1, 1], [1, 1 + PRIME]],
+    [[PRIME, 0, 1], [0, PRIME, 1], [1, 1, 0]],
+])
+def test_nullspace_leaves_its_rows_on_the_fallback_to_all_rows(rows, monkeypatch):
+    # the rows nullspace reads, and every list handed to _echelon, are
+    # unchanged once it returns; the last exact pass is over all rows
+    handed, exact = [], []
+    real_distinct, real_echelon = linalg._distinct_rows, linalg._echelon
+
+    def distinct_spy(data):
+        out = real_distinct(data)
+        handed.append((out, copy.deepcopy(out)))
+        return out
+
+    def echelon_spy(basis_rows, cols, *arithmetic):
+        handed.append((basis_rows, copy.deepcopy(basis_rows)))
+        if not arithmetic:
+            exact.append(len(basis_rows))
+        return real_echelon(basis_rows, cols, *arithmetic)
+
+    monkeypatch.setattr(linalg, "_distinct_rows", distinct_spy)
+    monkeypatch.setattr(linalg, "_echelon", echelon_spy)
+    assert nullspace(M(rows)).basis == dense_nullspace(rows)
+    assert exact[-2] == len(handed[0][0])  # the fallback eliminated every row
+    assert all(now == before for now, before in handed)
