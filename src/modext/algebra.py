@@ -2,16 +2,17 @@
 
 An algebra is given by a rank-3 rational tensor ``mul`` on a chosen
 basis: e_i e_j = sum_k mul[i][j][k] e_k.  A bimodule over it carries two
-such tensors for the left and right actions.  The constructors also keep
-each tensor as a sparse table [i][j] -> [(k, c)] of its nonzero
-constants, which products, actions and axiom checks read.  They verify
-associativity and the bimodule axioms eagerly, so any constructed value
-is a genuine algebra / bimodule; a violation raises ValidationError with
-the report.  The four identities are the blocks of T(A,U)'s associator,
-evaluated by one helper.  Structures derived from validated parts
-(T(A,U), the unitization, A/I, the corner A p) hold their axioms by
-construction; their builders pass the private ``_skip_check`` instead of
-verifying them again.
+such tensors for the left and right actions.  The constructors store
+each only as a sparse table [i][j] -> [(k, c)] of its nonzero constants,
+in ascending k, which products, actions and axiom checks read;
+``mul_tensor``, ``left`` and ``right`` are dense views built when read.
+They verify associativity and the bimodule axioms eagerly, so any
+constructed value is a genuine algebra / bimodule; a violation raises
+ValidationError with the report.  The four identities are the blocks of
+T(A,U)'s associator, evaluated by one helper.  Structures derived from
+validated parts (T(A,U), the unitization, direct sums, A/I, the corner
+A p) hold their axioms by construction; their builders hand in tables
+with the private ``_skip_check`` instead of verifying them again.
 
 Identities are checked in integers: each structure keeps its sparse
 tables times one common denominator of the constants
@@ -20,7 +21,7 @@ a structure built with ``_skip_check``, on first use.  An identity
 homogeneous in the constants and in the map it checks holds on those
 integer tables, with the map scaled to integers, exactly when on the
 rational ones; rationals come back only for a failing check's witness.
-A self-bimodule shares its algebra's tensor and table.
+A self-bimodule shares its algebra's table.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Optional, Sequence, Union
 
 from .linalg import (
     Matrix,
+    SparseMatrix,
     Subspace,
     Vector,
     _dense,
@@ -59,33 +61,26 @@ class ValidationError(ValueError):
         super().__init__(msg)
 
 
-def _coerce_tensor(t, d1: int, d2: int, d3: int):
-    if len(t) != d1 or any(len(row) != d2 for row in t):
+def _table(t, d1: int, d2: int, d3: int) -> list:
+    """The sparse table [i][j] -> [(k, c)] of a d1 x d2 x d3 tensor's
+    nonzero constants, each coerced to a Fraction before the zero test."""
+    if len(t) != d1 or any(len(plane) != d2 for plane in t):
         raise ValueError("tensor shape mismatch")
     out = []
-    for row in t:
-        out_row = []
-        for entry in row:
+    for plane in t:
+        row = []
+        for entry in plane:
             if len(entry) != d3:
                 raise ValueError("tensor shape mismatch")
-            out_row.append([frac(x) for x in entry])
-        out.append(out_row)
+            row.append([(k, c) for k, c in enumerate(map(frac, entry)) if c])
+        out.append(row)
     return out
 
 
-def _sparse(tensor) -> list:
-    """The table [i][j] -> [(k, c)] of a rank-3 tensor's nonzero constants."""
-    return [[[(k, c) for k, c in enumerate(entries) if c] for entries in plane]
-            for plane in tensor]
-
-
-def _action(t, algebra: "Algebra", shape) -> tuple:
-    """(exact tensor, sparse table) of an action tensor of the given shape;
-    the algebra's own product tensor and table serve as they are."""
-    if t is algebra.mul_tensor and shape == (algebra.dim,) * 3:
-        return t, algebra.mul_table
-    t = _coerce_tensor(t, *shape)
-    return t, _sparse(t)
+def _view(table: str) -> property:
+    """A read-only dense view of the named sparse table, built when read."""
+    return property(lambda self: [[_dense(dict(entries), self.dim) for entries in plane]
+                                  for plane in getattr(self, table)])
 
 
 def _check_length(x, dim: int):
@@ -168,15 +163,16 @@ def _combine(terms, vectors: Sequence[Vector], dim: int) -> Vector:
     return out
 
 
-def block_tensor(dim: int, blocks) -> list:
-    """A dim^3 tensor, zero but for blocks (table, (p, q, r)): each sparse
-    table's constant (i, j) -> (k, c) lands at [p + i][q + j][r + k]."""
-    out = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+def block_table(dim: int, blocks) -> list:
+    """A dim x dim sparse table, empty but for blocks (table, (p, q, r)):
+    each table's constant (i, j) -> (k, c) lands at (p + i, q + j) ->
+    (r + k, c).  The blocks fill disjoint cells."""
+    out = [[[] for _ in range(dim)] for _ in range(dim)]
     for table, (p, q, r) in blocks:
         for i, plane in enumerate(table):
+            row = out[p + i]
             for j, entries in enumerate(plane):
-                for k, c in entries:
-                    out[p + i][q + j][r + k] = c
+                row[q + j] = [(r + k, c) for k, c in entries]
     return out
 
 
@@ -203,8 +199,7 @@ class Algebra:
                  _skip_check=False):
         dim = len(mul)
         self.dim = dim
-        self.mul_tensor = _coerce_tensor(mul, dim, dim, dim)
-        self.mul_table = _sparse(self.mul_tensor)
+        self.mul_table = mul if _skip_check else _table(mul, dim, dim, dim)
         self.basis_names = _names(basis_names, dim, "e")
         self._integers = None
         if not _skip_check:
@@ -214,6 +209,8 @@ class Algebra:
         self._unit = None
         self._unit_computed = False
         self._self_bimodule = None
+
+    mul_tensor = _view("mul_table")
 
     @property
     def integer_table(self) -> tuple:
@@ -238,7 +235,7 @@ class Algebra:
         return rep
 
     def mul_basis(self, i: int, j: int) -> Vector:
-        return list(self.mul_tensor[i][j])
+        return _dense(dict(self.mul_table[i][j]), self.dim)
 
     def mul_vec(self, x: Vector, y: Vector) -> Vector:
         return _bilinear(self.mul_table, x, y, (self.dim,) * 3)
@@ -250,9 +247,9 @@ class Algebra:
 
     def self_bimodule(self) -> "Bimodule":
         """A as a bimodule over itself via the algebra product; built once,
-        on the product's own tensor and table."""
+        on the product's own table."""
         if self._self_bimodule is None:
-            t = self.mul_tensor
+            t = self.mul_table
             self._self_bimodule = Bimodule(self, t, t, self.basis_names, _skip_check=True)
         return self._self_bimodule
 
@@ -265,11 +262,10 @@ class Algebra:
         if self._unit_computed:
             return None if self._unit is None else list(self._unit)
         n = self.dim
-        rows = _action_rows(self.mul_tensor, self.mul_tensor)
         # each row pair (x e_i, e_i x) at coordinate k equals delta_{ik}
         rhs = [Fraction(1 if k == i else 0)
                for i in range(n) for k in range(n) for _ in range(2)]
-        x = solve(Matrix.from_rows(rows), rhs)
+        x = solve(_action_rows(self.self_bimodule()), rhs)
         self._unit = x
         self._unit_computed = True
         return None if x is None else list(x)
@@ -292,8 +288,8 @@ class Bimodule:
             raise ValueError("left tensor first axis must match algebra dim")
         dim = len(right)
         self.dim = dim
-        self.left, self.left_table = _action(left, algebra, (m, dim, dim))
-        self.right, self.right_table = _action(right, algebra, (dim, m, dim))
+        self.left_table, self.right_table = (left, right) if _skip_check else (
+            _table(left, m, dim, dim), _table(right, dim, m, dim))
         self.basis_names = _names(basis_names, dim, "u")
         self._integers = None
         self.report = None  # the axiom report, unless built with _skip_check
@@ -301,6 +297,8 @@ class Bimodule:
             self.report = self.axiom_report()
             if not self.report.passed:
                 raise ValidationError(self.report)
+
+    left, right = _view("left_table"), _view("right_table")
 
     @property
     def tables(self) -> tuple:
@@ -426,30 +424,26 @@ class LinearMap:
         return "LinearMap(%d -> %d)" % (self.matrix.cols, self.matrix.rows)
 
 
-def _action_rows(left, right) -> list:
-    """Rows of the linear map x -> (x u_j, u_j x) in the coordinates of x.
-
-    ``left`` and ``right`` are the action tensors of a bimodule over the
-    algebra of x.  For each j and output coordinate k there are two rows:
-    coordinate k of x u_j, then of u_j x.
-    """
-    m, n = len(left), len(right)
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([left[s][j][k] for s in range(m)])
-            rows.append([right[j][s][k] for s in range(m)])
-    return rows
+def _action_rows(u: Bimodule) -> SparseMatrix:
+    """The linear map x -> (x u_j, u_j x) in the coordinates of x, from the
+    sparse action tables: for each j and output coordinate k two rows,
+    coordinate k of x u_j, then of u_j x."""
+    m, n = u.algebra.dim, u.dim
+    rows = [[] for _ in range(2 * n * n)]
+    for s in range(m):  # each row's columns come in ascending order
+        for j in range(n):
+            for k, c in u.left_table[s][j]:
+                rows[2 * (j * n + k)].append((s, c))
+            for k, c in u.right_table[j][s]:
+                rows[2 * (j * n + k) + 1].append((s, c))
+    return SparseMatrix(2 * n * n, m, rows)
 
 
 def annihilator(a: Algebra, u: Bimodule) -> Subspace:
     """ann_A U = {x in A : x U = U x = 0}, as an exact subspace of A."""
     if u.algebra is not a:
         raise ValueError("bimodule is not over the given algebra")
-    rows = _action_rows(u.left, u.right)
-    if not rows:
-        return Subspace.full(a.dim)
-    return nullspace(Matrix.from_rows(rows))
+    return nullspace(_action_rows(u))
 
 
 def is_module_hom(f: LinearMap, side: str = "both") -> ConditionReport:

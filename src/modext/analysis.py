@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
-from .algebra import (Algebra, Bimodule, LinearMap, _combine, _product, block_tensor,
+from .algebra import (Algebra, Bimodule, LinearMap, _combine, _product, block_table,
                       coordinates)
 from .derivations import LeibnizSystem, inner_map
 from .extension import ideal_check
@@ -112,9 +112,9 @@ def unitization(a: Algebra) -> Algebra:
     Associative because A is, so it is built without the re-check.
     """
     n = a.dim + 1
-    mul = block_tensor(n, [(a.mul_table, (1, 1, 1))])
+    mul = block_table(n, [(a.mul_table, (1, 1, 1))])
     for i in range(n):
-        mul[0][i][i] = mul[i][0][i] = Fraction(1)
+        mul[0][i], mul[i][0] = [(i, Fraction(1))], [(i, Fraction(1))]
     return Algebra(mul, basis_names=["1"] + list(a.basis_names), _skip_check=True)
 
 
@@ -126,6 +126,8 @@ def is_nilpotent_subspace(a: Algebra, s: Subspace) -> bool:
     products of the last one with s, formed in integers from the sparse
     table and kept as its integer echelon rows.
     """
+    if s.ambient_dim != a.dim:
+        raise ValueError("subspace ambient dimension does not match algebra")
     table = a.integer_table[1]
     gens = [_integer_row(enumerate(v)) for v in s.basis]
     power = gens
@@ -292,7 +294,7 @@ def find_surjective_left_hom(a: Algebra, u: Bimodule) -> Optional[LinearMap]:
     if n > m:
         return None
     # f(ab) = a f(b) are the Leibniz rows of U with its right action zeroed
-    left_only = Bimodule(a, u.left, [[[0] * n] * m] * n, _skip_check=True)
+    left_only = Bimodule(a, u.left_table, [[[]] * m for _ in range(n)], _skip_check=True)
     sol = nullspace(LeibnizSystem(a, left_only).matrix)
     if sol.dim == 0:
         return None

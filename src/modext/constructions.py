@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
-from .algebra import Algebra, Bimodule, LinearMap, coordinates, is_module_hom
+from .algebra import Algebra, Bimodule, LinearMap, _table, coordinates, is_module_hom
 from .blocks import BlockDecomposition, assemble
 from .derivations import is_derivation
 from .extension import ModuleExtension, _quotient, trivial_extension
@@ -135,7 +135,7 @@ def _corner(a: Algebra, p) -> Tuple[list, Subspace, Bimodule]:
     q = basis.dim
     left = [[_in_corner(basis, a.mul_vec(unit_vec(a.dim, i), b), "left action")
              for b in basis.basis] for i in range(a.dim)]
-    right = [[[0] * q for _ in range(a.dim)] for _ in range(q)]
+    left, right = _table(left, a.dim, q, q), [[[]] * a.dim for _ in range(q)]
     names = ["b%d" % j for j in range(q)]
     return coords, basis, Bimodule(a, left, right, basis_names=names, _skip_check=True)
 

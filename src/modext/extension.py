@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Tuple
 
-from .algebra import (Algebra, Bimodule, LinearMap, _combine, _product, block_tensor,
+from .algebra import (Algebra, Bimodule, LinearMap, _product, _sum_sparse, block_table,
                       coordinates)
 from .linalg import Matrix, Subspace, Vector, _integer_row, _row_space_test, unit_vec
 from .reports import ConditionReport, require
@@ -33,9 +33,9 @@ class ModuleExtension:
         self.module = module
         m = base.dim
         # (e_i, 0)(0, u_j) = (0, e_i u_j) and (0, u_j)(e_i, 0) = (0, u_j e_i)
-        mul = block_tensor(m + module.dim, [(base.mul_table, (0, 0, 0)),
-                                            (module.left_table, (0, m, m)),
-                                            (module.right_table, (m, 0, m))])
+        mul = block_table(m + module.dim, [(base.mul_table, (0, 0, 0)),
+                                           (module.left_table, (0, m, m)),
+                                           (module.right_table, (m, 0, m))])
         names = ["a:%s" % s for s in base.basis_names] + [
             "u:%s" % s for s in module.basis_names
         ]
@@ -82,13 +82,8 @@ def submultiplicativity_constant(a: Algebra) -> Fraction:
     C = max over basis pairs (i,j) of sum_k |c[i][j][k]|; the maximum is
     attained at some basis pair, so the bound is sharp.
     """
-    best = Fraction(0)
-    for i in range(a.dim):
-        for j in range(a.dim):
-            s = sum((abs(x) for x in a.mul_tensor[i][j]), Fraction(0))
-            if s > best:
-                best = s
-    return best
+    return max((sum((abs(c) for _, c in entries), Fraction(0))
+                for plane in a.mul_table for entries in plane), default=Fraction(0))
 
 
 def ideal_check(a: Algebra, s: Subspace) -> ConditionReport:
@@ -133,7 +128,7 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> Tuple[Algebra, Matrix]:
     """The algebra A/I with its projection matrix (see quotient_coordinates)."""
     complement, quotient, proj = _quotient(a, ideal)
     # (e_c + I)(e_d + I) is e_c acting on the bimodule A/I, c in the complement
-    mul = [quotient.left[c] for c in complement]
+    mul = [quotient.left_table[c] for c in complement]
     return Algebra(mul, basis_names=quotient.basis_names, _skip_check=True), proj.matrix
 
 
@@ -147,11 +142,12 @@ def _quotient(a: Algebra, ideal: Subspace) -> Tuple[List[int], Bimodule, LinearM
     """The coset columns of quotient_coordinates, A/I and the projection."""
     require(ideal_check(a, ideal), "subspace is not a two-sided ideal")
     complement, proj = quotient_coordinates(ideal)
-    m, q = a.dim, len(complement)
+    m = a.dim
     # e_i e_c + I: the constants of e_i e_c pushed through the projection
-    images = [proj.col(k) for k in range(m)]
-    left = [[_combine(a.mul_table[i][c], images, q) for c in complement] for i in range(m)]
-    right = [[_combine(a.mul_table[c][i], images, q) for i in range(m)] for c in complement]
+    images = [{r: x for r, x in enumerate(proj.col(k)) if x} for k in range(m)]
+    push = lambda entries: sorted(_sum_sparse(entries, images).items())
+    left = [[push(a.mul_table[i][c]) for c in complement] for i in range(m)]
+    right = [[push(a.mul_table[c][i]) for i in range(m)] for c in complement]
     names = [a.basis_names[c] + "+I" for c in complement]
     quotient = Bimodule(a, left, right, basis_names=names, _skip_check=True)
     return complement, quotient, LinearMap(a.self_bimodule(), quotient, proj)

@@ -55,7 +55,8 @@ def parse_rational(value, path: str = "") -> Fraction:
     raise ParseError(path, "expected a rational, got %s" % type(value).__name__)
 
 
-def _parse_matrix(rows, cols, data, path: str) -> Matrix:
+def _parse_rows(rows, cols, data, path: str) -> list:
+    """The rows of a rows x cols JSON matrix as lists of Fractions."""
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(path, "expected %d rows" % rows)
     out = []
@@ -65,16 +66,18 @@ def _parse_matrix(rows, cols, data, path: str) -> Matrix:
         out.append(
             [parse_rational(x, "%s[%d][%d]" % (path, i, j)) for j, x in enumerate(row)]
         )
-    return Matrix(rows, cols, out)
+    return out
+
+
+def _parse_matrix(rows, cols, data, path: str) -> Matrix:
+    return Matrix(rows, cols, _parse_rows(rows, cols, data, path))
 
 
 def _parse_tensor(d1, d2, d3, data, path: str):
     if not isinstance(data, list) or len(data) != d1:
         raise ParseError(path, "expected %d slices" % d1)
-    return [
-        _parse_matrix(d2, d3, plane, "%s[%d]" % (path, i)).data
-        for i, plane in enumerate(data)
-    ]
+    return [_parse_rows(d2, d3, plane, "%s[%d]" % (path, i))
+            for i, plane in enumerate(data)]
 
 
 class MapEntry(NamedTuple):
@@ -229,8 +232,8 @@ def parse_document(doc) -> ArtifactFile:
         vectors = entry.get("vectors")
         if not isinstance(vectors, list):
             raise ParseError(path + ".vectors", "expected a list of vectors")
-        parsed = _parse_matrix(len(vectors), dim, vectors, path + ".vectors")
-        out.subspaces[entry["name"]] = Subspace.from_vectors(dim, parsed.data)
+        parsed = _parse_rows(len(vectors), dim, vectors, path + ".vectors")
+        out.subspaces[entry["name"]] = Subspace.from_vectors(dim, parsed)
 
     return out
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Algebra, Bimodule, block_tensor
+from .algebra import Algebra, Bimodule, block_table
 
 
 def _zero_tensor(d1, d2, d3):
@@ -82,11 +82,12 @@ def upper_triangular_2() -> Algebra:
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
-    """Block-diagonal sum of two algebras."""
+    """Block-diagonal sum of two algebras; associative because both are,
+    so it is built without the re-check."""
     m = a.dim
-    mul = block_tensor(m + b.dim, [(a.mul_table, (0, 0, 0)), (b.mul_table, (m, m, m))])
+    mul = block_table(m + b.dim, [(a.mul_table, (0, 0, 0)), (b.mul_table, (m, m, m))])
     names = ["l:%s" % s for s in a.basis_names] + ["r:%s" % s for s in b.basis_names]
-    return Algebra(mul, basis_names=names)
+    return Algebra(mul, basis_names=names, _skip_check=True)
 
 
 def q_plus_q() -> Algebra:

@@ -23,7 +23,8 @@ from modext.samples import (
     zero_product,
 )
 
-from oracles import apply_matrix, left_act, mul_vec, right_act
+from oracles import (apply_matrix, dense_nullspace, dense_rref, left_act, mul_vec,
+                     right_act, tensors_of)
 
 
 def built_or_report(build, *args):
@@ -261,6 +262,7 @@ class TestAnnihilator:
         a = dual_numbers()
         ann = annihilator(a, zero_action_module(a, 2))
         assert ann == Subspace.full(2)
+        assert annihilator(a, zero_action_module(a, 0)) == Subspace.full(2)
 
     def test_column_module_is_left_faithful(self):
         a = matrix_units(2)
@@ -280,6 +282,37 @@ class TestAnnihilator:
             for v in ann.basis:
                 assert ann.contains_vector(a2.mul_vec(unit_vec(a2.dim, i), v))
                 assert ann.contains_vector(a2.mul_vec(v, unit_vec(a2.dim, i)))
+
+
+def _dense_action_rows(u):
+    """Rows of x -> (x u_j, u_j x) in the coordinates of x, from the dense
+    tensors: for each j and coordinate k, of x u_j and then of u_j x."""
+    _, left, right = tensors_of(u.algebra, u)
+    m, n = u.algebra.dim, u.dim
+    return [row for j in range(n) for k in range(n)
+            for row in ([left[s][j][k] for s in range(m)],
+                        [right[j][s][k] for s in range(m)])]
+
+
+def test_annihilator_matches_dense_oracle(corpus_pairs):
+    for name, a, u in corpus_pairs:
+        assert annihilator(a, u).basis == dense_nullspace(_dense_action_rows(u)), name
+
+
+def test_unit_matches_dense_oracle(corpus_pairs):
+    # e x = x = x e on the basis: the action rows of A on itself, augmented
+    # by the coordinates of the basis element they must reproduce
+    for name, a, _ in corpus_pairs:
+        n = a.dim
+        rhs = [Fraction(int(k == i)) for i in range(n) for k in range(n) for _ in range(2)]
+        rows = [row + [b] for row, b in zip(_dense_action_rows(a.self_bimodule()), rhs)]
+        red, pivots = dense_rref(rows)
+        want = None
+        if n not in pivots:
+            want = zero_vec(n)
+            for r, p in enumerate(pivots):
+                want[p] = red[r][n]
+        assert a.unit() == want, name
 
 
 class TestModuleHom:
@@ -331,7 +364,7 @@ class TestModuleHom:
         p = Matrix.from_rows(cols).transpose()
         a = Algebra([[solve(p, m2.mul_vec(x, y)) for y in cols] for x in cols])
         u = a.self_bimodule()
-        n = u.dim
+        n, left, right = u.dim, u.left, u.right
         rng = random.Random(7)
         failing = 0
         for _ in range(40):
@@ -345,11 +378,11 @@ class TestModuleHom:
                     for j in range(n):
                         ei, uj = unit_vec(n, i), unit_vec(n, j)
                         if side == "left":
-                            lhs = apply_matrix(m, left_act(u.left, ei, uj))
-                            rhs = left_act(u.left, ei, apply_matrix(m, uj))
+                            lhs = apply_matrix(m, left_act(left, ei, uj))
+                            rhs = left_act(left, ei, apply_matrix(m, uj))
                         else:
-                            lhs = apply_matrix(m, right_act(u.right, uj, ei))
-                            rhs = right_act(u.right, apply_matrix(m, uj), ei)
+                            lhs = apply_matrix(m, right_act(right, uj, ei))
+                            rhs = right_act(right, apply_matrix(m, uj), ei)
                         if lhs != rhs and witness is None:
                             witness = ((i, j), lhs, rhs)
                 want.append(witness)
@@ -381,6 +414,7 @@ def test_self_bimodule_is_built_once(corpus_pairs):
     for alg in (a, total):
         u = alg.self_bimodule()
         assert u is alg.self_bimodule()
+        assert u.left_table is u.right_table is alg.mul_table
         assert (u.algebra, u.left, u.right) == (alg, alg.mul_tensor, alg.mul_tensor)
 
 
@@ -389,11 +423,11 @@ def test_associativity_independent_oracle(corpus_pairs):
     from oracles import mul_vec as oracle_mul
 
     for name, a, _ in corpus_pairs:
-        n = a.dim
+        n, mul = a.dim, a.mul_tensor
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     ei, ej, ek = (unit_vec(n, s) for s in (i, j, k))
-                    lhs = oracle_mul(a.mul_tensor, oracle_mul(a.mul_tensor, ei, ej), ek)
-                    rhs = oracle_mul(a.mul_tensor, ei, oracle_mul(a.mul_tensor, ej, ek))
+                    lhs = oracle_mul(mul, oracle_mul(mul, ei, ej), ek)
+                    rhs = oracle_mul(mul, ei, oracle_mul(mul, ej, ek))
                     assert lhs == rhs, (name, i, j, k)

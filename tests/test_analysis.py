@@ -10,6 +10,7 @@ from modext.analysis import (
     center,
     find_surjective_left_hom,
     is_idempotent,
+    is_nilpotent_subspace,
     is_nontrivial_idempotent,
     is_simple_prime,
     min_poly,
@@ -64,6 +65,13 @@ class TestRadical:
         rep = radical(dual_numbers())
         assert not rep.is_semisimple
         assert rep.radical == Subspace.from_vectors(2, [unit_vec(2, 1)])
+
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_nilpotent_subspace_of_the_wrong_ambient_dimension(self, index):
+        # a subspace of Q^3 is not one of the dual numbers, whatever it spans
+        s = Subspace.from_vectors(3, [unit_vec(3, index)])
+        with pytest.raises(ValueError, match="ambient dimension does not match"):
+            is_nilpotent_subspace(dual_numbers(), s)
 
     def test_triangle_radical_is_e12(self):
         rep = radical(upper_triangular_2())

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from modext.algebra import is_module_hom
+from modext.algebra import Algebra, Bimodule, _table, is_module_hom
 from modext.analysis import is_nontrivial_idempotent, radical, unitization
 from modext.constructions import corner_module
 from modext.extension import (
@@ -18,6 +19,7 @@ from modext.linalg import Matrix, Subspace, unit_vec, zero_vec
 from modext.reports import HypothesisError
 from modext.samples import (
     corpus,
+    direct_sum,
     dual_numbers,
     field_q,
     matrix_units,
@@ -208,10 +210,33 @@ def corpus_algebras():
     return list(seen.values())
 
 
+def corpus_ideals():
+    """(name, A, I) for the two-sided ideals among 0, A, rad A and the
+    coordinate lines of each corpus algebra."""
+    for name, a in corpus_algebras():
+        ideals = [Subspace.zero(a.dim), Subspace.full(a.dim), radical(a).radical]
+        ideals += [Subspace.from_vectors(a.dim, [unit_vec(a.dim, i)]) for i in range(a.dim)]
+        for ideal in ideals:
+            if ideal_check(a, ideal).passed:
+                yield name, a, ideal
+
+
+def corpus_idempotents():
+    """(name, A, p) for the nontrivial idempotents among the basis vectors
+    and the unit of each corpus algebra."""
+    for name, a in corpus_algebras():
+        candidates = [unit_vec(a.dim, i) for i in range(a.dim)]
+        if a.unit() is not None:
+            candidates.append(a.unit())
+        for p in candidates:
+            if is_nontrivial_idempotent(a, p):
+                yield name, a, p
+
+
 class TestDerivedStructuresHoldTheirAxioms:
-    """T(A,U), the unitization, A/I and A p are built from validated parts
-    without the constructors' re-check; their axioms hold by construction,
-    and these tests check them in full."""
+    """T(A,U), the unitization, direct sums, A/I and A p are built from
+    validated parts without the constructors' re-check; their axioms hold
+    by construction, and these tests check them in full."""
 
     def test_extensions_of_the_corpus(self, corpus_extensions):
         for name, a, u, t in corpus_extensions:
@@ -229,29 +254,81 @@ class TestDerivedStructuresHoldTheirAxioms:
         for name, a in corpus_algebras():
             assert unitization(a).associativity_report().passed, name
 
+    def test_direct_sums_of_the_corpus(self):
+        for (x, a), (y, b) in product(corpus_algebras(), repeat=2):
+            assert direct_sum(a, b).associativity_report().passed, (x, y)
+
     def test_quotients_of_the_corpus(self):
-        for name, a in corpus_algebras():
-            ideals = [Subspace.zero(a.dim), Subspace.full(a.dim), radical(a).radical]
-            ideals += [Subspace.from_vectors(a.dim, [unit_vec(a.dim, i)])
-                       for i in range(a.dim)]
-            for ideal in ideals:
-                if not ideal_check(a, ideal).passed:
-                    continue
-                q, _ = quotient_algebra(a, ideal)
-                assert q.associativity_report().passed, name
-                qm, _ = quotient_bimodule(a, ideal)
-                assert qm.axiom_report().passed, name
+        for name, a, ideal in corpus_ideals():
+            q, _ = quotient_algebra(a, ideal)
+            assert q.associativity_report().passed, name
+            qm, _ = quotient_bimodule(a, ideal)
+            assert qm.axiom_report().passed, name
 
     def test_corner_modules_of_the_corpus(self):
-        for name, a in corpus_algebras():
-            candidates = [unit_vec(a.dim, i) for i in range(a.dim)]
-            if a.unit() is not None:
-                candidates.append(a.unit())
-            for p in candidates:
-                if is_nontrivial_idempotent(a, p):
-                    assert corner_module(a, p).axiom_report().passed, (name, p)
+        for name, a, p in corpus_idempotents():
+            assert corner_module(a, p).axiom_report().passed, (name, p)
 
     def test_modules_of_the_corpus(self, corpus_pairs):
         # the corpus holds quotient and corner modules too
         for name, a, u in corpus_pairs:
             assert u.axiom_report().passed, name
+
+
+def built_structures(corpus_pairs):
+    """(name, algebra or bimodule) for every kind of structure the library
+    builds: the corpus, T(A,U), the unitization, direct sums, A/I as an
+    algebra and as a bimodule, and the corner module A p."""
+    for name, a, u in corpus_pairs:
+        yield name, a
+        yield name, u
+        yield "T(%s)" % name, trivial_extension(a, u).total
+    for name, a in corpus_algebras():
+        yield "unitization of %s" % name, unitization(a)
+        yield "%s + Q" % name, direct_sum(a, field_q())
+    for name, a, ideal in corpus_ideals():
+        yield "%s / I" % name, quotient_algebra(a, ideal)[0]
+        yield "%s / I" % name, quotient_bimodule(a, ideal)[0]
+    for name, a, p in corpus_idempotents():
+        yield "%s p" % name, corner_module(a, p)
+
+
+def tables_of(carrier):
+    """(table, dense view, shape) for each structure table of the carrier."""
+    if isinstance(carrier, Algebra):
+        n = carrier.dim
+        return [(carrier.mul_table, carrier.mul_tensor, (n, n, n))]
+    m, n = carrier.algebra.dim, carrier.dim
+    return [(carrier.left_table, carrier.left, (m, n, n)),
+            (carrier.right_table, carrier.right, (n, m, n))]
+
+
+def assert_table_invariant(name, table, view, shape):
+    """Each entry is a nonzero Fraction at a k in range, in ascending k, and
+    the dense view reads back to the same table."""
+    d1, d2, d3 = shape
+    assert len(table) == d1 and all(len(plane) == d2 for plane in table), name
+    for entries in (entries for plane in table for entries in plane):
+        ks = [k for k, _ in entries]
+        assert all(0 <= k < d3 for k in ks) and ks == sorted(set(ks)), name
+        assert all(type(c) is Fraction and c for _, c in entries), name
+    assert _table(view, *shape) == table, name
+
+
+class TestTableInvariant:
+    def test_every_built_structure(self, corpus_pairs):
+        for name, carrier in built_structures(corpus_pairs):
+            for table, view, shape in tables_of(carrier):
+                assert_table_invariant(name, table, view, shape)
+
+    def test_string_and_rational_entries_with_explicit_zeros(self):
+        # "0" and "0/3" are truthy strings but zero constants
+        mul = [[["1", "0"], ["0/3", Fraction(1)]], [[0, "2/2"], [Fraction(0), "0"]]]
+        a = Algebra(mul)
+        assert a.mul_table == [[[(0, 1)], [(1, 1)]], [[(1, 1)], []]]
+        assert_table_invariant("dual numbers from strings", a.mul_table, a.mul_tensor,
+                               (2, 2, 2))
+        u = Bimodule(a, [[["1"]], [["0/5"]]], [[["2/2"], ["0"]]])  # eps acts as 0
+        assert (u.left_table, u.right_table) == ([[[(0, 1)]], [[]]], [[[(0, 1)], []]])
+        for table, view, shape in tables_of(u):
+            assert_table_invariant("module from strings", table, view, shape)

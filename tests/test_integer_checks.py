@@ -150,10 +150,10 @@ def _block_witnesses(t, d):
 def _rescaled(u, weights):
     """U on the basis g_k = weights[k] u_k: e_i g_j = sum_k (w_j / w_k)
     l[i][j][k] g_k, and likewise on the right."""
-    n = u.dim
-    left = [[[u.left[i][j][k] * weights[j] / weights[k] for k in range(n)]
+    n, ul, ur = u.dim, u.left, u.right
+    left = [[[ul[i][j][k] * weights[j] / weights[k] for k in range(n)]
              for j in range(n)] for i in range(u.algebra.dim)]
-    right = [[[u.right[j][i][k] * weights[j] / weights[k] for k in range(n)]
+    right = [[[ur[j][i][k] * weights[j] / weights[k] for k in range(n)]
               for i in range(u.algebra.dim)] for j in range(n)]
     return Bimodule(u.algebra, left, right)
 
@@ -163,17 +163,18 @@ def _module_hom_witnesses(f, m):
     dense rational evaluation of f(e_i u_j) = e_i f(u_j) and
     f(u_j e_i) = f(u_j) e_i; None where the identity holds."""
     src, tgt = f.source, f.target
+    (sl, sr), (tl, tr) = (src.left, src.right), (tgt.left, tgt.right)
     out = []
     for side in ("left", "right"):
         witness = None
         for i, j in product(range(m), range(src.dim)):
             ei, uj = unit_vec(m, i), unit_vec(src.dim, j)
             if side == "left":
-                lhs = apply_matrix(f.matrix.data, left_act(src.left, ei, uj))
-                rhs = left_act(tgt.left, ei, apply_matrix(f.matrix.data, uj))
+                lhs = apply_matrix(f.matrix.data, left_act(sl, ei, uj))
+                rhs = left_act(tl, ei, apply_matrix(f.matrix.data, uj))
             else:
-                lhs = apply_matrix(f.matrix.data, right_act(src.right, uj, ei))
-                rhs = right_act(tgt.right, apply_matrix(f.matrix.data, uj), ei)
+                lhs = apply_matrix(f.matrix.data, right_act(sr, uj, ei))
+                rhs = right_act(tr, apply_matrix(f.matrix.data, uj), ei)
             if lhs != rhs:
                 witness = ((i, j), lhs, rhs)
                 break
@@ -208,12 +209,12 @@ def test_module_hom_matches_dense_evaluation(name, a):
 def _ideal_witnesses(a, s):
     """[A.s witness, s.A witness]: the first (i, w) in (i, basis) order
     whose product leaves s, by dense products and ranks; None if none."""
-    out = []
+    out, mul = [], a.mul_tensor
     for left in (True, False):
         witness = None
         for i, w in product(range(a.dim), s.basis):
             ei = unit_vec(a.dim, i)
-            prod = mul_vec(a.mul_tensor, ei, w) if left else mul_vec(a.mul_tensor, w, ei)
+            prod = mul_vec(mul, ei, w) if left else mul_vec(mul, w, ei)
             if not _dense_in_span(s.basis, prod):
                 witness = ((i,), w, prod)
                 break
@@ -224,9 +225,9 @@ def _ideal_witnesses(a, s):
 def _dense_nilpotent(a, s):
     """Does some power of s vanish?  Each power is the RREF of the dense
     products of the last one with s; one that repeats never vanishes."""
-    power = s.basis
+    power, mul = s.basis, a.mul_tensor
     for _ in range(a.dim + 1):
-        prods = [p for v in power for w in s.basis if any(p := mul_vec(a.mul_tensor, v, w))]
+        prods = [p for v in power for w in s.basis if any(p := mul_vec(mul, v, w))]
         if not prods:
             return True
         reduced, pivots = dense_rref(prods)
@@ -238,10 +239,10 @@ def _dense_nilpotent(a, s):
 
 def _ideal_generated(a, v):
     """The two-sided ideal generated by v, closed under dense products."""
-    s = Subspace.from_vectors(a.dim, [v])
+    s, mul = Subspace.from_vectors(a.dim, [v]), a.mul_tensor
     while True:
         units = [unit_vec(a.dim, i) for i in range(a.dim)]
-        vectors = s.basis + [mul_vec(a.mul_tensor, x, y) for w in s.basis
+        vectors = s.basis + [mul_vec(mul, x, y) for w in s.basis
                              for e in units for x, y in ((e, w), (w, e))]
         bigger = Subspace.from_vectors(a.dim, vectors)
         if bigger == s:
@@ -259,7 +260,8 @@ def _subspaces(rng, a):
         vectors = [[rng.choice(RATIONALS + [0, 0, 0]) for _ in range(a.dim)] for _ in range(k)]
         out.append(Subspace.from_vectors(a.dim, vectors))
     if rad:
-        square = [mul_vec(a.mul_tensor, v, w) for v in rad for w in rad]
+        mul = a.mul_tensor
+        square = [mul_vec(mul, v, w) for v in rad for w in rad]
         out.append(Subspace.from_vectors(a.dim, square))
         out.append(Subspace.from_vectors(a.dim, square + [rad[0]]))
         c = rng.choice(RATIONALS)
