@@ -149,8 +149,47 @@ def _sum_sparse(terms, vectors) -> dict:
     return {r: x for r, x in out.items() if x}
 
 
-def _scaled(x: dict, c: int) -> dict:
-    return {k: v * c for k, v in x.items()}
+def _columns(entries: dict, cols: int, scale: int = 1) -> list:
+    """The nonzero entries {row * cols + column: value} of a flattened
+    matrix, times scale, as its columns [(row, value)]."""
+    out = [[] for _ in range(cols)]
+    for col, x in entries.items():
+        t, s = divmod(col, cols)
+        out[s].append((t, x * scale))
+    return out
+
+
+def _residual(shape, plus: list, minus: list, tables) -> list:
+    """sum_s P[i][j][s] D[k][s] + sum_t L[i][t][k] N[t][j] + sum_t
+    R[t][j][k] N[t][i] at each (i, j, k), flat at (i * q + j) * n + k for
+    shape (p, q, n).  Summed over the constants of the sparse tables
+    (P, L, R), L or R None to leave its sum out, and over the nonzero
+    entries of D and N only, given as their columns plus and minus."""
+    p, q, n = shape
+    mul, left, right = tables
+    res = [0] * (p * q * n)
+    for i, j in product(range(p), range(q)):
+        base = (i * q + j) * n
+        for s, c in mul[i][j]:
+            for k, x in plus[s]:
+                res[base + k] += c * x
+    if left:  # per t, the nonzero L[i][t] with their offsets i * q * n
+        lefts = [[(i * q * n, plane[t]) for i, plane in enumerate(left) if plane[t]]
+                 for t in range(len(left[0]))]
+        for j, col in enumerate(minus):
+            for t, x in col:
+                for off, entries in lefts[t]:
+                    for k, c in entries:
+                        res[off + j * n + k] += c * x
+    if right:  # per t, the nonzero R[t][j] with their offsets j * n
+        rights = [[(j * n, entries) for j, entries in enumerate(plane) if entries]
+                  for plane in right]
+        for i, col in enumerate(minus):
+            for t, x in col:
+                for off, entries in rights[t]:
+                    for k, c in entries:
+                        res[i * q * n + off + k] += c * x
+    return res
 
 
 def _combine(terms, vectors: Sequence[Vector], dim: int) -> Vector:
@@ -239,11 +278,6 @@ class Algebra:
 
     def mul_vec(self, x: Vector, y: Vector) -> Vector:
         return _bilinear(self.mul_table, x, y, (self.dim,) * 3)
-
-    def left_mul_matrix(self, x: Vector) -> Matrix:
-        """Matrix of y -> x y in the algebra basis."""
-        cols = [self.mul_vec(x, unit_vec(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_rows(cols).transpose()
 
     def self_bimodule(self) -> "Bimodule":
         """A as a bimodule over itself via the algebra product; built once,
@@ -450,7 +484,11 @@ def is_module_hom(f: LinearMap, side: str = "both") -> ConditionReport:
     """Check the module-homomorphism identities on all basis pairs.
 
     ``side`` is "left", "right" or "both".  Source and target must be
-    bimodules over the same algebra.
+    bimodules over the same algebra.  The residual f(e_i u_j) - e_i f(u_j),
+    or f(u_j e_i) - f(u_j) e_i, is summed in integers at all pairs at once
+    over f's nonzero entries: f and each bimodule's tables times their own
+    denominators, each side scaled by the other side's.  The first failing
+    pair (i, j) is evaluated again in rationals for its witness.
     """
     if side not in ("left", "right", "both"):
         raise ValueError("side must be left, right or both")
@@ -459,42 +497,25 @@ def is_module_hom(f: LinearMap, side: str = "both") -> ConditionReport:
         raise ValueError("is_module_hom requires bimodule source and target")
     if src.algebra is not tgt.algebra:
         raise ValueError("source and target are over different algebras")
-    a = src.algebra
-
-    def sides(src_tables, tgt_tables, images, i, j, left):
-        """f(e_i u_j) and e_i f(u_j), or f(u_j e_i) and f(u_j) e_i, from
-        the action constants, on the images f(u_j) as {t: value}."""
-        if left:
-            return (_sum_sparse(src_tables[1][i][j], images),
-                    _product(tgt_tables[1], {i: 1}, images[j]))
-        return (_sum_sparse(src_tables[2][j][i], images),
-                _product(tgt_tables[2], images[j], {i: 1}))
-
-    def images(entries):
-        out = [{} for _ in range(src.dim)]
-        for col, x in entries.items():
-            t, j = divmod(col, src.dim)
-            out[j][t] = x
-        return out
-
-    # the sides in integers: f and each bimodule's tables times their own
-    # denominators, compared after scaling each side by the other side's
-    flat = f.matrix.flatten()
-    sden, stables = src.integer_tables
-    tden, ttables = tgt.integer_tables
-    scaled = images(_integer_row(enumerate(flat)))
+    m, p, q = src.algebra.dim, src.dim, tgt.dim
+    entries = _integer_row(enumerate(f.matrix.flatten()))
+    sden, (_, sl, sr) = src.integer_tables
+    tden, (_, tl, tr) = tgt.integer_tables
+    plus, minus = _columns(entries, p, tden), _columns(entries, p, -sden)
     rep = ConditionReport("module homomorphism (%s)" % side)
     for want in ("left", "right"):
         if side not in ("both", want):
             continue
+        left = want == "left"  # the residual at (i, j, k) on the left, (j, i, k) on the right
+        res = (_residual((m, p, q), plus, minus, (sl, tl, None)) if left
+               else _residual((p, m, q), plus, minus, (sr, None, tr)))
         witness = None
-        for i, j in product(range(a.dim), range(src.dim)):
-            lhs, rhs = sides(stables, ttables, scaled, i, j, want == "left")
-            if _scaled(lhs, tden) != _scaled(rhs, sden):  # the witness, in rationals
-                exact = images({c: x for c, x in enumerate(flat) if x})
-                lhs, rhs = sides(src.tables, tgt.tables, exact, i, j, want == "left")
-                witness = ((i, j), _dense(lhs, tgt.dim), _dense(rhs, tgt.dim))
+        for i, j in product(range(m), range(p)) if any(res) else ():
+            at = (i * p + j if left else j * m + i) * q
+            if any(res[at:at + q]):  # the witness, in rationals
+                ei, uj, fj = unit_vec(m, i), unit_vec(p, j), f.matrix.col(j)
+                witness = ((i, j), f(src.left_act(ei, uj)), tgt.left_act(ei, fj)) if left else (
+                    (i, j), f(src.right_act(uj, ei)), tgt.right_act(fj, ei))
                 break
-        name = "f(au) = a f(u)" if want == "left" else "f(ua) = f(u) a"
-        rep.add(name, witness is None, witness=witness)
+        rep.add("f(au) = a f(u)" if left else "f(ua) = f(u) a", witness is None, witness=witness)
     return rep

@@ -9,11 +9,12 @@ rows of ``LeibnizSystem.matrix`` (the rational rows times the module's
 integer tables' denominator), all of them kept; ``nullspace`` drops the
 empty and repeated ones, picks its row basis mod a prime and certifies
 the basis by a zero integer residual on every row.  ``is_derivation`` and
-the C1-C6 checker in ``blocks`` sum the terms into the two sides in
-integers: the terms come from the module's integer tables and only over
-D's nonzero entries, with D scaled by the common denominator of its
-entries; a pair whose sides differ is summed again from the rational
-terms for its witness.  No check builds the system.  Inner derivations
+the C1-C6 checker in ``blocks`` sum the residual D(ab) - a D(b) - D(a) b
+at all pairs at once, in integers, one term per nonzero entry of D
+(scaled by their common denominator) and constant of the module's
+integer tables, so they cost time in proportion to their terms; a pair
+with a nonzero residual is summed again from its rational terms for its
+witness.  No check builds the system.  Inner derivations
 are the image of the sparse inner map x -> (a -> a x - x a), read off
 the nonzero action constants; its kernel on A itself is the center.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 from itertools import product
 from typing import List
 
-from .algebra import Algebra, Bimodule, LinearMap, coordinates
+from .algebra import Algebra, Bimodule, LinearMap, _columns, _residual, coordinates
 from .linalg import Matrix, SparseMatrix, Subspace, _integer_row, nullspace, zero_vec
 from .reports import ConditionReport
 
@@ -77,9 +78,9 @@ def leibniz_rows(algebra: Algebra, module: Bimodule):
             yield [item for item in row.items() if item[1]]
 
 
-def _sides(terms, d, start):
-    """The two sides, each summed from start over its terms on the entries d."""
-    sides = list(start), list(start)
+def _sides(terms, d, n):
+    """The two sides, in dimension n, each summed over its terms on the entries d."""
+    sides = zero_vec(n), zero_vec(n)
     for side, side_terms in zip(sides, terms):
         for k, col, c in side_terms:
             side[k] += c * d[col]
@@ -90,23 +91,24 @@ def _failing_pairs(algebra: Algebra, module: Bimodule, d):
     """((i, j), D(e_i e_j), e_i D(e_j) + D(e_i) e_j) for each basis pair
     whose sides differ, in (i, j) order, on D's row-major entries d.
 
-    The sides are compared in integers: D times one common denominator of
-    its entries, on the module's integer tables, over D's nonzero entries
-    only.  A failing pair is evaluated again in rationals for its witness.
+    The residual D(e_i e_j) - e_i D(e_j) - D(e_i) e_j is summed in
+    integers at every pair at once: D times one common denominator of its
+    entries, on the module's integer tables, each term read off one
+    nonzero entry of D and one constant.  A pair with no term reads 0 = 0.
+    A failing pair is evaluated again in rationals for its witness.
     """
+    if module.algebra is not algebra:
+        raise ValueError("module is not over the given algebra")
     m, n = algebra.dim, module.dim
     entries = _integer_row(enumerate(d))
-    scaled = [0] * len(d)
-    support = [[] for _ in range(m)]  # column s -> the rows t with d[t][s] != 0
-    for col, x in entries.items():
-        scaled[col] = x
-        support[col % m].append(col // m)
-    for i, j, *terms in _leibniz_terms(algebra, module, module.integer_tables[1], support):
-        lhs, rhs = _sides(terms, scaled, [0] * n)
-        if lhs != rhs:  # the witness: the same pair's rational terms
+    cols = _columns(entries, m)
+    res = _residual((m, m, n), cols, _columns(entries, m, -1), module.integer_tables[1])
+    support = [[t for t, _ in col] for col in cols]  # column s -> the rows t with d[t][s] != 0
+    for i, j in product(range(m), repeat=2) if any(res) else ():
+        if any(res[(i * m + j) * n:(i * m + j + 1) * n]):  # the witness: the pair's rational terms
             _, _, *terms = next(_leibniz_terms(algebra, module, support=support,
                                                pairs=[(i, j)]))
-            yield ((i, j), *_sides(terms, d, zero_vec(n)))
+            yield ((i, j), *_sides(terms, d, n))
 
 
 class LeibnizSystem:

@@ -123,15 +123,12 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         out = Matrix.zeros(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.data[i]
+        nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
+        for row, dst in zip(self.data, out.data):
             for k, a in enumerate(row):
-                if a == 0:
-                    continue
-                orow = other.data[k]
-                dst = out.data[i]
-                for j in range(other.cols):
-                    dst[j] += a * orow[j]
+                if a:
+                    for j, x in nonzeros[k]:
+                        dst[j] += a * x
         return out
 
     def apply(self, v: Vector) -> Vector:

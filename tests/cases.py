@@ -24,6 +24,8 @@ from modext.samples import (
     zero_product,
 )
 
+from families import left_mul_matrix
+
 
 def _mat(rows):
     return Matrix.from_rows(rows)
@@ -115,7 +117,7 @@ def transport_negative_cases():
     i4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     z4 = [[0] * 4 for _ in range(4)]
     add("M2: delta is the identity, not a derivation", m2, i4, i4, i4)
-    left_e11 = m2.left_mul_matrix(unit_vec(4, 0))
+    left_e11 = left_mul_matrix(m2, unit_vec(4, 0))
     add("M2: phi is left multiplication by E11 (right hom only)", m2,
         z4, left_e11.data, i4)
     add("QxQ: phi swaps the factors (not a hom)", q_plus_q(),

@@ -19,6 +19,11 @@ def upper_triangular(n):
     return Algebra(mul)
 
 
+def left_mul_matrix(a, x):
+    """Matrix of y -> x y on the algebra basis: column j is x e_j."""
+    return Matrix.from_rows([a.mul_vec(x, unit_vec(a.dim, j)) for j in range(a.dim)]).transpose()
+
+
 def self_extension(a):
     """The algebra T(A, A)."""
     return trivial_extension(a, a.self_bimodule()).total

@@ -68,6 +68,13 @@ def apply_matrix(d, v):
             for row in d]
 
 
+def dense_product(a, b, cols):
+    """The product of the nested lists a (r x k) and b (k x cols), each
+    entry summed over all k, zeros included."""
+    return [[sum((row[k] * b[k][j] for k in range(len(row))), Fraction(0))
+             for j in range(cols)] for row in a]
+
+
 def dense_rref(rows):
     """Reduced row echelon form by dense Gauss-Jordan over Fractions.
 

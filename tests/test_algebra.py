@@ -23,6 +23,7 @@ from modext.samples import (
     zero_product,
 )
 
+from families import left_mul_matrix
 from oracles import (apply_matrix, dense_nullspace, dense_rref, left_act, mul_vec,
                      right_act, tensors_of)
 
@@ -330,7 +331,7 @@ class TestModuleHom:
     def test_left_multiplication_is_right_hom_only(self):
         a = matrix_units(2)
         u = a.self_bimodule()
-        f = LinearMap(u, u, a.left_mul_matrix(unit_vec(4, 0)))  # u -> E11 u
+        f = LinearMap(u, u, left_mul_matrix(a, unit_vec(4, 0)))  # u -> E11 u
         assert is_module_hom(f, "right").passed
         rep = is_module_hom(f, "left")
         assert not rep.passed

@@ -1,0 +1,60 @@
+"""The summary of tools/bench_pairs.py on fixed numbers."""
+
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import bench_pairs
+    return bench_pairs
+
+
+def test_quartiles_are_inclusive(bench_pairs):
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_a_clear_gain_on_ten_pairs(bench_pairs):
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    change = [0.80, 0.82, 0.79, 0.81, 0.80, 0.83, 0.78, 0.80, 1.05, 0.79]
+    s = bench_pairs.summarize(parent, change, "lower", 0.25)
+    assert (s["pairs"], s["wins"]) == (10, 9)
+    assert s["parent"] == pytest.approx((0.9825, 1.0, 1.0175))
+    assert s["change"][1] == pytest.approx(0.80)
+    assert s["relative_change"] == pytest.approx(-0.2)
+    assert s["gain"] and s["within_bound"]
+
+
+def test_eight_wins_of_ten_claim_no_gain(bench_pairs):
+    parent = [1.0] * 10
+    change = [0.5] * 8 + [1.0, 1.5]  # a tie counts for neither side
+    s = bench_pairs.summarize(parent, change)
+    assert s["wins"] == 8
+    assert not s["gain"]
+    assert s["within_bound"] is None
+
+
+def test_a_gap_inside_the_parents_spread_claims_no_gain(bench_pairs):
+    parent = [0.8, 1.2] * 5  # interquartile range 0.4
+    change = [0.75, 1.15] * 5  # wins every pair, medians 0.05 apart
+    s = bench_pairs.summarize(parent, change)
+    assert s["wins"] == 10
+    assert not s["gain"]
+
+
+def test_a_worse_median_is_checked_against_the_bound(bench_pairs):
+    parent = [1.0, 1.0, 1.0, 1.0]
+    assert bench_pairs.summarize(parent, [1.2] * 4, "lower", 0.25)["within_bound"]
+    assert not bench_pairs.summarize(parent, [1.3] * 4, "lower", 0.25)["within_bound"]
+    higher = bench_pairs.summarize(parent, [0.7] * 4, "higher", 0.25)
+    assert not higher["within_bound"] and higher["wins"] == 0
+
+
+def test_unequal_sides_are_rejected(bench_pairs):
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([1.0, 2.0], [1.0])

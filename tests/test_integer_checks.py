@@ -9,8 +9,13 @@ a common denominator other than 1, and the maps carry rational entries
 of several denominators, so a check that scaled only one side, or
 dropped a denominator, would give another verdict.  Every verdict and
 witness is compared with direct rational evaluation (``tests/oracles``).
-The radical's re-verification is checked the same way, and shown to
-raise on a subspace that is not a nilpotent ideal.
+The same comparison runs on modules other than A itself (a corner
+module with a zero right action, a quotient bimodule, a module whose
+constants have another denominator than its algebra's) and on sparse
+maps (every unit map, maps with whole zero columns), where most basis
+pairs have no term at all.  The radical's re-verification is checked
+the same way, and shown to raise on a subspace that is not a nilpotent
+ideal.
 """
 
 import random
@@ -23,8 +28,9 @@ from modext import analysis
 from modext.algebra import Bimodule, LinearMap, is_module_hom
 from modext.analysis import is_nilpotent_subspace, radical
 from modext.blocks import BLOCK_TABLE, C6, blocks_of, check_block_conditions
+from modext.constructions import corner_basis, corner_module
 from modext.derivations import derivation_space, inner_derivation, is_derivation
-from modext.extension import ideal_check, trivial_extension
+from modext.extension import ideal_check, quotient_bimodule, trivial_extension
 from modext.linalg import Matrix, Subspace, unit_vec
 from modext.samples import matrix_units, truncated_poly
 
@@ -204,6 +210,128 @@ def test_module_hom_matches_dense_evaluation(name, a):
             assert [c.passed for c in rep.checks] == [w is None for w in want], name
             verdicts.add(rep.passed)
     assert verdicts == {True, False}
+
+
+def _other_modules():
+    """(name, algebra, module, [homs out of or into the module]) for
+    modules over the twins other than A itself: the corner module A p
+    (zero right action) with its inclusion into A, a left hom only; the
+    quotient A/I by the square of the radical with its projection; and A
+    on a rescaled basis, whose constants have another denominator than
+    its algebra's, with the rescaling isomorphism."""
+    (m2, a), (ut3, b), (poly, c) = TWINS
+    out = []
+    # E11 of M2 and E33 of UT3 in the twins' coordinates
+    for name, alg, source, index in ((m2, a, matrix_units(2), 0),
+                                     (ut3, b, upper_triangular(3), 5)):
+        p = basis_change(source.dim, 3)[1].apply(unit_vec(source.dim, index))
+        corner = corner_module(alg, p)
+        basis = corner_basis(alg, p).basis
+        inclusion = Matrix(alg.dim, corner.dim, [list(row) for row in zip(*basis)])
+        homs = [LinearMap(corner, alg.self_bimodule(), inclusion)]
+        out.append((name + " A p", alg, corner, homs))
+    for name, alg in ((ut3, b), (poly, c)):
+        rad = radical(alg).radical.basis
+        square = Subspace.from_vectors(alg.dim, [alg.mul_vec(v, w) for v in rad for w in rad])
+        quotient, proj = quotient_bimodule(alg, square)
+        out.append((name + " A/I", alg, quotient, [proj]))
+    u = b.self_bimodule()
+    weights = [RATIONALS[k % len(RATIONALS)] for k in range(u.dim)]
+    g = _rescaled(u, weights)
+    assert g.integer_tables[0] != b.integer_table[0]
+    iso = [[Fraction(int(i == j)) / weights[j] for j in range(u.dim)] for i in range(u.dim)]
+    out.append((ut3 + " rescaled", b, g, [LinearMap(u, g, Matrix(u.dim, u.dim, iso))]))
+    return out
+
+
+OTHER = _other_modules()
+OTHER_IDS = [name for name, *_ in OTHER]
+
+
+def _check_derivation(alg, mod, d):
+    """is_derivation on d agrees with the oracle; its verdict."""
+    rep = is_derivation(alg, mod, LinearMap(alg, mod, d))
+    want = leibniz_first_failure(alg.mul_tensor, mod.left, mod.right, d.data)
+    assert rep.passed == (want is None)
+    if want is not None:
+        assert rep.failures()[0].witness == want
+    return rep.passed
+
+
+def _check_blocks(t, d):
+    """check_block_conditions on d agrees with dense evaluation; its verdict."""
+    rep = check_block_conditions(t, blocks_of(t, LinearMap(t.total, t.total, d)))
+    want = _block_witnesses(t, d.data)
+    got = {c.name: c.witness for c in rep.checks if not c.informational}
+    assert got == {c: want.get(c) for c in dict.fromkeys(BLOCK_TABLE.values())}
+    return rep.passed
+
+
+def _check_module_hom(f):
+    """is_module_hom on f agrees with dense evaluation; its verdicts."""
+    rep = is_module_hom(f, "both")
+    want = _module_hom_witnesses(f, f.source.algebra.dim)
+    assert [c.witness for c in rep.checks] == want
+    assert [c.passed for c in rep.checks] == [w is None for w in want]
+    return tuple(c.passed for c in rep.checks)
+
+
+def _zero_columns(rng, d):
+    """d with a random nonempty set of its columns zeroed, and d with all
+    but one of its columns zeroed."""
+    cols = rng.sample(range(d.cols), rng.randint(1, d.cols))
+    keep = rng.randrange(d.cols)
+    return [Matrix(d.rows, d.cols, [[0 if j in cols else x for j, x in enumerate(row)]
+                                    for row in d.data]),
+            Matrix(d.rows, d.cols, [[x if j == keep else 0 for j, x in enumerate(row)]
+                                    for row in d.data])]
+
+
+@pytest.mark.parametrize("name, a, u, homs", OTHER, ids=OTHER_IDS)
+def test_checks_on_other_modules_match_dense_evaluation(name, a, u, homs):
+    rng = random.Random(23)
+    t = trivial_extension(a, u)
+    tsb = t.total.self_bimodule()
+    verdicts = set()
+    for d in _maps(rng, a, u):
+        for e in [d] + _zero_columns(rng, d):
+            verdicts.add(_check_derivation(a, u, e))
+    for d in _maps(rng, t.total, tsb):
+        for e in [d] + _zero_columns(rng, d):
+            passed = _check_derivation(t.total, tsb, e)
+            assert _check_blocks(t, e) == passed
+            verdicts.add(passed)
+    assert verdicts == {True, False}, name
+    hom_verdicts = set()
+    for f in homs:
+        for count in (0, 1, 2):
+            flat = _perturbed(rng, f.matrix.flatten(), count)
+            g = Matrix.unflatten(f.matrix.rows, f.matrix.cols, flat)
+            for e in [g] + _zero_columns(rng, g):
+                hom_verdicts.add(_check_module_hom(LinearMap(f.source, f.target, e)))
+    assert {True, False} <= {x for v in hom_verdicts for x in v}, name
+
+
+@pytest.mark.parametrize("name, a", TWINS[:1], ids=IDS[:1])
+def test_every_unit_map_matches_dense_evaluation(name, a):
+    # E_ts has one nonzero entry: most basis pairs have no term at all
+    t = trivial_extension(a, a.self_bimodule())
+    for alg in (a, t.total):
+        mod = alg.self_bimodule()
+        for r, s in product(range(alg.dim), repeat=2):
+            e = Matrix.unflatten(alg.dim, alg.dim, unit_vec(alg.dim**2, r * alg.dim + s))
+            passed = _check_derivation(alg, mod, e)
+            if alg is t.total:
+                assert _check_blocks(t, e) == passed
+            _check_module_hom(LinearMap(mod, mod, e))
+    assert _check_derivation(a, a.self_bimodule(), Matrix.zeros(a.dim, a.dim))
+
+
+def test_is_derivation_rejects_a_module_over_another_algebra():
+    a, other = matrix_units(2), matrix_units(2)
+    u = other.self_bimodule()
+    with pytest.raises(ValueError, match="module is not over the given algebra"):
+        is_derivation(a, u, LinearMap(a, u, Matrix.zeros(u.dim, a.dim)))
 
 
 def _ideal_witnesses(a, s):

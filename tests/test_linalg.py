@@ -387,6 +387,47 @@ def test_sparse_pairs_and_dense_rows_give_the_same_kernel(rows):
     assert rank(sparse) == rank(M(rows))
 
 
+@st.composite
+def product_factors(draw):
+    """Rational factors r x k and k x c, each dimension 0 to 5, with zero
+    rows and columns forced in."""
+    r, k, c = draw(st.tuples(*[st.integers(0, 5)] * 3))
+    nonzero = draw(st.sampled_from([small_rationals, big_rationals]))
+
+    def factor(rows, cols):
+        out = [[draw(nonzero) if draw(st.booleans()) else Fraction(0) for _ in range(cols)]
+               for _ in range(rows)]
+        for i in draw(st.sets(st.integers(0, 4), max_size=2)):
+            if i < rows:
+                out[i] = [Fraction(0)] * cols
+        for j in draw(st.sets(st.integers(0, 4), max_size=2)):
+            for row in out:
+                if j < cols:
+                    row[j] = Fraction(0)
+        return out
+
+    return (r, k, c), factor(r, k), factor(k, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_factors())
+def test_product_matches_the_dense_oracle(factors):
+    # every entry a Fraction, zeros too: witnesses print their entries
+    (r, k, c), a, b = factors
+    got = Matrix(r, k, a) * Matrix(k, c, b)
+    assert (got.rows, got.cols) == (r, c)
+    assert got.data == oracles.dense_product(a, b, c)
+    assert all(type(x) is Fraction for row in got.data for x in row)
+
+
+def test_product_with_an_empty_inner_or_outer_dimension():
+    b = [[Fraction(1, 2), Fraction(0), Fraction(-3)]] * 2
+    assert (Matrix(0, 2, []) * Matrix(2, 3, b)) == Matrix(0, 3, [])
+    zero = Matrix(2, 0, [[], []]) * Matrix(0, 3, [])
+    assert zero == Matrix.zeros(2, 3)
+    assert all(type(x) is Fraction for row in zero.data for x in row)
+
+
 # -- the in-place elimination loop against the copying one -------------------
 
 integer_entries = st.one_of(st.integers(-6, 6), st.integers(-BIG, BIG),

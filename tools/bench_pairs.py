@@ -1,0 +1,114 @@
+"""Paired benchmark runs of two checkouts of modext.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload verify-mix \\
+        --seeds 31 32 33 34 35 36 37 38 39 40 --seconds 20
+
+PARENT and CHANGE are checkout directories, each with its own
+``perfbench/run.py``.  For each seed, the benchmark runs untraced in
+both, one after the other; the parent goes first on the first pair, the
+change on the second, and so on.  Only the last line of each run's
+stdout, its result JSON, is read.
+
+For each end-to-end metric of BENCHMARK.json the script prints both
+sides' median and quartiles over the pairs, how many pairs the change
+won (ties count for neither), the relative change of the medians
+against the metric's bound, and whether a gain may be claimed: the
+change wins at least nine tenths of the pairs, and its median beats the
+parent's by more than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def quartiles(values) -> tuple:
+    """(first quartile, median, third quartile), by the inclusive method."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def summarize(parent, change, better="lower", bound=None) -> dict:
+    """The comparison of one metric over pairs (parent[k], change[k]).
+
+    ``gain`` is the rule for claiming an improvement: the change wins at
+    least nine tenths of all pairs and the medians differ, in the
+    change's favour, by more than the parent's interquartile range.
+    ``within_bound`` says the change's median is no worse than the
+    parent's by more than the relative bound (None without a bound).
+    """
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same nonzero number of runs on each side")
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    pq, cq = quartiles(parent), quartiles(change)
+    gap = sign * (pq[1] - cq[1])  # positive when the change's median is better
+    relative = (cq[1] - pq[1]) / pq[1] if pq[1] else 0.0
+    return {
+        "pairs": len(parent),
+        "wins": wins,
+        "parent": pq,
+        "change": cq,
+        "relative_change": relative,
+        "gain": wins >= 0.9 * len(parent) and gap > pq[2] - pq[0],
+        "within_bound": None if bound is None else sign * relative <= bound,
+    }
+
+
+def run_once(checkout, workload, seed, seconds) -> dict:
+    """The result JSON of one untraced benchmark run in checkout."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, stdout=subprocess.PIPE, check=True, text=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", type=int, nargs="+", required=True)
+    p.add_argument("--seconds", type=float, default=20)
+    args = p.parse_args(argv)
+
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    runs = {"parent": [], "change": []}
+    for k, seed in enumerate(args.seeds):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            res = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            runs[side].append(res)
+            values = " ".join("%s=%.6g" % (m["name"], res["metrics"][m["name"]]["value"])
+                              for m in metrics)
+            print("pair %d seed %d %-6s failed=%d/%d %s" % (
+                k + 1, seed, side, res["failed"], res["attempted"], values), flush=True)
+
+    print("\n%-12s %-12s %-32s %-32s %5s %9s %6s %s" % (
+        "workload", "metric", "parent q1/median/q3", "change q1/median/q3",
+        "wins", "change", "bound", "gain"))
+    for m in metrics:
+        name = m["name"]
+        s = summarize([r["metrics"][name]["value"] for r in runs["parent"]],
+                      [r["metrics"][name]["value"] for r in runs["change"]],
+                      m["better"], m["bound"])
+        print("%-12s %-12s %-32s %-32s %2d/%-2d %+8.1f%% %6s %s" % (
+            args.workload, name, "/".join("%.4g" % x for x in s["parent"]),
+            "/".join("%.4g" % x for x in s["change"]), s["wins"], s["pairs"],
+            100 * s["relative_change"], "ok" if s["within_bound"] else "WORSE",
+            "yes" if s["gain"] else "no"))
+    failed = sum(r["failed"] for side in runs.values() for r in side)
+    print("failed operations: %d" % failed)
+
+
+if __name__ == "__main__":
+    main()
