@@ -20,8 +20,11 @@ tables times one common denominator of the constants
 a structure built with ``_skip_check``, on first use.  An identity
 homogeneous in the constants and in the map it checks holds on those
 integer tables, with the map scaled to integers, exactly when on the
-rational ones; rationals come back only for a failing check's witness.
-A self-bimodule shares its algebra's table.
+rational ones.  Each check sums the two sides once, in integers; a
+failing check's witness is those integer sides divided by the scale the
+check already knows (den^2 for the axioms, the tables' denominator
+times the map's, and so on), so no identity is evaluated twice.  A
+self-bimodule shares its algebra's table.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .linalg import (
     Vector,
     _dense,
     _integer_row,
+    _over,
     frac,
     is_zero_vec,
     nullspace,
@@ -159,37 +163,48 @@ def _columns(entries: dict, cols: int, scale: int = 1) -> list:
     return out
 
 
-def _residual(shape, plus: list, minus: list, tables) -> list:
-    """sum_s P[i][j][s] D[k][s] + sum_t L[i][t][k] N[t][j] + sum_t
-    R[t][j][k] N[t][i] at each (i, j, k), flat at (i * q + j) * n + k for
-    shape (p, q, n).  Summed over the constants of the sparse tables
-    (P, L, R), L or R None to leave its sum out, and over the nonzero
-    entries of D and N only, given as their columns plus and minus."""
+def _sides(shape, dcols: list, ncols: list, tables) -> tuple:
+    """(lhs, rhs) of an identity at each (i, j, k), flat at (i * q + j) * n
+    + k for shape (p, q, n): lhs sum_s P[i][j][s] D[k][s], rhs sum_t
+    L[i][t][k] N[t][j] + sum_t R[t][j][k] N[t][i].  Summed over the
+    constants of the sparse tables (P, L, R), L or R None to leave its sum
+    out, and over the nonzero entries of D and N only, given as their
+    columns dcols and ncols."""
     p, q, n = shape
     mul, left, right = tables
-    res = [0] * (p * q * n)
+    lhs, rhs = [0] * (p * q * n), [0] * (p * q * n)
     for i, j in product(range(p), range(q)):
         base = (i * q + j) * n
         for s, c in mul[i][j]:
-            for k, x in plus[s]:
-                res[base + k] += c * x
+            for k, x in dcols[s]:
+                lhs[base + k] += c * x
     if left:  # per t, the nonzero L[i][t] with their offsets i * q * n
         lefts = [[(i * q * n, plane[t]) for i, plane in enumerate(left) if plane[t]]
                  for t in range(len(left[0]))]
-        for j, col in enumerate(minus):
+        for j, col in enumerate(ncols):
             for t, x in col:
                 for off, entries in lefts[t]:
                     for k, c in entries:
-                        res[off + j * n + k] += c * x
+                        rhs[off + j * n + k] += c * x
     if right:  # per t, the nonzero R[t][j] with their offsets j * n
         rights = [[(j * n, entries) for j, entries in enumerate(plane) if entries]
                   for plane in right]
-        for i, col in enumerate(minus):
+        for i, col in enumerate(ncols):
             for t, x in col:
                 for off, entries in rights[t]:
                     for k, c in entries:
-                        res[i * q * n + off + k] += c * x
-    return res
+                        rhs[i * q * n + off + k] += c * x
+    return lhs, rhs
+
+
+def _failures(sides, cells, width: int, scale: int):
+    """(pair, lhs, rhs) for each (pair, offset) of cells, in order, at which
+    the integer sides differ in their slices [offset, offset + width);
+    both slices divided by scale, the factor the integers carry."""
+    lhs, rhs = sides
+    for pair, k in cells if lhs != rhs else ():
+        if lhs[k:k + width] != rhs[k:k + width]:
+            yield pair, _over(lhs[k:k + width], scale), _over(rhs[k:k + width], scale)
 
 
 def _combine(terms, vectors: Sequence[Vector], dim: int) -> Vector:
@@ -262,13 +277,13 @@ class Algebra:
 
     def associativity_report(self) -> ConditionReport:
         rep = ConditionReport("associativity")
-        n, t = self.dim, self.mul_table
-        z = self.integer_table[1]
+        n = self.dim
+        den, z = self.integer_table
         for i, j, k in product(range(n), repeat=3):
             lhs, rhs = _associator(z, z, z, z, i, j, k, n)
-            if lhs != rhs:
-                witness = map(vec, _associator(t, t, t, t, i, j, k, n))
-                rep.add("associativity", False, witness=((i, j, k), *witness))
+            if lhs != rhs:  # each side carries den^2
+                witness = ((i, j, k), _over(lhs, den * den), _over(rhs, den * den))
+                rep.add("associativity", False, witness=witness)
                 return rep
         rep.add("associativity", True, note="%d identities hold" % n**3)
         return rep
@@ -335,17 +350,13 @@ class Bimodule:
     left, right = _view("left_table"), _view("right_table")
 
     @property
-    def tables(self) -> tuple:
-        """The sparse tables (mul, left, right) of the algebra and the actions."""
-        return self.algebra.mul_table, self.left_table, self.right_table
-
-    @property
     def integer_tables(self) -> tuple:
-        """(den, (mul, left, right)): the sparse tables times one common
-        denominator of their constants; built once, by the axiom check or
-        on first use."""
+        """(den, (mul, left, right)): the sparse tables of the algebra and
+        the actions times one common denominator of their constants; built
+        once, by the axiom check or on first use."""
         if self._integers is None:
-            den, tables = _integer_tables(*self.tables)
+            den, tables = _integer_tables(self.algebra.mul_table, self.left_table,
+                                          self.right_table)
             self._integers = den, tuple(tables)
         return self._integers
 
@@ -354,26 +365,26 @@ class Bimodule:
         plus the unit axiom e.u = u.e = u when the algebra is unital.
 
         Each is T(A,U)'s associator on one triple of blocks, checked in
-        (i, j, t) order and, at each triple, in the order above.
+        (i, j, t) order and, at each triple, in the order above, on the
+        integer tables; a witness's sides are divided by their den^2.
         """
         rep = ConditionReport("bimodule axioms")
         a = self.algebra
         m, n = a.dim, self.dim
-        tables = self.tables
+        den, (mul, left, right) = self.integer_tables
 
-        def identities(mul, left, right):  # (name, indices, sides) at (i, j, t)
+        def identities():  # (name, indices, sides) at (i, j, t)
             yield "(ab)u = a(bu)", (i, j, t), _associator(mul, left, left, left, i, j, t, n)
             # x(yz) = (xy)z with x = u: the associator's sides swapped
             yield ("u(ab) = (ua)b", (t, i, j),
                    _associator(right, right, mul, right, t, i, j, n)[::-1])
             yield "(au)b = a(ub)", (i, t, j), _associator(left, right, right, left, i, t, j, n)
 
-        integer = self.integer_tables[1]
         for i, j, t in product(range(m), range(m), range(n)):
-            for r, (_, _, (lhs, rhs)) in enumerate(identities(*integer)):
+            for name, indices, (lhs, rhs) in identities():
                 if lhs != rhs:
-                    name, indices, sides = list(identities(*tables))[r]
-                    rep.add(name, False, witness=(indices, *map(vec, sides)))
+                    rep.add(name, False, witness=(indices, _over(lhs, den * den),
+                                                  _over(rhs, den * den)))
                     return rep
         rep.add("compatibility", True, note="%d triples checked" % (3 * m * m * n))
         # Unital action is recorded but not required: perfectly good
@@ -484,11 +495,12 @@ def is_module_hom(f: LinearMap, side: str = "both") -> ConditionReport:
     """Check the module-homomorphism identities on all basis pairs.
 
     ``side`` is "left", "right" or "both".  Source and target must be
-    bimodules over the same algebra.  The residual f(e_i u_j) - e_i f(u_j),
-    or f(u_j e_i) - f(u_j) e_i, is summed in integers at all pairs at once
-    over f's nonzero entries: f and each bimodule's tables times their own
-    denominators, each side scaled by the other side's.  The first failing
-    pair (i, j) is evaluated again in rationals for its witness.
+    bimodules over the same algebra.  The sides f(e_i u_j) and e_i f(u_j),
+    or f(u_j e_i) and f(u_j) e_i, are summed in integers at all pairs at
+    once over f's nonzero entries: f and each bimodule's tables times their
+    own denominators, each side scaled by the other side's.  The witness
+    is the first failing pair (i, j) and its integer sides divided by the
+    product of the three denominators.
     """
     if side not in ("left", "right", "both"):
         raise ValueError("side must be left, right or both")
@@ -498,24 +510,19 @@ def is_module_hom(f: LinearMap, side: str = "both") -> ConditionReport:
     if src.algebra is not tgt.algebra:
         raise ValueError("source and target are over different algebras")
     m, p, q = src.algebra.dim, src.dim, tgt.dim
-    entries = _integer_row(enumerate(f.matrix.flatten()))
+    fden, entries = _integer_row(enumerate(f.matrix.flatten()))
     sden, (_, sl, sr) = src.integer_tables
     tden, (_, tl, tr) = tgt.integer_tables
-    plus, minus = _columns(entries, p, tden), _columns(entries, p, -sden)
+    dcols, ncols = _columns(entries, p, tden), _columns(entries, p, sden)
     rep = ConditionReport("module homomorphism (%s)" % side)
     for want in ("left", "right"):
         if side not in ("both", want):
             continue
-        left = want == "left"  # the residual at (i, j, k) on the left, (j, i, k) on the right
-        res = (_residual((m, p, q), plus, minus, (sl, tl, None)) if left
-               else _residual((p, m, q), plus, minus, (sr, None, tr)))
-        witness = None
-        for i, j in product(range(m), range(p)) if any(res) else ():
-            at = (i * p + j if left else j * m + i) * q
-            if any(res[at:at + q]):  # the witness, in rationals
-                ei, uj, fj = unit_vec(m, i), unit_vec(p, j), f.matrix.col(j)
-                witness = ((i, j), f(src.left_act(ei, uj)), tgt.left_act(ei, fj)) if left else (
-                    (i, j), f(src.right_act(uj, ei)), tgt.right_act(fj, ei))
-                break
+        left = want == "left"  # the sides at (i, j, k) on the left, (j, i, k) on the right
+        sides = (_sides((m, p, q), dcols, ncols, (sl, tl, None)) if left
+                 else _sides((p, m, q), dcols, ncols, (sr, None, tr)))
+        cells = (((i, j), (i * p + j if left else j * m + i) * q)
+                 for i, j in product(range(m), range(p)))
+        witness = next(_failures(sides, cells, q, fden * sden * tden), None)
         rep.add("f(au) = a f(u)" if left else "f(ua) = f(u) a", witness is None, witness=witness)
     return rep

@@ -129,7 +129,7 @@ def is_nilpotent_subspace(a: Algebra, s: Subspace) -> bool:
     if s.ambient_dim != a.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
     table = a.integer_table[1]
-    gens = [_integer_row(enumerate(v)) for v in s.basis]
+    gens = [_integer_row(enumerate(v))[1] for v in s.basis]
     power = gens
     for _ in range(a.dim + 1):
         if not power:

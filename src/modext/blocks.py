@@ -18,9 +18,10 @@ Read row by row, C1-C6 are the Leibniz identity on T, split by the block
   (A, A, U) C2    (U, A, U) C4    (U, A, A) C5, right
 
 Rows (U, U, A) are identically zero, because U U = 0 in T.  The checker
-sums the Leibniz residual on T at all basis pairs at once, evaluates the
-sides of each failing pair from the terms the Leibniz system is built of,
-and sorts each differing coordinate by this table (BLOCK_TABLE).
+sums both sides of the Leibniz identity on T at all basis pairs at once,
+in integers, takes each failing pair's sides as those integer sides
+divided by the known scale (T's tables' denominator times D's), and
+sorts each differing coordinate by this table (BLOCK_TABLE).
 
 Every derivation splits as D = D1 + D2 with D2((a,u)) = (0,
 delta2(a)).  D is inner iff it equals ad_{(b,v)} for some (b,v), which

@@ -2,21 +2,22 @@
 
 A linear map D: A -> U is a derivation when D(ab) = a D(b) + D(a) b.  On
 basis pairs this is a linear system in the entries of D's matrix; the
-derivation space is its exact nullspace.  The identity is written down
-once, as the terms of its two sides at each basis pair
-(``_leibniz_terms``).  ``leibniz_rows`` sums them into the sparse integer
-rows of ``LeibnizSystem.matrix`` (the rational rows times the module's
-integer tables' denominator), all of them kept; ``nullspace`` drops the
-empty and repeated ones, picks its row basis mod a prime and certifies
-the basis by a zero integer residual on every row.  ``is_derivation`` and
-the C1-C6 checker in ``blocks`` sum the residual D(ab) - a D(b) - D(a) b
+derivation space is its exact nullspace.  ``leibniz_rows`` reads the
+terms of the identity's two sides at each basis pair off the nonzero
+constants of the module's integer tables and sums them into the sparse
+integer rows of ``LeibnizSystem.matrix`` (the rational rows times the
+tables' denominator), all of them kept; ``nullspace`` drops the empty
+and repeated ones, picks its row basis mod a prime and certifies the
+basis by a zero integer residual on every row.  ``is_derivation`` and
+the C1-C6 checker in ``blocks`` sum the sides D(ab) and a D(b) + D(a) b
 at all pairs at once, in integers, one term per nonzero entry of D
 (scaled by their common denominator) and constant of the module's
-integer tables, so they cost time in proportion to their terms; a pair
-with a nonzero residual is summed again from its rational terms for its
-witness.  No check builds the system.  Inner derivations
-are the image of the sparse inner map x -> (a -> a x - x a), read off
-the nonzero action constants; its kernel on A itself is the center.
+integer tables, so they cost time in proportion to their terms; the
+witness of a pair whose sides differ is its integer sides divided by
+the tables' denominator times D's.  No check builds the system.  Inner
+derivations are the image of the sparse inner map x -> (a -> a x - x a),
+read off the nonzero action constants; its kernel on A itself is the
+center.
 
 Row order of the Leibniz system is lexicographic in (i, j, k); columns
 are D's matrix entries in row-major order.  Both are fixed so computed
@@ -28,46 +29,30 @@ from __future__ import annotations
 from itertools import product
 from typing import List
 
-from .algebra import Algebra, Bimodule, LinearMap, _columns, _residual, coordinates
-from .linalg import Matrix, SparseMatrix, Subspace, _integer_row, nullspace, zero_vec
+from .algebra import Algebra, Bimodule, LinearMap, _columns, _failures, _sides, coordinates
+from .linalg import Matrix, SparseMatrix, Subspace, _integer_row, nullspace
 from .reports import ConditionReport
-
-
-def _leibniz_terms(algebra: Algebra, module: Bimodule, tables=None, support=None,
-                   pairs=None):
-    """(i, j, lhs, rhs) per basis pair in (i, j) order: the terms of the
-    two sides of D(e_i e_j) = e_i D(e_j) + D(e_i) e_j.
-
-    A term (k, column, coeff) adds coeff * d[t][s] to coordinate k, where
-    column t * dim A + s is the entry d[t][s].  The terms are read off the
-    nonzero constants of tables, the sparse (mul, left, right) tables of
-    the pair unless others are given, and off the entries d[t][s] with t
-    in support[s] only, every entry unless support is given.  pairs
-    restricts the basis pairs.  A module over another algebra raises
-    ValueError when the terms are read.
-    """
-    if module.algebra is not algebra:
-        raise ValueError("module is not over the given algebra")
-    m, n = algebra.dim, module.dim
-    mul, left, right = tables or module.tables
-    rows = support or [range(n)] * m
-    for i, j in pairs or product(range(m), repeat=2):
-        # D(e_i e_j)_k = sum_s c[i][j][s] d[k][s]
-        lhs = [(k, k * m + s, c) for s, c in mul[i][j] for k in rows[s]]
-        # (e_i D(e_j))_k = sum_t l[i][t][k] d[t][j]; (D(e_i) e_j)_k = sum_t r[t][j][k] d[t][i]
-        rhs = [(k, t * m + j, c) for t in rows[j] for k, c in left[i][t]]
-        rhs += [(k, t * m + i, c) for t in rows[i] for k, c in right[t][j]]
-        yield i, j, lhs, rhs
 
 
 def leibniz_rows(algebra: Algebra, module: Bimodule):
     """Sparse rows [(column, int)] of the Leibniz system in (i, j, k) order:
     row (i, j, k) states that coordinate k of D(e_i e_j) - e_i D(e_j) -
-    D(e_i) e_j vanishes, times the denominator module.integer_tables[0]."""
-    for _, _, lhs, rhs in _leibniz_terms(algebra, module, module.integer_tables[1]):
-        rows = [{} for _ in range(module.dim)]
-        for k, col, c in lhs:  # one term per (k, column) on this side
-            rows[k][col] = c
+    D(e_i) e_j vanishes, times the denominator module.integer_tables[0].
+    Column t * dim A + s is the entry d[t][s]; the terms are read off the
+    nonzero constants of the integer tables."""
+    if module.algebra is not algebra:
+        raise ValueError("module is not over the given algebra")
+    m, n = algebra.dim, module.dim
+    mul, left, right = module.integer_tables[1]
+    for i, j in product(range(m), repeat=2):
+        rows = [{} for _ in range(n)]
+        # D(e_i e_j)_k = sum_s c[i][j][s] d[k][s], one term per (k, column)
+        for s, c in mul[i][j]:
+            for k in range(n):
+                rows[k][k * m + s] = c
+        # (e_i D(e_j))_k = sum_t l[i][t][k] d[t][j]; (D(e_i) e_j)_k = sum_t r[t][j][k] d[t][i]
+        rhs = [(k, t * m + j, c) for t in range(n) for k, c in left[i][t]]
+        rhs += [(k, t * m + i, c) for t in range(n) for k, c in right[t][j]]
         for k, col, c in rhs:
             row = rows[k]
             if col in row:
@@ -78,37 +63,24 @@ def leibniz_rows(algebra: Algebra, module: Bimodule):
             yield [item for item in row.items() if item[1]]
 
 
-def _sides(terms, d, n):
-    """The two sides, in dimension n, each summed over its terms on the entries d."""
-    sides = zero_vec(n), zero_vec(n)
-    for side, side_terms in zip(sides, terms):
-        for k, col, c in side_terms:
-            side[k] += c * d[col]
-    return sides
-
-
 def _failing_pairs(algebra: Algebra, module: Bimodule, d):
     """((i, j), D(e_i e_j), e_i D(e_j) + D(e_i) e_j) for each basis pair
     whose sides differ, in (i, j) order, on D's row-major entries d.
 
-    The residual D(e_i e_j) - e_i D(e_j) - D(e_i) e_j is summed in
-    integers at every pair at once: D times one common denominator of its
-    entries, on the module's integer tables, each term read off one
-    nonzero entry of D and one constant.  A pair with no term reads 0 = 0.
-    A failing pair is evaluated again in rationals for its witness.
+    The two sides are summed in integers at every pair at once: D times
+    one common denominator of its entries, on the module's integer
+    tables, each term read off one nonzero entry of D and one constant.
+    A pair with no term reads 0 = 0.  A failing pair's sides are the
+    integer ones divided by the tables' denominator times D's.
     """
     if module.algebra is not algebra:
         raise ValueError("module is not over the given algebra")
     m, n = algebra.dim, module.dim
-    entries = _integer_row(enumerate(d))
+    dden, entries = _integer_row(enumerate(d))
+    tden, tables = module.integer_tables
     cols = _columns(entries, m)
-    res = _residual((m, m, n), cols, _columns(entries, m, -1), module.integer_tables[1])
-    support = [[t for t, _ in col] for col in cols]  # column s -> the rows t with d[t][s] != 0
-    for i, j in product(range(m), repeat=2) if any(res) else ():
-        if any(res[(i * m + j) * n:(i * m + j + 1) * n]):  # the witness: the pair's rational terms
-            _, _, *terms = next(_leibniz_terms(algebra, module, support=support,
-                                               pairs=[(i, j)]))
-            yield ((i, j), *_sides(terms, d, n))
+    cells = (((i, j), (i * m + j) * n) for i, j in product(range(m), repeat=2))
+    yield from _failures(_sides((m, m, n), cols, cols, tables), cells, n, tden * dden)
 
 
 class LeibnizSystem:

@@ -19,7 +19,8 @@ from typing import List, Tuple
 
 from .algebra import (Algebra, Bimodule, LinearMap, _product, _sum_sparse, block_table,
                       coordinates)
-from .linalg import Matrix, Subspace, Vector, _integer_row, _row_space_test, unit_vec
+from .linalg import (Matrix, Subspace, Vector, _dense, _integer_row, _over, _row_space_test,
+                     unit_vec)
 from .reports import ConditionReport, require
 
 
@@ -90,20 +91,21 @@ def ideal_check(a: Algebra, s: Subspace) -> ConditionReport:
     """Is the subspace a two-sided ideal?  A.s and s.A checked on basis
     generators, with the escaping product as witness.  The products are
     formed in integers from the sparse table, on the basis rows times
-    their denominators, and tested for membership on those sparse rows."""
+    their denominators, and tested for membership on those sparse rows;
+    the witness is the integer product divided by A's denominator times
+    the row's."""
     if s.ambient_dim != a.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
     rep = ConditionReport("two-sided ideal")
-    table = a.integer_table[1]
+    den, table = a.integer_table
     rows = [_integer_row(enumerate(w)) for w in s.basis]
-    contains = _row_space_test(s.pivots, rows)
+    contains = _row_space_test(s.pivots, [row for _, row in rows])
     for name, left in (("A.s in s", True), ("s.A in s", False)):
         witness = None
-        for i, (w, row) in product(range(a.dim), zip(s.basis, rows)):
+        for i, (w, (wden, row)) in product(range(a.dim), zip(s.basis, rows)):
             prod = _product(table, {i: 1}, row) if left else _product(table, row, {i: 1})
             if not contains(prod):
-                ei = unit_vec(a.dim, i)
-                witness = ((i,), w, a.mul_vec(ei, w) if left else a.mul_vec(w, ei))
+                witness = ((i,), w, _over(_dense(prod, a.dim), den * wden))
                 break
         rep.add(name, witness is None, witness=witness)
     return rep

@@ -205,14 +205,23 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-def _integer_row(pairs: Iterable) -> dict:
-    """{index: int}: the nonzero values of (index, value) pairs, as they
-    are if all are ints, else times one common denominator of them."""
+def _integer_row(pairs: Iterable) -> tuple:
+    """(den, {index: int}): one common denominator of the nonzero values
+    of (index, value) pairs, and those values times it; (1, the values as
+    they are) if all are ints."""
     row = {c: x for c, x in pairs if x is not _ZERO and x}
     if all(type(x) is int for x in row.values()):
-        return row
-    den = lcm(*[x.denominator for x in row.values()])
-    return {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+        return 1, row
+    den = lcm(*{x.denominator for x in row.values()})
+    if den == 1:
+        return 1, {c: x.numerator for c, x in row.items()}
+    return den, {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+
+
+def _over(ints: Iterable[int], den: int) -> Vector:
+    """The ints divided by den, as exact coordinates; a zero stays the
+    shared zero."""
+    return [Fraction(x, den) if x else _ZERO for x in ints]
 
 
 def _distinct_rows(data: Iterable[Iterable]) -> list:
@@ -221,7 +230,7 @@ def _distinct_rows(data: Iterable[Iterable]) -> list:
     to a rational factor, in order of first appearance."""
     distinct = {}
     for row in filter(None, data):  # an empty sparse row has no pairs
-        out = _integer_row(row)
+        _, out = _integer_row(row)
         if out:
             g = gcd(*out.values()) * (1 if out[min(out)] > 0 else -1)
             if g != 1:

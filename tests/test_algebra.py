@@ -111,6 +111,18 @@ def _zero_action(outer, inner, dim):
     return [[[0] * dim for _ in range(inner)] for _ in range(outer)]
 
 
+def _over(tensor, den):
+    """Every constant of the tensor divided by den."""
+    return [[[Fraction(x) / den for x in entry] for entry in plane] for plane in tensor]
+
+
+def _m2_with_e12_e21_over_6():
+    """M2's constants with E12 E21 = E11 / 2 + E22 / 3 in place of E11."""
+    t = [[list(x) for x in row] for row in matrix_units(2).mul_tensor]
+    t[1][2] = [Fraction(1, 2), 0, 0, Fraction(1, 3)]
+    return t
+
+
 def naive_first_associativity_failure(mul):
     """((i, j, k), (e_i e_j) e_k, e_i (e_j e_k)) at the first failing triple."""
     n = len(mul)
@@ -151,12 +163,21 @@ def naive_first_bimodule_failure(mul, left, right):
 
 class TestFirstWitness:
     """The exact first failing triple and both sides, for associativity and
-    for each bimodule identity, checked against the naive evaluation."""
+    for each bimodule identity, checked against the naive evaluation, on
+    integer constants and on constants with a common denominator other
+    than 1, whose integer sides carry the square of that denominator."""
 
-    def test_associativity_beyond_the_first_triple(self):
+    @pytest.mark.parametrize("mul_t, want", [
         # (E11 E12) E21 = E11 + E22, but E11 (E12 E21) = E11
-        mul_t = _m2_with_e12_e21_equal_to_one()
-        want = ((0, 1, 2), [1, 0, 0, 1], [1, 0, 0, 0])
+        (_m2_with_e12_e21_equal_to_one(), ((0, 1, 2), [1, 0, 0, 1], [1, 0, 0, 0])),
+        # (E11 E12) E21 = E11 / 2 + E22 / 3, but E11 (E12 E21) = E11 / 2: denominator 6
+        (_m2_with_e12_e21_over_6(),
+         ((0, 1, 2), [Fraction(1, 2), 0, 0, Fraction(1, 3)], [Fraction(1, 2), 0, 0, 0])),
+        # every constant of the first case halved: each side is a quarter of its sides
+        (_over(_m2_with_e12_e21_equal_to_one(), 2),
+         ((0, 1, 2), [Fraction(1, 4), 0, 0, Fraction(1, 4)], [Fraction(1, 4), 0, 0, 0])),
+    ], ids=["integer", "over-6", "halved"])
+    def test_associativity_beyond_the_first_triple(self, mul_t, want):
         _, rep = validate_algebra(mul_t)
         (fail,) = rep.failures()
         assert fail.witness == want
@@ -173,7 +194,23 @@ class TestFirstWitness:
         # u1 . 1 = u0 + u1, so (1 u1) 1 = u0 + u1 but 1 (u1 1) = u1
         (field_q(), [[[0, 0], [0, 1]]], [[[0, 0]], [[1, 1]]],
          "(au)b = a(ub)", ((0, 1, 0), [1, 1], [0, 1])),
-    ], ids=["(ab)u", "u(ab)", "(au)b"])
+        # the same three with a joint denominator other than 1: M2's constants
+        # over 2 and the left action over 3, (E11 E11) u0 = u0 / 6 but
+        # E11 (E11 u0) = u0 / 9
+        (Algebra(_over(matrix_units(2).mul_tensor, 2)), _over(_identity_left(4, 2), 3),
+         _zero_action(2, 4, 2),
+         "(ab)u = a(bu)", ((0, 0, 0), [Fraction(1, 6), 0], [Fraction(1, 9), 0])),
+        # M2's constants over 3 and the right action over 2: u0 (E11 E11) = u0 / 6
+        # but (u0 E11) E11 = u0 / 4
+        (Algebra(_over(matrix_units(2).mul_tensor, 3)), _zero_action(4, 2, 2),
+         _over(_identity_right(2, 4), 2),
+         "u(ab) = (ua)b", ((0, 0, 0), [Fraction(1, 6), 0], [Fraction(1, 4), 0])),
+        # Q on the basis e = 1/2 (e e = e / 2), the actions of the integer case
+        # halved: (e u1) e = (u0 + u1) / 4 but e (u1 e) = u1 / 4
+        (Algebra([[[Fraction(1, 2)]]]), _over([[[0, 0], [0, 1]]], 2),
+         _over([[[0, 0]], [[1, 1]]], 2),
+         "(au)b = a(ub)", ((0, 1, 0), [Fraction(1, 4), Fraction(1, 4)], [0, Fraction(1, 4)])),
+    ], ids=["(ab)u", "u(ab)", "(au)b", "(ab)u-over-6", "u(ab)-over-6", "(au)b-over-2"])
     def test_each_bimodule_identity(self, algebra, left, right, name, want):
         _, rep = validate_bimodule(algebra, left, right)
         (fail,) = rep.failures()
@@ -316,6 +353,30 @@ def test_unit_matches_dense_oracle(corpus_pairs):
         assert a.unit() == want, name
 
 
+def naive_hom_witnesses(m, left, right):
+    """[left witness, right witness] of the module-hom identities for the
+    matrix m on the bimodule with action tensors left and right: the first
+    failing pair (i, j) and both sides f(e_i u_j), e_i f(u_j), or f(u_j
+    e_i), f(u_j) e_i, by direct evaluation, or None where all pairs hold."""
+    n = len(m)
+    want = []
+    for side in ("left", "right"):
+        witness = None
+        for i in range(len(left)):
+            for j in range(n):
+                ei, uj = unit_vec(len(left), i), unit_vec(n, j)
+                if side == "left":
+                    lhs = apply_matrix(m, left_act(left, ei, uj))
+                    rhs = left_act(left, ei, apply_matrix(m, uj))
+                else:
+                    lhs = apply_matrix(m, right_act(right, uj, ei))
+                    rhs = right_act(right, apply_matrix(m, uj), ei)
+                if lhs != rhs and witness is None:
+                    witness = ((i, j), lhs, rhs)
+        want.append(witness)
+    return want
+
+
 class TestModuleHom:
     def test_identity_is_a_hom_everywhere(self):
         for a in (dual_numbers(), matrix_units(2), zero_product(2)):
@@ -338,18 +399,26 @@ class TestModuleHom:
         assert rep.failures()[0].witness is not None
 
 
-    @pytest.mark.parametrize("r, s, left, right", [
+    @pytest.mark.parametrize("r, s, left, right, den", [
         # f = identity + 3 E_rs on M2 as a bimodule over itself
-        (0, 0, ((1, 2), [4, 0, 0, 0], [1, 0, 0, 0]), ((1, 0), [0, 1, 0, 0], [0, 4, 0, 0])),
-        (2, 2, ((1, 2), [1, 0, 0, 0], [4, 0, 0, 0]), ((1, 2), [0, 0, 0, 1], [0, 0, 0, 4])),
-        (3, 3, ((1, 3), [0, 1, 0, 0], [0, 4, 0, 0]), ((1, 2), [0, 0, 0, 4], [0, 0, 0, 1])),
-    ])
-    def test_first_failing_pair_and_both_sides_are_pinned(self, r, s, left, right):
-        a = matrix_units(2)
+        (0, 0, ((1, 2), [4, 0, 0, 0], [1, 0, 0, 0]), ((1, 0), [0, 1, 0, 0], [0, 4, 0, 0]), 1),
+        (2, 2, ((1, 2), [1, 0, 0, 0], [4, 0, 0, 0]), ((1, 2), [0, 0, 0, 1], [0, 0, 0, 4]), 1),
+        (3, 3, ((1, 3), [0, 1, 0, 0], [0, 4, 0, 0]), ((1, 2), [0, 0, 0, 4], [0, 0, 0, 1]), 1),
+        # M2's constants over den and f = identity + (3 / den) E_rs: the integer
+        # sides carry f's denominator times the source's and the target's
+        (0, 0, ((1, 2), [Fraction(5, 4), 0, 0, 0], [Fraction(1, 2), 0, 0, 0]),
+         ((1, 0), [0, Fraction(1, 2), 0, 0], [0, Fraction(5, 4), 0, 0]), 2),
+        (2, 2, ((1, 2), [Fraction(1, 3), 0, 0, 0], [Fraction(2, 3), 0, 0, 0]),
+         ((1, 2), [0, 0, 0, Fraction(1, 3)], [0, 0, 0, Fraction(2, 3)]), 3),
+    ], ids=["0-0-left0-right0", "2-2-left1-right1", "3-3-left2-right2", "0-0-over-2",
+            "2-2-over-3"])
+    def test_first_failing_pair_and_both_sides_are_pinned(self, r, s, left, right, den):
+        a = Algebra(_over(matrix_units(2).mul_tensor, den))
         u = a.self_bimodule()
         m = [[int(i == j) for j in range(4)] for i in range(4)]
-        m[r][s] += 3
+        m[r][s] += Fraction(3, den)
         f = LinearMap(u, u, Matrix.from_rows(m))
+        assert naive_hom_witnesses(m, u.left, u.right) == [left, right]
         rep = is_module_hom(f, "both")
         assert [c.name for c in rep.checks] == ["f(au) = a f(u)", "f(ua) = f(u) a"]
         assert [c.witness for c in rep.checks] == [left, right]
@@ -372,21 +441,7 @@ class TestModuleHom:
             m = [[int(i == j) for j in range(n)] for i in range(n)]
             m[rng.randrange(n)][rng.randrange(n)] += rng.choice([-2, 1, 3])
             f = LinearMap(u, u, Matrix.from_rows(m))
-            want = []
-            for side in ("left", "right"):
-                witness = None
-                for i in range(n):
-                    for j in range(n):
-                        ei, uj = unit_vec(n, i), unit_vec(n, j)
-                        if side == "left":
-                            lhs = apply_matrix(m, left_act(left, ei, uj))
-                            rhs = left_act(left, ei, apply_matrix(m, uj))
-                        else:
-                            lhs = apply_matrix(m, right_act(right, uj, ei))
-                            rhs = right_act(right, apply_matrix(m, uj), ei)
-                        if lhs != rhs and witness is None:
-                            witness = ((i, j), lhs, rhs)
-                want.append(witness)
+            want = naive_hom_witnesses(m, left, right)
             failing += want != [None, None]
             assert [c.witness for c in is_module_hom(f, "both").checks] == want
         assert failing > 20

@@ -58,3 +58,57 @@ def test_a_worse_median_is_checked_against_the_bound(bench_pairs):
 def test_unequal_sides_are_rejected(bench_pairs):
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0, 2.0], [1.0])
+
+
+def test_failed_share_is_failed_over_attempted(bench_pairs):
+    runs = [{"failed": 1, "attempted": 40}, {"failed": 0, "attempted": 60}]
+    assert bench_pairs.failed_share(runs) == pytest.approx(0.01)
+    assert bench_pairs.failed_share([{"failed": 0, "attempted": 0}]) == 0.0
+    assert bench_pairs.failed_share([{"failed": 2, "attempted": 0}]) == 1.0
+
+
+def _fixed_runs(monkeypatch, bench_pairs, failed):
+    """Replace the benchmark runs by fixed results: the change halves every
+    metric on every pair and fails failed[side] operations per run."""
+    def run_once(checkout, workload, seed, seconds):
+        value = 1.0 if checkout == "parent" else 0.5
+        return {"failed": failed[checkout], "attempted": 100,
+                "metrics": {name: {"value": value}
+                            for name in ("setup_s", "peak_rss_mb", "pass_s")}}
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+
+
+def _gains(out):
+    """The gain column of each metric line of the printed summary."""
+    return [line.split()[-1] for line in out.splitlines()
+            if line.startswith("verify-mix ")]
+
+
+def test_a_clear_gain_without_failures_exits_0(bench_pairs, monkeypatch, capsys):
+    _fixed_runs(monkeypatch, bench_pairs, {"parent": 0, "change": 0})
+    code = bench_pairs.main(["parent", "change", "--workload", "verify-mix",
+                             "--seeds", *map(str, range(10))])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "failed share: parent 0, change 0" in out
+    assert _gains(out) == ["yes"] * 3
+
+
+def test_a_change_that_fails_more_claims_no_gain_and_exits_1(bench_pairs, monkeypatch,
+                                                            capsys):
+    _fixed_runs(monkeypatch, bench_pairs, {"parent": 0, "change": 1})
+    code = bench_pairs.main(["parent", "change", "--workload", "verify-mix",
+                             "--seeds", *map(str, range(10))])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "failed share: parent 0, change 0.01" in out
+    assert _gains(out) == ["no"] * 3
+
+
+def test_a_failing_parent_alone_still_exits_1(bench_pairs, monkeypatch, capsys):
+    _fixed_runs(monkeypatch, bench_pairs, {"parent": 2, "change": 0})
+    code = bench_pairs.main(["parent", "change", "--workload", "verify-mix",
+                             "--seeds", *map(str, range(10))])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert _gains(out) == ["yes"] * 3  # the change fails no larger a share

@@ -3,11 +3,12 @@
 ``is_derivation``, ``check_block_conditions``, ``is_module_hom`` and
 ``ideal_check`` scale the map (or the subspace's basis rows) by one
 common denominator and each structure's sparse tables by theirs, and
-compare integer sides; a failure is evaluated again in rationals for its
-witness.  Here the structures are dense-basis twins, whose constants have
-a common denominator other than 1, and the maps carry rational entries
-of several denominators, so a check that scaled only one side, or
-dropped a denominator, would give another verdict.  Every verdict and
+compare integer sides; a failure's witness is those integer sides
+divided by the scale they carry.  Here the structures are dense-basis
+twins, whose constants have a common denominator other than 1, and the
+maps carry rational entries of several denominators, so a check that
+scaled only one side, or dropped a denominator, would give another
+verdict or witness.  Every verdict and
 witness is compared with direct rational evaluation (``tests/oracles``).
 The same comparison runs on modules other than A itself (a corner
 module with a zero right action, a quotient bimodule, a module whose

@@ -13,8 +13,11 @@ For each end-to-end metric of BENCHMARK.json the script prints both
 sides' median and quartiles over the pairs, how many pairs the change
 won (ties count for neither), the relative change of the medians
 against the metric's bound, and whether a gain may be claimed: the
-change wins at least nine tenths of the pairs, and its median beats the
-parent's by more than the parent's interquartile range.
+change wins at least nine tenths of the pairs, its median beats the
+parent's by more than the parent's interquartile range, and its share
+of failed operations is no larger than the parent's.  Each side's
+failed share (failed over attempted operations, over all its runs) is
+printed too, and the script exits 1 when any run failed an operation.
 """
 
 from __future__ import annotations
@@ -63,6 +66,13 @@ def summarize(parent, change, better="lower", bound=None) -> dict:
     }
 
 
+def failed_share(results) -> float:
+    """Failed over attempted operations, summed over the runs' results."""
+    failed = sum(r["failed"] for r in results)
+    attempted = sum(r["attempted"] for r in results)
+    return failed / attempted if attempted else float(failed > 0)
+
+
 def run_once(checkout, workload, seed, seconds) -> dict:
     """The result JSON of one untraced benchmark run in checkout."""
     proc = subprocess.run(
@@ -93,7 +103,9 @@ def main(argv=None):
             print("pair %d seed %d %-6s failed=%d/%d %s" % (
                 k + 1, seed, side, res["failed"], res["attempted"], values), flush=True)
 
-    print("\n%-12s %-12s %-32s %-32s %5s %9s %6s %s" % (
+    shares = {side: failed_share(results) for side, results in runs.items()}
+    print("\nfailed share: parent %.4g, change %.4g" % (shares["parent"], shares["change"]))
+    print("%-12s %-12s %-32s %-32s %5s %9s %6s %s" % (
         "workload", "metric", "parent q1/median/q3", "change q1/median/q3",
         "wins", "change", "bound", "gain"))
     for m in metrics:
@@ -101,14 +113,16 @@ def main(argv=None):
         s = summarize([r["metrics"][name]["value"] for r in runs["parent"]],
                       [r["metrics"][name]["value"] for r in runs["change"]],
                       m["better"], m["bound"])
+        gain = s["gain"] and shares["change"] <= shares["parent"]
         print("%-12s %-12s %-32s %-32s %2d/%-2d %+8.1f%% %6s %s" % (
             args.workload, name, "/".join("%.4g" % x for x in s["parent"]),
             "/".join("%.4g" % x for x in s["change"]), s["wins"], s["pairs"],
             100 * s["relative_change"], "ok" if s["within_bound"] else "WORSE",
-            "yes" if s["gain"] else "no"))
-    failed = sum(r["failed"] for side in runs.values() for r in side)
+            "yes" if gain else "no"))
+    failed = sum(r["failed"] for results in runs.values() for r in results)
     print("failed operations: %d" % failed)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
