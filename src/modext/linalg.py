@@ -213,8 +213,6 @@ def _integer_row(pairs: Iterable) -> tuple:
     if all(type(x) is int for x in row.values()):
         return 1, row
     den = lcm(*{x.denominator for x in row.values()})
-    if den == 1:
-        return 1, {c: x.numerator for c, x in row.items()}
     return den, {c: x.numerator * (den // x.denominator) for c, x in row.items()}
 
 
