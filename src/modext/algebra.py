@@ -16,15 +16,16 @@ with the private ``_skip_check`` instead of verifying them again.
 
 Identities are checked in integers: each structure keeps its sparse
 tables times one common denominator of the constants
-(``integer_table``, ``integer_tables``), built by the axiom check or, for
-a structure built with ``_skip_check``, on first use.  An identity
+(``integer_table``, ``integer_tables``), built with the structure, next
+to the rational tables and before the axiom check reads them.  An identity
 homogeneous in the constants and in the map it checks holds on those
 integer tables, with the map scaled to integers, exactly when on the
 rational ones.  Each check sums the two sides once, in integers; a
 failing check's witness is those integer sides divided by the scale the
 check already knows (den^2 for the axioms, the tables' denominator
 times the map's, and so on), so no identity is evaluated twice.  A
-self-bimodule shares its algebra's table.
+bimodule acting by its algebra's own table, as the self-bimodule does,
+takes that table's integers instead of scaling it again.
 """
 
 from __future__ import annotations
@@ -122,13 +123,8 @@ def _integer_tables(*tables) -> tuple:
     integer tables exactly when on the rational ones."""
     den = lcm(*(c.denominator for table in tables for plane in table
                 for entries in plane for _, c in entries))
-    scaled = {}  # a table given twice, as a self-bimodule's are, is scaled once
-    for table in tables:
-        if id(table) not in scaled:
-            scaled[id(table)] = [[[(k, c.numerator * (den // c.denominator))
-                                   for k, c in entries] for entries in plane]
-                                 for plane in table]
-    return den, [scaled[id(table)] for table in tables]
+    return den, tuple([[[(k, c.numerator * (den // c.denominator)) for k, c in entries]
+                        for entries in plane] for plane in table] for table in tables)
 
 
 def _associator(xy, xy_z, yz, x_yz, i: int, j: int, k: int, dim: int):
@@ -255,7 +251,8 @@ class Algebra:
         self.dim = dim
         self.mul_table = mul if _skip_check else _table(mul, dim, dim, dim)
         self.basis_names = _names(basis_names, dim, "e")
-        self._integers = None
+        den, (table,) = _integer_tables(self.mul_table)
+        self.integer_table = den, table  # mul_table times one common denominator
         if not _skip_check:
             report = self.associativity_report()
             if not report.passed:
@@ -265,15 +262,6 @@ class Algebra:
         self._self_bimodule = None
 
     mul_tensor = _view("mul_table")
-
-    @property
-    def integer_table(self) -> tuple:
-        """(den, table): mul_table times one common denominator of its
-        constants; built once, by the associativity check or on first use."""
-        if self._integers is None:
-            den, (table,) = _integer_tables(self.mul_table)
-            self._integers = den, table
-        return self._integers
 
     def associativity_report(self) -> ConditionReport:
         rep = ConditionReport("associativity")
@@ -340,7 +328,13 @@ class Bimodule:
         self.left_table, self.right_table = (left, right) if _skip_check else (
             _table(left, m, dim, dim), _table(right, dim, m, dim))
         self.basis_names = _names(basis_names, dim, "u")
-        self._integers = None
+        # (den, (mul, left, right)): the tables times one common denominator
+        if self.left_table is self.right_table is algebra.mul_table:
+            den, table = algebra.integer_table  # a self-bimodule shares A's table
+            self.integer_tables = den, (table,) * 3
+        else:
+            self.integer_tables = _integer_tables(algebra.mul_table, self.left_table,
+                                                  self.right_table)
         self.report = None  # the axiom report, unless built with _skip_check
         if not _skip_check:
             self.report = self.axiom_report()
@@ -348,17 +342,6 @@ class Bimodule:
                 raise ValidationError(self.report)
 
     left, right = _view("left_table"), _view("right_table")
-
-    @property
-    def integer_tables(self) -> tuple:
-        """(den, (mul, left, right)): the sparse tables of the algebra and
-        the actions times one common denominator of their constants; built
-        once, by the axiom check or on first use."""
-        if self._integers is None:
-            den, tables = _integer_tables(self.algebra.mul_table, self.left_table,
-                                          self.right_table)
-            self._integers = den, tuple(tables)
-        return self._integers
 
     def axiom_report(self) -> ConditionReport:
         """Compatibility axioms: (ab)u=a(bu), u(ab)=(ua)b, (au)b=a(ub),

@@ -6,8 +6,8 @@ is left multiplication on A with a unit adjoined.  The trace rows are
 read off A's sparse integer table.  The computed radical is re-verified
 to be a nilpotent two-sided ideal, in integers: products are formed from
 the sparse table on the basis rows times their denominators, membership
-is tested on those sparse rows, and each power is kept as integer
-echelon rows.
+is tested against the integer kernel of those rows (``ideal_check``),
+and each power is kept as integer echelon rows.
 
 Simplicity (equivalently primeness, for finite-dimensional algebras)
 is decided through the center: a semisimple algebra is simple iff the

@@ -237,26 +237,6 @@ def _distinct_rows(data: Iterable[Iterable]) -> list:
     return list(distinct.values())
 
 
-def _row_space_test(pivots: list, rows: list):
-    """Membership in the span of the integer rows, one multiple of each
-    RREF basis row (pivot column pivots[r]): a test of integer vectors
-    {column: int}.  v lies in the span iff v is the sum of v[p] / row[p]
-    times each row, compared here with the denominators cleared."""
-    scale = lcm(*(row[p] for p, row in zip(pivots, rows)))
-    factors = [(p, scale // row[p], row) for p, row in zip(pivots, rows)]
-
-    def contains(v: dict) -> bool:
-        residual = {c: scale * x for c, x in v.items()}
-        for p, f, row in factors:
-            if x := v.get(p):
-                x *= f
-                for c, y in row.items():
-                    residual[c] = residual.get(c, 0) - x * y
-        return not any(residual.values())
-
-    return contains
-
-
 def _subtract(row: dict, prow: dict, b: int, modulus: int = 0):
     """row -= b*prow in place, mod modulus when one is given: (the columns
     that became nonzero, the columns that became zero)."""

@@ -472,6 +472,11 @@ def test_self_bimodule_is_built_once(corpus_pairs):
         assert u is alg.self_bimodule()
         assert u.left_table is u.right_table is alg.mul_table
         assert (u.algebra, u.left, u.right) == (alg, alg.mul_tensor, alg.mul_tensor)
+        # the integer tables too: A's table, not scaled a second time
+        den, table = alg.integer_table
+        assert u.integer_tables[0] == den
+        assert all(t is table for t in u.integer_tables[1])
+        assert len(u.integer_tables[1]) == 3
 
 
 def test_associativity_independent_oracle(corpus_pairs):

@@ -55,6 +55,27 @@ def test_a_worse_median_is_checked_against_the_bound(bench_pairs):
     assert not higher["within_bound"] and higher["wins"] == 0
 
 
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(bench_pairs):
+    parent = [0.8, 1.0, 1.2, 1.0, 0.8, 1.2]  # interquartile range 0.3 of median 1.0
+    change = [1.1, 0.9, 1.1, 0.9, 1.1, 0.9]
+    s = bench_pairs.summarize(parent, change, "lower", 0.25)
+    assert s["within_bound"] and s["status"] == "unresolved"
+
+
+def test_a_wide_parent_spread_is_resolved_when_every_change_run_is_better(bench_pairs):
+    parent = [0.8, 1.0, 1.2, 1.0, 0.8, 1.2]
+    change = [0.7, 0.75, 0.7, 0.75, 0.7, 0.75]  # below the parent's least run
+    assert bench_pairs.summarize(parent, change, "lower", 0.25)["status"] == "ok"
+
+
+def test_a_narrow_parent_spread_is_ok_within_the_bound(bench_pairs):
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03]
+    change = [1.05, 1.06, 1.04, 1.05, 1.07, 1.03]  # 5 % worse, inside 0.25
+    s = bench_pairs.summarize(parent, change, "lower", 0.25)
+    assert s["status"] == "ok" and s["wins"] == 0
+    assert bench_pairs.summarize(parent, change)["status"] is None
+
+
 def test_unequal_sides_are_rejected(bench_pairs):
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0, 2.0], [1.0])

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from modext.algebra import Algebra, Bimodule, _table, is_module_hom
+from modext.algebra import Algebra, Bimodule, _integer_tables, _table, is_module_hom
 from modext.analysis import is_nontrivial_idempotent, radical, unitization
 from modext.constructions import corner_module
 from modext.extension import (
@@ -29,6 +29,7 @@ from modext.samples import (
 )
 
 from families import upper_triangular
+from oracles import mul_vec as oracle_mul
 
 
 def rand_vec(rng, n):
@@ -148,6 +149,44 @@ class TestIdealCheck:
         # witness: E21 E11 = E21 escapes span{E11}
         fail = rep.failures()[0]
         assert fail.witness is not None
+
+    def test_matches_dense_rational_oracle(self):
+        # verdict and first witness, i first, then the basis row, on the
+        # corpus algebras and their T(A,U): 0, A, the radical and random
+        # rational spans, most of them not ideals
+        rng = random.Random(18)
+        verdicts = set()
+        for name, a, u in corpus():
+            for alg in (a, trivial_extension(a, u).total):
+                spans = [Subspace.zero(alg.dim), Subspace.full(alg.dim),
+                         radical(alg).radical]
+                spans += [Subspace.from_vectors(alg.dim, [rand_vec(rng, alg.dim)
+                                                          for _ in range(k)])
+                          for k in (1, 1, 2, 2, 3)]
+                for s in spans:
+                    rep = ideal_check(alg, s)
+                    want = dense_ideal_witnesses(alg, s)
+                    assert [c.witness for c in rep.checks] == want, name
+                    assert [c.passed for c in rep.checks] == [w is None for w in want], name
+                    verdicts.add(rep.passed)
+        assert verdicts == {True, False}
+
+
+def dense_ideal_witnesses(a, s):
+    """[A.s witness, s.A witness]: the first ((i,), w, e_i w) or ((i,), w,
+    w e_i), in (i, basis row) order, whose dense product s does not
+    contain; None where every product lies in s."""
+    out = []
+    for left in (True, False):
+        witness = None
+        for i, w in product(range(a.dim), s.basis):
+            e = unit_vec(a.dim, i)
+            prod = oracle_mul(a.mul_tensor, e, w) if left else oracle_mul(a.mul_tensor, w, e)
+            if not s.contains_vector(prod):
+                witness = ((i,), w, prod)
+                break
+        out.append(witness)
+    return out
 
 
 class TestQuotient:
@@ -320,6 +359,16 @@ class TestTableInvariant:
         for name, carrier in built_structures(corpus_pairs):
             for table, view, shape in tables_of(carrier):
                 assert_table_invariant(name, table, view, shape)
+
+    def test_integer_tables_are_the_scaled_rational_tables(self, corpus_pairs):
+        # built with each structure, whether its constructor checked it or not
+        for name, carrier in built_structures(corpus_pairs):
+            if isinstance(carrier, Algebra):
+                den, (table,) = _integer_tables(carrier.mul_table)
+                assert carrier.integer_table == (den, table), name
+            else:
+                tables = (carrier.algebra.mul_table, carrier.left_table, carrier.right_table)
+                assert carrier.integer_tables == _integer_tables(*tables), name
 
     def test_string_and_rational_entries_with_explicit_zeros(self):
         # "0" and "0/3" are truthy strings but zero constants

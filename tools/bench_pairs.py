@@ -12,7 +12,11 @@ stdout, its result JSON, is read.
 For each end-to-end metric of BENCHMARK.json the script prints both
 sides' median and quartiles over the pairs, how many pairs the change
 won (ties count for neither), the relative change of the medians
-against the metric's bound, and whether a gain may be claimed: the
+against the metric's bound, its status, and whether a gain may be
+claimed.  The status is ``ok`` or ``WORSE`` against the bound, or
+``unresolved`` when the parent's interquartile range is wider than the
+bound (relative to its median), so its runs cannot tell a change of
+that size, unless every change run beats every parent run.  A gain: the
 change wins at least nine tenths of the pairs, its median beats the
 parent's by more than the parent's interquartile range, and its share
 of failed operations is no larger than the parent's.  Each side's
@@ -47,6 +51,10 @@ def summarize(parent, change, better="lower", bound=None) -> dict:
     change's favour, by more than the parent's interquartile range.
     ``within_bound`` says the change's median is no worse than the
     parent's by more than the relative bound (None without a bound).
+    ``status`` is "unresolved" when the parent's interquartile range
+    over its median exceeds the bound and some change run does not beat
+    every parent run, else "ok" or "WORSE" by ``within_bound`` (None
+    without a bound).
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same nonzero number of runs on each side")
@@ -55,6 +63,15 @@ def summarize(parent, change, better="lower", bound=None) -> dict:
     pq, cq = quartiles(parent), quartiles(change)
     gap = sign * (pq[1] - cq[1])  # positive when the change's median is better
     relative = (cq[1] - pq[1]) / pq[1] if pq[1] else 0.0
+    within = None if bound is None else sign * relative <= bound
+    spread = (pq[2] - pq[0]) / abs(pq[1]) if pq[1] else 0.0
+    separated = all(sign * (p - c) > 0 for p in parent for c in change)
+    if bound is None:
+        status = None
+    elif spread > bound and not separated:
+        status = "unresolved"
+    else:
+        status = "ok" if within else "WORSE"
     return {
         "pairs": len(parent),
         "wins": wins,
@@ -62,7 +79,8 @@ def summarize(parent, change, better="lower", bound=None) -> dict:
         "change": cq,
         "relative_change": relative,
         "gain": wins >= 0.9 * len(parent) and gap > pq[2] - pq[0],
-        "within_bound": None if bound is None else sign * relative <= bound,
+        "within_bound": within,
+        "status": status,
     }
 
 
@@ -105,20 +123,19 @@ def main(argv=None):
 
     shares = {side: failed_share(results) for side, results in runs.items()}
     print("\nfailed share: parent %.4g, change %.4g" % (shares["parent"], shares["change"]))
-    print("%-12s %-12s %-32s %-32s %5s %9s %6s %s" % (
+    print("%-12s %-12s %-32s %-32s %5s %9s %10s %s" % (
         "workload", "metric", "parent q1/median/q3", "change q1/median/q3",
-        "wins", "change", "bound", "gain"))
+        "wins", "change", "status", "gain"))
     for m in metrics:
         name = m["name"]
         s = summarize([r["metrics"][name]["value"] for r in runs["parent"]],
                       [r["metrics"][name]["value"] for r in runs["change"]],
                       m["better"], m["bound"])
         gain = s["gain"] and shares["change"] <= shares["parent"]
-        print("%-12s %-12s %-32s %-32s %2d/%-2d %+8.1f%% %6s %s" % (
+        print("%-12s %-12s %-32s %-32s %2d/%-2d %+8.1f%% %10s %s" % (
             args.workload, name, "/".join("%.4g" % x for x in s["parent"]),
             "/".join("%.4g" % x for x in s["change"]), s["wins"], s["pairs"],
-            100 * s["relative_change"], "ok" if s["within_bound"] else "WORSE",
-            "yes" if gain else "no"))
+            100 * s["relative_change"], s["status"], "yes" if gain else "no"))
     failed = sum(r["failed"] for results in runs.values() for r in results)
     print("failed operations: %d" % failed)
     return 1 if failed else 0
