@@ -25,7 +25,13 @@ failing check's witness is those integer sides divided by the scale the
 check already knows (den^2 for the axioms, the tables' denominator
 times the map's, and so on), so no identity is evaluated twice.  A
 bimodule acting by its algebra's own table, as the self-bimodule does,
-takes that table's integers instead of scaling it again.
+takes that table's integers instead of scaling it again.  The axiom
+checks pack each product vector of an outer table into one int,
+coordinate k in signed slot k of S bits (Kronecker substitution), S =
+twice the bits of the largest constant + bit_length(the most constants
+at one pair) + 2: each side's slots lie below 2^(S-2) in absolute value,
+so two packed sides are equal exactly when every slot is.  A failing
+triple's sides are unpacked for its witness.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .linalg import (
     _dense,
     _integer_row,
     _over,
+    _packed,
     frac,
     is_zero_vec,
     nullspace,
@@ -127,16 +134,32 @@ def _integer_tables(*tables) -> tuple:
                         for entries in plane] for plane in table] for table in tables)
 
 
-def _associator(xy, xy_z, yz, x_yz, i: int, j: int, k: int, dim: int):
-    """((x_i y_j) z_k, x_i (y_j z_k)) in dimension dim, from the sparse
-    tables of the inner products xy, yz and the outer ones xy_z, x_yz."""
-    lhs, rhs = [0] * dim, [0] * dim  # int zeros: sums of ints stay ints
+def _packed_tables(*tables) -> tuple:
+    """(S, the integer tables with each pair's product vector packed in
+    slots of S bits), S as the module docstring gives it."""
+    entries = [entries for table in tables for plane in table for entries in plane]
+    bits = max((abs(c).bit_length() for e in entries for _, c in e), default=0)
+    width = 2 * bits + max(map(len, entries), default=0).bit_length() + 2
+    return width, [[_packed(plane, width) for plane in table] for table in tables]
+
+
+def _unpacked(x: int, width: int, dim: int) -> list:
+    """The dim signed slots of a packed int, lowest first."""
+    half = 1 << width - 1
+    x += sum(half << width * k for k in range(dim))  # each slot now in [0, 2^width)
+    return [(x >> width * k) % (half << 1) - half for k in range(dim)]
+
+
+def _associator(xy, xy_z, yz, x_yz, i: int, j: int, k: int):
+    """((x_i y_j) z_k, x_i (y_j z_k)), each a packed int, from the sparse
+    tables of the inner products xy, yz and the outer ones xy_z, x_yz as
+    ``_packed_tables`` packs them along with the inner ones: one
+    multiply-add per constant of an inner product."""
+    lhs = rhs = 0
     for s, c in xy[i][j]:
-        for r, d in xy_z[s][k]:
-            lhs[r] += c * d
+        lhs += c * xy_z[s][k]
     for s, c in yz[j][k]:
-        for r, d in x_yz[i][s]:
-            rhs[r] += c * d
+        rhs += c * x_yz[i][s]
     return lhs, rhs
 
 
@@ -267,10 +290,12 @@ class Algebra:
         rep = ConditionReport("associativity")
         n = self.dim
         den, z = self.integer_table
+        width, (packed,) = _packed_tables(z)
         for i, j, k in product(range(n), repeat=3):
-            lhs, rhs = _associator(z, z, z, z, i, j, k, n)
+            lhs, rhs = _associator(z, packed, z, packed, i, j, k)
             if lhs != rhs:  # each side carries den^2
-                witness = ((i, j, k), _over(lhs, den * den), _over(rhs, den * den))
+                witness = ((i, j, k), *(_over(_unpacked(x, width, n), den * den)
+                                        for x in (lhs, rhs)))
                 rep.add("associativity", False, witness=witness)
                 return rep
         rep.add("associativity", True, note="%d identities hold" % n**3)
@@ -349,25 +374,26 @@ class Bimodule:
 
         Each is T(A,U)'s associator on one triple of blocks, checked in
         (i, j, t) order and, at each triple, in the order above, on the
-        integer tables; a witness's sides are divided by their den^2.
+        integer tables with packed sides; a witness's sides are unpacked
+        and divided by their den^2.
         """
         rep = ConditionReport("bimodule axioms")
         a = self.algebra
         m, n = a.dim, self.dim
         den, (mul, left, right) = self.integer_tables
+        width, (_, lp, rp) = _packed_tables(mul, left, right)  # left, right packed
 
         def identities():  # (name, indices, sides) at (i, j, t)
-            yield "(ab)u = a(bu)", (i, j, t), _associator(mul, left, left, left, i, j, t, n)
+            yield "(ab)u = a(bu)", (i, j, t), _associator(mul, lp, left, lp, i, j, t)
             # x(yz) = (xy)z with x = u: the associator's sides swapped
-            yield ("u(ab) = (ua)b", (t, i, j),
-                   _associator(right, right, mul, right, t, i, j, n)[::-1])
-            yield "(au)b = a(ub)", (i, t, j), _associator(left, right, right, left, i, t, j, n)
+            yield "u(ab) = (ua)b", (t, i, j), _associator(right, rp, mul, rp, t, i, j)[::-1]
+            yield "(au)b = a(ub)", (i, t, j), _associator(left, rp, right, lp, i, t, j)
 
         for i, j, t in product(range(m), range(m), range(n)):
             for name, indices, (lhs, rhs) in identities():
                 if lhs != rhs:
-                    rep.add(name, False, witness=(indices, _over(lhs, den * den),
-                                                  _over(rhs, den * den)))
+                    rep.add(name, False, witness=(indices, *(
+                        _over(_unpacked(x, width, n), den * den) for x in (lhs, rhs))))
                     return rep
         rep.add("compatibility", True, note="%d triples checked" % (3 * m * m * n))
         # Unital action is recorded but not required: perfectly good

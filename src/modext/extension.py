@@ -7,7 +7,7 @@ as an A-bimodule) inherits its axioms from A once I is checked to be an
 ideal, so these structures are built from validated parts without the
 constructors' re-check.  Ideal membership is decided in integers by the
 certificate that ``nullspace`` checks its kernel with: a product lies
-in I iff it is orthogonal to the integer kernel of I's basis rows.
+in I iff it is orthogonal to the integer kernel of I's echelon basis.
 Coordinates on the total algebra are the A coordinates followed by the
 U coordinates, read and written through ``pair`` and ``split``, so the
 coordinate l1 norm splits as ||(a,u)|| = ||a|| + ||u|| by construction.
@@ -21,8 +21,8 @@ from typing import List, Tuple
 
 from .algebra import (Algebra, Bimodule, LinearMap, _product, _sum_sparse, block_table,
                       coordinates)
-from .linalg import (Matrix, SparseMatrix, Subspace, Vector, _dense, _distinct_rows,
-                     _integer_row, _over, _rejected, nullspace, unit_vec)
+from .linalg import (Matrix, Subspace, Vector, _dense, _integer_row, _kernel_vectors, _over,
+                     _rejected, unit_vec)
 from .reports import ConditionReport, require
 
 
@@ -93,26 +93,29 @@ def ideal_check(a: Algebra, s: Subspace) -> ConditionReport:
     """Is the subspace a two-sided ideal?  A.s and s.A checked on basis
     generators, with the escaping product as witness.  The products are
     formed in integers from the sparse table, on the basis rows times
-    their denominators.  A product lies in s iff it has zero product with
-    every vector of the integer kernel of those rows, the check that
-    certifies each ``nullspace``; the witness is the first product that
-    does not, i first, divided by A's denominator times the row's."""
+    their denominators, up to the first that escapes.  A product lies in s
+    iff it has zero product with every vector of the integer kernel of
+    those rows, the check that certifies each ``nullspace``; the witness
+    is the first product that does not, i first, divided by A's
+    denominator times the row's."""
     if s.ambient_dim != a.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
     rep = ConditionReport("two-sided ideal")
     den, table = a.integer_table
     rows = [_integer_row(enumerate(w)) for w in s.basis]
-    kernel = nullspace(SparseMatrix(len(rows), a.dim, [row.items() for _, row in rows]))
-    kernel = _distinct_rows(enumerate(k) for k in kernel.basis)
-    kernel = SparseMatrix(len(kernel), a.dim, [k.items() for k in kernel])
+    kernel = _kernel_vectors(s.pivots, [dict(enumerate(w)) for w in s.basis], a.dim)
+    # a product's absolute sum is at most w's times the largest of some e_j e_k
+    bits = (max((sum(abs(c) for _, c in e) for plane in table for e in plane), default=0)
+            * max((sum(map(abs, row.values())) for _, row in rows), default=0)).bit_length()
     cells = list(product(range(a.dim), zip(s.basis, rows)))
     for name, left in (("A.s in s", True), ("s.A in s", False)):
-        prods = [_product(table, {i: 1}, row) if left else _product(table, row, {i: 1})
-                 for i, (_, (_, row)) in cells]
+        prods = (_product(table, {i: 1}, row) if left else _product(table, row, {i: 1})
+                 for i, (_, (_, row)) in cells)
         witness = None
-        if rejected := _rejected(prods, kernel):
-            i, (w, (wden, _)) = cells[rejected[0]]
-            witness = ((i,), w, _over(_dense(prods[rejected[0]], a.dim), den * wden))
+        for r, prod in _rejected(prods, kernel, bits):
+            i, (w, (wden, _)) = cells[r]
+            witness = ((i,), w, _over(_dense(prod, a.dim), den * wden))
+            break
         rep.add(name, witness is None, witness=witness)
     return rep
 

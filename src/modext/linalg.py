@@ -7,25 +7,37 @@ sparse, so there is one elimination loop, ``_echelon``, on sparse rows: a
 stored nonzeros.  Each row is read once as a primitive integer row, first
 entry positive, and empty and repeated rows are dropped (the Leibniz
 system of T(M3, M3) has 5,832 rows, 810 of them distinct).  The loop
-takes its row arithmetic as a parameter, under one pivot rule: primitive
-integers, cancelling by ``a*row - b*pivot`` with a, b reduced by their
-gcd (Bareiss, Math. Comp. 22, 1968), or residues mod PRIME.  Either
-cancel updates a live row in place, in the loop's own copy of the rows.
+takes its row arithmetic as a parameter: primitive integers, cancelling
+by ``a*row - b*pivot`` with a, b reduced by their gcd (Bareiss, Math.
+Comp. 22, 1968), or residues mod PRIME; either cancel updates a live row
+in place, in the loop's own copy of the rows.  Its pivot rule is left to
+right, each column in turn on its sparsest live row, or Markowitz's
+(Management Sci. 3, 1957): the sparsest live row, on its column met by
+the fewest live rows.  That keeps fill low, and a row with one nonzero
+is a pivot with no fill, the singleton presolve of structured Gaussian
+elimination (LaMacchia and Odlyzko, CRYPTO 1990).
 
 ``nullspace`` picks its row basis mod PRIME from the ``cols`` sparsest
-distinct rows, eliminates exactly over the picked rows, certifies the
-kernel by a zero integer residual on every distinct row (Dixon, Numer.
-Math. 40, 1982) and adds the rows it rejects to the next pick; ``rref``,
-``rank``, ``solve`` and ``Subspace`` eliminate exactly.  Rationals come
-back only at the end, one division per entry by its row's pivot.  The
-reduced row echelon form is unique, so the rows and pivot order the
-kernel picks never show: every canonical basis is the one plain
-Gauss-Jordan gives.
+distinct rows and eliminates exactly over the picked rows, both by
+Markowitz's rule; ``rref``, ``rank``, ``solve`` and ``Subspace``
+eliminate exactly, left to right.  It certifies the kernel by a zero
+integer residual on every distinct row (Dixon, Numer. Math. 40, 1982)
+and adds the rows it rejects to the next pick.  The certificate packs
+the kernel vectors' entries at a column into one int, vector j in signed
+slot j of S bits (Kronecker substitution): S = the bits of the largest
+sum of a row's absolute values + those of the largest vector entry + 2.
+Each slot of a row's packed sum then lies below 2^(S-2) in absolute
+value, so the highest nonzero slot outweighs all below it, and the sum
+is 0 exactly when every slot is.  Rationals come back only at the end,
+one division per entry by its row's pivot.  The reduced row echelon
+form is unique, so the rows and pivot order the kernel picks never
+show: every canonical basis is the one plain Gauss-Jordan gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -283,23 +295,37 @@ def _cancel_mod_p(row: dict, prow: dict, c: int):
     return _subtract(row, prow, row[c], PRIME)
 
 
-def _echelon(rows: list, cols: int, prepare=lambda row, c: row, cancel=_cancel):
+def _echelon(rows: list, cols: int, prepare=lambda row, c: row, cancel=_cancel,
+             sparsest=False):
     """Forward elimination: (pivots, picked, done), where row picked[j] of
     rows, made ready once by prepare, cleared column pivots[j] from the
-    other live rows by cancel and ended as done[j].  Each column's pivot
-    is the live row with the fewest nonzeros, lowest index on ties.  The
-    rows handed in stay as they are: cancel updates a copy in place."""
+    other live rows by cancel and ended as done[j].  Ties go to the lowest
+    index.  Left to right, each column's pivot is its live row with the
+    fewest nonzeros; if sparsest (Markowitz), each step takes the live row
+    with the fewest nonzeros and pivots on its column with the fewest live
+    rows.  The rows handed in stay as they are: cancel updates a copy."""
     rows = [dict(row) for row in rows]
     where = [set() for _ in range(cols)]  # column -> live rows nonzero there
     for i, row in enumerate(rows):
         for c in row:
             where[c].add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row] if sparsest else []
+    heapify(heap)  # (nonzeros, row), stale once the row changes or is picked
+
+    def choices():  # each next pivot (row, column) under the rule
+        if not sparsest:
+            for c in range(cols):
+                if where[c]:
+                    yield min(where[c], key=lambda i: (len(rows[i]), i)), c
+        while heap:
+            n, p = heappop(heap)
+            if len(rows[p]) == n:  # a picked row is emptied
+                row = rows[p]
+                yield p, min(row, key=lambda k: (len(where[k]), k)) if n > 1 else next(iter(row))
+
     pivots, picked, done = [], [], []
-    for c in range(cols):
-        if not where[c]:
-            continue
-        p = min(where[c], key=lambda i: (len(rows[i]), i))
-        prow = prepare(rows[p], c)
+    for p, c in choices():
+        prow, rows[p] = prepare(rows[p], c), {}
         for k in prow:
             where[k].discard(p)
         live, where[c] = where[c], set()  # every live row leaves column c
@@ -309,17 +335,20 @@ def _echelon(rows: list, cols: int, prepare=lambda row, c: row, cancel=_cancel):
                 where[k].discard(i)
             for k in gained:
                 where[k].add(i)
+            if sparsest and rows[i]:
+                heappush(heap, (len(rows[i]), i))
         pivots.append(c)
         picked.append(p)
         done.append(prow)
     return pivots, picked, done
 
 
-def _rref(rows: list, cols: int):
+def _rref(rows: list, cols: int, sparsest=False):
     """Pivot columns and rows {column: Fraction} of the RREF of integer
-    rows.  Back-substitution, last pivot first, adds only free columns to
-    a row, so the rows holding each pivot column are indexed once."""
-    pivots, _, done = _echelon(rows, cols)
+    rows, in ``_echelon``'s pivot order under its rule.  Back-substitution,
+    last pivot first, adds only free columns to a row, so the rows holding
+    each pivot column are indexed once."""
+    pivots, _, done = _echelon(rows, cols, sparsest=sparsest)
     holders = SparseMatrix(len(done), cols, [row.items() for row in done]).transpose().data
     for j in range(len(done) - 1, 0, -1):
         for i, _ in holders[pivots[j]]:
@@ -348,31 +377,40 @@ def rank(m: Matrix) -> int:
     return len(_echelon(_distinct_rows(m.pairs()), m.cols)[0])
 
 
-def _kernel_vectors(pivots: list, rows: list, cols: int) -> list:
-    """One kernel vector {column: value} of the RREF rows per free column
-    f: 1 at f and minus the f entry of each row at that row's pivot."""
+def _kernel_vectors(pivots: list, rows: list, cols: int) -> SparseMatrix:
+    """The kernel of the RREF rows {column: value}, one primitive integer
+    vector per free column f: 1 at f and minus the f entry of each row at
+    that row's pivot, times their denominators."""
     taken = set(pivots)
     vectors = {f: {f: 1} for f in range(cols) if f not in taken}
     for p, row in zip(pivots, rows):
         for k, x in row.items():
             if k in vectors:
                 vectors[k][p] = -x
-    return list(vectors.values())
+    vectors = _distinct_rows(v.items() for v in vectors.values())
+    return SparseMatrix(len(vectors), cols, [list(v.items()) for v in vectors])
 
 
-def _rejected(rows: list, vectors: SparseMatrix) -> list:
-    """Indices of the integer rows with a nonzero product with some integer
-    row of vectors, each product summed over the nonzeros of that row only."""
-    at = vectors.transpose().data  # column -> (vector, entry)
-    out = []
+def _packed(lists: Iterable, width: int) -> list:
+    """Each list of (slot, int) pairs as one int, the int at slot k times
+    2^(width k): signed slots of width bits (Kronecker substitution)."""
+    return [sum(x << width * k for k, x in pairs) if pairs else 0 for pairs in lists]
+
+
+def _rejected(rows: Iterable, vectors: SparseMatrix, bits: int):
+    """(index, row) for each integer row {column: int}, the absolute values
+    of its entries summing below 2^bits, with a nonzero product with some
+    integer row of vectors: in order, lazily, each a packed sum over the
+    row's nonzeros (see the module docstring)."""
+    width = bits + 2 + max((abs(x).bit_length() for row in vectors.data for _, x in row),
+                           default=0)
+    packed = _packed(vectors.transpose().data, width)
     for i, row in enumerate(rows):
-        products = {}  # vector -> product, for the vectors the row meets
+        total = 0
         for c, a in row.items():
-            for j, x in at[c]:
-                products[j] = products.get(j, 0) + a * x
-        if any(products.values()):
-            out.append(i)
-    return out
+            total += a * packed[c]
+        if total:
+            yield i, row
 
 
 def nullspace(m) -> "Subspace":
@@ -387,15 +425,16 @@ def nullspace(m) -> "Subspace":
     """
     rows = _distinct_rows(m.pairs())
     residues = [{c: x % PRIME for c, x in row.items() if x % PRIME} for row in rows]
+    bits = max((sum(map(abs, row.values())) for row in rows), default=0).bit_length()
     sample = sorted(range(len(rows)), key=lambda i: len(rows[i]))[: m.cols]
     picked = []
     while True:
-        pick = _echelon([residues[i] for i in sample], m.cols, _monic, _cancel_mod_p)[1]
+        pick = _echelon([residues[i] for i in sample], m.cols, _monic, _cancel_mod_p,
+                        sparsest=True)[1]
         picked = [sample[j] for j in pick] if len(pick) > len(picked) else range(len(rows))
-        kernel = _kernel_vectors(*_rref([rows[i] for i in picked], m.cols), m.cols)
-        kernel = _distinct_rows(v.items() for v in kernel)  # integer vectors
-        kernel = SparseMatrix(len(kernel), m.cols, [list(v.items()) for v in kernel])
-        if not (rejected := _rejected(rows, kernel)):
+        kernel = _kernel_vectors(*_rref([rows[i] for i in picked], m.cols, sparsest=True),
+                                 m.cols)
+        if not (rejected := [i for i, _ in _rejected(rows, kernel, bits)]):
             return Subspace.row_space(kernel)
         if len(picked) == len(rows):
             raise AssertionError("nullspace vector has a nonzero residual")

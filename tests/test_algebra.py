@@ -18,12 +18,13 @@ from modext.samples import (
     field_q,
     matrix_units,
     q_plus_q,
+    truncated_poly,
     upper_triangular_2,
     zero_action_module,
     zero_product,
 )
 
-from families import left_mul_matrix
+from families import basis_change, left_mul_matrix, twin, upper_triangular
 from oracles import (apply_matrix, dense_nullspace, dense_rref, left_act, mul_vec,
                      right_act, tensors_of)
 
@@ -247,6 +248,43 @@ def test_first_witness_on_perturbed_corpus_tensors(corpus_pairs):
             failed[want[0]] = failed.get(want[0], 0) + 1
     assert sorted(failed) == sorted(["associativity", "(ab)u = a(bu)",
                                      "u(ab) = (ua)b", "(au)b = a(ub)"]), failed
+
+
+def _perturbed_twins():
+    """Dense-basis twins of M2, UT3 and Q[t]/(t^4): every product dense,
+    with a common denominator of the constants other than 1."""
+    out = []
+    for a in (matrix_units(2), upper_triangular(3), truncated_poly(4)):
+        b = twin(a, *basis_change(a.dim, 5))
+        assert b.integer_table[0] != 1
+        out.append(b)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_packed_axioms_on_a_perturbed_dense_twin(seed):
+    """One constant of a dense twin's product, left or right action is
+    shifted by a small or a 90-bit rational; associativity and the
+    bimodule axioms, summed as packed ints, give the verdict and the first
+    witness (identity, triple and both sides) of the per-triple unpacked
+    evaluation."""
+    rng = random.Random(seed)
+    b = rng.choice(_perturbed_twins())
+    which = rng.choice(["mul", "left", "right"])
+    t = [[list(entry) for entry in plane] for plane in b.mul_tensor]
+    entry = rng.choice(rng.choice(t))
+    entry[rng.randrange(b.dim)] += rng.choice([Fraction(1, 7), Fraction(-3),
+                                               Fraction(2 ** 90 + 1, 3 ** 40)])
+    if which == "mul":
+        _, rep = validate_algebra(t)
+        want = naive_first_associativity_failure(t)
+        want = want and ("associativity", want)
+    else:
+        left, right = (t, b.mul_tensor) if which == "left" else (b.mul_tensor, t)
+        _, rep = validate_bimodule(b, left, right)
+        want = naive_first_bimodule_failure(b.mul_tensor, left, right)
+    assert want is not None
+    assert (rep.failures()[0].name, rep.failures()[0].witness) == want
 
 
 class TestProducts:

@@ -172,7 +172,8 @@ class TestResidualCertificate:
 
         def leaky(*args):
             # D(1) = 1 on the dual numbers is no derivation
-            return real(*args) + [{0: 1}]
+            kernel = real(*args)
+            return kernel._replace(rows=kernel.rows + 1, data=kernel.data + [[(0, 1)]])
 
         monkeypatch.setattr(linalg, "_kernel_vectors", leaky)
         a = dual_numbers()
@@ -270,6 +271,15 @@ class TestTheoremFamilies:
         mul, left, right = tensors_of(a, u)
         assert leibniz_holds(mul, left, right, combination)
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_t_of_truncated_poly_has_3n_minus_2_derivations(self, n):
+        # T(Q[t]/(t^n), Q[t]/(t^n)) = Q[t, e]/(t^n, e^2) is commutative, so
+        # Inn = 0; a derivation is fixed by D(t) in Ann(t^(n-1)), of
+        # dimension 2(n - 1), and D(e) in Ann(e) = eT, of dimension n
+        a = self_extension(truncated_poly(n))
+        u = a.self_bimodule()
+        assert (derivation_space(a, u).dim, inner_space(a, u).dim) == (3 * n - 2, 0)
+
 
 def _twice(m):
     """m (+) m: the basis change of T(A, A) made by m on both summands."""
@@ -301,7 +311,7 @@ class TestDenseTwins:
         real = linalg._rejected
 
         def spy(*args):
-            rejected.append(real(*args))
+            rejected.append(list(real(*args)))
             return rejected[-1]
 
         monkeypatch.setattr(linalg, "_rejected", spy)
@@ -363,24 +373,27 @@ class TestIntegerLeibnizRows:
     def test_echelon_matches_the_copying_loop_on_the_system(self, build, extend,
                                                              monkeypatch):
         # every elimination derivation_space runs, mod PRIME and exact, ends
-        # as the copying loop's does and leaves the rows it was handed
+        # as the copying loop's does under the same pivot rule and leaves the
+        # rows it was handed; nullspace's two passes take the sparsest rule,
+        # the canonical basis the left-to-right one
         calls = []
         real = linalg._echelon
 
-        def spy(rows, cols, *arithmetic):
-            calls.append((rows, copy.deepcopy(rows), cols, arithmetic))
-            return real(rows, cols, *arithmetic)
+        def spy(rows, cols, *arithmetic, sparsest=False):
+            calls.append((rows, copy.deepcopy(rows), cols, arithmetic, sparsest))
+            return real(rows, cols, *arithmetic, sparsest=sparsest)
 
         monkeypatch.setattr(linalg, "_echelon", spy)
         a = _dense_twin(build, extend)
         derivation_space(a, a.self_bimodule())
         oracle = {(): (), (linalg._monic, linalg._cancel_mod_p):
                   (oracles.monic, oracles.copying_cancel_mod_p)}
-        assert {bool(arithmetic) for *_, arithmetic in calls} == {False, True}
-        for rows, before, cols, arithmetic in calls:
+        rules = {(bool(arithmetic), sparsest) for *_, arithmetic, sparsest in calls}
+        assert rules == {(True, True), (False, True), (False, False)}
+        for rows, before, cols, arithmetic, sparsest in calls:
             assert rows == before
-            assert real(rows, cols, *arithmetic) == \
-                oracles.copying_echelon(rows, cols, *oracle[arithmetic])
+            assert real(rows, cols, *arithmetic, sparsest=sparsest) == \
+                oracles.copying_echelon(rows, cols, *oracle[arithmetic], sparsest=sparsest)
 
 
 class TestLeibnizSystemShape:

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from modext import extension
 from modext.algebra import Algebra, Bimodule, _integer_tables, _table, is_module_hom
 from modext.analysis import is_nontrivial_idempotent, radical, unitization
 from modext.constructions import corner_module
@@ -170,6 +171,33 @@ class TestIdealCheck:
                     assert [c.passed for c in rep.checks] == [w is None for w in want], name
                     verdicts.add(rep.passed)
         assert verdicts == {True, False}
+
+    def test_stops_at_the_first_escaping_product(self, monkeypatch):
+        # on the corpus's non-ideals, spans of one basis vector and random
+        # rational spans of A and T(A,U): the witness is the dense oracle's,
+        # and each side forms its products only up to its first escape
+        calls = []
+        real = extension._product
+        monkeypatch.setattr(extension, "_product", lambda *args: calls.append(1) or real(*args))
+        rng = random.Random(47)
+        failed = 0
+        for name, a, u in corpus():
+            for alg in (a, trivial_extension(a, u).total):
+                n = alg.dim
+                spans = [Subspace.from_vectors(n, [unit_vec(n, i)]) for i in range(n)]
+                spans += [Subspace.from_vectors(n, [rand_vec(rng, n) for _ in range(k)])
+                          for k in (1, 2)]
+                for s in spans:
+                    calls.clear()
+                    rep = ideal_check(alg, s)
+                    want = dense_ideal_witnesses(alg, s)
+                    assert [c.witness for c in rep.checks] == want, name
+                    cells = list(product(range(n), range(s.dim)))
+                    formed = sum(len(cells) if w is None else
+                                 cells.index((w[0][0], s.basis.index(w[1]))) + 1 for w in want)
+                    assert len(calls) == formed, name
+                    failed += not rep.passed
+        assert failed > 20
 
 
 def dense_ideal_witnesses(a, s):

@@ -94,12 +94,12 @@ class TestModularRowBasis:
         sizes, seen = {}, []
         real_echelon, real_rejected = linalg._echelon, linalg._rejected
 
-        def echelon_spy(basis_rows, cols, *arithmetic):
+        def echelon_spy(basis_rows, cols, *arithmetic, **rule):
             sizes["mod p" if arithmetic else "exact"] = len(basis_rows)
-            return real_echelon(basis_rows, cols, *arithmetic)
+            return real_echelon(basis_rows, cols, *arithmetic, **rule)
 
         def rejected_spy(*args):
-            out = real_rejected(*args)
+            out = list(real_rejected(*args))
             seen.append((sizes["mod p"], sizes["exact"], len(out)))
             return out
 
@@ -454,7 +454,8 @@ def test_the_oracle_reduces_mod_the_kernel_prime():
 @given(sparse_integer_rows())
 def test_echelon_matches_the_copying_loop_and_leaves_its_rows(data):
     # the same (pivots, picked, done) on the integer rows and on their
-    # residues mod PRIME, and the rows handed in are left as they were
+    # residues mod PRIME, under each pivot rule, and the rows handed in are
+    # left as they were
     rows, cols = data
     residues = [{c: x % PRIME for c, x in row.items() if x % PRIME} for row in rows]
     for handed, arithmetic, oracle in (
@@ -462,8 +463,9 @@ def test_echelon_matches_the_copying_loop_and_leaves_its_rows(data):
             (residues, (linalg._monic, linalg._cancel_mod_p),
              (oracles.monic, oracles.copying_cancel_mod_p))):
         before = copy.deepcopy(handed)
-        assert linalg._echelon(handed, cols, *arithmetic) == \
-            oracles.copying_echelon(handed, cols, *oracle)
+        for sparsest in (False, True):
+            assert linalg._echelon(handed, cols, *arithmetic, sparsest=sparsest) == \
+                oracles.copying_echelon(handed, cols, *oracle, sparsest=sparsest)
         assert handed == before
 
 
@@ -483,14 +485,107 @@ def test_nullspace_leaves_its_rows_on_the_fallback_to_all_rows(rows, monkeypatch
         handed.append((out, copy.deepcopy(out)))
         return out
 
-    def echelon_spy(basis_rows, cols, *arithmetic):
+    def echelon_spy(basis_rows, cols, *arithmetic, **rule):
         handed.append((basis_rows, copy.deepcopy(basis_rows)))
         if not arithmetic:
             exact.append(len(basis_rows))
-        return real_echelon(basis_rows, cols, *arithmetic)
+        return real_echelon(basis_rows, cols, *arithmetic, **rule)
 
     monkeypatch.setattr(linalg, "_distinct_rows", distinct_spy)
     monkeypatch.setattr(linalg, "_echelon", echelon_spy)
     assert nullspace(M(rows)).basis == dense_nullspace(rows)
     assert exact[-2] == len(handed[0][0])  # the fallback eliminated every row
     assert all(now == before for now, before in handed)
+
+
+# -- the Markowitz pivot rule and the packed certificate ----------------------
+
+@st.composite
+def singleton_chain_matrices(draw):
+    """Sparse rational rows with a chain of singletons: row 0 has one
+    nonzero, and each next chain row meets the last one's column and one
+    new column, so each pivot leaves a row with one nonzero.  Random rows,
+    repeated rows (some times a rational) and empty columns are mixed in."""
+    cols = draw(st.integers(2, 9))
+    empty = draw(st.sets(st.integers(0, cols - 1), max_size=cols - 1))
+    live = [c for c in range(cols) if c not in empty]
+    nonzero = st.one_of(small_rationals.filter(bool), big_rationals.filter(bool))
+    chain = draw(st.permutations(live))[: draw(st.integers(1, len(live)))]
+    rows = [{chain[0]: draw(nonzero)}]
+    rows += [{a: draw(nonzero), b: draw(nonzero)} for a, b in zip(chain, chain[1:])]
+    rows += [{c: draw(nonzero) for c in draw(st.sets(st.sampled_from(live), max_size=4))}
+             for _ in range(draw(st.integers(0, 4)))]
+    rows += [{c: f * x for c, x in rows[i].items()}
+             for i, f in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                                 nonzero_factors), max_size=4))]
+    rows = draw(st.permutations(rows))
+    return [[row.get(c, Fraction(0)) for c in range(cols)] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(singleton_chain_matrices())
+def test_nullspace_matches_dense_gauss_jordan_on_singleton_chains(rows):
+    assert nullspace(M(rows)).basis == dense_nullspace(rows)
+
+
+def _naive_rejected(rows, vectors):
+    """Indices of the rows with a nonzero product with some vector, each
+    product summed entry by entry."""
+    return [i for i, row in enumerate(rows)
+            if any(sum(row.get(c, 0) * x for c, x in v) for v in vectors)]
+
+
+@st.composite
+def packed_slot_systems(draw):
+    """(rows, vectors, cols) of integers of both signs up to about 300 bits,
+    with rows built so that one vector's slot cancels while the slots on
+    either side of it sit at the width bound: every entry of the row and of
+    the neighbouring vectors as large as their bits allow, each of one
+    sign, so those products are the row's absolute sum times the largest
+    vector entry."""
+    cols = draw(st.integers(2, 6))
+    bits = draw(st.integers(1, 300))
+    top = 2 ** bits - 1
+    entry = st.integers(-top, top)
+    sparse = st.dictionaries(st.integers(0, cols - 1), entry.filter(bool), max_size=cols)
+    rows = draw(st.lists(sparse, max_size=5))
+    vectors = [list(v.items()) for v in draw(st.lists(sparse, max_size=4))]
+    for _ in range(draw(st.integers(0, 2))):
+        sign, vsign = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+        row = {c: sign * top for c in range(cols)}
+        a, b = draw(st.permutations(range(cols)))[:2]
+        at = draw(st.integers(0, len(vectors)))
+        vectors[at:at] = [[(c, vsign * top) for c in range(cols)], [(a, top), (b, -top)],
+                          [(c, -vsign * top) for c in range(cols)]]
+        rows.append(row)
+        rows.append({a: row[a], b: row[b]})  # also cancels in the middle slot
+    return rows, vectors, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_slot_systems())
+def test_packed_certificate_matches_naive_products(system):
+    rows, vectors, cols = system
+    bits = max((sum(map(abs, row.values())) for row in rows), default=0).bit_length()
+    got = list(linalg._rejected(rows, SparseMatrix(len(vectors), cols, vectors), bits))
+    assert [i for i, _ in got] == _naive_rejected(rows, vectors)
+    assert all(row is rows[i] for i, row in got)
+
+
+def test_packed_certificate_at_the_width_bound_cancels_one_slot_only():
+    # row . v1 = 0 exactly, while row . v0 and row . v2 are +-3 top^2, the
+    # row's absolute sum times the largest vector entry: the slot bound
+    top = 2 ** 300 - 1
+    row = {0: top, 1: top, 2: top}
+    bits = (3 * top).bit_length()
+    vectors = [[(c, top) for c in range(3)], [(0, top), (1, -top)],
+               [(c, -top) for c in range(3)]]
+    middle = SparseMatrix(1, 3, vectors[1:2])
+    assert [i for i, _ in linalg._rejected([row], middle, bits)] == []
+    assert [i for i, _ in linalg._rejected([row], SparseMatrix(3, 3, vectors), bits)] == [0]
+    assert [i for i, _ in linalg._rejected([{0: top, 1: top}, {2: 1}],
+                                           SparseMatrix(3, 3, vectors), bits)] == [0, 1]
+    # products 8 and -1: in 3-bit slots 8 carries into the next slot and
+    # cancels the -1, a false zero; the certificate's slots are wider
+    carry = SparseMatrix(2, 2, [[(0, 2), (1, 3)], [(0, 1), (1, -1)]])
+    assert [i for i, _ in linalg._rejected([{0: 1, 1: 2}], carry, 2)] == [0]
