@@ -56,7 +56,6 @@ from .linalg import (
     solve,
     unit_vec,
     vec,
-    zero_vec,
 )
 from .reports import ConditionReport
 
@@ -224,16 +223,6 @@ def _failures(sides, cells, width: int, scale: int):
     for pair, k in cells if lhs != rhs else ():
         if lhs[k:k + width] != rhs[k:k + width]:
             yield pair, _over(lhs[k:k + width], scale), _over(rhs[k:k + width], scale)
-
-
-def _combine(terms, vectors: Sequence[Vector], dim: int) -> Vector:
-    """sum w vectors[k] over the (k, w) pairs, skipping zero entries."""
-    out = zero_vec(dim)
-    for k, w in terms:
-        for r, x in enumerate(vectors[k]):
-            if x:
-                out[r] += w * x
-    return out
 
 
 def block_table(dim: int, blocks) -> list:

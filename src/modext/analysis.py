@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
-from .algebra import (Algebra, Bimodule, LinearMap, _combine, _product, block_table,
+from .algebra import (Algebra, Bimodule, LinearMap, _product, _sum_sparse, block_table,
                       coordinates)
 from .derivations import LeibnizSystem, inner_map
 from .extension import ideal_check
@@ -30,6 +30,7 @@ from .linalg import (
     SparseMatrix,
     Subspace,
     Vector,
+    _dense,
     _distinct_rows,
     _echelon,
     _integer_row,
@@ -258,10 +259,10 @@ def is_simple_prime(a: Algebra, seed: int = 0) -> SimplePrimeReport:
         )
     z = center(a)
     rng = random.Random(seed)
-    attempts = []
+    attempts, sparse = [], [dict(enumerate(v)) for v in z.basis]
     for _ in range(_PROBES):
         weights = [rng.randint(-9, 9) for _ in range(z.dim)]
-        elem = _combine(enumerate(weights), z.basis, a.dim)
+        elem = _dense(_sum_sparse(enumerate(weights), sparse), a.dim)
         poly = min_poly(a, elem)
         attempts.append(str(poly))
         if poly.degree == z.dim:
@@ -298,9 +299,10 @@ def find_surjective_left_hom(a: Algebra, u: Bimodule) -> Optional[LinearMap]:
     sol = nullspace(LeibnizSystem(a, left_only).matrix)
     if sol.dim == 0:
         return None
+    sparse = [dict(enumerate(v)) for v in sol.basis]
     for k in range(a.dim + 1):
         weights = [Fraction((i + 1) ** k) for i in range(sol.dim)]
-        flat = _combine(enumerate(weights), sol.basis, m * n)
+        flat = _dense(_sum_sparse(enumerate(weights), sparse), m * n)
         candidate = Matrix.unflatten(n, m, flat)
         if rank(candidate) == n:
             return LinearMap(a, u, candidate)

@@ -3,7 +3,9 @@
 Four constructions, each of which audits its hypotheses, builds a map on
 the appropriate T(A,U), and re-verifies the Leibniz identity before
 returning.  Hypothesis failures raise HypothesisError with the failing
-identity and an exact witness; no unverified map is ever emitted.
+identity and an exact witness; no unverified map is ever emitted.  The
+corner's vectors lie in the left ideal A p, so their coordinates are
+read off as their pivot entries on its echelon basis.
 
   lift        D((a,u)) = (0, delta(a)) for a derivation delta: A -> U
   transport   D((a,x)) = (delta(a), tau(x)) with tau = phi o delta o psi
@@ -108,14 +110,6 @@ def corner_basis(a: Algebra, p) -> Subspace:
     return Subspace.from_vectors(a.dim, vectors)
 
 
-def _in_corner(basis: Subspace, v, what: str) -> list:
-    """Coordinates of v on the echelon basis of A p; v must lie in A p."""
-    c = basis.coords_of(v)
-    if c is None:
-        raise AssertionError("%s escaped A p" % what)
-    return c
-
-
 def _corner(a: Algebra, p) -> Tuple[list, Subspace, Bimodule]:
     """p (checked idempotent), the echelon basis of A p, and A p as a bimodule.
 
@@ -133,8 +127,8 @@ def _corner(a: Algebra, p) -> Tuple[list, Subspace, Bimodule]:
         raise HypothesisError("p is not idempotent", rep)
     basis = corner_basis(a, coords)
     q = basis.dim
-    left = [[_in_corner(basis, a.mul_vec(unit_vec(a.dim, i), b), "left action")
-             for b in basis.basis] for i in range(a.dim)]
+    products = ([a.mul_vec(unit_vec(a.dim, i), b) for b in basis.basis] for i in range(a.dim))
+    left = [[[v[c] for c in basis.pivots] for v in row] for row in products]
     left, right = _table(left, a.dim, q, q), [[[]] * a.dim for _ in range(q)]
     names = ["b%d" % j for j in range(q)]
     return coords, basis, Bimodule(a, left, right, basis_names=names, _skip_check=True)
@@ -149,9 +143,8 @@ def corner_tau(a: Algebra, p, delta: LinearMap) -> ConstructionResult:
     """D((a,x)) = (delta(a), tau(x)) on T(A, Ap) with tau(x) = delta(x) p."""
     coords, basis, module = _corner(a, p)
     require(is_derivation(a, a.self_bimodule(), delta), "delta is not a derivation on A")
-    tau_cols = [_in_corner(basis, a.mul_vec(delta.matrix.apply(b), coords), "tau image")
-                for b in basis.basis]
-    tau = Matrix.from_rows(tau_cols).transpose()
+    images = (a.mul_vec(delta.matrix.apply(b), coords) for b in basis.basis)
+    tau = Matrix.from_rows([[v[c] for c in basis.pivots] for v in images]).transpose()
 
     t = trivial_extension(a, module)
     d = assemble(t, BlockDecomposition(delta1=delta, tau2=LinearMap(module, module, tau)))

@@ -8,8 +8,9 @@ constants of the module's integer tables and sums them into the sparse
 integer rows of ``LeibnizSystem.matrix`` (the rational rows times the
 tables' denominator), all of them kept; ``nullspace`` drops the empty
 and repeated ones, picks its row basis mod a prime and certifies the
-basis by a zero integer residual on every row.  ``is_derivation`` and
-the C1-C6 checker in ``blocks`` sum the sides D(ab) and a D(b) + D(a) b
+basis by a zero integer residual on every row, and ``DerivationSpace``
+keeps that kernel, not the system.  ``is_derivation`` and the C1-C6
+checker in ``blocks`` sum the sides D(ab) and a D(b) + D(a) b
 at all pairs at once, in integers, one term per nonzero entry of D
 (scaled by their common denominator) and constant of the module's
 integer tables, so they cost time in proportion to their terms; the
@@ -99,10 +100,10 @@ class LeibnizSystem:
 
 
 class DerivationSpace:
-    """Canonical basis of Der(A, U)."""
+    """Canonical basis of Der(A, U), with the kernel it was read off."""
 
-    def __init__(self, system: LeibnizSystem, basis: List[LinearMap]):
-        self.system = system
+    def __init__(self, kernel: Subspace, basis: List[LinearMap]):
+        self.kernel = kernel
         self.basis = basis
 
     @property
@@ -110,9 +111,8 @@ class DerivationSpace:
         return len(self.basis)
 
     def as_subspace(self) -> Subspace:
-        """The space of flattened derivation matrices inside Q^(n*m)."""
-        m = self.system.algebra.dim * self.system.module.dim
-        return Subspace.from_vectors(m, [d.matrix.flatten() for d in self.basis])
+        """The flattened derivation matrices' span in Q^(n*m), the kernel solved."""
+        return self.kernel
 
     def __repr__(self):
         return "DerivationSpace(dim=%d)" % self.dim
@@ -136,10 +136,9 @@ def is_derivation(a: Algebra, u: Bimodule, f: LinearMap) -> ConditionReport:
 
 def derivation_space(a: Algebra, u: Bimodule) -> DerivationSpace:
     """All derivations A -> U, as the nullspace of the Leibniz system."""
-    system = LeibnizSystem(a, u)
-    ker = nullspace(system.matrix)
+    ker = nullspace(LeibnizSystem(a, u).matrix)
     basis = [LinearMap(a, u, Matrix.unflatten(u.dim, a.dim, k)) for k in ker.basis]
-    return DerivationSpace(system, basis)
+    return DerivationSpace(ker, basis)
 
 
 def inner_map(a: Algebra, u: Bimodule) -> SparseMatrix:

@@ -7,7 +7,8 @@ as an A-bimodule) inherits its axioms from A once I is checked to be an
 ideal, so these structures are built from validated parts without the
 constructors' re-check.  Ideal membership is decided in integers by the
 certificate that ``nullspace`` checks its kernel with: a product lies
-in I iff it is orthogonal to the integer kernel of I's echelon basis.
+in I iff it is orthogonal to the integer kernel of I's echelon basis;
+the same kernel rows, rational, are the projection A -> A/I.
 Coordinates on the total algebra are the A coordinates followed by the
 U coordinates, read and written through ``pair`` and ``split``, so the
 coordinate l1 norm splits as ||(a,u)|| = ||a|| + ||u|| by construction.
@@ -21,8 +22,8 @@ from typing import List, Tuple
 
 from .algebra import (Algebra, Bimodule, LinearMap, _product, _sum_sparse, block_table,
                       coordinates)
-from .linalg import (Matrix, Subspace, Vector, _dense, _integer_row, _kernel_vectors, _over,
-                     _rejected, unit_vec)
+from .linalg import (Matrix, Subspace, Vector, _complement, _dense, _integer_row,
+                     _kernel_vectors, _over, _rejected)
 from .reports import ConditionReport, require
 
 
@@ -125,14 +126,12 @@ def quotient_coordinates(ideal: Subspace) -> Tuple[List[int], Matrix]:
 
     The basis of A/I is the cosets of the standard basis vectors at the
     non-pivot columns of I's echelon basis (pivot-greedy, so the
-    construction is reproducible bit for bit).  Returns those columns
-    and the (dim A/I x dim A) projection matrix.
+    construction is reproducible bit for bit).  Returns those columns and
+    the (dim A/I x dim A) projection matrix: the basis's complement rows.
     """
     m = ideal.ambient_dim
-    complement = [j for j in range(m) if j not in ideal.pivots]
-    reduced = [ideal.reduce(unit_vec(m, j)) for j in range(m)]
-    proj = Matrix.from_rows([[r[c] for c in complement] for r in reduced]).transpose()
-    return complement, proj
+    rows = _complement(ideal.pivots, [dict(enumerate(w)) for w in ideal.basis], m)
+    return list(rows), Matrix(len(rows), m, [_dense(row, m) for row in rows.values()])
 
 
 def quotient_algebra(a: Algebra, ideal: Subspace) -> Tuple[Algebra, Matrix]:

@@ -31,7 +31,8 @@ value, so the highest nonzero slot outweighs all below it, and the sum
 is 0 exactly when every slot is.  Rationals come back only at the end,
 one division per entry by its row's pivot.  The reduced row echelon
 form is unique, so the rows and pivot order the kernel picks never
-show: every canonical basis is the one plain Gauss-Jordan gives.
+show: every canonical basis is the one plain Gauss-Jordan gives, and
+its free columns give its complement, a kernel basis (``_complement``).
 """
 
 from __future__ import annotations
@@ -50,8 +51,12 @@ PRIME = 2**31 - 1  # the modulus of nullspace's row basis; residue products < 2^
 
 
 def frac(x) -> Fraction:
-    """Coerce ints / strings / Fractions to Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Coerce ints / strings / Fractions to Fraction; a float raises TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError("%r is a float; give an int, a Fraction or a rational string" % x)
+    return Fraction(x)
 
 
 def vec(entries: Iterable) -> Vector:
@@ -377,17 +382,23 @@ def rank(m: Matrix) -> int:
     return len(_echelon(_distinct_rows(m.pairs()), m.cols)[0])
 
 
-def _kernel_vectors(pivots: list, rows: list, cols: int) -> SparseMatrix:
-    """The kernel of the RREF rows {column: value}, one primitive integer
-    vector per free column f: 1 at f and minus the f entry of each row at
-    that row's pivot, times their denominators."""
+def _complement(pivots: list, rows: list, cols: int) -> dict:
+    """{f: row} for each free column f of the RREF rows {column: value}:
+    row f is e_f minus the f entry of each row at that row's pivot.  These
+    rows span the kernel of the RREF rows; as the rows of a matrix they
+    are the projection onto the free columns along the RREF rows' span."""
     taken = set(pivots)
-    vectors = {f: {f: 1} for f in range(cols) if f not in taken}
+    out = {f: {f: 1} for f in range(cols) if f not in taken}
     for p, row in zip(pivots, rows):
         for k, x in row.items():
-            if k in vectors:
-                vectors[k][p] = -x
-    vectors = _distinct_rows(v.items() for v in vectors.values())
+            if k in out:
+                out[k][p] = -x
+    return out
+
+
+def _kernel_vectors(pivots: list, rows: list, cols: int) -> SparseMatrix:
+    """The rows of ``_complement`` as primitive integer vectors."""
+    vectors = _distinct_rows(v.items() for v in _complement(pivots, rows, cols).values())
     return SparseMatrix(len(vectors), cols, [list(v.items()) for v in vectors])
 
 
@@ -558,20 +569,12 @@ class Subspace:
         return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
 
     def intersection(self, other: "Subspace") -> "Subspace":
+        """S ∩ T = (S^⊥ + T^⊥)^⊥: the kernel of both complements' integer rows."""
         self._same_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        # x in both spaces: x = A^T s = B^T t; kernel of [A^T | -B^T].
-        at = Matrix.from_rows(self.basis).transpose()
-        bt = Matrix.from_rows(other.basis).transpose()
-        stacked = Matrix(
-            self.ambient_dim,
-            self.dim + other.dim,
-            [at.data[i] + [-x for x in bt.data[i]] for i in range(self.ambient_dim)],
-        )
-        ker = nullspace(stacked)
-        vectors = [at.apply(k[: self.dim]) for k in ker.basis]
-        return Subspace.from_vectors(self.ambient_dim, vectors)
+        n = self.ambient_dim
+        rows = [row for s in (self, other) for row in
+                _kernel_vectors(s.pivots, [dict(enumerate(w)) for w in s.basis], n).data]
+        return nullspace(SparseMatrix(len(rows), n, rows))
 
     def _same_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:

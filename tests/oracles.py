@@ -118,6 +118,49 @@ def dense_nullspace(rows):
     return dense_rref(basis)[0][: len(basis)] if basis else []
 
 
+def dense_intersection(a_rows, b_rows, n):
+    """RREF basis of span(a_rows) ∩ span(b_rows) in Q^n through dense_rref
+    alone: x = A^T s = B^T t, so x = A^T s for each kernel vector (s, t)
+    of [A^T | -B^T]."""
+    if not a_rows or not b_rows:
+        return []
+    stacked = [[a[i] for a in a_rows] + [-b[i] for b in b_rows] for i in range(n)]
+    vectors = [[sum((k[j] * a[i] for j, a in enumerate(a_rows)), Fraction(0))
+                for i in range(n)] for k in dense_nullspace(stacked)]
+    if not vectors:
+        return []
+    red, pivots = dense_rref(vectors)
+    return red[: len(pivots)]
+
+
+def dense_projection(rows, n):
+    """(complement, projection rows) of the quotient of Q^n by span(rows):
+    the non-pivot columns of dense_rref(rows), and each e_j reduced by its
+    rows, pivot by pivot, read at those columns."""
+    red, pivots = dense_rref(rows) if rows else ([], [])
+    complement = [c for c in range(n) if c not in pivots]
+    reduced = []
+    for j in range(n):
+        v = [Fraction(int(c == j)) for c in range(n)]
+        for r, p in enumerate(pivots):
+            v = [x - v[p] * y for x, y in zip(v, red[r])]
+        reduced.append(v)
+    return complement, [[v[c] for v in reduced] for c in complement]
+
+
+def dense_coordinates(basis, v):
+    """The coefficients c with sum c_r basis[r] = v, or None if v is outside
+    the span: the last column of dense_rref of [basis^T | v]."""
+    aug = [[b[i] for b in basis] + [v[i]] for i in range(len(v))]
+    red, pivots = dense_rref(aug)
+    if len(basis) in pivots:
+        return None
+    c = [Fraction(0)] * len(basis)
+    for r, p in enumerate(pivots):
+        c[p] = red[r][-1]
+    return c
+
+
 def _domain_matrix(rows):
     return DomainMatrix([[QQ(Fraction(x).numerator, Fraction(x).denominator)
                           for x in row] for row in rows],

@@ -9,6 +9,7 @@ from modext.algebra import (
     LinearMap,
     ValidationError,
     annihilator,
+    coordinates,
     is_module_hom,
 )
 from modext.linalg import Matrix, Subspace, solve, unit_vec, zero_vec
@@ -285,6 +286,19 @@ def test_packed_axioms_on_a_perturbed_dense_twin(seed):
         want = naive_first_bimodule_failure(b.mul_tensor, left, right)
     assert want is not None
     assert (rep.failures()[0].name, rep.failures()[0].witness) == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Algebra([[[0.1]]]),
+    lambda: Bimodule(field_q(), [[[0.1]]], [[[1]]]),
+    lambda: Matrix(1, 1, [[0.1]]),
+    lambda: coordinates(field_q(), [0.1]),
+    lambda: solve(Matrix.identity(1), [0.1]),
+], ids=["Algebra", "Bimodule", "Matrix", "coordinates", "solve"])
+def test_floats_raise_type_error_naming_the_value(build):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match=r"0\.1 is a float"):
+        build()
 
 
 class TestProducts:

@@ -1,17 +1,19 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
 from modext import extension
 from modext.algebra import Algebra, Bimodule, _integer_tables, _table, is_module_hom
 from modext.analysis import is_nontrivial_idempotent, radical, unitization
-from modext.constructions import corner_module
+from modext.constructions import corner_basis, corner_module, corner_tau
+from modext.derivations import derivation_space
 from modext.extension import (
     ideal_check,
     norm_l1,
     quotient_algebra,
+    quotient_coordinates,
     quotient_bimodule,
     submultiplicativity_constant,
     trivial_extension,
@@ -29,8 +31,9 @@ from modext.samples import (
     zero_product,
 )
 
-from families import upper_triangular
-from oracles import mul_vec as oracle_mul
+from families import basis_change, twin, upper_triangular
+from oracles import (apply_matrix, dense_coordinates, dense_projection, dense_rref,
+                     mul_vec as oracle_mul)
 
 
 def rand_vec(rng, n):
@@ -340,6 +343,52 @@ class TestDerivedStructuresHoldTheirAxioms:
         # the corpus holds quotient and corner modules too
         for name, a, u in corpus_pairs:
             assert u.axiom_report().passed, name
+
+
+def twin_idempotents():
+    """(name, A, p) for dense-basis twins of M2 and UT3, whose radicals and
+    corners are no coordinate subspaces, with p the image of E11."""
+    for name, a in (("M2", matrix_units(2)), ("UT3", upper_triangular(3))):
+        p, q = basis_change(a.dim, 5)  # the basis f_i = sum_k p[k][i] e_k
+        yield name + "'", twin(a, p, q), q.apply(unit_vec(a.dim, 0))
+
+
+class TestEchelonReadOffs:
+    """The quotient projection and the corner's coordinates are read off
+    canonical echelon bases, with no membership test; dense oracles pin
+    what they must be."""
+
+    def test_projection_kills_the_ideal_and_fixes_the_complement(self, corpus_pairs):
+        ideals = [(name, ideal) for name, _, ideal in corpus_ideals()]
+        ideals += [("T(%s)" % name, radical(trivial_extension(a, u).total).radical)
+                   for name, a, u in corpus_pairs]
+        ideals += [(name, radical(a).radical) for name, a, _ in twin_idempotents()]
+        for name, ideal in ideals:
+            n = ideal.ambient_dim
+            complement, proj = quotient_coordinates(ideal)
+            assert (complement, proj.data) == dense_projection(ideal.basis, n), name
+            for w in ideal.basis:
+                assert not any(apply_matrix(proj.data, w)), name
+            for r, c in enumerate(complement):
+                assert apply_matrix(proj.data, unit_vec(n, c)) == unit_vec(len(complement), r)
+
+    def test_corner_coordinates_are_the_solved_ones(self):
+        # e_i b and delta(b) p lie in A p: their coordinates exist and are these
+        for name, a, p in chain(corpus_idempotents(), twin_idempotents()):
+            m, basis = a.dim, corner_basis(a, p).basis
+            q = len(basis)
+            assert basis == dense_rref([oracle_mul(a.mul_tensor, unit_vec(m, i), p)
+                                        for i in range(m)])[0][:q], (name, p)
+            left = corner_module(a, p).left
+            for i, j in product(range(m), range(q)):
+                v = oracle_mul(a.mul_tensor, unit_vec(m, i), basis[j])
+                assert left[i][j] == dense_coordinates(basis, v), (name, p, i, j)
+            for delta in derivation_space(a, a.self_bimodule()).basis:
+                d = corner_tau(a, p, delta).derivation.matrix.data
+                for j, b in enumerate(basis):
+                    v = oracle_mul(a.mul_tensor, apply_matrix(delta.matrix.data, b), p)
+                    want = dense_coordinates(basis, v)
+                    assert [d[m + r][m + j] for r in range(q)] == want, (name, p, j)
 
 
 def built_structures(corpus_pairs):

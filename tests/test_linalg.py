@@ -339,6 +339,40 @@ def test_solve_matches_dense_gauss_jordan(rows, rhs):
         assert solve(M(rows), b) == want
 
 
+@st.composite
+def span_pairs(draw):
+    """(n, S, T): spanning vectors of two subspaces of Q^n, T random, 0,
+    the full space, S itself, or a subspace of S."""
+    n = draw(st.integers(1, 6))
+    vectors = st.lists(st.lists(small_rationals, min_size=n, max_size=n), max_size=n + 1)
+    s = draw(vectors)
+    kind = draw(st.sampled_from(["random", "zero", "full", "same", "inside"]))
+    if kind == "random":
+        t = draw(vectors)
+    elif kind == "zero":
+        t = draw(st.lists(st.just([Fraction(0)] * n), max_size=2))
+    elif kind == "full":
+        t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    elif kind == "same":
+        t = s
+    else:
+        weights = draw(st.lists(small_rationals, min_size=len(s), max_size=len(s)))
+        t = [[sum((w * row[j] for w, row in zip(weights, s)), Fraction(0))
+              for j in range(n)]]
+    return n, s, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_pairs())
+def test_intersection_matches_dense_gauss_jordan(data):
+    n, s, t = data
+    want = oracles.dense_intersection(s, t, n)
+    a, b = Subspace.from_vectors(n, s), Subspace.from_vectors(n, t)
+    assert a.intersection(b).basis == want
+    assert b.intersection(a).basis == want
+    assert a.intersection(a) == a
+
+
 nonzero_factors = st.builds(lambda sign, p, q: Fraction(sign * p, q),
                             st.sampled_from([1, -1]), st.integers(1, 6), st.integers(1, 4))
 
