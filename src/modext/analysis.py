@@ -130,7 +130,7 @@ def is_nilpotent_subspace(a: Algebra, s: Subspace) -> bool:
     if s.ambient_dim != a.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
     table = a.integer_table[1]
-    gens = [_integer_row(enumerate(v))[1] for v in s.basis]
+    gens = [_integer_row(w.items())[1] for w in s.rows]
     power = gens
     for _ in range(a.dim + 1):
         if not power:
@@ -259,10 +259,10 @@ def is_simple_prime(a: Algebra, seed: int = 0) -> SimplePrimeReport:
         )
     z = center(a)
     rng = random.Random(seed)
-    attempts, sparse = [], [dict(enumerate(v)) for v in z.basis]
+    attempts = []
     for _ in range(_PROBES):
         weights = [rng.randint(-9, 9) for _ in range(z.dim)]
-        elem = _dense(_sum_sparse(enumerate(weights), sparse), a.dim)
+        elem = _dense(_sum_sparse(enumerate(weights), z.rows), a.dim)
         poly = min_poly(a, elem)
         attempts.append(str(poly))
         if poly.degree == z.dim:
@@ -299,10 +299,9 @@ def find_surjective_left_hom(a: Algebra, u: Bimodule) -> Optional[LinearMap]:
     sol = nullspace(LeibnizSystem(a, left_only).matrix)
     if sol.dim == 0:
         return None
-    sparse = [dict(enumerate(v)) for v in sol.basis]
     for k in range(a.dim + 1):
         weights = [Fraction((i + 1) ** k) for i in range(sol.dim)]
-        flat = _dense(_sum_sparse(enumerate(weights), sparse), m * n)
+        flat = _dense(_sum_sparse(enumerate(weights), sol.rows), m * n)
         candidate = Matrix.unflatten(n, m, flat)
         if rank(candidate) == n:
             return LinearMap(a, u, candidate)

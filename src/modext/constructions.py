@@ -17,16 +17,12 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
-from .algebra import Algebra, Bimodule, LinearMap, _table, coordinates, is_module_hom
+from .algebra import (Algebra, Bimodule, LinearMap, _product, _sum_sparse, coordinates,
+                      is_module_hom)
 from .blocks import BlockDecomposition, assemble
 from .derivations import is_derivation
 from .extension import ModuleExtension, _quotient, trivial_extension
-from .linalg import (
-    Matrix,
-    Subspace,
-    is_zero_vec,
-    unit_vec,
-)
+from .linalg import Matrix, Subspace, _dense, is_zero_vec, unit_vec
 from .reports import ConditionReport, HypothesisError, require
 
 
@@ -86,12 +82,14 @@ def quotient_derivation(
     """
     complement, quotient, proj = _quotient(a, ideal)  # rejects non-ideals
     require(is_derivation(a, a.self_bimodule(), delta), "delta is not a derivation on A")
-    for w in ideal.basis:
-        img = delta.matrix.apply(w)
-        if not ideal.contains_vector(img):
-            rep = ConditionReport("delta(I) in I")
-            rep.add("delta(I) in I", False, witness=((), w, img))
-            raise HypothesisError("delta does not preserve the ideal", rep)
+    # delta(w) for each echelon row w of I, over the nonzeros of w and of delta's columns
+    cols = [{r: x for r, x in enumerate(delta.matrix.col(c)) if x} for c in range(a.dim)]
+    images = [_sum_sparse(w.items(), cols) for w in ideal.rows]
+    for r in ideal._outside(images):  # the first row w with delta(w) outside I
+        rep = ConditionReport("delta(I) in I")
+        rep.add("delta(I) in I", False,
+                witness=((), *(_dense(v[r], a.dim) for v in (ideal.rows, images))))
+        raise HypothesisError("delta does not preserve the ideal", rep)
 
     # tau(e_c + I) = delta(e_c) + I on the coset representatives e_c
     image = proj.matrix * delta.matrix
@@ -127,9 +125,10 @@ def _corner(a: Algebra, p) -> Tuple[list, Subspace, Bimodule]:
         raise HypothesisError("p is not idempotent", rep)
     basis = corner_basis(a, coords)
     q = basis.dim
-    products = ([a.mul_vec(unit_vec(a.dim, i), b) for b in basis.basis] for i in range(a.dim))
-    left = [[[v[c] for c in basis.pivots] for v in row] for row in products]
-    left, right = _table(left, a.dim, q, q), [[[]] * a.dim for _ in range(q)]
+    products = ([_product(a.mul_table, {i: 1}, b) for b in basis.rows] for i in range(a.dim))
+    left = [[[(k, v[c]) for k, c in enumerate(basis.pivots) if c in v] for v in row]
+            for row in products]
+    right = [[[]] * a.dim for _ in range(q)]
     names = ["b%d" % j for j in range(q)]
     return coords, basis, Bimodule(a, left, right, basis_names=names, _skip_check=True)
 

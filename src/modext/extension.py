@@ -103,19 +103,19 @@ def ideal_check(a: Algebra, s: Subspace) -> ConditionReport:
         raise ValueError("subspace ambient dimension does not match algebra")
     rep = ConditionReport("two-sided ideal")
     den, table = a.integer_table
-    rows = [_integer_row(enumerate(w)) for w in s.basis]
-    kernel = _kernel_vectors(s.pivots, [dict(enumerate(w)) for w in s.basis], a.dim)
+    rows = [_integer_row(w.items()) for w in s.rows]
+    kernel = _kernel_vectors(s.pivots, s.rows, a.dim)
     # a product's absolute sum is at most w's times the largest of some e_j e_k
     bits = (max((sum(abs(c) for _, c in e) for plane in table for e in plane), default=0)
             * max((sum(map(abs, row.values())) for _, row in rows), default=0)).bit_length()
-    cells = list(product(range(a.dim), zip(s.basis, rows)))
+    cells = list(product(range(a.dim), zip(s.rows, rows)))
     for name, left in (("A.s in s", True), ("s.A in s", False)):
         prods = (_product(table, {i: 1}, row) if left else _product(table, row, {i: 1})
                  for i, (_, (_, row)) in cells)
         witness = None
         for r, prod in _rejected(prods, kernel, bits):
             i, (w, (wden, _)) = cells[r]
-            witness = ((i,), w, _over(_dense(prod, a.dim), den * wden))
+            witness = ((i,), _dense(w, a.dim), _over(_dense(prod, a.dim), den * wden))
             break
         rep.add(name, witness is None, witness=witness)
     return rep
@@ -130,7 +130,7 @@ def quotient_coordinates(ideal: Subspace) -> Tuple[List[int], Matrix]:
     the (dim A/I x dim A) projection matrix: the basis's complement rows.
     """
     m = ideal.ambient_dim
-    rows = _complement(ideal.pivots, [dict(enumerate(w)) for w in ideal.basis], m)
+    rows = _complement(ideal.pivots, ideal.rows, m)
     return list(rows), Matrix(len(rows), m, [_dense(row, m) for row in rows.values()])
 
 

@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals: ``fractions.Fraction`` and
 Python ints, no floats, no tolerances.
 
-Vectors and matrices are dense lists, but the systems solved are very
-sparse, so there is one elimination loop, ``_echelon``, on sparse rows: a
-``Matrix`` hands it ``enumerate`` of each row, a ``SparseMatrix`` its
-stored nonzeros.  Each row is read once as a primitive integer row, first
+Vectors and ``Matrix`` rows are dense lists, but the systems solved are
+very sparse, so there is one elimination loop, ``_echelon``, on sparse
+rows: a ``Matrix`` hands it ``enumerate`` of each row, a ``SparseMatrix``
+its stored nonzeros.  Each row is read once as a primitive integer row, first
 entry positive, and empty and repeated rows are dropped (the Leibniz
 system of T(M3, M3) has 5,832 rows, 810 of them distinct).  The loop
 takes its row arithmetic as a parameter: primitive integers, cancelling
@@ -33,6 +33,7 @@ one division per entry by its row's pivot.  The reduced row echelon
 form is unique, so the rows and pivot order the kernel picks never
 show: every canonical basis is the one plain Gauss-Jordan gives, and
 its free columns give its complement, a kernel basis (``_complement``).
+A ``Subspace`` keeps only its sparse RREF rows, as ``_rref`` returns them.
 """
 
 from __future__ import annotations
@@ -467,38 +468,39 @@ def solve(m: Matrix, b: Vector) -> Optional[Vector]:
 
 
 class Subspace:
-    """Subspace of Q^n with a canonical (reduced echelon) basis.
-
-    The basis is stored as the nonzero rows of the RREF of the spanning
-    vectors, so two equal subspaces have identical representations and
-    ``==`` is entrywise comparison.
+    """Subspace of Q^n, held only as the sparse rows {column: Fraction} of
+    its reduced row echelon form and their pivot columns.  The RREF is
+    unique, so ``==`` compares rows; membership is a zero product with the
+    integer complement rows, the test that certifies each ``nullspace``.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim: int, basis: Sequence[Vector]):
-        """Wrap a basis that is already in RREF; ``from_vectors`` makes one."""
-        self.ambient_dim = ambient_dim
-        self.basis = [list(v) for v in basis]
-        self.pivots = []  # the pivot column of each basis row
-        for r, v in enumerate(self.basis):
+        """Wrap a dense basis that is already in RREF, its entries coerced
+        by ``frac``; ``from_vectors`` makes one."""
+        self.ambient_dim, self.pivots, self.rows = ambient_dim, [], []
+        for r, v in enumerate(basis):
             if len(v) != ambient_dim:
                 raise ValueError("basis row %d has %d entries, expected %d"
                                  % (r, len(v), ambient_dim))
-            p = next((c for c, x in enumerate(v) if x), None)
+            row = {c: x for c, x in enumerate(map(frac, v)) if x}
+            p = next(iter(row), None)
             if p is None:
                 raise ValueError("basis row %d is zero" % r)
-            if v[p] != 1:
-                raise ValueError("basis row %d has leading entry %s, not 1" % (r, v[p]))
+            if row[p] != 1:
+                raise ValueError("basis row %d has leading entry %s, not 1" % (r, row[p]))
             if self.pivots and p <= self.pivots[-1]:
                 raise ValueError("basis row %d has its pivot in column %d, not right "
                                  "of the previous row's %d" % (r, p, self.pivots[-1]))
             self.pivots.append(p)
-        for r, v in enumerate(self.basis):
-            for s, p in enumerate(self.pivots):
-                if s != r and v[p]:
+            self.rows.append(row)
+        where = {p: s for s, p in enumerate(self.pivots)}  # pivot column -> its row
+        for r, row in enumerate(self.rows):
+            for c in row:
+                if where.get(c, r) != r:
                     raise ValueError("basis row %d is nonzero in column %d, the pivot "
-                                     "of row %d" % (r, p, s))
+                                     "of row %d" % (r, c, where[c]))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
@@ -509,9 +511,10 @@ class Subspace:
 
     @classmethod
     def row_space(cls, m) -> "Subspace":
-        """The span of the rows of a Matrix or SparseMatrix."""
-        rows = _rref(_distinct_rows(m.pairs()), m.cols)[1]
-        return cls(m.cols, [_dense(row, m.cols) for row in rows])
+        """The span of the rows of a Matrix or SparseMatrix: ``_rref``'s rows."""
+        s = cls.__new__(cls)
+        s.ambient_dim, (s.pivots, s.rows) = m.cols, _rref(_distinct_rows(m.pairs()), m.cols)
+        return s
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -523,32 +526,31 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    basis = property(lambda self: [_dense(row, self.ambient_dim) for row in self.rows],
+                     doc="The rows as dense vectors: a read-only view, built when read.")
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
+
+    def _outside(self, rows: Sequence[dict]):
+        """Lazily, the index of each sparse row {column: value} outside the
+        subspace: its integer form has a nonzero product with some integer
+        complement row (``_kernel_vectors``), tested by ``_rejected``."""
+        ints = [_integer_row(row.items())[1] for row in rows]
+        bits = max((sum(map(abs, row.values())) for row in ints), default=0).bit_length()
+        kernel = _kernel_vectors(self.pivots, self.rows, self.ambient_dim)
+        return (i for i, _ in _rejected(ints, kernel, bits))
 
     def contains_vector(self, v: Vector) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        return is_zero_vec(self.reduce(v))
-
-    def reduce(self, v: Vector) -> Vector:
-        """Residue of v after subtracting its projection onto the basis.
-
-        Because the basis is in RREF, zeroing each pivot coordinate in
-        turn yields the canonical coset representative.
-        """
-        v = list(v)
-        for p, row in zip(self.pivots, self.basis):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
+        return next(self._outside([dict(enumerate(vec(v)))]), None) is None
 
     def coords_of(self, v: Vector) -> Optional[Vector]:
         """Coefficients of v in this basis, or None if v is outside.
@@ -562,18 +564,18 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)
-        return all(self.contains_vector(v) for v in other.basis)
+        return next(self._outside(other.rows), None) is None
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
+        rows = [row.items() for row in self.rows + other.rows]
+        return Subspace.row_space(SparseMatrix(len(rows), self.ambient_dim, rows))
 
     def intersection(self, other: "Subspace") -> "Subspace":
         """S ∩ T = (S^⊥ + T^⊥)^⊥: the kernel of both complements' integer rows."""
         self._same_ambient(other)
         n = self.ambient_dim
-        rows = [row for s in (self, other) for row in
-                _kernel_vectors(s.pivots, [dict(enumerate(w)) for w in s.basis], n).data]
+        rows = [row for s in (self, other) for row in _kernel_vectors(s.pivots, s.rows, n).data]
         return nullspace(SparseMatrix(len(rows), n, rows))
 
     def _same_ambient(self, other: "Subspace"):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modext.algebra import LinearMap
 from modext.blocks import blocks_of
@@ -22,8 +23,10 @@ from modext.samples import (
     matrix_units,
     truncated_poly,
     upper_triangular_2,
+    zero_product,
 )
 
+from oracles import apply_matrix, dense_rref
 from cases import (
     corner_negative_cases,
     euler_matrix,
@@ -216,6 +219,53 @@ class TestNegativeCases:
         assert exc.value.hypothesis == "delta does not preserve the ideal"
         (_, w, img) = exc.value.report.failures()[0].witness
         assert w == [1, 0] and img == [0, 1]
+
+
+rationals = st.one_of(st.just(Fraction(0)), st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**40)))
+
+
+@st.composite
+def ideals_and_maps(draw):
+    """(n, I's spanning vectors, delta) on zero_product(n), where every
+    subspace is an ideal and every map a derivation: delta random, or with
+    its columns in I, so that delta(I) lies in I."""
+    n = draw(st.integers(1, 5))
+    vectors = draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
+                            min_size=1, max_size=n))
+    if draw(st.booleans()):  # column j of delta: a combination of I's vectors
+        weights = draw(st.lists(st.lists(rationals, min_size=len(vectors),
+                                         max_size=len(vectors)), min_size=n, max_size=n))
+        cols = [[sum((Fraction(w) * v[r] for w, v in zip(ws, vectors)), Fraction(0))
+                 for r in range(n)] for ws in weights]
+        delta = [[cols[c][r] for c in range(n)] for r in range(n)]
+    else:
+        delta = draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    return n, vectors, delta
+
+
+@settings(max_examples=80, deadline=None)
+@given(ideals_and_maps())
+def test_ideal_leak_witness_is_the_first_echelon_row_that_leaks(data):
+    """The witness is the first RREF row w of I with delta(w) outside I,
+    both exact, as the dense oracle finds them."""
+    n, vectors, rows = data
+    a, ideal = zero_product(n), Subspace.from_vectors(n, vectors)
+    red, pivots = dense_rref(vectors)
+    basis = red[: len(pivots)]
+    leaks = [(w, img) for w in basis for img in [apply_matrix(rows, w)]
+             if len(dense_rref(basis + [img])[1]) > len(basis)]
+    delta = LinearMap(a, a, Matrix.from_rows(rows))
+    if not leaks:
+        assert quotient_derivation(a, ideal, delta).verification.passed
+        return
+    with pytest.raises(HypothesisError) as exc:
+        quotient_derivation(a, ideal, delta)
+    assert exc.value.hypothesis == "delta does not preserve the ideal"
+    witness = exc.value.report.failures()[0].witness
+    assert witness == ((), *leaks[0])
+    assert all(type(x) is Fraction for x in witness[1] + witness[2])
 
 
 class TestCornerCoordinateLength:

@@ -201,6 +201,31 @@ class TestSubspaceConstructor:
         assert s.basis == [[1, 0]]
         assert s.contains_vector([2, 0])
 
+    def test_a_float_entry_is_rejected(self):
+        with pytest.raises(TypeError, match="0.5 is a float"):
+            Subspace(2, [[1, 0.5]])
+        with pytest.raises(TypeError, match="is a float"):
+            Subspace(2, [[1.0, 0.5]])
+
+    def test_rational_string_entries_are_coerced(self):
+        s = Subspace(2, [["1", "1/2"]])
+        assert s == Subspace.from_vectors(2, [[2, 1]])
+        assert s.rows == [{0: Fraction(1), 1: Fraction(1, 2)}]
+        assert all(type(x) is Fraction for x in s.basis[0])
+
+    def test_contains_vector_coerces_the_probe(self):
+        s = Subspace(2, [["1", "1/2"]])
+        assert s.contains_vector(["2", "1"]) and not s.contains_vector(["1", "1"])
+        with pytest.raises(TypeError, match="2.0 is a float"):
+            s.contains_vector([2.0, 1])
+
+    def test_coords_of_coerces_the_probe(self):
+        s = Subspace(2, [["1", "1/2"]])
+        assert s.coords_of(["2", "1"]) == [Fraction(2)]
+        assert s.coords_of(["2/3", "1/3"]) == [Fraction(2, 3)]
+        with pytest.raises(TypeError, match="is a float"):
+            s.coords_of([2.0, 1.0])
+
 
 class TestKernelEdgeCases:
     def test_rank_reads_the_pivot_count(self):
@@ -371,6 +396,51 @@ def test_intersection_matches_dense_gauss_jordan(data):
     assert a.intersection(b).basis == want
     assert b.intersection(a).basis == want
     assert a.intersection(a) == a
+
+
+wide_rationals = st.builds(Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**40))
+
+
+@st.composite
+def spans_and_probes(draw):
+    """(n, spanning vectors, probe, member?): a rational span of Q^n, empty
+    or with zero and repeated vectors, entries zero, small or with
+    denominators up to 2^40; the probe is a combination of the vectors,
+    or one plus 1/p at a free column of their RREF, which leaves the span."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), small_rationals, wide_rationals)
+    vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
+    vectors += [[Fraction(0)] * n] * draw(st.integers(0, 1))
+    if vectors:
+        vectors += [vectors[i] for i in draw(st.lists(st.integers(0, len(vectors) - 1),
+                                                      max_size=2))]
+    weights = draw(st.lists(st.one_of(small_rationals, wide_rationals),
+                            min_size=len(vectors), max_size=len(vectors)))
+    probe = [sum((w * v[j] for w, v in zip(weights, vectors)), Fraction(0)) for j in range(n)]
+    pivots = dense_rref(vectors)[1] if vectors else []
+    free = [c for c in range(n) if c not in pivots]
+    member = not free or draw(st.booleans())
+    if not member:
+        probe[draw(st.sampled_from(free))] += Fraction(1, draw(st.sampled_from([2, 3, 7, PRIME])))
+    return n, vectors, probe, member
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans_and_probes())
+def test_membership_matches_dense_oracles(data):
+    n, vectors, probe, member = data
+    s = Subspace.from_vectors(n, vectors)
+    red, pivots = dense_rref(vectors) if vectors else ([], [])
+    assert s.basis == red[: len(pivots)] and s.pivots == pivots
+    assert all(type(x) is Fraction and x for row in s.rows for x in row.values())
+    # in the span iff appending the probe keeps the dense rank
+    assert len(dense_rref(vectors + [probe])[1]) == len(pivots) + (not member)
+    assert s.contains_vector(probe) is member
+    assert s.coords_of(probe) == oracles.dense_coordinates(s.basis, probe)
+    assert (s.coords_of(probe) is None) is (not member)
+    assert s.contains(Subspace.from_vectors(n, [probe])) is member
+    assert s.contains(Subspace.from_vectors(n, vectors + [probe])) is member
+    assert s.contains(s) and s.contains(Subspace.zero(n))
 
 
 nonzero_factors = st.builds(lambda sign, p, q: Fraction(sign * p, q),
