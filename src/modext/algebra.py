@@ -47,7 +47,6 @@ from .linalg import (
     Subspace,
     Vector,
     _dense,
-    _integer_row,
     _over,
     _packed,
     frac,
@@ -171,13 +170,13 @@ def _sum_sparse(terms, vectors) -> dict:
     return {r: x for r, x in out.items() if x}
 
 
-def _columns(entries: dict, cols: int, scale: int = 1) -> list:
+def _columns(entries: dict, cols: int) -> list:
     """The nonzero entries {row * cols + column: value} of a flattened
-    matrix, times scale, as its columns [(row, value)]."""
-    out = [[] for _ in range(cols)]
+    matrix as its columns {row: value}."""
+    out = [{} for _ in range(cols)]
     for col, x in entries.items():
         t, s = divmod(col, cols)
-        out[s].append((t, x * scale))
+        out[s][t] = x
     return out
 
 
@@ -187,20 +186,20 @@ def _sides(shape, dcols: list, ncols: list, tables) -> tuple:
     L[i][t][k] N[t][j] + sum_t R[t][j][k] N[t][i].  Summed over the
     constants of the sparse tables (P, L, R), L or R None to leave its sum
     out, and over the nonzero entries of D and N only, given as their
-    columns dcols and ncols."""
+    columns {row: value} dcols and ncols."""
     p, q, n = shape
     mul, left, right = tables
     lhs, rhs = [0] * (p * q * n), [0] * (p * q * n)
     for i, j in product(range(p), range(q)):
         base = (i * q + j) * n
         for s, c in mul[i][j]:
-            for k, x in dcols[s]:
+            for k, x in dcols[s].items():
                 lhs[base + k] += c * x
     if left:  # per t, the nonzero L[i][t] with their offsets i * q * n
         lefts = [[(i * q * n, plane[t]) for i, plane in enumerate(left) if plane[t]]
                  for t in range(len(left[0]))]
         for j, col in enumerate(ncols):
-            for t, x in col:
+            for t, x in col.items():
                 for off, entries in lefts[t]:
                     for k, c in entries:
                         rhs[off + j * n + k] += c * x
@@ -208,7 +207,7 @@ def _sides(shape, dcols: list, ncols: list, tables) -> tuple:
         rights = [[(j * n, entries) for j, entries in enumerate(plane) if entries]
                   for plane in right]
         for i, col in enumerate(ncols):
-            for t, x in col:
+            for t, x in col.items():
                 for off, entries in rights[t]:
                     for k, c in entries:
                         rhs[i * q * n + off + k] += c * x
@@ -435,36 +434,62 @@ class Element:
 
 
 class LinearMap:
-    """Exact linear map between carriers, as a (target x source) matrix."""
+    """Exact linear map between carriers, held only as its sparse columns:
+    column s is {row: Fraction}, the nonzero coordinates of the image of
+    the source's e_s.  ``matrix`` is the (target x source) dense view."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "columns")
 
     def __init__(self, source: Carrier, target: Carrier, matrix: Matrix):
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise ValueError("matrix shape does not match carriers")
         self.source = source
         self.target = target
-        self.matrix = matrix
+        self.columns = [{r: row[s] for r, row in enumerate(matrix.data) if row[s]}
+                        for s in range(matrix.cols)]
+
+    @classmethod
+    def _from_columns(cls, source: Carrier, target: Carrier, columns: list) -> "LinearMap":
+        """The map with the given columns {row: Fraction}, nonzeros only, kept as they are."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.columns = source, target, columns
+        return f
 
     @classmethod
     def zero(cls, source: Carrier, target: Carrier) -> "LinearMap":
-        return cls(source, target, Matrix.zeros(target.dim, source.dim))
+        return cls._from_columns(source, target, [{} for _ in range(source.dim)])
 
     @classmethod
     def identity(cls, carrier: Carrier) -> "LinearMap":
-        return cls(carrier, carrier, Matrix.identity(carrier.dim))
+        return cls._from_columns(carrier, carrier, [{s: Fraction(1)} for s in range(carrier.dim)])
 
-    def __call__(self, v):
+    matrix = property(lambda self: Matrix(self.source.dim, self.target.dim, [
+        _dense(col, self.target.dim) for col in self.columns]).transpose(),
+        doc="The (target x source) dense matrix: a read-only view, built when read.")
+
+    def __call__(self, v) -> Vector:
         return self.matrix.apply(v)
 
+    def _images(self, vectors) -> list:
+        """The map applied to each sparse vector {index: value}, over its nonzeros only."""
+        return [_sum_sparse(v.items(), self.columns) for v in vectors]
+
+    def _integer_columns(self, *scales: int) -> tuple:
+        """(den, [the columns {row: int} times den and each scale]): den one
+        common denominator of the entries."""
+        den = lcm(*(x.denominator for col in self.columns for x in col.values()))
+        return den, [[{r: x.numerator * (den // x.denominator) * k for r, x in col.items()}
+                      for col in self.columns] for k in scales]
+
     def __eq__(self, other):
-        return isinstance(other, LinearMap) and self.matrix == other.matrix
+        return (isinstance(other, LinearMap) and self.target.dim == other.target.dim
+                and self.columns == other.columns)
 
     def is_zero(self) -> bool:
-        return self.matrix.is_zero()
+        return not any(self.columns)
 
     def __repr__(self):
-        return "LinearMap(%d -> %d)" % (self.matrix.cols, self.matrix.rows)
+        return "LinearMap(%d -> %d)" % (self.source.dim, self.target.dim)
 
 
 def _action_rows(u: Bimodule) -> SparseMatrix:
@@ -508,10 +533,9 @@ def is_module_hom(f: LinearMap, side: str = "both") -> ConditionReport:
     if src.algebra is not tgt.algebra:
         raise ValueError("source and target are over different algebras")
     m, p, q = src.algebra.dim, src.dim, tgt.dim
-    fden, entries = _integer_row(enumerate(f.matrix.flatten()))
     sden, (_, sl, sr) = src.integer_tables
     tden, (_, tl, tr) = tgt.integer_tables
-    dcols, ncols = _columns(entries, p, tden), _columns(entries, p, sden)
+    fden, (dcols, ncols) = f._integer_columns(tden, sden)
     rep = ConditionReport("module homomorphism (%s)" % side)
     for want in ("left", "right"):
         if side not in ("both", want):

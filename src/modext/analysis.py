@@ -21,8 +21,8 @@ import random
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
-from .algebra import (Algebra, Bimodule, LinearMap, _product, _sum_sparse, block_table,
-                      coordinates)
+from .algebra import (Algebra, Bimodule, LinearMap, _columns, _product, _sum_sparse,
+                      block_table, coordinates)
 from .derivations import LeibnizSystem, inner_map
 from .extension import ideal_check
 from .linalg import (
@@ -301,8 +301,7 @@ def find_surjective_left_hom(a: Algebra, u: Bimodule) -> Optional[LinearMap]:
         return None
     for k in range(a.dim + 1):
         weights = [Fraction((i + 1) ** k) for i in range(sol.dim)]
-        flat = _dense(_sum_sparse(enumerate(weights), sol.rows), m * n)
-        candidate = Matrix.unflatten(n, m, flat)
-        if rank(candidate) == n:
-            return LinearMap(a, u, candidate)
+        cols = _columns(_sum_sparse(enumerate(weights), sol.rows), m)
+        if rank(SparseMatrix(m, n, [col.items() for col in cols])) == n:  # rank of f^T
+            return LinearMap._from_columns(a, u, cols)
     return None

@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional, Tuple
 from .algebra import Element, LinearMap
 from .derivations import _failing_pairs, inner_map, is_derivation
 from .extension import ModuleExtension
-from .linalg import Matrix, solve, zero_vec
+from .linalg import _dense, solve
 from .reports import ConditionReport, require
 
 C5 = "C5: tau1 is an A-bimodule homomorphism"
@@ -72,33 +72,37 @@ class BlockDecomposition(NamedTuple):
 
 def blocks_of(t: ModuleExtension, d: LinearMap) -> BlockDecomposition:
     """Corner blocks of a square map on T in the (A, U) split; lossless."""
-    dm = d.matrix
     m, n = t.base_dim, t.module_dim
-    if dm.rows != m + n or dm.cols != m + n:
+    if d.source.dim != m + n or d.target.dim != m + n:
         raise ValueError("map is not square of dimension dim A + dim U")
     a, u = t.base, t.module
-    sub = lambda r0, c0, r, c: Matrix(
-        r, c, [[dm.data[r0 + i][c0 + j] for j in range(c)] for i in range(r)]
-    )
+    top = lambda cols: [{r: x for r, x in col.items() if r < m} for col in cols]
+    bottom = lambda cols: [{r - m: x for r, x in col.items() if r >= m} for col in cols]
+    on_a, on_u = d.columns[:m], d.columns[m:]
     return BlockDecomposition(
-        delta1=LinearMap(a, a, sub(0, 0, m, m)),
-        tau1=LinearMap(u, a, sub(0, m, m, n)),
-        delta2=LinearMap(a, u, sub(m, 0, n, m)),
-        tau2=LinearMap(u, u, sub(m, m, n, n)),
+        delta1=LinearMap._from_columns(a, a, top(on_a)),
+        tau1=LinearMap._from_columns(u, a, top(on_u)),
+        delta2=LinearMap._from_columns(a, u, bottom(on_a)),
+        tau2=LinearMap._from_columns(u, u, bottom(on_u)),
     )
 
 
 def assemble(t: ModuleExtension, b: BlockDecomposition) -> LinearMap:
     """Block matrix [[delta1, tau1], [delta2, tau2]] as a map on T; a
-    block left as None is filled with zeros."""
+    block left as None is filled with zeros, and a block whose dimensions
+    are not its corner's raises ValueError."""
     m, n = t.base_dim, t.module_dim
-
-    def rows(block, r, c):
-        return block.matrix.data if block is not None else [zero_vec(c) for _ in range(r)]
-
-    top = [x + y for x, y in zip(rows(b.delta1, m, m), rows(b.tau1, m, n))]
-    bottom = [x + y for x, y in zip(rows(b.delta2, n, m), rows(b.tau2, n, n))]
-    return LinearMap(t.total, t.total, Matrix(m + n, m + n, top + bottom))
+    cols = [{} for _ in range(m + n)]
+    corners = ((0, m, 0, m), (0, m, m, n), (m, n, 0, m), (m, n, m, n))  # (row, rows, col, cols)
+    for name, block, (r0, rows, c0, width) in zip(b._fields, b, corners):
+        if block is None:
+            continue
+        if (block.target.dim, block.source.dim) != (rows, width):
+            raise ValueError("%s is %d x %d, not %d x %d" % (
+                name, block.target.dim, block.source.dim, rows, width))
+        for col, entries in zip(cols[c0:], block.columns):
+            col.update((r0 + r, x) for r, x in entries.items())
+    return LinearMap._from_columns(t.total, t.total, cols)
 
 
 def check_block_conditions(t: ModuleExtension, b: BlockDecomposition) -> ConditionReport:
@@ -111,9 +115,8 @@ def check_block_conditions(t: ModuleExtension, b: BlockDecomposition) -> Conditi
     Leibniz identity at that pair cut to the block of the coordinate.
     """
     m = t.base_dim
-    d = assemble(t, b).matrix.flatten()
     first = {}
-    for (x, y), lhs, rhs in _failing_pairs(t.total, t.total.self_bimodule(), d):
+    for (x, y), lhs, rhs in _failing_pairs(t.total, t.total.self_bimodule(), assemble(t, b)):
         i, j = x - m * (x >= m), y - m * (y >= m)
         indices = (j, i) if x >= m > y else (i, j)
         key = (x >= m, indices)
@@ -143,11 +146,6 @@ def check_block_conditions(t: ModuleExtension, b: BlockDecomposition) -> Conditi
     return rep
 
 
-def _on_t(t: ModuleExtension, d: LinearMap) -> LinearMap:
-    """d as a map on T; other shapes raise."""
-    return LinearMap(t.total, t.total, d.matrix)
-
-
 def _require_derivation(t: ModuleExtension, d: LinearMap):
     require(is_derivation(t.total, t.total.self_bimodule(), d),
             "input is not a derivation on T(A,U)")
@@ -159,9 +157,8 @@ def split_d1_d2(t: ModuleExtension, d: LinearMap) -> Tuple[LinearMap, LinearMap]
     The input is checked to be a derivation.  D2 is one by C2, so D1 =
     D - D2 is one too.  The blocks are D's own entries, so D1 + D2 = D.
     """
-    d = _on_t(t, d)
-    _require_derivation(t, d)
     b = blocks_of(t, d)
+    _require_derivation(t, d)
     d1 = assemble(t, BlockDecomposition(b.delta1, b.tau1, None, b.tau2))
     d2 = assemble(t, BlockDecomposition(delta2=b.delta2))
     return d1, d2
@@ -177,9 +174,12 @@ def inner_witness(t: ModuleExtension, d: LinearMap) -> Optional[Tuple[Element, E
     a derivation, so the Leibniz identity is checked only when no
     witness exists.
     """
-    d = _on_t(t, d)
+    n = t.total.dim
+    if d.source.dim != n or d.target.dim != n:
+        raise ValueError("map is not square of dimension dim A + dim U")
     system = inner_map(t.total, t.total.self_bimodule())
-    target = d.matrix.flatten()
+    target = _dense({r * n + s: x for s, col in enumerate(d.columns) for r, x in col.items()},
+                    n * n)
     x = solve(system, target)
     if x is None:
         _require_derivation(t, d)

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
-from .algebra import (Algebra, Bimodule, LinearMap, _product, _sum_sparse, coordinates,
-                      is_module_hom)
+from .algebra import Algebra, Bimodule, LinearMap, _product, coordinates, is_module_hom
 from .blocks import BlockDecomposition, assemble
 from .derivations import is_derivation
 from .extension import ModuleExtension, _quotient, trivial_extension
-from .linalg import Matrix, Subspace, _dense, is_zero_vec, unit_vec
+from .linalg import Subspace, _dense, is_zero_vec, unit_vec
 from .reports import ConditionReport, HypothesisError, require
 
 
@@ -59,16 +58,19 @@ def transport(
     """
     a, u = t.base, t.module
     asb = a.self_bimodule()
-    require(is_module_hom(LinearMap(asb, u, phi.matrix), "both"),
-            "phi is not an A-bimodule homomorphism")
-    require(is_module_hom(LinearMap(u, asb, psi.matrix), "both"),
-            "psi is not an A-bimodule homomorphism")
-    if phi.matrix * psi.matrix != Matrix.identity(u.dim):
+    if (phi.source.dim, phi.target.dim, psi.source.dim, psi.target.dim) != (
+            a.dim, u.dim, u.dim, a.dim):
+        raise ValueError("phi and psi do not have the shapes A -> U and U -> A")
+    phi = LinearMap._from_columns(asb, u, phi.columns)  # as bimodule maps, for is_module_hom
+    psi = LinearMap._from_columns(u, asb, psi.columns)
+    require(is_module_hom(phi, "both"), "phi is not an A-bimodule homomorphism")
+    require(is_module_hom(psi, "both"), "psi is not an A-bimodule homomorphism")
+    if phi._images(psi.columns) != LinearMap.identity(u).columns:
         raise HypothesisError("phi o psi is not the identity on U")
     require(is_derivation(a, asb, delta), "delta is not a derivation on A")
 
-    tau = phi.matrix * delta.matrix * psi.matrix
-    d = assemble(t, BlockDecomposition(delta1=delta, tau2=LinearMap(u, u, tau)))
+    tau = LinearMap._from_columns(u, u, phi._images(delta._images(psi.columns)))
+    d = assemble(t, BlockDecomposition(delta1=delta, tau2=tau))
     return _verify(t, d, "transport")
 
 
@@ -83,8 +85,7 @@ def quotient_derivation(
     complement, quotient, proj = _quotient(a, ideal)  # rejects non-ideals
     require(is_derivation(a, a.self_bimodule(), delta), "delta is not a derivation on A")
     # delta(w) for each echelon row w of I, over the nonzeros of w and of delta's columns
-    cols = [{r: x for r, x in enumerate(delta.matrix.col(c)) if x} for c in range(a.dim)]
-    images = [_sum_sparse(w.items(), cols) for w in ideal.rows]
+    images = delta._images(ideal.rows)
     for r in ideal._outside(images):  # the first row w with delta(w) outside I
         rep = ConditionReport("delta(I) in I")
         rep.add("delta(I) in I", False,
@@ -92,11 +93,10 @@ def quotient_derivation(
         raise HypothesisError("delta does not preserve the ideal", rep)
 
     # tau(e_c + I) = delta(e_c) + I on the coset representatives e_c
-    image = proj.matrix * delta.matrix
-    tau = Matrix.from_rows([[row[c] for c in complement] for row in image.data])
+    tau = LinearMap._from_columns(quotient, quotient,
+                                  proj._images(delta.columns[c] for c in complement))
 
     t = trivial_extension(a, quotient)
-    tau = LinearMap(quotient, quotient, tau)
     d = assemble(t, BlockDecomposition(delta1=delta, tau2=tau))
     return _verify(t, d, "quotient")
 
@@ -142,9 +142,11 @@ def corner_tau(a: Algebra, p, delta: LinearMap) -> ConstructionResult:
     """D((a,x)) = (delta(a), tau(x)) on T(A, Ap) with tau(x) = delta(x) p."""
     coords, basis, module = _corner(a, p)
     require(is_derivation(a, a.self_bimodule(), delta), "delta is not a derivation on A")
-    images = (a.mul_vec(delta.matrix.apply(b), coords) for b in basis.basis)
-    tau = Matrix.from_rows([[v[c] for c in basis.pivots] for v in images]).transpose()
+    p = {i: x for i, x in enumerate(coords) if x}
+    images = (_product(a.mul_table, x, p) for x in delta._images(basis.rows))
+    tau = LinearMap._from_columns(module, module, [
+        {k: v[c] for k, c in enumerate(basis.pivots) if c in v} for v in images])
 
     t = trivial_extension(a, module)
-    d = assemble(t, BlockDecomposition(delta1=delta, tau2=LinearMap(module, module, tau)))
+    d = assemble(t, BlockDecomposition(delta1=delta, tau2=tau))
     return _verify(t, d, "corner")

@@ -31,7 +31,7 @@ from itertools import product
 from typing import List
 
 from .algebra import Algebra, Bimodule, LinearMap, _columns, _failures, _sides, coordinates
-from .linalg import Matrix, SparseMatrix, Subspace, _integer_row, nullspace
+from .linalg import SparseMatrix, Subspace, nullspace
 from .reports import ConditionReport
 
 
@@ -64,9 +64,9 @@ def leibniz_rows(algebra: Algebra, module: Bimodule):
             yield [item for item in row.items() if item[1]]
 
 
-def _failing_pairs(algebra: Algebra, module: Bimodule, d):
+def _failing_pairs(algebra: Algebra, module: Bimodule, d: LinearMap):
     """((i, j), D(e_i e_j), e_i D(e_j) + D(e_i) e_j) for each basis pair
-    whose sides differ, in (i, j) order, on D's row-major entries d.
+    whose sides differ, in (i, j) order, for the map d = D.
 
     The two sides are summed in integers at every pair at once: D times
     one common denominator of its entries, on the module's integer
@@ -77,9 +77,8 @@ def _failing_pairs(algebra: Algebra, module: Bimodule, d):
     if module.algebra is not algebra:
         raise ValueError("module is not over the given algebra")
     m, n = algebra.dim, module.dim
-    dden, entries = _integer_row(enumerate(d))
+    dden, (cols,) = d._integer_columns(1)
     tden, tables = module.integer_tables
-    cols = _columns(entries, m)
     cells = (((i, j), (i * m + j) * n) for i, j in product(range(m), repeat=2))
     yield from _failures(_sides((m, m, n), cols, cols, tables), cells, n, tden * dden)
 
@@ -123,10 +122,10 @@ def is_derivation(a: Algebra, u: Bimodule, f: LinearMap) -> ConditionReport:
 
     The witness is the first failing pair (i, j) with both sides.
     """
-    if f.matrix.rows != u.dim or f.matrix.cols != a.dim:
+    if f.target.dim != u.dim or f.source.dim != a.dim:
         raise ValueError("map shape does not match A -> U")
     rep = ConditionReport("Leibniz identity")
-    bad = next(_failing_pairs(a, u, f.matrix.flatten()), None)
+    bad = next(_failing_pairs(a, u, f), None)
     if bad is None:
         rep.add("D(ab) = aD(b) + D(a)b", True, note="%d pairs" % a.dim**2)
     else:
@@ -137,7 +136,7 @@ def is_derivation(a: Algebra, u: Bimodule, f: LinearMap) -> ConditionReport:
 def derivation_space(a: Algebra, u: Bimodule) -> DerivationSpace:
     """All derivations A -> U, as the nullspace of the Leibniz system."""
     ker = nullspace(LeibnizSystem(a, u).matrix)
-    basis = [LinearMap(a, u, Matrix.unflatten(u.dim, a.dim, k)) for k in ker.basis]
+    basis = [LinearMap._from_columns(a, u, _columns(k, a.dim)) for k in ker.rows]
     return DerivationSpace(ker, basis)
 
 
@@ -163,7 +162,7 @@ def inner_derivation(a: Algebra, u: Bimodule, x) -> LinearMap:
     """The inner derivation b -> b x - x b for the coordinates x of a
     module element."""
     flat = inner_map(a, u).apply(coordinates(u, x))
-    return LinearMap(a, u, Matrix.unflatten(u.dim, a.dim, flat))
+    return LinearMap._from_columns(a, u, _columns({k: v for k, v in enumerate(flat) if v}, a.dim))
 
 
 def inner_space(a: Algebra, u: Bimodule) -> Subspace:

@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 from .algebra import (Algebra, Bimodule, LinearMap, _product, _sum_sparse, block_table,
                       coordinates)
-from .linalg import (Matrix, Subspace, Vector, _complement, _dense, _integer_row,
+from .linalg import (Matrix, SparseMatrix, Subspace, Vector, _complement, _dense, _integer_row,
                      _kernel_vectors, _over, _rejected)
 from .reports import ConditionReport, require
 
@@ -121,21 +121,9 @@ def ideal_check(a: Algebra, s: Subspace) -> ConditionReport:
     return rep
 
 
-def quotient_coordinates(ideal: Subspace) -> Tuple[List[int], Matrix]:
-    """Coordinates on A/I and the projection A -> A/I in them.
-
-    The basis of A/I is the cosets of the standard basis vectors at the
-    non-pivot columns of I's echelon basis (pivot-greedy, so the
-    construction is reproducible bit for bit).  Returns those columns and
-    the (dim A/I x dim A) projection matrix: the basis's complement rows.
-    """
-    m = ideal.ambient_dim
-    rows = _complement(ideal.pivots, ideal.rows, m)
-    return list(rows), Matrix(len(rows), m, [_dense(row, m) for row in rows.values()])
-
-
 def quotient_algebra(a: Algebra, ideal: Subspace) -> Tuple[Algebra, Matrix]:
-    """The algebra A/I with its projection matrix (see quotient_coordinates)."""
+    """The algebra A/I with its (dim A/I x dim A) projection matrix, on the
+    basis of ``quotient_bimodule``."""
     complement, quotient, proj = _quotient(a, ideal)
     # (e_c + I)(e_d + I) is e_c acting on the bimodule A/I, c in the complement
     mul = [quotient.left_table[c] for c in complement]
@@ -143,21 +131,25 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> Tuple[Algebra, Matrix]:
 
 
 def quotient_bimodule(a: Algebra, ideal: Subspace) -> Tuple[Bimodule, LinearMap]:
-    """The A-bimodule A/I with its canonical projection (see
-    quotient_coordinates)."""
+    """The A-bimodule A/I with its canonical projection.  A/I has the basis
+    e_c + I for the non-pivot columns c of I's echelon basis (pivot-greedy,
+    so reproducible bit for bit); the projection's rows in it are that
+    basis's complement rows."""
     return _quotient(a, ideal)[1:]
 
 
 def _quotient(a: Algebra, ideal: Subspace) -> Tuple[List[int], Bimodule, LinearMap]:
-    """The coset columns of quotient_coordinates, A/I and the projection."""
+    """The coset columns of quotient_bimodule, A/I and the projection."""
     require(ideal_check(a, ideal), "subspace is not a two-sided ideal")
-    complement, proj = quotient_coordinates(ideal)
     m = a.dim
+    rows = _complement(ideal.pivots, ideal.rows, m)  # the projection's rows
+    complement = list(rows)
+    images = [dict(col) for col in SparseMatrix(len(rows), m, [
+        row.items() for row in rows.values()]).transpose().data]  # and its columns
     # e_i e_c + I: the constants of e_i e_c pushed through the projection
-    images = [{r: x for r, x in enumerate(proj.col(k)) if x} for k in range(m)]
     push = lambda entries: sorted(_sum_sparse(entries, images).items())
     left = [[push(a.mul_table[i][c]) for c in complement] for i in range(m)]
     right = [[push(a.mul_table[c][i]) for i in range(m)] for c in complement]
     names = [a.basis_names[c] + "+I" for c in complement]
     quotient = Bimodule(a, left, right, basis_names=names, _skip_check=True)
-    return complement, quotient, LinearMap(a.self_bimodule(), quotient, proj)
+    return complement, quotient, LinearMap._from_columns(a.self_bimodule(), quotient, images)

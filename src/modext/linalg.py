@@ -74,10 +74,6 @@ def unit_vec(n: int, i: int) -> Vector:
     return v
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return [a + b for a, b in zip(u, v)]
-
-
 def is_zero_vec(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
@@ -124,7 +120,7 @@ class Matrix:
         return Matrix(
             self.rows,
             self.cols,
-            [vec_add(a, b) for a, b in zip(self.data, other.data)],
+            [[x + y for x, y in zip(a, b)] for a, b in zip(self.data, other.data)],
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -163,9 +159,6 @@ class Matrix:
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
 
-    def col(self, j: int) -> Vector:
-        return [self.data[i][j] for i in range(self.rows)]
-
     def flatten(self) -> Vector:
         """Row-major entry vector."""
         return [x for row in self.data for x in row]
@@ -177,9 +170,6 @@ class Matrix:
         return cls(
             rows, cols, [entries[i * cols : (i + 1) * cols] for i in range(rows)]
         )
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.data)
 
     def pairs(self):
         """Each row as (column, value) pairs, the form ``_echelon`` reads."""
@@ -389,7 +379,7 @@ def _complement(pivots: list, rows: list, cols: int) -> dict:
     rows span the kernel of the RREF rows; as the rows of a matrix they
     are the projection onto the free columns along the RREF rows' span."""
     taken = set(pivots)
-    out = {f: {f: 1} for f in range(cols) if f not in taken}
+    out = {f: {f: Fraction(1)} for f in range(cols) if f not in taken}
     for p, row in zip(pivots, rows):
         for k, x in row.items():
             if k in out:

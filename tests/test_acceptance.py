@@ -13,8 +13,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from modext.algebra import LinearMap
 from modext.analysis import radical
 from modext.blocks import (

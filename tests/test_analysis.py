@@ -21,7 +21,7 @@ from modext.analysis import (
 from modext.algebra import Algebra, LinearMap, annihilator, is_module_hom
 from modext.derivations import derivation_space
 from modext.extension import quotient_algebra, trivial_extension
-from modext.linalg import Matrix, Subspace, rank, unit_vec, zero_vec
+from modext.linalg import Subspace, rank, unit_vec, zero_vec
 from modext.samples import (
     column_module,
     cyclic_group_algebra,

@@ -17,9 +17,9 @@ import modext.derivations as derivations
 from modext.constructions import lift
 from modext.derivations import inner_derivation, is_derivation
 from modext.extension import trivial_extension
-from modext.linalg import Matrix, unit_vec, vec_add, zero_vec
+from modext.linalg import Matrix, unit_vec, zero_vec
 from modext.reports import HypothesisError
-from modext.samples import dual_numbers, field_q, matrix_units
+from modext.samples import dual_numbers, field_q, matrix_units, truncated_poly
 
 from oracles import leibniz_holds
 
@@ -92,6 +92,25 @@ class TestRoundTrip:
         )
         assert assemble(t, b).matrix == Matrix.identity(8)
 
+    def test_blocks_of_the_wrong_shape_are_refused(self):
+        # at a 2 + 2 split, a 2 x 3 delta1 beside a 2 x 1 tau1 still makes
+        # rows of 4, and a 3 x 2 delta1 beside a 2 x 2 tau1 loses a row to zip
+        a, q, cubic = dual_numbers(), field_q(), truncated_poly(3)
+        t = trivial_extension(a, a.self_bimodule())
+        ones = lambda rows, cols: Matrix.from_rows([[1] * cols for _ in range(rows)])
+        width = BlockDecomposition(delta1=LinearMap(cubic, a, ones(2, 3)),
+                                   tau1=LinearMap(q, a, ones(2, 1)))
+        rows = BlockDecomposition(delta1=LinearMap(a, cubic, ones(3, 2)),
+                                  tau1=LinearMap(t.module, a, ones(2, 2)))
+        for b, message in ((width, "delta1 is 2 x 3, not 2 x 2"),
+                           (rows, "delta1 is 3 x 2, not 2 x 2")):
+            with pytest.raises(ValueError, match=message):
+                assemble(t, b)
+            with pytest.raises(ValueError, match=message):
+                check_block_conditions(t, b)
+        with pytest.raises(ValueError, match="tau2 is 1 x 1, not 2 x 2"):
+            assemble(t, BlockDecomposition(tau2=LinearMap.identity(q)))
+
     def test_inner_derivation_block_shapes(self):
         # ad_{(b,v)} has delta1 = ad_b, tau1 = 0,
         # delta2: a -> av - va, tau2: u -> ub - bu
@@ -111,14 +130,14 @@ class TestRoundTrip:
                     u.left_act(ei, v_el), u.right_act(v_el, ei)
                 )
             ]
-            assert blocks.delta2.matrix.col(i) == av_va
+            assert blocks.delta2(ei) == av_va
             ub_bu = [
                 p - q
                 for p, q in zip(
                     u.right_act(ei, b_el), u.left_act(b_el, ei)
                 )
             ]
-            assert blocks.tau2.matrix.col(i) == ub_bu
+            assert blocks.tau2(ei) == ub_bu
 
 
 class TestConditions:
@@ -278,7 +297,7 @@ class TestInnerWitness:
         real = blocks.solve
         # E12 is not central, so shifting the solution by it changes ad
         monkeypatch.setattr(
-            blocks, "solve", lambda m, b: vec_add(real(m, b), unit_vec(m.cols, 1))
+            blocks, "solve", lambda m, b: [x + y for x, y in zip(real(m, b), unit_vec(m.cols, 1))]
         )
         with pytest.raises(AssertionError, match="witness"):
             inner_witness(t, d)

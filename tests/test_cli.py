@@ -9,7 +9,7 @@ from modext.algebra import Algebra, Bimodule
 from modext.cli import main
 from modext.io import algebra_to_document, load_file, save_file
 from modext.linalg import Matrix
-from modext.samples import dual_numbers, field_q, matrix_units, zero_action_module
+from modext.samples import dual_numbers, field_q, zero_action_module
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

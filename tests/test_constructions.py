@@ -13,7 +13,7 @@ from modext.constructions import (
     quotient_derivation,
     transport,
 )
-from modext.derivations import derivation_space, inner_derivation, is_derivation
+from modext.derivations import derivation_space, inner_derivation
 from modext.extension import trivial_extension
 from modext.linalg import Matrix, Subspace, unit_vec
 from modext.reports import HypothesisError

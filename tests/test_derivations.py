@@ -1,6 +1,5 @@
 import copy
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,7 @@ from modext.derivations import (
     leibniz_rows,
 )
 from modext import linalg
-from modext.linalg import Matrix, Subspace, nullspace, rank, rref, solve, unit_vec
+from modext.linalg import Matrix, Subspace, nullspace, rank, solve, unit_vec
 from modext.samples import (
     dual_numbers,
     matrix_units,
@@ -123,9 +122,9 @@ class TestOneStatementOfTheIdentity:
                 for flat in _random_maps(rng, basis, m * n):
                     residual = {divmod(r // n, m) for r, row in enumerate(rows)
                                 if sum(c * flat[col] for col, c in row)}
-                    failures = list(_failing_pairs(alg, mod, flat))
-                    assert [pair for pair, _, _ in failures] == sorted(residual), name
                     d = Matrix.unflatten(n, m, flat)
+                    failures = list(_failing_pairs(alg, mod, LinearMap(alg, mod, d)))
+                    assert [pair for pair, _, _ in failures] == sorted(residual), name
                     for (i, j), lhs, rhs in failures:
                         assert (lhs, rhs) == leibniz_pair_sides(mul, left, right, d.data, i, j)
                     rep = is_derivation(alg, mod, LinearMap(alg, mod, d))
@@ -199,10 +198,10 @@ class TestInner:
         u = a.self_bimodule()
         d = inner_derivation(a, u, unit_vec(4, 1))  # x = E12
         # id_x(a) = a x - x a on the basis E11, E12, E21, E22
-        assert d.matrix.col(0) == [0, 1, 0, 0]    # E11 E12 - E12 E11 = E12
-        assert d.matrix.col(1) == [0, 0, 0, 0]    # E12 commutes with itself
-        assert d.matrix.col(2) == [-1, 0, 0, 1]   # E21 E12 - E12 E21 = E22 - E11
-        assert d.matrix.col(3) == [0, -1, 0, 0]   # E22 E12 - E12 E22 = -E12
+        assert d(unit_vec(4, 0)) == [0, 1, 0, 0]    # E11 E12 - E12 E11 = E12
+        assert d(unit_vec(4, 1)) == [0, 0, 0, 0]    # E12 commutes with itself
+        assert d(unit_vec(4, 2)) == [-1, 0, 0, 1]   # E21 E12 - E12 E21 = E22 - E11
+        assert d(unit_vec(4, 3)) == [0, -1, 0, 0]   # E22 E12 - E12 E22 = -E12
         # recompute directly as the oracle
         for i in range(4):
             ei = unit_vec(4, i)
@@ -212,7 +211,7 @@ class TestInner:
                     a.mul_vec(ei, unit_vec(4, 1)), a.mul_vec(unit_vec(4, 1), ei)
                 )
             ]
-            assert d.matrix.col(i) == expect
+            assert d(ei) == expect
 
     def test_inner_dimension_of_m2(self):
         a = matrix_units(2)
@@ -448,7 +447,7 @@ class TestStructuralProperties:
                 )
                 if rank(p) == n:
                     break
-            cols = [p.col(i) for i in range(n)]
+            cols = p.transpose().data
             basis_mat = Matrix.from_rows(cols).transpose()
             new_mul = []
             for i in range(n):

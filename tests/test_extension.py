@@ -13,7 +13,6 @@ from modext.extension import (
     ideal_check,
     norm_l1,
     quotient_algebra,
-    quotient_coordinates,
     quotient_bimodule,
     submultiplicativity_constant,
     trivial_extension,
@@ -359,13 +358,15 @@ class TestEchelonReadOffs:
     what they must be."""
 
     def test_projection_kills_the_ideal_and_fixes_the_complement(self, corpus_pairs):
-        ideals = [(name, ideal) for name, _, ideal in corpus_ideals()]
-        ideals += [("T(%s)" % name, radical(trivial_extension(a, u).total).radical)
-                   for name, a, u in corpus_pairs]
-        ideals += [(name, radical(a).radical) for name, a, _ in twin_idempotents()]
-        for name, ideal in ideals:
+        ideals = list(corpus_ideals())
+        ideals += [("T(%s)" % name, t, radical(t).radical)
+                   for name, t in ((name, trivial_extension(a, u).total)
+                                   for name, a, u in corpus_pairs)]
+        ideals += [(name, a, radical(a).radical) for name, a, _ in twin_idempotents()]
+        for name, a, ideal in ideals:
             n = ideal.ambient_dim
-            complement, proj = quotient_coordinates(ideal)
+            complement, _, proj = extension._quotient(a, ideal)
+            proj = proj.matrix
             assert (complement, proj.data) == dense_projection(ideal.basis, n), name
             for w in ideal.basis:
                 assert not any(apply_matrix(proj.data, w)), name

@@ -82,9 +82,9 @@ def _maps(rng, alg, mod):
     basis = [d.matrix.flatten() for d in derivation_space(alg, mod).basis]
     weights = [rng.choice(RATIONALS) for _ in basis]
     combination = [sum(w * v[k] for w, v in zip(weights, basis)) for k in range(n * m)]
-    inner = inner_derivation(alg, mod, [rng.choice(RATIONALS) for _ in range(n)]).matrix
+    inner = inner_derivation(alg, mod, [rng.choice(RATIONALS) for _ in range(n)])
     out = []
-    for flat in ([inner.flatten()] if not inner.is_zero() else []) + [combination]:
+    for flat in ([inner.matrix.flatten()] if not inner.is_zero() else []) + [combination]:
         assert any(Fraction(x).denominator > 1 for x in flat)
         for count in (0, 1, 2):
             out.append(Matrix.unflatten(n, m, _perturbed(rng, flat, count)))

@@ -6,7 +6,6 @@ import pytest
 
 from modext.algebra import ValidationError
 from modext.io import (
-    FORMAT_VERSION,
     ArtifactFile,
     ParseError,
     algebra_to_document,
