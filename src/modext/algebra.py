@@ -55,6 +55,7 @@ from .linalg import (
     solve,
     unit_vec,
     vec,
+    zero_vec,
 )
 from .reports import ConditionReport
 
@@ -463,9 +464,15 @@ class LinearMap:
     def identity(cls, carrier: Carrier) -> "LinearMap":
         return cls._from_columns(carrier, carrier, [{s: Fraction(1)} for s in range(carrier.dim)])
 
-    matrix = property(lambda self: Matrix(self.source.dim, self.target.dim, [
-        _dense(col, self.target.dim) for col in self.columns]).transpose(),
-        doc="The (target x source) dense matrix: a read-only view, built when read.")
+    @property
+    def matrix(self) -> Matrix:
+        """The (target x source) dense matrix: a read-only view, built when
+        read, row by row from the columns' nonzeros."""
+        data = [zero_vec(self.source.dim) for _ in range(self.target.dim)]
+        for s, col in enumerate(self.columns):
+            for r, x in col.items():
+                data[r][s] = x
+        return Matrix(self.target.dim, self.source.dim, data)
 
     def __call__(self, v) -> Vector:
         return self.matrix.apply(v)

@@ -294,7 +294,8 @@ def find_surjective_left_hom(a: Algebra, u: Bimodule) -> Optional[LinearMap]:
     m, n = a.dim, u.dim
     if n > m:
         return None
-    # f(ab) = a f(b) are the Leibniz rows of U with its right action zeroed
+    # f(ab) = a f(b) are the Leibniz rows of U with its right action zeroed,
+    # a bimodule too, so the rows at A's generators alone cut out f
     left_only = Bimodule(a, u.left_table, [[[]] * m for _ in range(n)], _skip_check=True)
     sol = nullspace(LeibnizSystem(a, left_only).matrix)
     if sol.dim == 0:

@@ -2,23 +2,34 @@
 
 A linear map D: A -> U is a derivation when D(ab) = a D(b) + D(a) b.  On
 basis pairs this is a linear system in the entries of D's matrix; the
-derivation space is its exact nullspace.  ``leibniz_rows`` reads the
-terms of the identity's two sides at each basis pair off the nonzero
-constants of the module's integer tables and sums them into the sparse
-integer rows of ``LeibnizSystem.matrix`` (the rational rows times the
-tables' denominator), all of them kept; ``nullspace`` drops the empty
-and repeated ones, picks its row basis mod a prime and certifies the
-basis by a zero integer residual on every row, and ``DerivationSpace``
-keeps that kernel, not the system.  ``is_derivation`` and the C1-C6
-checker in ``blocks`` sum the sides D(ab) and a D(b) + D(a) b
-at all pairs at once, in integers, one term per nonzero entry of D
-(scaled by their common denominator) and constant of the module's
-integer tables, so they cost time in proportion to their terms; the
-witness of a pair whose sides differ is its integer sides divided by
-the tables' denominator times D's.  No check builds the system.  Inner
-derivations are the image of the sparse inner map x -> (a -> a x - x a),
-read off the nonzero action constants; its kernel on A itself is the
-center.
+derivation space is its exact nullspace.  Only the pairs (g, e_j) with g
+in a generating set G of A are needed: if the words g1(g2(...g_r)) of G
+span A, a linear D with Leibniz at every (g, y) is a derivation, since
+the x with Leibniz at every (x, y) form a subspace that holds G and,
+with x, each g x: D(gxy) = g D(xy) + D(g) xy = gx D(y) + D(gx) y, by
+associativity and the bimodule axioms alone.  ``generators`` picks G
+left to right, each e_j outside the span mod PRIME of the words so far,
+that span kept closed under left multiplication by G on A's integer
+table; the pick ends with the words' residues spanning F_p^m, so the
+integer words have rank m over Q, and if PRIME divides a constant G only
+grows, at worst to every basis vector.  ``leibniz_rows`` reads the terms
+of the identity's two sides at each pair (i, j), i among its first
+factors, off the nonzero constants of the module's integer tables and
+sums them into sparse integer rows (the rational rows times the tables'
+denominator); ``LeibnizSystem.matrix`` holds them for i in G.
+``nullspace`` drops the empty and repeated ones, picks its row basis mod
+a prime and certifies the basis by a zero integer residual on every row,
+so the solve's certificate is the span of G and that residual, and
+``DerivationSpace`` keeps that kernel, not the system.  ``is_derivation``
+and the C1-C6 checker in ``blocks`` check every pair: they sum the sides
+D(ab) and a D(b) + D(a) b at all pairs at once, in integers, one term
+per nonzero entry of D (scaled by their common denominator) and constant
+of the module's integer tables, so they cost time in proportion to their
+terms; the witness of a pair whose sides differ is its integer sides
+divided by the tables' denominator times D's.  No check builds the
+system.  Inner derivations are the image of the sparse inner map x ->
+(a -> a x - x a), read off the nonzero action constants; its kernel on A
+itself is the center.
 
 Row order of the Leibniz system is lexicographic in (i, j, k); columns
 are D's matrix entries in row-major order.  Both are fixed so computed
@@ -30,22 +41,56 @@ from __future__ import annotations
 from itertools import product
 from typing import List
 
-from .algebra import Algebra, Bimodule, LinearMap, _columns, _failures, _sides, coordinates
-from .linalg import SparseMatrix, Subspace, nullspace
+from .algebra import (Algebra, Bimodule, LinearMap, _columns, _failures, _product, _sides,
+                      coordinates)
+from .linalg import PRIME, SparseMatrix, Subspace, _cancel_mod_p, _monic, nullspace
 from .reports import ConditionReport
 
 
-def leibniz_rows(algebra: Algebra, module: Bimodule):
-    """Sparse rows [(column, int)] of the Leibniz system in (i, j, k) order:
-    row (i, j, k) states that coordinate k of D(e_i e_j) - e_i D(e_j) -
-    D(e_i) e_j vanishes, times the denominator module.integer_tables[0].
-    Column t * dim A + s is the entry d[t][s]; the terms are read off the
-    nonzero constants of the integer tables."""
+def generators(algebra: Algebra) -> list:
+    """Indices G, ascending, of basis vectors whose words g1(g2(...g_r))
+    span A: e_j joins G when it lies outside the span mod PRIME of the
+    words so far, kept as monic residue rows by leading column and closed
+    under left multiplication by G on the integer table."""
+    m = algebra.dim
+    table = algebra.integer_table[1]
+    span, gens = {}, []
+
+    def reduced(v: dict) -> dict:
+        while v and (c := min(v)) in span:
+            _cancel_mod_p(v, span[c], c)
+        return v
+
+    def times(g: int, v: dict) -> dict:  # g v mod PRIME
+        return {k: r for k, x in _product(table, {g: 1}, v).items() if (r := x % PRIME)}
+
+    for j in range(m):
+        if len(span) == m:
+            break
+        if not reduced({j: 1}):
+            continue
+        gens.append(j)
+        todo = [{j: 1}] + [times(j, v) for v in span.values()]
+        while todo:
+            if v := reduced(todo.pop()):
+                c = min(v)
+                span[c] = v = _monic(v, c)
+                todo += [times(g, v) for g in gens]
+    return gens
+
+
+def leibniz_rows(algebra: Algebra, module: Bimodule, firsts=None):
+    """Sparse rows [(column, int)] of the Leibniz system in (i, j, k) order,
+    i in firsts (all of range(dim A) by default): row (i, j, k) states that
+    coordinate k of D(e_i e_j) - e_i D(e_j) - D(e_i) e_j vanishes, times the
+    denominator module.integer_tables[0].  Column t * dim A + s is the
+    entry d[t][s]; the terms are read off the nonzero constants of the
+    integer tables."""
     if module.algebra is not algebra:
         raise ValueError("module is not over the given algebra")
     m, n = algebra.dim, module.dim
     mul, left, right = module.integer_tables[1]
-    for i, j in product(range(m), repeat=2):
+    for i, j in product(range(m) if firsts is None else firsts, range(m)):
         rows = [{} for _ in range(n)]
         # D(e_i e_j)_k = sum_s c[i][j][s] d[k][s], one term per (k, column)
         for s, c in mul[i][j]:
@@ -87,14 +132,15 @@ class LeibnizSystem:
     """The linear system expressing the derivation identity.
 
     Unknowns are the entries d[t][s] of D's (u.dim x a.dim) matrix.
-    ``matrix`` is the integer rows of ``leibniz_rows``, empty ones
-    included, as a SparseMatrix.
+    ``matrix`` is the integer rows of ``leibniz_rows`` with first factors
+    ``generators`` of the algebra, empty ones included, as a SparseMatrix:
+    its kernel is that of the rows at all pairs.
     """
 
     def __init__(self, algebra: Algebra, module: Bimodule):
         self.algebra = algebra
         self.module = module
-        rows = list(leibniz_rows(algebra, module))
+        rows = list(leibniz_rows(algebra, module, generators(algebra)))
         self.matrix = SparseMatrix(len(rows), algebra.dim * module.dim, rows)
 
 
@@ -134,7 +180,15 @@ def is_derivation(a: Algebra, u: Bimodule, f: LinearMap) -> ConditionReport:
 
 
 def derivation_space(a: Algebra, u: Bimodule) -> DerivationSpace:
-    """All derivations A -> U, as the nullspace of the Leibniz system."""
+    """All derivations A -> U, as the nullspace of the Leibniz system on
+    the generator rows of A.
+
+    That kernel is Der(A, U) only because A is associative and U a
+    bimodule over it.  Structures built from input are checked; each one
+    built inside the package with ``_skip_check=True`` (in ``samples``,
+    ``constructions``, ``extension`` and ``analysis``) holds its axioms by
+    construction.
+    """
     ker = nullspace(LeibnizSystem(a, u).matrix)
     basis = [LinearMap._from_columns(a, u, _columns(k, a.dim)) for k in ker.rows]
     return DerivationSpace(ker, basis)

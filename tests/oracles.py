@@ -118,6 +118,20 @@ def dense_nullspace(rows):
     return dense_rref(basis)[0][: len(basis)] if basis else []
 
 
+def word_span_dim(mul, gens):
+    """dim over Q of the span of the words g1(g2(...g_r)) of the basis
+    vectors gens: the span of gens closed under left multiplication by
+    them, grown one independent vector at a time through dense_rref."""
+    n = len(mul)
+    unit = lambda i: [Fraction(int(k == i)) for k in range(n)]
+    basis, todo = [], [unit(g) for g in gens]
+    while todo:
+        v = todo.pop()
+        if len(dense_rref(basis + [v])[1]) > len(basis):
+            basis.append(v)
+            todo += [mul_vec(mul, unit(g), v) for g in gens]
+    return len(basis)
+
 def dense_intersection(a_rows, b_rows, n):
     """RREF basis of span(a_rows) ∩ span(b_rows) in Q^n through dense_rref
     alone: x = A^T s = B^T t, so x = A^T s for each kernel vector (s, t)

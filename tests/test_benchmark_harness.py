@@ -47,7 +47,7 @@ def test_traced_der_ladder_pass_keeps_the_system_shape(monkeypatch):
     assert w.failed == 0
     layers = w.layers(t)
     shape = [layers["derivations.system_" + k] for k in ("rows", "cols", "nnz")]
-    assert shape == [13048, 1092, 27315]
+    assert shape == [4788, 1092, 8798]  # the Leibniz rows at each algebra's generators
     assert layers["linalg.rank"] == 998
     assert layers["linalg.max_entry_bits"] == 66
 

@@ -1,5 +1,7 @@
 import copy
 import random
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from modext.derivations import (
     LeibnizSystem,
     _failing_pairs,
     derivation_space,
+    generators,
     h1_dimension,
     inner_derivation,
     inner_space,
@@ -15,7 +18,10 @@ from modext.derivations import (
     leibniz_rows,
 )
 from modext import linalg
-from modext.linalg import Matrix, Subspace, nullspace, rank, solve, unit_vec
+from modext.constructions import corner_module
+from modext.extension import quotient_algebra, quotient_bimodule, trivial_extension
+from modext.io import load_file
+from modext.linalg import PRIME, Matrix, SparseMatrix, Subspace, nullspace, rank, solve, unit_vec
 from modext.samples import (
     dual_numbers,
     matrix_units,
@@ -36,7 +42,10 @@ from oracles import (
     leibniz_pair_sides,
     leibniz_rational_rows,
     tensors_of,
+    word_span_dim,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 class TestIsDerivation:
@@ -397,13 +406,125 @@ class TestIntegerLeibnizRows:
 
 class TestLeibnizSystemShape:
     def test_t_m3_m3_shape_as_counted_from_the_pair_rows(self):
-        # rows and columns of the system, and its nonzeros counted the way
-        # the benchmark's tracer counts them
+        # rows and columns of the system at all pairs and of the one solved,
+        # at the 6 generators, and their nonzeros counted the way the
+        # benchmark's tracer counts them
         t = self_extension(matrix_units(3))
-        m = LeibnizSystem(t, t.self_bimodule()).matrix
-        assert (m.rows, m.cols) == (5832, 324)
-        assert sum(1 for row in m.data for x in row if x) == 3951
+        u = t.self_bimodule()
+        full = list(leibniz_rows(t, u))
+        assert len(full) == 5832
+        assert sum(1 for row in full for x in row if x) == 3951
+        assert generators(t) == [0, 1, 2, 3, 6, 9]  # E11, E12, E13, E21, E31 and U's E11
+        m = LeibnizSystem(t, u).matrix
+        assert (m.rows, m.cols) == (1944, 324)
+        assert sum(1 for row in m.data for x in row if x) == 1533
         assert nullspace(m).dim == 17
+
+
+def _full_kernel(a, u):
+    """The kernel of the Leibniz rows at every pair (i, j)."""
+    rows = list(leibniz_rows(a, u))
+    return nullspace(SparseMatrix(len(rows), a.dim * u.dim, rows))
+
+
+def _scaled_poly(n):
+    """Q[t]/(t^n) on the basis 1, t, t^2/p, ..., t^(n-1)/p^(n-2), p = PRIME:
+    f_i f_j = p f_(i+j) for i, j >= 1, so every product of two non-units
+    is 0 mod p."""
+    mul = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j in product(range(n), repeat=2):
+        if i + j < n:
+            mul[i][j][i + j] = 1 if 0 in (i, j) else PRIME
+    return Algebra(mul)
+
+
+def _generator_row_cases():
+    """(name, A, U) past the corpus: the data files and their extensions,
+    T(M_n, M_n) and T(UT_n, UT_n) for n <= 3, Q[t]/(t^n), dense twins, a
+    quotient algebra and module, and corner modules."""
+    cases = []
+    for path in sorted(DATA.glob("*.json")):
+        doc = load_file(str(path))
+        a = doc.algebra
+        cases.append((path.name, a, a.self_bimodule()))
+        if doc.module is not None:
+            cases.append((path.name + " module", a, doc.module))
+            t = trivial_extension(a, doc.module).total
+            cases.append(("T of " + path.name, t, t.self_bimodule()))
+    for n in (1, 2, 3):
+        for name, base in (("M%d", matrix_units(n)), ("UT%d", upper_triangular(n))):
+            t = self_extension(base)
+            cases.append(("T(%s,%s)" % (name % n, name % n), t, t.self_bimodule()))
+    for n in (1, 2, 5, 9):
+        a = truncated_poly(n)
+        cases.append(("Q[t]/(t^%d)" % n, a, a.self_bimodule()))
+    for name, build, extend in (("Q[t]/(t^6)'", lambda: truncated_poly(6), False),
+                                ("UT3'", lambda: upper_triangular(3), False),
+                                ("T(M2',M2')", lambda: matrix_units(2), True)):
+        a = _dense_twin(build, extend)
+        cases.append((name, a, a.self_bimodule()))
+    poly = truncated_poly(6)
+    ideal = Subspace.from_vectors(6, [unit_vec(6, k) for k in (3, 4, 5)])  # (t^3)
+    quotient, _ = quotient_bimodule(poly, ideal)
+    cases.append(("Q[t]/(t^6) -> Q[t]/(t^3)", poly, quotient))
+    qa = quotient_algebra(poly, ideal)[0]
+    cases.append(("Q[t]/(t^6) mod (t^3)", qa, qa.self_bimodule()))
+    for n in (2, 3):
+        m = matrix_units(n)
+        cases.append(("M%d corner E11" % n, m, corner_module(m, unit_vec(n * n, 0))))
+    return cases
+
+
+GENERATOR_ROW_CASES = _generator_row_cases()
+
+
+class TestGeneratorRows:
+    """Der(A, U) is solved on the Leibniz rows (g, j, k), g in the generating
+    set G of A: the kernel is that of the rows at every pair."""
+
+    @pytest.mark.parametrize("name, a, u", GENERATOR_ROW_CASES,
+                             ids=[c[0] for c in GENERATOR_ROW_CASES])
+    def test_kernel_is_the_full_rows_kernel(self, name, a, u):
+        g = generators(a)
+        assert LeibnizSystem(a, u).matrix.rows == len(g) * a.dim * u.dim
+        assert derivation_space(a, u).kernel == _full_kernel(a, u)
+
+    def test_kernel_on_the_corpus(self, corpus_pairs):
+        for name, a, u in corpus_pairs:
+            assert derivation_space(a, u).kernel == _full_kernel(a, u), name
+
+    @pytest.mark.parametrize("name, a, u", GENERATOR_ROW_CASES,
+                             ids=[c[0] for c in GENERATOR_ROW_CASES])
+    def test_generators_span_the_algebra_over_q(self, name, a, u):
+        g = generators(a)
+        assert g == sorted(set(g))
+        assert word_span_dim(a.mul_tensor, g) == a.dim
+
+    def test_generators_of_the_sparse_families(self):
+        assert generators(truncated_poly(9)) == [0, 1]  # 1 and t
+        assert len(generators(self_extension(matrix_units(3)))) == 6
+        assert generators(zero_product(3)) == [0, 1, 2]  # no products: all of A
+
+    def test_too_few_first_factors_give_a_larger_kernel(self):
+        # the unit alone generates nothing past itself: its rows do not cut
+        # out Der, so the pick is what makes the generator rows suffice
+        a = truncated_poly(4)
+        u = a.self_bimodule()
+        rows = list(leibniz_rows(a, u, [0]))
+        kernel = nullspace(SparseMatrix(len(rows), 16, rows))
+        assert kernel.contains(_full_kernel(a, u)) and kernel.dim > 3
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_constants_divisible_by_the_prime_grow_g(self, n):
+        # mod p the span of 1 and t is 2-dimensional, so every basis vector
+        # joins G and the system is the full one; over Q, 1 and t suffice
+        a = _scaled_poly(n)
+        u = a.self_bimodule()
+        assert generators(a) == list(range(n))
+        assert word_span_dim(a.mul_tensor, [0, 1]) == n
+        der = derivation_space(a, u)
+        assert der.kernel == _full_kernel(a, u)
+        assert der.dim == n - 1
 
 
 class TestH1:
