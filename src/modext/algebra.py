@@ -14,6 +14,11 @@ validated parts (T(A,U), the unitization, direct sums, A/I, the corner
 A p) hold their axioms by construction; their builders hand in tables
 with the private ``_skip_check`` instead of verifying them again.
 
+A caller's coordinate vector is read once, by ``coordinates``: length
+checked, entries coerced by ``frac``, nonzeros handed on.  A
+``LinearMap`` is held as its sparse columns and applied by summing them
+over those nonzeros; ``derivations.inner_map`` is held as its ad columns.
+
 Identities are checked in integers: each structure keeps its sparse
 tables times one common denominator of the constants
 (``integer_table``, ``integer_tables``), built with the structure, next
@@ -53,8 +58,6 @@ from .linalg import (
     is_zero_vec,
     nullspace,
     solve,
-    unit_vec,
-    vec,
     zero_vec,
 )
 from .reports import ConditionReport
@@ -94,11 +97,6 @@ def _view(table: str) -> property:
                                   for plane in getattr(self, table)])
 
 
-def _check_length(x, dim: int):
-    if len(x) != dim:
-        raise ValueError("coordinate vector has length %d, expected %d" % (len(x), dim))
-
-
 def _product(table, x: dict, y: dict) -> dict:
     """x y for sparse coordinates {index: value}, summed over the nonzero
     entries of x and y and the constants of the sparse table only."""
@@ -111,15 +109,6 @@ def _product(table, x: dict, y: dict) -> dict:
                 for k, c in entries:
                     out[k] = out.get(k, 0) + xy * c
     return {k: v for k, v in out.items() if v}
-
-
-def _bilinear(table, x: Vector, y: Vector, dims) -> Vector:
-    """sum_ij x_i y_j e_i e_j for the product with the given sparse table;
-    dims are the lengths of x, y and the result."""
-    _check_length(x, dims[0])
-    _check_length(y, dims[1])
-    nonzero = lambda v: {i: c for i, c in enumerate(v) if c}
-    return _dense(_product(table, nonzero(x), nonzero(y)), dims[2])
 
 
 def _integer_tables(*tables) -> tuple:
@@ -238,10 +227,13 @@ def block_table(dim: int, blocks) -> list:
     return out
 
 
-def coordinates(carrier: Carrier, x) -> Vector:
-    """x as exact coordinates on the carrier; its length must be the dimension."""
-    _check_length(x, carrier.dim)
-    return vec(x)
+def coordinates(carrier: Carrier, x) -> dict:
+    """The nonzero coordinates {index: Fraction} of a caller's vector x on
+    the carrier, each entry coerced by ``frac``; its length must be the
+    dimension.  Every product, action, map and split reads x through it."""
+    if len(x) != carrier.dim:
+        raise ValueError("coordinate vector has length %d, expected %d" % (len(x), carrier.dim))
+    return {i: c for i, c in enumerate(map(frac, x)) if c}
 
 
 def _names(basis_names, dim: int, prefix: str) -> list:
@@ -294,7 +286,8 @@ class Algebra:
         return _dense(dict(self.mul_table[i][j]), self.dim)
 
     def mul_vec(self, x: Vector, y: Vector) -> Vector:
-        return _bilinear(self.mul_table, x, y, (self.dim,) * 3)
+        return _dense(_product(self.mul_table, coordinates(self, x), coordinates(self, y)),
+                      self.dim)
 
     def self_bimodule(self) -> "Bimodule":
         """A as a bimodule over itself via the algebra product; built once,
@@ -390,19 +383,19 @@ class Bimodule:
         # are non-unital on one side even over a unital algebra.
         e = a.unit()
         if e is not None:
-            unital = all(
-                self.left_act(e, unit_vec(n, t)) == unit_vec(n, t)
-                and self.right_act(unit_vec(n, t), e) == unit_vec(n, t)
-                for t in range(n)
-            )
+            e = coordinates(a, e)
+            unital = all(_product(self.left_table, e, {t: 1}) == {t: 1}
+                         == _product(self.right_table, {t: 1}, e) for t in range(n))
             rep.add("unit acts as identity", unital, informational=True)
         return rep
 
     def left_act(self, a: Vector, u: Vector) -> Vector:
-        return _bilinear(self.left_table, a, u, (self.algebra.dim, self.dim, self.dim))
+        return _dense(_product(self.left_table, coordinates(self.algebra, a),
+                               coordinates(self, u)), self.dim)
 
     def right_act(self, u: Vector, a: Vector) -> Vector:
-        return _bilinear(self.right_table, u, a, (self.dim, self.algebra.dim, self.dim))
+        return _dense(_product(self.right_table, coordinates(self, u),
+                               coordinates(self.algebra, a)), self.dim)
 
     def __repr__(self):
         return "Bimodule(dim=%d over dim=%d)" % (self.dim, self.algebra.dim)
@@ -418,7 +411,7 @@ class Element:
 
     def __init__(self, carrier: Carrier, coords: Vector):
         self.carrier = carrier
-        self.coords = coordinates(carrier, coords)
+        self.coords = _dense(coordinates(carrier, coords), carrier.dim)
 
     def __eq__(self, other):
         return (
@@ -475,7 +468,9 @@ class LinearMap:
         return Matrix(self.target.dim, self.source.dim, data)
 
     def __call__(self, v) -> Vector:
-        return self.matrix.apply(v)
+        """The image of v: the columns summed over the nonzeros of v only."""
+        return _dense(_sum_sparse(coordinates(self.source, v).items(), self.columns),
+                      self.target.dim)
 
     def _images(self, vectors) -> list:
         """The map applied to each sparse vector {index: value}, over its nonzeros only."""

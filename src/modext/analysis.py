@@ -26,7 +26,6 @@ from .algebra import (Algebra, Bimodule, LinearMap, _columns, _product, _sum_spa
 from .derivations import LeibnizSystem, inner_map
 from .extension import ideal_check
 from .linalg import (
-    Matrix,
     SparseMatrix,
     Subspace,
     Vector,
@@ -34,13 +33,9 @@ from .linalg import (
     _distinct_rows,
     _echelon,
     _integer_row,
-    is_zero_vec,
     nullspace,
     rank,
     solve,
-    unit_vec,
-    vec,
-    zero_vec,
 )
 from .reports import Record
 
@@ -102,9 +97,11 @@ def center(a: Algebra) -> Subspace:
     """{z : z e_i = e_i z for all i}, exactly.
 
     Z(A) = ker ad: the center is the kernel of the inner map z -> ad_z of
-    A on itself, the map whose image is Inn(A).
+    A on itself, the map whose image is Inn(A): the right kernel of the
+    matrix whose columns are the ad vectors.
     """
-    return nullspace(inner_map(a, a.self_bimodule()))
+    columns = inner_map(a, a.self_bimodule())
+    return nullspace(SparseMatrix(a.dim, a.dim**2, [c.items() for c in columns]).transpose())
 
 
 def unitization(a: Algebra) -> Algebra:
@@ -169,27 +166,29 @@ def radical(a: Algebra) -> RadicalReport:
     )
 
 
-def _with_unit(a: Algebra, x) -> Tuple[Algebra, Vector, Vector]:
-    """(algebra, its unit, x in it): A itself if unital, else the unitization."""
+def _with_unit(a: Algebra, x) -> Tuple[Algebra, dict, dict]:
+    """(algebra, its unit, x in it), both as their nonzero coordinates: A
+    itself if unital, else the unitization."""
     coords = coordinates(a, x)
     e = a.unit()
     if e is None:
-        return unitization(a), unit_vec(a.dim + 1, 0), [Fraction(0)] + coords
-    return a, e, coords
+        return unitization(a), {0: Fraction(1)}, {i + 1: c for i, c in coords.items()}
+    return a, coordinates(a, e), coords
 
 
 def min_poly(a: Algebra, x) -> Polynomial:
     """Monic minimal polynomial of x, from the first power dependence.
 
     Powers start at the algebra's unit; when A has none, a formal unit
-    is adjoined first.
+    is adjoined first.  Each power is a sparse product, and the powers
+    so far are the columns of the system solved for the next.
     """
     alg, e, coords = _with_unit(a, x)
     powers = [e]
     while True:
-        m = Matrix.from_rows(powers).transpose()
-        nxt = alg.mul_vec(powers[-1], coords)
-        dep = solve(m, nxt)
+        nxt = _product(alg.mul_table, powers[-1], coords)
+        columns = SparseMatrix(len(powers), alg.dim, [p.items() for p in powers])
+        dep = solve(columns.transpose(), _dense(nxt, alg.dim))
         if dep is not None:
             coeffs = [-c for c in dep] + [Fraction(1)]
             return Polynomial(coeffs)
@@ -201,12 +200,12 @@ def min_poly(a: Algebra, x) -> Polynomial:
 def poly_eval_in_algebra(a: Algebra, poly: Polynomial, x) -> Vector:
     """Horner evaluation of poly at x (in the unitization if needed)."""
     alg, e, coords = _with_unit(a, x)
-    acc = zero_vec(alg.dim)
+    acc = {}
     for c in reversed(poly.coefficients):
-        acc = alg.mul_vec(acc, coords)
+        acc = _product(alg.mul_table, acc, coords)
         if c != 0:
-            acc = [v + c * ev for v, ev in zip(acc, e)]
-    return acc
+            acc = _sum_sparse(((0, 1), (1, c)), (acc, e))  # acc + c e
+    return _dense(acc, alg.dim)
 
 
 def _factor_over_q(poly: Polynomial):
@@ -230,11 +229,11 @@ def _factor_over_q(poly: Polynomial):
 
 def is_idempotent(a: Algebra, p) -> bool:
     coords = coordinates(a, p)
-    return a.mul_vec(coords, coords) == coords
+    return _product(a.mul_table, coords, coords) == coords
 
 
 def is_nontrivial_idempotent(a: Algebra, p) -> bool:
-    return is_idempotent(a, p) and not is_zero_vec(vec(p))
+    return is_idempotent(a, p) and bool(coordinates(a, p))
 
 
 def is_simple_prime(a: Algebra, seed: int = 0) -> SimplePrimeReport:

@@ -39,10 +39,10 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Tuple
 
-from .algebra import Element, LinearMap
+from .algebra import Element, LinearMap, _sum_sparse, coordinates
 from .derivations import _failing_pairs, inner_map, is_derivation
 from .extension import ModuleExtension
-from .linalg import _dense, solve
+from .linalg import SparseMatrix, _dense, solve
 from .reports import ConditionReport, require
 
 C5 = "C5: tau1 is an A-bimodule homomorphism"
@@ -169,22 +169,22 @@ def inner_witness(t: ModuleExtension, d: LinearMap) -> Optional[Tuple[Element, E
 
     The system is the inner map of T, whose columns are the ad of the
     basis elements; one solution keeps a shared b across the delta1 and
-    tau2 blocks and forces tau1 = 0.  Certificate: S x = D on that same
-    sparse map, summed over the nonzeros of x; it proves D = ad_{(b,v)}
-    a derivation, so the Leibniz identity is checked only when no
-    witness exists.
+    tau2 blocks and forces tau1 = 0.  Certificate: the ad columns summed
+    over the nonzeros of x are D's nonzero entries; it proves D =
+    ad_{(b,v)} a derivation, so the Leibniz identity is checked only when
+    no witness exists.
     """
     n = t.total.dim
     if d.source.dim != n or d.target.dim != n:
         raise ValueError("map is not square of dimension dim A + dim U")
-    system = inner_map(t.total, t.total.self_bimodule())
-    target = _dense({r * n + s: x for s, col in enumerate(d.columns) for r, x in col.items()},
-                    n * n)
-    x = solve(system, target)
+    columns = inner_map(t.total, t.total.self_bimodule())
+    entries = {r * n + s: x for s, col in enumerate(d.columns) for r, x in col.items()}
+    x = solve(SparseMatrix(n, n * n, [c.items() for c in columns]).transpose(),
+              _dense(entries, n * n))
     if x is None:
         _require_derivation(t, d)
         return None
-    if system.apply(x) != target:
+    if _sum_sparse(coordinates(t.total, x).items(), columns) != entries:
         raise AssertionError("witness does not reproduce the derivation")
     b_coords, v_coords = t.split(x)
     return Element(t.base, b_coords), Element(t.module, v_coords)

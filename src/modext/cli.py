@@ -54,11 +54,7 @@ def _witness_json(w):
     if w is None:
         return None
     idx, lhs, rhs = w
-    def side(s):
-        if s is None:
-            return None
-        return [_fmt(x) for x in s]
-    return {"indices": list(idx), "lhs": side(lhs), "rhs": side(rhs)}
+    return {"indices": list(idx), "lhs": [_fmt(x) for x in lhs], "rhs": [_fmt(x) for x in rhs]}
 
 
 def _report_json(rep: ConditionReport):

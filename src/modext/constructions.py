@@ -21,7 +21,7 @@ from .algebra import Algebra, Bimodule, LinearMap, _product, coordinates, is_mod
 from .blocks import BlockDecomposition, assemble
 from .derivations import is_derivation
 from .extension import ModuleExtension, _quotient, trivial_extension
-from .linalg import Subspace, _dense, is_zero_vec, unit_vec
+from .linalg import SparseMatrix, Subspace, _dense
 from .reports import ConditionReport, HypothesisError, require
 
 
@@ -102,28 +102,30 @@ def quotient_derivation(
 
 
 def corner_basis(a: Algebra, p) -> Subspace:
-    """Canonical echelon basis of A p, the image of right multiplication by p."""
+    """Canonical echelon basis of A p, the image of right multiplication by
+    p: the span of the sparse products e_i p."""
     p = coordinates(a, p)
-    vectors = [a.mul_vec(unit_vec(a.dim, i), p) for i in range(a.dim)]
-    return Subspace.from_vectors(a.dim, vectors)
+    products = [_product(a.mul_table, {i: 1}, p).items() for i in range(a.dim)]
+    return Subspace.row_space(SparseMatrix(a.dim, a.dim, products))
 
 
-def _corner(a: Algebra, p) -> Tuple[list, Subspace, Bimodule]:
-    """p (checked idempotent), the echelon basis of A p, and A p as a bimodule.
+def _corner(a: Algebra, p) -> Tuple[dict, Subspace, Bimodule]:
+    """The nonzero coordinates of p (checked idempotent), the echelon basis
+    of A p, and A p as a bimodule.
 
     A p is a left ideal, so the left action satisfies the bimodule axioms
     by associativity, and the zero right action trivially: the module is
     built without the re-check.
     """
     coords = coordinates(a, p)
-    if is_zero_vec(coords):
+    if not coords:
         raise HypothesisError("p = 0 is a trivial idempotent")
-    square = a.mul_vec(coords, coords)
+    square = _product(a.mul_table, coords, coords)
     if square != coords:
         rep = ConditionReport("idempotent")
-        rep.add("p^2 = p", False, witness=((), square, coords))
+        rep.add("p^2 = p", False, witness=((), *(_dense(v, a.dim) for v in (square, coords))))
         raise HypothesisError("p is not idempotent", rep)
-    basis = corner_basis(a, coords)
+    basis = corner_basis(a, p)
     q = basis.dim
     products = ([_product(a.mul_table, {i: 1}, b) for b in basis.rows] for i in range(a.dim))
     left = [[[(k, v[c]) for k, c in enumerate(basis.pivots) if c in v] for v in row]
@@ -140,9 +142,8 @@ def corner_module(a: Algebra, p) -> Bimodule:
 
 def corner_tau(a: Algebra, p, delta: LinearMap) -> ConstructionResult:
     """D((a,x)) = (delta(a), tau(x)) on T(A, Ap) with tau(x) = delta(x) p."""
-    coords, basis, module = _corner(a, p)
+    p, basis, module = _corner(a, p)
     require(is_derivation(a, a.self_bimodule(), delta), "delta is not a derivation on A")
-    p = {i: x for i, x in enumerate(coords) if x}
     images = (_product(a.mul_table, x, p) for x in delta._images(basis.rows))
     tau = LinearMap._from_columns(module, module, [
         {k: v[c] for k, c in enumerate(basis.pivots) if c in v} for v in images])

@@ -27,9 +27,11 @@ per nonzero entry of D (scaled by their common denominator) and constant
 of the module's integer tables, so they cost time in proportion to their
 terms; the witness of a pair whose sides differ is its integer sides
 divided by the tables' denominator times D's.  No check builds the
-system.  Inner derivations are the image of the sparse inner map x ->
-(a -> a x - x a), read off the nonzero action constants; its kernel on A
-itself is the center.
+system.  The inner map x -> (a -> a x - x a) is held as its columns,
+the flattened ad_{u_s}, one sparse vector per basis element of U read
+off the nonzero action constants: Inn(A, U) is their span, an inner
+derivation their sum over the nonzeros of x, and the center the kernel
+of the matrix they are the columns of, for U = A.
 
 Row order of the Leibniz system is lexicographic in (i, j, k); columns
 are D's matrix entries in row-major order.  Both are fixed so computed
@@ -42,7 +44,7 @@ from itertools import product
 from typing import List
 
 from .algebra import (Algebra, Bimodule, LinearMap, _columns, _failures, _product, _sides,
-                      coordinates)
+                      _sum_sparse, coordinates)
 from .linalg import PRIME, SparseMatrix, Subspace, _cancel_mod_p, _monic, nullspace
 from .reports import ConditionReport
 
@@ -194,34 +196,35 @@ def derivation_space(a: Algebra, u: Bimodule) -> DerivationSpace:
     return DerivationSpace(ker, basis)
 
 
-def inner_map(a: Algebra, u: Bimodule) -> SparseMatrix:
-    """The linear map x -> ad_x from U into flattened Hom(A, U).
-
-    Column s is the flattened matrix of ad_{u_s}: b -> b u_s - u_s b, so
-    entry (k * dim A + i, s) is coordinate k of e_i u_s - u_s e_i.
-    """
+def inner_map(a: Algebra, u: Bimodule) -> list:
+    """The linear map x -> ad_x from U into flattened Hom(A, U), as its
+    columns: vector s is the flattened matrix of ad_{u_s}: b -> b u_s -
+    u_s b, its entry k * dim A + i coordinate k of e_i u_s - u_s e_i, kept
+    as its nonzeros {index: Fraction}."""
     if u.algebra is not a:
         raise ValueError("module is not over the given algebra")
     m, n = a.dim, u.dim
-    rows = [{} for _ in range(n * m)]
+    columns = [{} for _ in range(n)]
     for i, s in product(range(m), range(n)):
         for k, c in u.left_table[i][s]:
-            rows[k * m + i][s] = c
+            columns[s][k * m + i] = c
         for k, c in u.right_table[s][i]:
-            rows[k * m + i][s] = rows[k * m + i].get(s, 0) - c
-    return SparseMatrix(n * m, n, [[(s, c) for s, c in row.items() if c] for row in rows])
+            columns[s][k * m + i] = columns[s].get(k * m + i, 0) - c
+    return [{r: c for r, c in col.items() if c} for col in columns]
 
 
 def inner_derivation(a: Algebra, u: Bimodule, x) -> LinearMap:
     """The inner derivation b -> b x - x b for the coordinates x of a
-    module element."""
-    flat = inner_map(a, u).apply(coordinates(u, x))
-    return LinearMap._from_columns(a, u, _columns({k: v for k, v in enumerate(flat) if v}, a.dim))
+    module element: the ad columns summed over the nonzeros of x only."""
+    flat = _sum_sparse(coordinates(u, x).items(), inner_map(a, u))
+    return LinearMap._from_columns(a, u, _columns(flat, a.dim))
 
 
 def inner_space(a: Algebra, u: Bimodule) -> Subspace:
-    """Image of the inner map x -> ad_x inside flattened Hom(A, U)."""
-    return Subspace.row_space(inner_map(a, u).transpose())
+    """Image of the inner map x -> ad_x inside flattened Hom(A, U): the
+    span of its columns, taken as the rows of a matrix."""
+    columns = inner_map(a, u)
+    return Subspace.row_space(SparseMatrix(u.dim, a.dim * u.dim, [c.items() for c in columns]))
 
 
 def h1_dimension(a: Algebra, u: Bimodule) -> int:

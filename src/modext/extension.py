@@ -23,7 +23,7 @@ from typing import List, Tuple
 from .algebra import (Algebra, Bimodule, LinearMap, _product, _sum_sparse, block_table,
                       coordinates)
 from .linalg import (Matrix, SparseMatrix, Subspace, Vector, _complement, _dense, _integer_row,
-                     _kernel_vectors, _over, _rejected)
+                     _kernel_vectors, _over, _rejected, frac)
 from .reports import ConditionReport, require
 
 
@@ -56,12 +56,13 @@ class ModuleExtension:
 
     def pair(self, a: Vector, u: Vector) -> Vector:
         """Total coordinates of (a, u)."""
-        return coordinates(self.base, a) + coordinates(self.module, u)
+        return (_dense(coordinates(self.base, a), self.base_dim)
+                + _dense(coordinates(self.module, u), self.module_dim))
 
     def split(self, x: Vector) -> Tuple[Vector, Vector]:
         """The components (a, u) of total coordinates."""
-        m = self.base_dim
-        return list(x[:m]), list(x[m:])
+        x = _dense(coordinates(self.total, x), self.total.dim)
+        return x[:self.base_dim], x[self.base_dim:]
 
     def __repr__(self):
         return "ModuleExtension(A dim=%d, U dim=%d)" % (
@@ -76,8 +77,9 @@ def trivial_extension(a: Algebra, u: Bimodule) -> ModuleExtension:
 
 
 def norm_l1(coords: Vector) -> Fraction:
-    """Coordinate l1 norm; on T(A,U) it equals ||a|| + ||u|| exactly."""
-    return sum((abs(x) for x in coords), Fraction(0))
+    """Coordinate l1 norm; on T(A,U) it equals ||a|| + ||u|| exactly.  No
+    carrier, so no length check; entries are coerced by ``frac``."""
+    return sum((abs(frac(x)) for x in coords), Fraction(0))
 
 
 def submultiplicativity_constant(a: Algebra) -> Fraction:

@@ -1,12 +1,18 @@
 """Exact linear algebra over the rationals: ``fractions.Fraction`` and
 Python ints, no floats, no tolerances.
 
-Vectors and ``Matrix`` rows are dense lists, but the systems solved are
+Vectors and ``Matrix`` rows are dense lists at the boundary, read once
+into their nonzeros (``algebra.coordinates``), and the systems solved are
 very sparse, so there is one elimination loop, ``_echelon``, on sparse
 rows: a ``Matrix`` hands it ``enumerate`` of each row, a ``SparseMatrix``
-its stored nonzeros.  Each row is read once as a primitive integer row, first
-entry positive, and empty and repeated rows are dropped (the Leibniz
-system of T(M3, M3) has 1,944 rows, 437 of them distinct).  The loop
+its stored nonzeros.  Every system the package builds is a
+``SparseMatrix``: the Leibniz rows, the powers of ``analysis.min_poly``,
+and the inner map held as its ad columns, one sparse vector per basis
+element, spanned as rows for Inn and eliminated on its transpose for the
+center and innerness witnesses.  Each row is read once as a primitive
+integer row, first entry positive, and empty and repeated rows are
+dropped (the Leibniz system of T(M3, M3) has 1,944 rows, 437 of them
+distinct).  The loop
 takes its row arithmetic as a parameter: primitive integers, cancelling
 by ``a*row - b*pivot`` with a, b reduced by their gcd (Bareiss, Math.
 Comp. 22, 1968), or residues mod PRIME; either cancel updates a live row
@@ -192,12 +198,6 @@ class SparseMatrix(NamedTuple):
 
     def pairs(self):
         return self.data
-
-    def apply(self, v: Vector) -> Vector:
-        """The product with v, summed over the nonzeros of v only."""
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return [sum((a * v[c] for c, a in row if v[c]), Fraction(0)) for row in self.data]
 
     def transpose(self) -> "SparseMatrix":
         out = [[] for _ in range(self.cols)]

@@ -262,23 +262,28 @@ def derivation_dim(mul, left, right):
     return len(mat.nullspace()) if mat.cols else 0
 
 
-def inner_dim(mul, left, right):
-    """dim of the span of the commutator maps id_{u_j}, via sympy rank."""
+def ad_vectors(mul, left, right):
+    """The flattened commutator maps id_{u_j}: b -> b u_j - u_j b, one per
+    j, entry k * m + i coordinate k of e_i u_j - u_j e_i, each read off
+    left_act and right_act at the basis vectors."""
     m = len(mul)
     n = len(left[0]) if m else 0
-    cols = []
+    basis = lambda d, i: [Fraction(1 if s == i else 0) for s in range(d)]
+    out = []
     for j in range(n):
-        uj = [Fraction(1 if t == j else 0) for t in range(n)]
-        flat = []
-        for k in range(n):
-            for i in range(m):
-                ei = [Fraction(1 if s == i else 0) for s in range(m)]
-                val = left_act(left, ei, uj)[k] - right_act(right, uj, ei)[k]
-                flat.append(sympy.Rational(val))
-        cols.append(flat)
+        uj = basis(n, j)
+        cols = [[x - y for x, y in zip(left_act(left, basis(m, i), uj),
+                                       right_act(right, uj, basis(m, i)))] for i in range(m)]
+        out.append([cols[i][k] for k in range(n) for i in range(m)])
+    return out
+
+
+def inner_dim(mul, left, right):
+    """dim of the span of the commutator maps id_{u_j}, via sympy rank."""
+    cols = ad_vectors(mul, left, right)
     if not cols:
         return 0
-    return sympy.Matrix(cols).T.rank()
+    return sympy.Matrix([[sympy.Rational(x) for x in col] for col in cols]).T.rank()
 
 
 def largest_nilpotent_ideal_dim(mul, max_seed_size=2):

@@ -12,6 +12,7 @@ from modext.algebra import (
     coordinates,
     is_module_hom,
 )
+from modext.extension import norm_l1, trivial_extension
 from modext.linalg import Matrix, Subspace, solve, unit_vec, zero_vec
 from modext.samples import (
     column_module,
@@ -288,17 +289,49 @@ def test_packed_axioms_on_a_perturbed_dense_twin(seed):
     assert (rep.failures()[0].name, rep.failures()[0].witness) == want
 
 
+def _readers():
+    """{name: (read, dim)}: each function that takes a caller's coordinates,
+    as read(x) with x in the argument under test, on carriers where it
+    returns x itself (norm_l1 its l1 norm), and the length x must have."""
+    a = dual_numbers()
+    u, t = a.self_bimodule(), trivial_extension(a, a.self_bimodule())
+    one = [1, 0]
+    return {
+        "mul_vec": (lambda x: a.mul_vec(x, one), 2),
+        "mul_vec, right factor": (lambda x: a.mul_vec(one, x), 2),
+        "left_act": (lambda x: u.left_act(x, one), 2),
+        "left_act, module side": (lambda x: u.left_act(one, x), 2),
+        "right_act": (lambda x: u.right_act(x, one), 2),
+        "right_act, algebra side": (lambda x: u.right_act(one, x), 2),
+        "LinearMap.__call__": (lambda x: LinearMap.identity(a)(x), 2),
+        "split": (lambda x: sum(t.split(x), []), 4),
+        "norm_l1": (norm_l1, 2),
+    }
+
+
 @pytest.mark.parametrize("build", [
     lambda: Algebra([[[0.1]]]),
     lambda: Bimodule(field_q(), [[[0.1]]], [[[1]]]),
     lambda: Matrix(1, 1, [[0.1]]),
     lambda: coordinates(field_q(), [0.1]),
     lambda: solve(Matrix.identity(1), [0.1]),
-], ids=["Algebra", "Bimodule", "Matrix", "coordinates", "solve"])
+] + [lambda read=read, n=n: read([0.1] + [1] * (n - 1)) for read, n in _readers().values()],
+    ids=["Algebra", "Bimodule", "Matrix", "coordinates", "solve"] + list(_readers()))
 def test_floats_raise_type_error_naming_the_value(build):
     # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
     with pytest.raises(TypeError, match=r"0\.1 is a float"):
         build()
+
+
+@pytest.mark.parametrize("name", list(_readers()))
+def test_rational_strings_are_read_exactly(name):
+    read, n = _readers()[name]
+    got = read(["1/2", "-3"] + ["0"] * (n - 2))
+    if name == "norm_l1":
+        assert got == Fraction(7, 2)
+    else:
+        assert got == [Fraction(1, 2), Fraction(-3)] + [0] * (n - 2)
+        assert all(type(c) is Fraction for c in got)
 
 
 class TestProducts:
@@ -320,8 +353,8 @@ class TestProducts:
 
 
 class TestProductCoordinateLength:
-    """Products and actions refuse coordinates of the wrong length with the
-    message ``coordinates`` gives, on either argument."""
+    """Products, actions and ``split`` refuse coordinates of the wrong
+    length with the message ``coordinates`` gives, on either argument."""
 
     def test_mul_vec(self):
         a = dual_numbers()
@@ -345,6 +378,11 @@ class TestProductCoordinateLength:
             u.right_act([1, 0, 0], [1, 0, 0, 0])
         with pytest.raises(ValueError, match="has length 3, expected 4"):
             u.right_act([1, 0], [1, 0, 0])
+
+    def test_split(self):
+        a = dual_numbers()
+        with pytest.raises(ValueError, match="has length 3, expected 4"):
+            trivial_extension(a, a.self_bimodule()).split([1, 0, 1])
 
 
 class TestAnnihilator:

@@ -1,11 +1,13 @@
 import copy
 import random
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from modext.algebra import Algebra, LinearMap
+from modext.analysis import center
 from modext.derivations import (
     LeibnizSystem,
     _failing_pairs,
@@ -237,6 +239,33 @@ class TestInner:
             for j in range(u.dim):
                 d = inner_derivation(a, u, unit_vec(u.dim, j))
                 assert is_derivation(a, u, d).passed, name
+
+    def test_inner_and_center_bases_match_the_dense_oracle(self, corpus_extensions):
+        """Inn(A, U) is the RREF of the naive ad vectors, spanned as rows;
+        Z(A) the dense nullspace of the matrix whose columns they are."""
+        t3 = self_extension(matrix_units(3))
+        cases = [(name, a, u, t.total) for name, a, u, t in corpus_extensions]
+        for name, a, u, total in cases + [("T(M3,M3)", t3, t3.self_bimodule(), None)]:
+            ads = oracles.ad_vectors(*tensors_of(a, u))
+            red, pivots = oracles.dense_rref(ads) if ads else ([], [])
+            assert inner_space(a, u).basis == red[:len(pivots)], name
+            for alg in filter(None, (a, total)):
+                ads = oracles.ad_vectors(*tensors_of(alg, alg.self_bimodule()))
+                transposed = [list(row) for row in zip(*ads)]
+                assert center(alg).basis == dense_nullspace(transposed), name
+
+    def test_inner_derivation_is_the_naive_commutator(self, corpus_pairs):
+        rng = random.Random(24)
+        for name, a, u in corpus_pairs:
+            mul, left, right = tensors_of(a, u)
+            for _ in range(3):
+                x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(u.dim)]
+                # column i is e_i x - x e_i
+                cols = [[p - q for p, q in zip(oracles.left_act(left, unit_vec(a.dim, i), x),
+                                               oracles.right_act(right, x, unit_vec(a.dim, i)))]
+                        for i in range(a.dim)]
+                want = [[col[k] for col in cols] for k in range(u.dim)]
+                assert inner_derivation(a, u, x).matrix.data == want, name
 
 
 class TestTheoremFamilies:

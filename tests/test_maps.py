@@ -12,11 +12,12 @@ from fractions import Fraction
 import pytest
 
 from modext.algebra import Algebra, LinearMap, is_module_hom
-from modext.analysis import find_surjective_left_hom, is_nontrivial_idempotent, radical
+from modext.analysis import (center, find_surjective_left_hom, is_nontrivial_idempotent,
+                             is_simple_prime, radical)
 from modext.blocks import (assemble, blocks_of, check_block_conditions, inner_witness,
                            split_d1_d2)
 from modext.constructions import corner_tau, lift, quotient_derivation, transport
-from modext.derivations import derivation_space, inner_derivation, is_derivation
+from modext.derivations import derivation_space, inner_derivation, inner_space, is_derivation
 from modext.extension import quotient_algebra, quotient_bimodule, trivial_extension
 from modext.linalg import Matrix, Subspace, unit_vec
 from modext.samples import (
@@ -27,6 +28,8 @@ from modext.samples import (
     truncated_poly,
     zero_action_module,
 )
+
+from families import upper_triangular
 
 
 class TestShapeGuards:
@@ -140,6 +143,51 @@ class TestStoredForm:
             monkeypatch.setattr(Matrix, name, _refuse)
         assert _program_maps(corpus_extensions)
 
+    def test_no_dense_matrix_is_built(self, monkeypatch):
+        """The entry points build no ``Matrix``: it is only the boundary
+        form of io, ``LinearMap(..., Matrix)``, ``.matrix`` and ``rref``."""
+        steps = []  # (name, algebra A, the extension T(A, A))
+        for name, a in (("UT2", upper_triangular(2)), ("M2", matrix_units(2))):
+            t = trivial_extension(a, a.self_bimodule())
+            steps += [(name, a, t), ("T(%s,%s)" % (name, name), t.total,
+                                     trivial_extension(t.total, t.total.self_bimodule()))]
+        built = []
+        real = Matrix.__init__
+        monkeypatch.setattr(Matrix, "__init__", lambda m, *args: built.append(m) or real(m, *args))
+        counts = {}
+
+        def run(label, call):
+            before = len(built)
+            out = call()
+            counts[label] = counts.get(label, 0) + len(built) - before
+            return out
+
+        for name, a, t in steps:
+            asb, tsb = a.self_bimodule(), t.total.self_bimodule()
+            x = list(range(1, a.dim + 1))
+            run((name, "unit"), a.unit)
+            der = run((name, "derivation_space"), lambda: derivation_space(a, asb)).basis
+            run((name, "inner_space"), lambda: inner_space(a, asb))
+            run((name, "center"), lambda: center(a))
+            rad = run((name, "radical"), lambda: radical(a)).radical
+            run((name, "is_simple_prime"), lambda: is_simple_prime(a))
+            run((name, "mul_vec"), lambda: a.mul_vec(x, x))
+            run((name, "__call__"), lambda: der[0](x))
+            ad = run((name, "inner_derivation"), lambda: inner_derivation(t.total, tsb, x + x))
+            for d in derivation_space(t.total, tsb).basis[:3] + [ad]:
+                run((name, "is_derivation"), lambda: is_derivation(t.total, tsb, d))
+                run((name, "check_block_conditions"),
+                    lambda: check_block_conditions(t, blocks_of(t, d)))
+                run((name, "split_d1_d2"), lambda: split_d1_d2(t, d))
+                run((name, "inner_witness"), lambda: inner_witness(t, d))
+            ident = LinearMap.identity(a)
+            run((name, "lift"), lambda: lift(t, der[0]))
+            run((name, "transport"), lambda: transport(t, der[0], ident, ident))
+            run((name, "quotient"), lambda: quotient_derivation(a, rad, der[0]))
+            run((name, "corner_tau"), lambda: corner_tau(a, unit_vec(a.dim, 0), der[0]))
+        assert {k: n for k, n in counts.items() if n} == {}
+        assert len(counts) == 4 * 17
+
     def test_the_map_keeps_no_reference_to_a_matrix(self):
         a = matrix_units(2)
         m = Matrix.identity(4)
@@ -159,7 +207,7 @@ class TestStoredForm:
         assert f != LinearMap(a, a, Matrix.from_rows([[0, 1], [0, 1]]))
         assert LinearMap.zero(q, a) != LinearMap.zero(q, q)
         assert f(unit_vec(2, 1)) == [1, 0] and f(unit_vec(2, 0)) == [0, 0]
-        with pytest.raises(ValueError, match="vector length"):
+        with pytest.raises(ValueError, match="has length 1, expected 2"):
             f([1])
 
 
