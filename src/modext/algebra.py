@@ -14,10 +14,12 @@ validated parts (T(A,U), the unitization, direct sums, A/I, the corner
 A p) hold their axioms by construction; their builders hand in tables
 with the private ``_skip_check`` instead of verifying them again.
 
-A caller's coordinate vector is read once, by ``coordinates``: length
-checked, entries coerced by ``frac``, nonzeros handed on.  A
-``LinearMap`` is held as its sparse columns and applied by summing them
-over those nonzeros; ``derivations.inner_map`` is held as its ad columns.
+A caller's coordinate vector is read once, by ``linalg.coordinates`` at
+its carrier's dimension: length checked, entries coerced by ``frac``,
+nonzeros handed on.  A ``LinearMap`` is held as its sparse columns and
+applied by summing them over those nonzeros; ``derivations.inner_map``
+is held as its ad columns.  ``Algebra.unit`` hands ``solve`` only the
+2 dim nonzeros of its right side.
 
 Identities are checked in integers: each structure keeps its sparse
 tables times one common denominator of the constants
@@ -54,8 +56,8 @@ from .linalg import (
     _dense,
     _over,
     _packed,
+    coordinates,
     frac,
-    is_zero_vec,
     nullspace,
     solve,
     zero_vec,
@@ -227,15 +229,6 @@ def block_table(dim: int, blocks) -> list:
     return out
 
 
-def coordinates(carrier: Carrier, x) -> dict:
-    """The nonzero coordinates {index: Fraction} of a caller's vector x on
-    the carrier, each entry coerced by ``frac``; its length must be the
-    dimension.  Every product, action, map and split reads x through it."""
-    if len(x) != carrier.dim:
-        raise ValueError("coordinate vector has length %d, expected %d" % (len(x), carrier.dim))
-    return {i: c for i, c in enumerate(map(frac, x)) if c}
-
-
 def _names(basis_names, dim: int, prefix: str) -> list:
     """The given basis names, one per dimension, or prefix0, prefix1, ..."""
     if basis_names is None:
@@ -286,8 +279,8 @@ class Algebra:
         return _dense(dict(self.mul_table[i][j]), self.dim)
 
     def mul_vec(self, x: Vector, y: Vector) -> Vector:
-        return _dense(_product(self.mul_table, coordinates(self, x), coordinates(self, y)),
-                      self.dim)
+        return _dense(_product(self.mul_table, coordinates(self.dim, x),
+                               coordinates(self.dim, y)), self.dim)
 
     def self_bimodule(self) -> "Bimodule":
         """A as a bimodule over itself via the algebra product; built once,
@@ -306,10 +299,9 @@ class Algebra:
         if self._unit_computed:
             return None if self._unit is None else list(self._unit)
         n = self.dim
-        # each row pair (x e_i, e_i x) at coordinate k equals delta_{ik}
-        rhs = [Fraction(1 if k == i else 0)
-               for i in range(n) for k in range(n) for _ in range(2)]
-        x = solve(_action_rows(self.self_bimodule()), rhs)
+        # rows 2(i n + k) and 2(i n + k) + 1, (x e_i, e_i x) at coordinate k, equal delta_{ik}
+        x = solve(_action_rows(self.self_bimodule()),
+                  {2 * (n + 1) * i + side: 1 for i in range(n) for side in (0, 1)})
         self._unit = x
         self._unit_computed = True
         return None if x is None else list(x)
@@ -383,19 +375,19 @@ class Bimodule:
         # are non-unital on one side even over a unital algebra.
         e = a.unit()
         if e is not None:
-            e = coordinates(a, e)
+            e = coordinates(m, e)
             unital = all(_product(self.left_table, e, {t: 1}) == {t: 1}
                          == _product(self.right_table, {t: 1}, e) for t in range(n))
             rep.add("unit acts as identity", unital, informational=True)
         return rep
 
     def left_act(self, a: Vector, u: Vector) -> Vector:
-        return _dense(_product(self.left_table, coordinates(self.algebra, a),
-                               coordinates(self, u)), self.dim)
+        return _dense(_product(self.left_table, coordinates(self.algebra.dim, a),
+                               coordinates(self.dim, u)), self.dim)
 
     def right_act(self, u: Vector, a: Vector) -> Vector:
-        return _dense(_product(self.right_table, coordinates(self, u),
-                               coordinates(self.algebra, a)), self.dim)
+        return _dense(_product(self.right_table, coordinates(self.dim, u),
+                               coordinates(self.algebra.dim, a)), self.dim)
 
     def __repr__(self):
         return "Bimodule(dim=%d over dim=%d)" % (self.dim, self.algebra.dim)
@@ -411,7 +403,7 @@ class Element:
 
     def __init__(self, carrier: Carrier, coords: Vector):
         self.carrier = carrier
-        self.coords = _dense(coordinates(carrier, coords), carrier.dim)
+        self.coords = _dense(coordinates(carrier.dim, coords), carrier.dim)
 
     def __eq__(self, other):
         return (
@@ -421,7 +413,7 @@ class Element:
         )
 
     def is_zero(self) -> bool:
-        return is_zero_vec(self.coords)
+        return not any(self.coords)
 
     def __repr__(self):
         return "Element(%r)" % (self.coords,)
@@ -469,7 +461,7 @@ class LinearMap:
 
     def __call__(self, v) -> Vector:
         """The image of v: the columns summed over the nonzeros of v only."""
-        return _dense(_sum_sparse(coordinates(self.source, v).items(), self.columns),
+        return _dense(_sum_sparse(coordinates(self.source.dim, v).items(), self.columns),
                       self.target.dim)
 
     def _images(self, vectors) -> list:

@@ -21,8 +21,7 @@ import random
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
-from .algebra import (Algebra, Bimodule, LinearMap, _columns, _product, _sum_sparse,
-                      block_table, coordinates)
+from .algebra import Algebra, Bimodule, LinearMap, _columns, _product, _sum_sparse, block_table
 from .derivations import LeibnizSystem, inner_map
 from .extension import ideal_check
 from .linalg import (
@@ -33,6 +32,7 @@ from .linalg import (
     _distinct_rows,
     _echelon,
     _integer_row,
+    coordinates,
     nullspace,
     rank,
     solve,
@@ -169,11 +169,11 @@ def radical(a: Algebra) -> RadicalReport:
 def _with_unit(a: Algebra, x) -> Tuple[Algebra, dict, dict]:
     """(algebra, its unit, x in it), both as their nonzero coordinates: A
     itself if unital, else the unitization."""
-    coords = coordinates(a, x)
+    coords = coordinates(a.dim, x)
     e = a.unit()
     if e is None:
         return unitization(a), {0: Fraction(1)}, {i + 1: c for i, c in coords.items()}
-    return a, coordinates(a, e), coords
+    return a, coordinates(a.dim, e), coords
 
 
 def min_poly(a: Algebra, x) -> Polynomial:
@@ -188,7 +188,7 @@ def min_poly(a: Algebra, x) -> Polynomial:
     while True:
         nxt = _product(alg.mul_table, powers[-1], coords)
         columns = SparseMatrix(len(powers), alg.dim, [p.items() for p in powers])
-        dep = solve(columns.transpose(), _dense(nxt, alg.dim))
+        dep = solve(columns.transpose(), nxt)
         if dep is not None:
             coeffs = [-c for c in dep] + [Fraction(1)]
             return Polynomial(coeffs)
@@ -228,12 +228,12 @@ def _factor_over_q(poly: Polynomial):
 
 
 def is_idempotent(a: Algebra, p) -> bool:
-    coords = coordinates(a, p)
+    coords = coordinates(a.dim, p)
     return _product(a.mul_table, coords, coords) == coords
 
 
 def is_nontrivial_idempotent(a: Algebra, p) -> bool:
-    return is_idempotent(a, p) and bool(coordinates(a, p))
+    return is_idempotent(a, p) and bool(coordinates(a.dim, p))
 
 
 def is_simple_prime(a: Algebra, seed: int = 0) -> SimplePrimeReport:

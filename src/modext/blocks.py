@@ -39,10 +39,10 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Tuple
 
-from .algebra import Element, LinearMap, _sum_sparse, coordinates
+from .algebra import Element, LinearMap, _sum_sparse
 from .derivations import _failing_pairs, inner_map, is_derivation
 from .extension import ModuleExtension
-from .linalg import SparseMatrix, _dense, solve
+from .linalg import SparseMatrix, coordinates, solve
 from .reports import ConditionReport, require
 
 C5 = "C5: tau1 is an A-bimodule homomorphism"
@@ -179,12 +179,11 @@ def inner_witness(t: ModuleExtension, d: LinearMap) -> Optional[Tuple[Element, E
         raise ValueError("map is not square of dimension dim A + dim U")
     columns = inner_map(t.total, t.total.self_bimodule())
     entries = {r * n + s: x for s, col in enumerate(d.columns) for r, x in col.items()}
-    x = solve(SparseMatrix(n, n * n, [c.items() for c in columns]).transpose(),
-              _dense(entries, n * n))
+    x = solve(SparseMatrix(n, n * n, [c.items() for c in columns]).transpose(), entries)
     if x is None:
         _require_derivation(t, d)
         return None
-    if _sum_sparse(coordinates(t.total, x).items(), columns) != entries:
+    if _sum_sparse(coordinates(n, x).items(), columns) != entries:
         raise AssertionError("witness does not reproduce the derivation")
     b_coords, v_coords = t.split(x)
     return Element(t.base, b_coords), Element(t.module, v_coords)

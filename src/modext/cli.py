@@ -34,7 +34,6 @@ from .blocks import blocks_of, check_block_conditions, inner_witness, split_d1_d
 from .constructions import corner_tau, lift, quotient_derivation, transport
 from .derivations import derivation_space, inner_space
 from .extension import submultiplicativity_constant
-from .linalg import is_zero_vec
 from .reports import ConditionReport, HypothesisError
 
 
@@ -303,7 +302,7 @@ def cmd_analyze(args, art, out: Output) -> None:
         out.put("idempotent", {
             "name": args.idempotent,
             "idempotent": is_idempotent(a, coords),
-            "nontrivial": not is_zero_vec(coords),
+            "nontrivial": any(coords),
             "min_poly": str(min_poly(a, coords)),
         })
     if args.submult:

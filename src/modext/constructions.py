@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
-from .algebra import Algebra, Bimodule, LinearMap, _product, coordinates, is_module_hom
+from .algebra import Algebra, Bimodule, LinearMap, _product, is_module_hom
 from .blocks import BlockDecomposition, assemble
 from .derivations import is_derivation
 from .extension import ModuleExtension, _quotient, trivial_extension
-from .linalg import SparseMatrix, Subspace, _dense
+from .linalg import SparseMatrix, Subspace, _dense, coordinates
 from .reports import ConditionReport, HypothesisError, require
 
 
@@ -104,7 +104,7 @@ def quotient_derivation(
 def corner_basis(a: Algebra, p) -> Subspace:
     """Canonical echelon basis of A p, the image of right multiplication by
     p: the span of the sparse products e_i p."""
-    p = coordinates(a, p)
+    p = coordinates(a.dim, p)
     products = [_product(a.mul_table, {i: 1}, p).items() for i in range(a.dim)]
     return Subspace.row_space(SparseMatrix(a.dim, a.dim, products))
 
@@ -117,7 +117,7 @@ def _corner(a: Algebra, p) -> Tuple[dict, Subspace, Bimodule]:
     by associativity, and the zero right action trivially: the module is
     built without the re-check.
     """
-    coords = coordinates(a, p)
+    coords = coordinates(a.dim, p)
     if not coords:
         raise HypothesisError("p = 0 is a trivial idempotent")
     square = _product(a.mul_table, coords, coords)

@@ -44,8 +44,8 @@ from itertools import product
 from typing import List
 
 from .algebra import (Algebra, Bimodule, LinearMap, _columns, _failures, _product, _sides,
-                      _sum_sparse, coordinates)
-from .linalg import PRIME, SparseMatrix, Subspace, _cancel_mod_p, _monic, nullspace
+                      _sum_sparse)
+from .linalg import PRIME, SparseMatrix, Subspace, _cancel_mod_p, _monic, coordinates, nullspace
 from .reports import ConditionReport
 
 
@@ -216,7 +216,7 @@ def inner_map(a: Algebra, u: Bimodule) -> list:
 def inner_derivation(a: Algebra, u: Bimodule, x) -> LinearMap:
     """The inner derivation b -> b x - x b for the coordinates x of a
     module element: the ad columns summed over the nonzeros of x only."""
-    flat = _sum_sparse(coordinates(u, x).items(), inner_map(a, u))
+    flat = _sum_sparse(coordinates(u.dim, x).items(), inner_map(a, u))
     return LinearMap._from_columns(a, u, _columns(flat, a.dim))
 
 

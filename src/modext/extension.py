@@ -20,10 +20,9 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Tuple
 
-from .algebra import (Algebra, Bimodule, LinearMap, _product, _sum_sparse, block_table,
-                      coordinates)
+from .algebra import Algebra, Bimodule, LinearMap, _product, _sum_sparse, block_table
 from .linalg import (Matrix, SparseMatrix, Subspace, Vector, _complement, _dense, _integer_row,
-                     _kernel_vectors, _over, _rejected, frac)
+                     _kernel_vectors, _over, _rejected, coordinates)
 from .reports import ConditionReport, require
 
 
@@ -56,12 +55,12 @@ class ModuleExtension:
 
     def pair(self, a: Vector, u: Vector) -> Vector:
         """Total coordinates of (a, u)."""
-        return (_dense(coordinates(self.base, a), self.base_dim)
-                + _dense(coordinates(self.module, u), self.module_dim))
+        return (_dense(coordinates(self.base_dim, a), self.base_dim)
+                + _dense(coordinates(self.module_dim, u), self.module_dim))
 
     def split(self, x: Vector) -> Tuple[Vector, Vector]:
         """The components (a, u) of total coordinates."""
-        x = _dense(coordinates(self.total, x), self.total.dim)
+        x = _dense(coordinates(self.total.dim, x), self.total.dim)
         return x[:self.base_dim], x[self.base_dim:]
 
     def __repr__(self):
@@ -78,8 +77,8 @@ def trivial_extension(a: Algebra, u: Bimodule) -> ModuleExtension:
 
 def norm_l1(coords: Vector) -> Fraction:
     """Coordinate l1 norm; on T(A,U) it equals ||a|| + ||u|| exactly.  No
-    carrier, so no length check; entries are coerced by ``frac``."""
-    return sum((abs(frac(x)) for x in coords), Fraction(0))
+    carrier, so coords is read by ``coordinates`` at its own length."""
+    return sum(map(abs, coordinates(len(coords), coords).values()), Fraction(0))
 
 
 def submultiplicativity_constant(a: Algebra) -> Fraction:

@@ -233,7 +233,7 @@ def parse_document(doc) -> ArtifactFile:
         if not isinstance(vectors, list):
             raise ParseError(path + ".vectors", "expected a list of vectors")
         parsed = _parse_rows(len(vectors), dim, vectors, path + ".vectors")
-        out.subspaces[entry["name"]] = Subspace.from_vectors(dim, parsed)
+        out.subspaces[entry["name"]] = Subspace(dim, parsed)
 
     return out
 

@@ -1,11 +1,15 @@
 """Exact linear algebra over the rationals: ``fractions.Fraction`` and
 Python ints, no floats, no tolerances.
 
-Vectors and ``Matrix`` rows are dense lists at the boundary, read once
-into their nonzeros (``algebra.coordinates``), and the systems solved are
-very sparse, so there is one elimination loop, ``_echelon``, on sparse
-rows: a ``Matrix`` hands it ``enumerate`` of each row, a ``SparseMatrix``
-its stored nonzeros.  Every system the package builds is a
+Vectors and ``Matrix`` rows are dense lists at the boundary.  Every
+vector a caller hands the package is read once, by ``coordinates``: its
+length checked, its entries coerced by ``frac``, its nonzeros
+{index: Fraction} handed on.  ``Subspace(n, vectors)`` spans what it
+reads; ``solve`` takes its right side as those nonzeros {row: value}
+and augments only their rows.  The systems solved are very sparse, so
+there is one elimination loop, ``_echelon``, on sparse rows: a
+``Matrix`` hands it ``enumerate`` of each row, a ``SparseMatrix`` its
+stored nonzeros.  Every system the package builds is a
 ``SparseMatrix``: the Leibniz rows, the powers of ``analysis.min_poly``,
 and the inner map held as its ad columns, one sparse vector per basis
 element, spanned as rows for Inn and eliminated on its transpose for the
@@ -66,8 +70,13 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def vec(entries: Iterable) -> Vector:
-    return [frac(x) for x in entries]
+def coordinates(n: int, x) -> dict:
+    """The nonzero coordinates {index: Fraction} of a caller's vector x of
+    length n, each entry coerced by ``frac``: every vector a caller hands
+    the package is read here, once."""
+    if len(x) != n:
+        raise ValueError("coordinate vector has length %d, expected %d" % (len(x), n))
+    return {i: c for i, c in enumerate(map(frac, x)) if c}
 
 
 def zero_vec(n: int) -> Vector:
@@ -78,10 +87,6 @@ def unit_vec(n: int, i: int) -> Vector:
     v = zero_vec(n)
     v[i] = Fraction(1)
     return v
-
-
-def is_zero_vec(v: Vector) -> bool:
-    return all(a == 0 for a in v)
 
 
 class Matrix:
@@ -152,11 +157,8 @@ class Matrix:
         return out
 
     def apply(self, v: Vector) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return [
-            sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in self.data
-        ]
+        x = coordinates(self.cols, v)
+        return [sum((row[c] * a for c, a in x.items()), Fraction(0)) for row in self.data]
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -443,11 +445,14 @@ def nullspace(m) -> "Subspace":
         sample = picked + rejected
 
 
-def solve(m: Matrix, b: Vector) -> Optional[Vector]:
-    """One solution of m x = b (free variables zeroed), or None."""
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length does not match row count")
-    aug = (chain(row, ((m.cols, frac(bi)),)) for row, bi in zip(m.pairs(), b))
+def solve(m, b: dict) -> Optional[Vector]:
+    """One solution of m x = b (free variables zeroed), or None, for a
+    Matrix or SparseMatrix m and the right side's nonzeros b {row: value},
+    each coerced by ``frac``; only those rows are augmented."""
+    if outside := [r for r in b if type(r) is not int or not 0 <= r < m.rows]:
+        raise ValueError("right-hand side rows %r are outside range(%d)" % (outside, m.rows))
+    b = {r: frac(x) for r, x in b.items()}
+    aug = (chain(row, ((m.cols, b[r]),)) if r in b else row for r, row in enumerate(m.pairs()))
     pivots, rows = _rref(_distinct_rows(aug), m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         return None
@@ -466,38 +471,12 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "rows", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: Sequence[Vector]):
-        """Wrap a dense basis that is already in RREF, its entries coerced
-        by ``frac``; ``from_vectors`` makes one."""
-        self.ambient_dim, self.pivots, self.rows = ambient_dim, [], []
-        for r, v in enumerate(basis):
-            if len(v) != ambient_dim:
-                raise ValueError("basis row %d has %d entries, expected %d"
-                                 % (r, len(v), ambient_dim))
-            row = {c: x for c, x in enumerate(map(frac, v)) if x}
-            p = next(iter(row), None)
-            if p is None:
-                raise ValueError("basis row %d is zero" % r)
-            if row[p] != 1:
-                raise ValueError("basis row %d has leading entry %s, not 1" % (r, row[p]))
-            if self.pivots and p <= self.pivots[-1]:
-                raise ValueError("basis row %d has its pivot in column %d, not right "
-                                 "of the previous row's %d" % (r, p, self.pivots[-1]))
-            self.pivots.append(p)
-            self.rows.append(row)
-        where = {p: s for s, p in enumerate(self.pivots)}  # pivot column -> its row
-        for r, row in enumerate(self.rows):
-            for c in row:
-                if where.get(c, r) != r:
-                    raise ValueError("basis row %d is nonzero in column %d, the pivot "
-                                     "of row %d" % (r, c, where[c]))
-
-    @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
-        """The span of any vectors, with its basis put into RREF."""
-        if any(len(v) != ambient_dim for v in vectors):
-            raise ValueError("vector length does not match ambient dimension")
-        return cls.row_space(Matrix(len(vectors), ambient_dim, vectors))
+    def __init__(self, ambient_dim: int, vectors: Sequence[Vector]):
+        """The span of any vectors, each read by ``coordinates``: their
+        canonical RREF rows."""
+        self.ambient_dim = ambient_dim
+        self.pivots, self.rows = _rref(_distinct_rows(
+            coordinates(ambient_dim, v).items() for v in vectors), ambient_dim)
 
     @classmethod
     def row_space(cls, m) -> "Subspace":
@@ -538,19 +517,19 @@ class Subspace:
         return (i for i, _ in _rejected(ints, kernel, bits))
 
     def contains_vector(self, v: Vector) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        return next(self._outside([dict(enumerate(vec(v)))]), None) is None
+        return self.coords_of(v) is not None
 
     def coords_of(self, v: Vector) -> Optional[Vector]:
-        """Coefficients of v in this basis, or None if v is outside.
+        """Coefficients of v in this basis, or None if v is outside; v is
+        read once, by ``coordinates``.
 
         In RREF each basis row is 1 at its own pivot and 0 at the others,
         so the coefficients of a vector in the span are its pivot entries.
         """
-        if not self.contains_vector(v):
+        x = coordinates(self.ambient_dim, v)
+        if next(self._outside([x]), None) is not None:
             return None
-        return [frac(v[p]) for p in self.pivots]
+        return [x.get(p, _ZERO) for p in self.pivots]
 
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)

@@ -168,7 +168,7 @@ def corpus():
     qq = q_plus_q()
     add("QxQ self", qq, qq.self_bimodule())
     add("QxQ zero-action", qq, zero_action_module(qq, 1))
-    ideal = Subspace.from_vectors(2, [unit_vec(2, 0)])
+    ideal = Subspace(2, [unit_vec(2, 0)])
     quot, _ = quotient_bimodule(qq, ideal)
     add("QxQ mod first factor", qq, quot)
 
@@ -182,7 +182,7 @@ def corpus():
 
     ut = upper_triangular_2()
     add("upper-triangular self", ut, ut.self_bimodule())
-    ut_ideal = Subspace.from_vectors(3, [unit_vec(3, 1)])  # span{E12}
+    ut_ideal = Subspace(3, [unit_vec(3, 1)])  # span{E12}
     ut_quot, _ = quotient_bimodule(ut, ut_ideal)
     add("upper-triangular mod E12", ut, ut_quot)
     add("upper-triangular corner E11", ut, corner_module(ut, unit_vec(3, 0)))

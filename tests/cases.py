@@ -130,7 +130,7 @@ def quotient_negative_cases():
     cases = []
 
     def add(label, a, ideal_vectors, delta_rows):
-        ideal = Subspace.from_vectors(a.dim, ideal_vectors)
+        ideal = Subspace(a.dim, ideal_vectors)
         delta = LinearMap(a, a, _mat(delta_rows))
         cases.append(
             (label, lambda a=a, i=ideal, d=delta: quotient_derivation(a, i, d))

@@ -6,14 +6,17 @@ import pytest
 from modext.algebra import (
     Algebra,
     Bimodule,
+    Element,
     LinearMap,
     ValidationError,
     annihilator,
-    coordinates,
     is_module_hom,
 )
+from modext.analysis import is_idempotent, min_poly
+from modext.constructions import corner_basis
+from modext.derivations import inner_derivation
 from modext.extension import norm_l1, trivial_extension
-from modext.linalg import Matrix, Subspace, solve, unit_vec, zero_vec
+from modext.linalg import Matrix, Subspace, coordinates, solve, unit_vec, zero_vec
 from modext.samples import (
     column_module,
     dual_numbers,
@@ -313,8 +316,8 @@ def _readers():
     lambda: Algebra([[[0.1]]]),
     lambda: Bimodule(field_q(), [[[0.1]]], [[[1]]]),
     lambda: Matrix(1, 1, [[0.1]]),
-    lambda: coordinates(field_q(), [0.1]),
-    lambda: solve(Matrix.identity(1), [0.1]),
+    lambda: coordinates(1, [0.1]),
+    lambda: solve(Matrix.identity(1), {0: 0.1}),
 ] + [lambda read=read, n=n: read([0.1] + [1] * (n - 1)) for read, n in _readers().values()],
     ids=["Algebra", "Bimodule", "Matrix", "coordinates", "solve"] + list(_readers()))
 def test_floats_raise_type_error_naming_the_value(build):
@@ -332,6 +335,54 @@ def test_rational_strings_are_read_exactly(name):
     else:
         assert got == [Fraction(1, 2), Fraction(-3)] + [0] * (n - 2)
         assert all(type(c) is Fraction for c in got)
+
+
+def _entry_points():
+    """{name: (read, n)}: every entry point that reads a caller's vector x
+    of length n through ``coordinates``, as read(x): the readers above but
+    ``norm_l1`` (which has no length to check), ``coordinates`` itself and
+    the ``Subspace`` constructor and probes."""
+    a, full = dual_numbers(), Subspace.full(2)
+    out = {name: r for name, r in _readers().items() if name != "norm_l1"}
+    out.update({
+        "coordinates": (lambda x: coordinates(2, x), 2),
+        "Element": (lambda x: Element(a, x).coords, 2),
+        "pair": (lambda x: trivial_extension(a, a.self_bimodule()).pair(x, [0, 0]), 2),
+        "inner_derivation": (lambda x: inner_derivation(a, a.self_bimodule(), x), 2),
+        "min_poly": (lambda x: min_poly(a, x), 2),
+        "is_idempotent": (lambda x: is_idempotent(a, x), 2),
+        "corner_basis": (lambda x: corner_basis(a, x), 2),
+        "Matrix.apply": (Matrix.identity(2).apply, 2),
+        "Subspace": (lambda x: Subspace(2, [x]), 2),
+        "contains_vector": (full.contains_vector, 2),
+        "coords_of": (full.coords_of, 2),
+    })
+    return out
+
+
+@pytest.mark.parametrize("name", list(_entry_points()))
+def test_one_reader_at_every_entry_point(name):
+    """One length message, floats refused, rational strings read exactly;
+    ``Subspace.full(2).contains_vector([1])`` once had a message of its own."""
+    read, n = _entry_points()[name]
+    for length in (n - 1, n + 1):
+        with pytest.raises(ValueError, match="^coordinate vector has length %d, expected %d$"
+                           % (length, n)):
+            read([1] * length)
+    with pytest.raises(TypeError, match=r"0\.1 is a float"):
+        read([0.1] + [1] * (n - 1))
+    assert read(["1/2", "-3"] + ["0"] * (n - 2)) == read([Fraction(1, 2), -3] + [0] * (n - 2))
+
+
+def test_solve_reads_its_right_side_as_nonzeros():
+    m = Matrix.identity(2)
+    assert solve(m, {0: "1/2", 1: "-3"}) == [Fraction(1, 2), -3]
+    assert solve(m, {1: 0}) == [0, 0]  # an explicit zero is read as none
+    with pytest.raises(TypeError, match=r"0\.1 is a float"):
+        solve(m, {1: 0.1})
+    for key in (2, -1, "0", 0.0, True):
+        with pytest.raises(ValueError, match=r"outside range\(2\)"):
+            solve(m, {key: 1})
 
 
 class TestProducts:
@@ -522,7 +573,7 @@ class TestModuleHom:
         cols = [[1, 1, 0, 0], [0, 1, -1, 0], [0, 0, 1, 2], [0, 0, 0, 1]]
         m2 = matrix_units(2)
         p = Matrix.from_rows(cols).transpose()
-        a = Algebra([[solve(p, m2.mul_vec(x, y)) for y in cols] for x in cols])
+        a = Algebra([[solve(p, dict(enumerate(m2.mul_vec(x, y)))) for y in cols] for x in cols])
         u = a.self_bimodule()
         n, left, right = u.dim, u.left, u.right
         rng = random.Random(7)

@@ -64,18 +64,18 @@ class TestRadical:
     def test_dual_numbers_radical_is_eps(self):
         rep = radical(dual_numbers())
         assert not rep.is_semisimple
-        assert rep.radical == Subspace.from_vectors(2, [unit_vec(2, 1)])
+        assert rep.radical == Subspace(2, [unit_vec(2, 1)])
 
     @pytest.mark.parametrize("index", [1, 2])
     def test_nilpotent_subspace_of_the_wrong_ambient_dimension(self, index):
         # a subspace of Q^3 is not one of the dual numbers, whatever it spans
-        s = Subspace.from_vectors(3, [unit_vec(3, index)])
+        s = Subspace(3, [unit_vec(3, index)])
         with pytest.raises(ValueError, match="ambient dimension does not match"):
             is_nilpotent_subspace(dual_numbers(), s)
 
     def test_triangle_radical_is_e12(self):
         rep = radical(upper_triangular_2())
-        assert rep.radical == Subspace.from_vectors(3, [unit_vec(3, 1)])
+        assert rep.radical == Subspace(3, [unit_vec(3, 1)])
 
     def test_truncated_poly_radical(self):
         rep = radical(truncated_poly(3))
@@ -165,7 +165,7 @@ class TestTheoremRadicals:
         a = upper_triangular(3)  # basis E_ij, i <= j, in row-major order
         units = [(i, j) for i in range(3) for j in range(i, 3)]
         strict = [k for k, (i, j) in enumerate(units) if i < j]
-        want = Subspace.from_vectors(12, [unit_vec(12, k) for k in strict + list(range(6, 12))])
+        want = Subspace(12, [unit_vec(12, k) for k in strict + list(range(6, 12))])
         assert radical(self_extension(a)).radical == want
 
 

@@ -3,7 +3,7 @@
 The tracer looks methods up by name (``Algebra.associativity_report``,
 ``Bimodule.axiom_report``, ``LeibnizSystem.__init__``, ...), and the
 workloads read attributes such as ``Element.coords``, ``mul_tensor``,
-``LinearMap`` and the raw ``Subspace(...)`` constructor.  A deletion that
+``LinearMap`` and the ``Subspace(...)`` constructor.  A deletion that
 removes one of them shows up here, not only as failed benchmark
 operations.  A traced der-ladder pass also pins the Leibniz system the
 benchmark measures, and a traced verify-mix pass the checks it counts.  Nothing under perfbench/ is changed by these tests.

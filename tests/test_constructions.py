@@ -103,7 +103,7 @@ class TestTransport:
 class TestQuotient:
     def test_triangle_mod_its_radical(self):
         a = upper_triangular_2()
-        ideal = Subspace.from_vectors(3, [unit_vec(3, 1)])  # span{E12}
+        ideal = Subspace(3, [unit_vec(3, 1)])  # span{E12}
         for delta in derivation_space(a, a.self_bimodule()).basis:
             res = quotient_derivation(a, ideal, delta)
             assert res.recipe == "quotient"
@@ -114,7 +114,7 @@ class TestQuotient:
         a = truncated_poly(3)
         euler = LinearMap(a, a, euler_matrix())
         for vectors in ([unit_vec(3, 2)], [unit_vec(3, 1), unit_vec(3, 2)]):
-            ideal = Subspace.from_vectors(3, vectors)
+            ideal = Subspace(3, vectors)
             res = quotient_derivation(a, ideal, euler)
             assert res.verification.passed
             assert res.extension.module_dim == 3 - len(vectors)
@@ -126,7 +126,7 @@ class TestQuotient:
     def test_dual_numbers_mod_eps(self):
         a = dual_numbers()
         delta = LinearMap(a, a, Matrix.from_rows([[0, 0], [0, 1]]))
-        res = quotient_derivation(a, Subspace.from_vectors(2, [unit_vec(2, 1)]),
+        res = quotient_derivation(a, Subspace(2, [unit_vec(2, 1)]),
                                   delta)
         assert res.verification.passed
         # everything interesting dies in the quotient
@@ -212,7 +212,7 @@ class TestNegativeCases:
         from modext.samples import zero_product
 
         a = zero_product(2)
-        ideal = Subspace.from_vectors(2, [unit_vec(2, 0)])
+        ideal = Subspace(2, [unit_vec(2, 0)])
         swap = LinearMap(a, a, Matrix.from_rows([[0, 1], [1, 0]]))
         with pytest.raises(HypothesisError) as exc:
             quotient_derivation(a, ideal, swap)
@@ -251,7 +251,7 @@ def test_ideal_leak_witness_is_the_first_echelon_row_that_leaks(data):
     """The witness is the first RREF row w of I with delta(w) outside I,
     both exact, as the dense oracle finds them."""
     n, vectors, rows = data
-    a, ideal = zero_product(n), Subspace.from_vectors(n, vectors)
+    a, ideal = zero_product(n), Subspace(n, vectors)
     red, pivots = dense_rref(vectors)
     basis = red[: len(pivots)]
     leaks = [(w, img) for w in basis for img in [apply_matrix(rows, w)]

@@ -357,7 +357,7 @@ class TestDenseTwins:
         assert (der.dim, inner_space(dense, dense.self_bimodule()).dim) == (want_der, want_inn)
         conjugates = [(q * d.matrix * p).flatten()
                       for d in derivation_space(a, a.self_bimodule()).basis]
-        assert der.as_subspace() == Subspace.from_vectors(a.dim ** 2, conjugates)
+        assert der.as_subspace() == Subspace(a.dim ** 2, conjugates)
 
 
 TWINS = pytest.mark.parametrize("build, extend", [
@@ -493,7 +493,7 @@ def _generator_row_cases():
         a = _dense_twin(build, extend)
         cases.append((name, a, a.self_bimodule()))
     poly = truncated_poly(6)
-    ideal = Subspace.from_vectors(6, [unit_vec(6, k) for k in (3, 4, 5)])  # (t^3)
+    ideal = Subspace(6, [unit_vec(6, k) for k in (3, 4, 5)])  # (t^3)
     quotient, _ = quotient_bimodule(poly, ideal)
     cases.append(("Q[t]/(t^6) -> Q[t]/(t^3)", poly, quotient))
     qa = quotient_algebra(poly, ideal)[0]
@@ -604,7 +604,7 @@ class TestStructuralProperties:
                 plane = []
                 for j in range(n):
                     prod = a.mul_vec(cols[i], cols[j])
-                    plane.append(solve(basis_mat, prod))
+                    plane.append(solve(basis_mat, dict(enumerate(prod))))
                 new_mul.append(plane)
             b = Algebra(new_mul)
             assert (

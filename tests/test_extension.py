@@ -143,11 +143,11 @@ class TestIdealCheck:
 
     def test_e12_is_an_ideal_of_the_triangle(self):
         a = upper_triangular_2()
-        assert ideal_check(a, Subspace.from_vectors(3, [unit_vec(3, 1)])).passed
+        assert ideal_check(a, Subspace(3, [unit_vec(3, 1)])).passed
 
     def test_e11_span_is_not_an_ideal_of_m2(self):
         a = matrix_units(2)
-        rep = ideal_check(a, Subspace.from_vectors(4, [unit_vec(4, 0)]))
+        rep = ideal_check(a, Subspace(4, [unit_vec(4, 0)]))
         assert not rep.passed
         # witness: E21 E11 = E21 escapes span{E11}
         fail = rep.failures()[0]
@@ -163,7 +163,7 @@ class TestIdealCheck:
             for alg in (a, trivial_extension(a, u).total):
                 spans = [Subspace.zero(alg.dim), Subspace.full(alg.dim),
                          radical(alg).radical]
-                spans += [Subspace.from_vectors(alg.dim, [rand_vec(rng, alg.dim)
+                spans += [Subspace(alg.dim, [rand_vec(rng, alg.dim)
                                                           for _ in range(k)])
                           for k in (1, 1, 2, 2, 3)]
                 for s in spans:
@@ -186,8 +186,8 @@ class TestIdealCheck:
         for name, a, u in corpus():
             for alg in (a, trivial_extension(a, u).total):
                 n = alg.dim
-                spans = [Subspace.from_vectors(n, [unit_vec(n, i)]) for i in range(n)]
-                spans += [Subspace.from_vectors(n, [rand_vec(rng, n) for _ in range(k)])
+                spans = [Subspace(n, [unit_vec(n, i)]) for i in range(n)]
+                spans += [Subspace(n, [rand_vec(rng, n) for _ in range(k)])
                           for k in (1, 2)]
                 for s in spans:
                     calls.clear()
@@ -234,7 +234,7 @@ class TestQuotient:
 
     def test_triangle_mod_e12(self):
         a = upper_triangular_2()
-        ideal = Subspace.from_vectors(3, [unit_vec(3, 1)])
+        ideal = Subspace(3, [unit_vec(3, 1)])
         q, proj = quotient_bimodule(a, ideal)
         assert q.dim == 2
         # the quotient actions go through the diagonal: e11 acts on the
@@ -251,7 +251,7 @@ class TestQuotient:
 
     def test_projection_is_a_surjective_module_hom(self):
         a = upper_triangular_2()
-        ideal = Subspace.from_vectors(3, [unit_vec(3, 1)])
+        ideal = Subspace(3, [unit_vec(3, 1)])
         q, proj = quotient_bimodule(a, ideal)
         assert is_module_hom(proj, "both").passed
         from modext.linalg import rank
@@ -261,11 +261,11 @@ class TestQuotient:
     def test_non_ideal_rejected(self):
         a = matrix_units(2)
         with pytest.raises(HypothesisError):
-            quotient_bimodule(a, Subspace.from_vectors(4, [unit_vec(4, 0)]))
+            quotient_bimodule(a, Subspace(4, [unit_vec(4, 0)]))
 
     def test_quotient_algebra_of_dual_numbers(self):
         a = dual_numbers()
-        ideal = Subspace.from_vectors(2, [unit_vec(2, 1)])  # span{eps}
+        ideal = Subspace(2, [unit_vec(2, 1)])  # span{eps}
         q, proj = quotient_algebra(a, ideal)
         assert q.dim == 1
         assert q.mul_tensor == [[[1]]]
@@ -284,7 +284,7 @@ def corpus_ideals():
     coordinate lines of each corpus algebra."""
     for name, a in corpus_algebras():
         ideals = [Subspace.zero(a.dim), Subspace.full(a.dim), radical(a).radical]
-        ideals += [Subspace.from_vectors(a.dim, [unit_vec(a.dim, i)]) for i in range(a.dim)]
+        ideals += [Subspace(a.dim, [unit_vec(a.dim, i)]) for i in range(a.dim)]
         for ideal in ideals:
             if ideal_check(a, ideal).passed:
                 yield name, a, ideal

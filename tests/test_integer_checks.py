@@ -233,7 +233,7 @@ def _other_modules():
         out.append((name + " A p", alg, corner, homs))
     for name, alg in ((ut3, b), (poly, c)):
         rad = radical(alg).radical.basis
-        square = Subspace.from_vectors(alg.dim, [alg.mul_vec(v, w) for v in rad for w in rad])
+        square = Subspace(alg.dim, [alg.mul_vec(v, w) for v in rad for w in rad])
         quotient, proj = quotient_bimodule(alg, square)
         out.append((name + " A/I", alg, quotient, [proj]))
     u = b.self_bimodule()
@@ -368,12 +368,12 @@ def _dense_nilpotent(a, s):
 
 def _ideal_generated(a, v):
     """The two-sided ideal generated by v, closed under dense products."""
-    s, mul = Subspace.from_vectors(a.dim, [v]), a.mul_tensor
+    s, mul = Subspace(a.dim, [v]), a.mul_tensor
     while True:
         units = [unit_vec(a.dim, i) for i in range(a.dim)]
         vectors = s.basis + [mul_vec(mul, x, y) for w in s.basis
                              for e in units for x, y in ((e, w), (w, e))]
-        bigger = Subspace.from_vectors(a.dim, vectors)
+        bigger = Subspace(a.dim, vectors)
         if bigger == s:
             return s
         s = bigger
@@ -387,12 +387,12 @@ def _subspaces(rng, a):
     out = [radical(a).radical, Subspace.full(a.dim)]
     for k in (1, 2, 3):
         vectors = [[rng.choice(RATIONALS + [0, 0, 0]) for _ in range(a.dim)] for _ in range(k)]
-        out.append(Subspace.from_vectors(a.dim, vectors))
+        out.append(Subspace(a.dim, vectors))
     if rad:
         mul = a.mul_tensor
         square = [mul_vec(mul, v, w) for v in rad for w in rad]
-        out.append(Subspace.from_vectors(a.dim, square))
-        out.append(Subspace.from_vectors(a.dim, square + [rad[0]]))
+        out.append(Subspace(a.dim, square))
+        out.append(Subspace(a.dim, square + [rad[0]]))
         c = rng.choice(RATIONALS)
         out.append(_ideal_generated(a, [c * x + y for x, y in zip(rad[0], rad[-1])]))
     return out
@@ -427,7 +427,7 @@ class TestRadicalReverification:
 
     def test_a_subspace_that_is_not_an_ideal_raises(self, monkeypatch):
         a = TWINS[0][1]  # M2' is simple: a line is no ideal
-        line = Subspace.from_vectors(a.dim, [unit_vec(a.dim, 0)])
+        line = Subspace(a.dim, [unit_vec(a.dim, 0)])
         monkeypatch.setattr(analysis, "nullspace", lambda m: line)
         with pytest.raises(AssertionError, match="not a two-sided ideal"):
             radical(a)

@@ -82,13 +82,13 @@ class TestRoundTrip:
             module=u,
             maps=[("delta", "algebra", "module", delta)],
             elements=[("x", "algebra", [Fraction(1, 2), Fraction(-3)])],
-            subspaces=[("I", Subspace.from_vectors(2, [unit_vec(2, 1)]))],
+            subspaces=[("I", Subspace(2, [unit_vec(2, 1)]))],
         )
         back = parse_document(json.loads(dump_document(doc)))
         assert back.module.left == u.left
         assert back.maps["delta"].matrix == delta
         assert back.elements["x"] == [Fraction(1, 2), Fraction(-3)]
-        assert back.subspaces["I"] == Subspace.from_vectors(2, [unit_vec(2, 1)])
+        assert back.subspaces["I"] == Subspace(2, [unit_vec(2, 1)])
 
     def test_canonical_form_is_a_fixed_point(self):
         a = upper_triangular_2()

@@ -1,4 +1,5 @@
 import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -111,46 +112,44 @@ class TestModularRowBasis:
 
 class TestSolve:
     def test_identity(self):
-        b = [Fraction(1), Fraction(-2)]
-        assert solve(Matrix.identity(2), b) == b
+        assert solve(Matrix.identity(2), {0: 1, 1: -2}) == [1, -2]
 
     def test_free_variables_are_zeroed(self):
-        x = solve(M([[1, 1]]), [Fraction(2)])
+        x = solve(M([[1, 1]]), {0: 2})
         assert x == [Fraction(2), Fraction(0)]
 
     def test_inconsistent_returns_none(self):
-        assert solve(M([[0]]), [Fraction(1)]) is None
+        assert solve(M([[0]]), {0: 1}) is None
 
     def test_solution_actually_solves(self):
         m = M([[2, 1, 0], [0, 1, 1]])
-        b = [Fraction(3), Fraction(5)]
-        x = solve(m, b)
-        assert m.apply(x) == b
+        x = solve(m, {0: 3, 1: 5})
+        assert m.apply(x) == [3, 5]
 
 
 class TestSubspace:
     def test_equal_spaces_share_everything(self):
-        a = Subspace.from_vectors(2, [[1, 1]])
-        b = Subspace.from_vectors(2, [[2, 2]])
+        a = Subspace(2, [[1, 1]])
+        b = Subspace(2, [[2, 2]])
         assert a == b
         assert a.sum(b) == a
         assert a.intersection(b) == a
 
     def test_axes_of_the_plane(self):
-        e1 = Subspace.from_vectors(2, [unit_vec(2, 0)])
-        e2 = Subspace.from_vectors(2, [unit_vec(2, 1)])
+        e1 = Subspace(2, [unit_vec(2, 0)])
+        e2 = Subspace(2, [unit_vec(2, 1)])
         assert e1.sum(e2) == Subspace.full(2)
         assert e1.intersection(e2).dim == 0
 
     def test_diagonal_meets_axis(self):
-        diag = Subspace.from_vectors(2, [[1, 1]])
-        e1 = Subspace.from_vectors(2, [unit_vec(2, 0)])
+        diag = Subspace(2, [[1, 1]])
+        e1 = Subspace(2, [unit_vec(2, 0)])
         assert diag.intersection(e1).dim == 0
         assert diag.sum(e1).dim == 2
 
     def test_containment(self):
-        plane = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
-        line = Subspace.from_vectors(3, [[1, 2, 0]])
+        plane = Subspace(3, [[1, 0, 0], [0, 1, 0]])
+        line = Subspace(3, [[1, 2, 0]])
         assert plane.contains(line)
         assert not line.contains(plane)
 
@@ -159,7 +158,7 @@ class TestSubspace:
             Subspace.full(2).sum(Subspace.full(3))
 
     def test_coords_of_roundtrip(self):
-        s = Subspace.from_vectors(3, [[1, 0, 1], [0, 1, 1]])
+        s = Subspace(3, [[1, 0, 1], [0, 1, 1]])
         v = [Fraction(2), Fraction(3), Fraction(5)]
         c = s.coords_of(v)
         combo = [Fraction(0)] * 3
@@ -168,7 +167,7 @@ class TestSubspace:
         assert combo == v
 
     def test_coords_of_outside_the_span_is_none(self):
-        s = Subspace.from_vectors(3, [[1, 0, 1], [0, 1, 1]])
+        s = Subspace(3, [[1, 0, 1], [0, 1, 1]])
         assert s.coords_of([1, 1, 0]) is None
         assert Subspace.zero(3).coords_of([0, 0, 1]) is None
         with pytest.raises(ValueError):
@@ -176,30 +175,54 @@ class TestSubspace:
 
 
 class TestSubspaceConstructor:
-    """The raw constructor takes a basis already in RREF and nothing else."""
+    """``Subspace(n, vectors)`` spans any vectors, each read by
+    ``coordinates``: it holds their canonical RREF rows."""
 
     def test_rref_basis_is_kept(self):
         s = Subspace(3, [[1, 0, 2], [0, 1, -1]])
         assert s.pivots == [0, 1]
-        assert s == Subspace.from_vectors(3, [[1, 1, 1], [1, 0, 2]])
+        assert s == Subspace(3, [[1, 1, 1], [1, 0, 2]])
 
-    @pytest.mark.parametrize("dim, basis, message", [
-        (2, [[0, 0]], "row 0 is zero"),
-        (2, [[1, 0], [0, 0]], "row 1 is zero"),
-        (2, [[2, 0]], "row 0 has leading entry 2"),
-        (2, [[0, 1], [1, 0]], "row 1 has its pivot in column 0"),
-        (3, [[1, 0, 0], [1, 0, 0]], "row 1 has its pivot in column 0"),
-        (3, [[1, 3, 0], [0, 1, 0]], "row 0 is nonzero in column 1, the pivot of row 1"),
-        (3, [[1, 0]], "row 0 has 2 entries, expected 3"),
-    ])
-    def test_non_rref_basis_is_rejected_naming_the_row(self, dim, basis, message):
-        with pytest.raises(ValueError, match=message):
-            Subspace(dim, basis)
+    def test_a_vector_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(ValueError, match="^coordinate vector has length 2, expected 3$"):
+            Subspace(3, [[1, 0, 0], [1, 0]])
 
-    def test_from_vectors_canonicalises_what_the_constructor_rejects(self):
-        s = Subspace.from_vectors(2, [[2, 0], [0, 0]])
+    def test_the_constructor_canonicalises_any_vectors(self):
+        s = Subspace(2, [[2, 0], [0, 0]])
         assert s.basis == [[1, 0]]
         assert s.contains_vector([2, 0])
+
+    @pytest.mark.parametrize("dim, vectors", [
+        (2, [[0, 0]]), (2, [[1, 0], [0, 0]]), (2, [[2, 0]]), (2, [[0, 1], [1, 0]]),
+        (3, [[1, 0, 0], [1, 0, 0]]), (3, [[1, 3, 0], [0, 1, 0]]),
+    ])
+    def test_spans_what_is_not_in_rref(self, dim, vectors):
+        # a zero row, a leading entry not 1, pivots out of order or repeated,
+        # a nonzero entry above a later pivot
+        red, pivots = dense_rref(vectors)
+        s = Subspace(dim, vectors)
+        assert (s.basis, s.pivots) == (red[:len(pivots)], pivots)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_spans_seeded_vectors_as_dense_gauss_jordan(self, seed):
+        # zero rows, repeated rows, multiples and rational strings, in any order
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        entries = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), 7]
+        base = [[rng.choice(entries) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        vectors = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                vectors.append([0] * n)
+            else:
+                f = Fraction(1) if kind == 1 else Fraction(rng.choice([-2, 3]), rng.choice([1, 5]))
+                vectors.append([f * x for x in rng.choice(base)])
+        vectors = [[str(x) if rng.random() < 0.5 else x for x in v] for v in vectors]
+        red, pivots = dense_rref(vectors)
+        s = Subspace(n, vectors)
+        assert (s.basis, s.pivots) == (red[:len(pivots)], pivots), vectors
+        assert all(type(x) is Fraction for row in s.rows for x in row.values())
 
     def test_a_float_entry_is_rejected(self):
         with pytest.raises(TypeError, match="0.5 is a float"):
@@ -209,7 +232,7 @@ class TestSubspaceConstructor:
 
     def test_rational_string_entries_are_coerced(self):
         s = Subspace(2, [["1", "1/2"]])
-        assert s == Subspace.from_vectors(2, [[2, 1]])
+        assert s == Subspace(2, [[2, 1]])
         assert s.rows == [{0: Fraction(1), 1: Fraction(1, 2)}]
         assert all(type(x) is Fraction for x in s.basis[0])
 
@@ -240,8 +263,8 @@ class TestKernelEdgeCases:
         assert nullspace(m) == Subspace(3, [[1, 0, 0]])
 
     def test_solve_with_a_zero_system(self):
-        assert solve(Matrix.zeros(2, 2), [0, 0]) == [0, 0]
-        assert solve(Matrix.zeros(2, 2), [0, 1]) is None
+        assert solve(Matrix.zeros(2, 2), {}) == [0, 0]
+        assert solve(Matrix.zeros(2, 2), {1: 1}) is None
 
 
 small_entries = st.integers(min_value=-5, max_value=5)
@@ -283,17 +306,17 @@ def test_rank_nullity(m):
 )
 def test_grassmann_identity(data):
     n, va, vb = data
-    a = Subspace.from_vectors(n, va)
-    b = Subspace.from_vectors(n, vb)
+    a = Subspace(n, va)
+    b = Subspace(n, vb)
     assert a.sum(b).dim + a.intersection(b).dim == a.dim + b.dim
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(), st.lists(small_entries, min_size=4, max_size=4))
 def test_coords_of_agrees_with_solve_inside_the_span(m, weights):
-    s = Subspace.from_vectors(m.cols, m.data)
+    s = Subspace(m.cols, m.data)
     v = [sum(w * row[j] for w, row in zip(weights, m.data)) for j in range(m.cols)]
-    expected = solve(Matrix.from_rows(s.basis).transpose(), v) if s.dim else []
+    expected = solve(Matrix.from_rows(s.basis).transpose(), dict(enumerate(v))) if s.dim else []
     assert s.coords_of(v) == expected
 
 
@@ -356,12 +379,12 @@ def test_solve_matches_dense_gauss_jordan(rows, rhs):
     red, pivots = dense_rref([row + [x] for row, x in zip(rows, b)])
     cols = len(rows[0])
     if cols in pivots:
-        assert solve(M(rows), b) is None
+        assert solve(M(rows), dict(enumerate(b))) is None
     else:
         want = [Fraction(0)] * cols
         for r, p in enumerate(pivots):
             want[p] = red[r][cols]
-        assert solve(M(rows), b) == want
+        assert solve(M(rows), dict(enumerate(b))) == want
 
 
 @st.composite
@@ -392,7 +415,7 @@ def span_pairs(draw):
 def test_intersection_matches_dense_gauss_jordan(data):
     n, s, t = data
     want = oracles.dense_intersection(s, t, n)
-    a, b = Subspace.from_vectors(n, s), Subspace.from_vectors(n, t)
+    a, b = Subspace(n, s), Subspace(n, t)
     assert a.intersection(b).basis == want
     assert b.intersection(a).basis == want
     assert a.intersection(a) == a
@@ -429,7 +452,7 @@ def spans_and_probes(draw):
 @given(spans_and_probes())
 def test_membership_matches_dense_oracles(data):
     n, vectors, probe, member = data
-    s = Subspace.from_vectors(n, vectors)
+    s = Subspace(n, vectors)
     red, pivots = dense_rref(vectors) if vectors else ([], [])
     assert s.basis == red[: len(pivots)] and s.pivots == pivots
     assert all(type(x) is Fraction and x for row in s.rows for x in row.values())
@@ -438,8 +461,8 @@ def test_membership_matches_dense_oracles(data):
     assert s.contains_vector(probe) is member
     assert s.coords_of(probe) == oracles.dense_coordinates(s.basis, probe)
     assert (s.coords_of(probe) is None) is (not member)
-    assert s.contains(Subspace.from_vectors(n, [probe])) is member
-    assert s.contains(Subspace.from_vectors(n, vectors + [probe])) is member
+    assert s.contains(Subspace(n, [probe])) is member
+    assert s.contains(Subspace(n, vectors + [probe])) is member
     assert s.contains(s) and s.contains(Subspace.zero(n))
 
 
@@ -474,12 +497,12 @@ def test_repeated_rows_match_dense_gauss_jordan_and_sympy(rows, rhs):
     aug, aug_pivots = dense_rref([row + [x] for row, x in zip(rows, b)])
     cols = len(rows[0])
     if cols in aug_pivots:
-        assert solve(M(rows), b) is None
+        assert solve(M(rows), dict(enumerate(b))) is None
     else:
         want = [Fraction(0)] * cols
         for r, p in enumerate(aug_pivots):
             want[p] = aug[r][cols]
-        assert solve(M(rows), b) == want
+        assert solve(M(rows), dict(enumerate(b))) == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 
+from modext import algebra, analysis, blocks, linalg
 from modext.algebra import Algebra, LinearMap, is_module_hom
 from modext.analysis import (center, find_surjective_left_hom, is_nontrivial_idempotent,
-                             is_simple_prime, radical)
+                             is_simple_prime, min_poly, radical)
 from modext.blocks import (assemble, blocks_of, check_block_conditions, inner_witness,
                            split_d1_d2)
 from modext.constructions import corner_tau, lift, quotient_derivation, transport
@@ -67,7 +68,7 @@ class TestShapeGuards:
     def test_transport_onto_a_smaller_module(self):
         # U = (Q x Q) / (Q x 0): phi the projection, psi its section onto 0 x Q
         a = q_plus_q()
-        u, phi = quotient_bimodule(a, Subspace.from_vectors(2, [unit_vec(2, 0)]))
+        u, phi = quotient_bimodule(a, Subspace(2, [unit_vec(2, 0)]))
         psi = LinearMap(u, a, Matrix.from_rows([[0], [1]]))
         delta = LinearMap.zero(a, a)
         assert transport(trivial_extension(a, u), delta, phi, psi).derivation.is_zero()
@@ -145,7 +146,10 @@ class TestStoredForm:
 
     def test_no_dense_matrix_is_built(self, monkeypatch):
         """The entry points build no ``Matrix``: it is only the boundary
-        form of io, ``LinearMap(..., Matrix)``, ``.matrix`` and ``rref``."""
+        form of io, ``LinearMap(..., Matrix)``, ``.matrix`` and ``rref``.
+        Each right side handed to ``solve`` is its nonzeros only: the unit
+        hands it 2 dim A entries, and ``min_poly`` and ``inner_witness``
+        no zero."""
         steps = []  # (name, algebra A, the extension T(A, A))
         for name, a in (("UT2", upper_triangular(2)), ("M2", matrix_units(2))):
             t = trivial_extension(a, a.self_bimodule())
@@ -154,10 +158,18 @@ class TestStoredForm:
         built = []
         real = Matrix.__init__
         monkeypatch.setattr(Matrix, "__init__", lambda m, *args: built.append(m) or real(m, *args))
-        counts = {}
+        counts, sides, current = {}, [], [None]  # sides: (label, b) per solve call
+
+        def spy(m, b):
+            sides.append((current[0], b))
+            return linalg.solve(m, b)
+
+        for module in (algebra, analysis, blocks):
+            monkeypatch.setattr(module, "solve", spy)
 
         def run(label, call):
             before = len(built)
+            current[0] = label
             out = call()
             counts[label] = counts.get(label, 0) + len(built) - before
             return out
@@ -172,6 +184,8 @@ class TestStoredForm:
             rad = run((name, "radical"), lambda: radical(a)).radical
             run((name, "is_simple_prime"), lambda: is_simple_prime(a))
             run((name, "mul_vec"), lambda: a.mul_vec(x, x))
+            run((name, "min_poly"), lambda: min_poly(a, x))
+            run((name, "Subspace"), lambda: Subspace(a.dim, [x, x, [0] * a.dim]))
             run((name, "__call__"), lambda: der[0](x))
             ad = run((name, "inner_derivation"), lambda: inner_derivation(t.total, tsb, x + x))
             for d in derivation_space(t.total, tsb).basis[:3] + [ad]:
@@ -186,7 +200,13 @@ class TestStoredForm:
             run((name, "quotient"), lambda: quotient_derivation(a, rad, der[0]))
             run((name, "corner_tau"), lambda: corner_tau(a, unit_vec(a.dim, 0), der[0]))
         assert {k: n for k, n in counts.items() if n} == {}
-        assert len(counts) == 4 * 17
+        assert len(counts) == 4 * 19
+        assert {"unit", "min_poly", "inner_witness"} <= {label[1] for label, _ in sides}
+        for (name, step), b in sides:
+            assert type(b) is dict and all(b.values()), (name, step)
+            if step == "unit":
+                dim = next(a.dim for n, a, _ in steps if n == name)
+                assert len(b) == 2 * dim, name
 
     def test_the_map_keeps_no_reference_to_a_matrix(self):
         a = matrix_units(2)
