@@ -19,15 +19,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from typing import List, NamedTuple, Optional, Tuple
 
 from .algebra import Algebra, Bimodule, LinearMap, _columns, _product, _sum_sparse, block_table
-from .derivations import LeibnizSystem, inner_map
+from .derivations import LeibnizSystem, _inner
 from .extension import ideal_check
 from .linalg import (
     SparseMatrix,
     Subspace,
     Vector,
+    _cancel,
     _dense,
     _distinct_rows,
     _echelon,
@@ -35,7 +37,6 @@ from .linalg import (
     coordinates,
     nullspace,
     rank,
-    solve,
 )
 from .reports import Record
 
@@ -63,24 +64,13 @@ class Polynomial(Record):
         return len(self.coefficients) - 1 if self.coefficients else -1
 
     def __str__(self):
-        if not self.coefficients:
-            return "0"
         terms = []
         for k in range(self.degree, -1, -1):
-            c = self.coefficients[k]
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-                continue
-            power = "t" if k == 1 else "t^%d" % k
-            if c == 1:
-                terms.append(power)
-            elif c == -1:
-                terms.append("-" + power)
-            else:
-                terms.append("%s*%s" % (c, power))
-        return " + ".join(terms).replace("+ -", "- ")
+            c, power = self.coefficients[k], "t" if k == 1 else "t^%d" % k
+            if c:
+                terms.append(str(c) if k == 0 else power if c == 1 else "-" + power if c == -1
+                             else "%s*%s" % (c, power))
+        return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
 class SimplePrimeReport(Record):
@@ -96,12 +86,9 @@ class SimplePrimeReport(Record):
 def center(a: Algebra) -> Subspace:
     """{z : z e_i = e_i z for all i}, exactly.
 
-    Z(A) = ker ad: the center is the kernel of the inner map z -> ad_z of
-    A on itself, the map whose image is Inn(A): the right kernel of the
-    matrix whose columns are the ad vectors.
+    Z(A) = H^0(A, A), read off the inner map's kept elimination.
     """
-    columns = inner_map(a, a.self_bimodule())
-    return nullspace(SparseMatrix(a.dim, a.dim**2, [c.items() for c in columns]).transpose())
+    return _inner(a, a.self_bimodule()).h0
 
 
 def unitization(a: Algebra) -> Algebra:
@@ -180,21 +167,21 @@ def min_poly(a: Algebra, x) -> Polynomial:
     """Monic minimal polynomial of x, from the first power dependence.
 
     Powers start at the algebra's unit; when A has none, a formal unit
-    is adjoined first.  Each power is a sparse product, and the powers
-    so far are the columns of the system solved for the next.
+    is adjoined first.  Each power, tagged 1 at its own column, is reduced
+    against the integer echelon rows of the powers before it; the tags of
+    the first whose value part vanishes hold the polynomial.
     """
-    alg, e, coords = _with_unit(a, x)
-    powers = [e]
-    while True:
-        nxt = _product(alg.mul_table, powers[-1], coords)
-        columns = SparseMatrix(len(powers), alg.dim, [p.items() for p in powers])
-        dep = solve(columns.transpose(), nxt)
-        if dep is not None:
-            coeffs = [-c for c in dep] + [Fraction(1)]
-            return Polynomial(coeffs)
-        powers.append(nxt)
-        if len(powers) > alg.dim + 1:
-            raise AssertionError("no power dependence found below the dimension")
+    alg, power, coords = _with_unit(a, x)
+    dim, held = alg.dim, {}  # held: {leading column: integer row}
+    for k in range(dim + 2):
+        row = _integer_row(chain(power.items(), ((dim + k, 1),)))[1]
+        while (c := min(row)) < dim and c in held:
+            _cancel(row, held[c], c)
+        if c >= dim and k:  # sum_i row[dim + i] x^i = 0, with row[dim + k] nonzero
+            return Polynomial([Fraction(row.get(dim + i, 0), row[dim + k]) for i in range(k + 1)])
+        held[c] = row
+        power = _product(alg.mul_table, power, coords)
+    raise AssertionError("no power dependence found below the dimension")
 
 
 def poly_eval_in_algebra(a: Algebra, poly: Polynomial, x) -> Vector:

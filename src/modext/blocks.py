@@ -40,9 +40,9 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 from .algebra import Element, LinearMap, _sum_sparse
-from .derivations import _failing_pairs, inner_map, is_derivation
+from .derivations import _failing_pairs, _inner, is_derivation
 from .extension import ModuleExtension
-from .linalg import SparseMatrix, coordinates, solve
+from .linalg import _dense
 from .reports import ConditionReport, require
 
 C5 = "C5: tau1 is an A-bimodule homomorphism"
@@ -167,23 +167,21 @@ def split_d1_d2(t: ModuleExtension, d: LinearMap) -> Tuple[LinearMap, LinearMap]
 def inner_witness(t: ModuleExtension, d: LinearMap) -> Optional[Tuple[Element, Element]]:
     """Solve D = ad_{(b,v)} exactly; (b, v) or None.
 
-    The system is the inner map of T, whose columns are the ad of the
-    basis elements; one solution keeps a shared b across the delta1 and
-    tau2 blocks and forces tau1 = 0.  Certificate: the ad columns summed
-    over the nonzeros of x are D's nonzero entries; it proves D =
-    ad_{(b,v)} a derivation, so the Leibniz identity is checked only when
-    no witness exists.
+    x sums the preimages of Inn's rows in T's kept inner-map elimination
+    (``derivations._inner``), weighted by D's entries at Inn's pivots; it
+    keeps one b across the delta1 and tau2 blocks and forces tau1 = 0.
+    Certificate: T's ad columns summed over x are D's nonzero entries, which
+    proves D a derivation: the Leibniz identity is checked only if it fails.
     """
     n = t.total.dim
     if d.source.dim != n or d.target.dim != n:
         raise ValueError("map is not square of dimension dim A + dim U")
-    columns = inner_map(t.total, t.total.self_bimodule())
+    kept = _inner(t.total, t.total.self_bimodule())
     entries = {r * n + s: x for s, col in enumerate(d.columns) for r, x in col.items()}
-    x = solve(SparseMatrix(n, n * n, [c.items() for c in columns]).transpose(), entries)
-    if x is None:
+    x = _sum_sparse(((j, entries[p]) for j, p in enumerate(kept.inn.pivots) if p in entries),
+                    kept.preimages)
+    if _sum_sparse(x.items(), kept.columns) != entries:
         _require_derivation(t, d)
         return None
-    if _sum_sparse(coordinates(n, x).items(), columns) != entries:
-        raise AssertionError("witness does not reproduce the derivation")
-    b_coords, v_coords = t.split(x)
+    b_coords, v_coords = t.split(_dense(x, n))
     return Element(t.base, b_coords), Element(t.module, v_coords)

@@ -179,12 +179,7 @@ def cmd_decompose(args, art, out: Output) -> None:
     t = art.extension()
     d = _map(art, args.map, "total", "total")
     b = blocks_of(t, d)
-    out.put("blocks", {
-        "delta1": _fmt_matrix(b.delta1.matrix),
-        "tau1": _fmt_matrix(b.tau1.matrix),
-        "delta2": _fmt_matrix(b.delta2.matrix),
-        "tau2": _fmt_matrix(b.tau2.matrix),
-    })
+    out.put("blocks", {name: _fmt_matrix(block.matrix) for name, block in b._asdict().items()})
     rep = check_block_conditions(t, b)
     out.report("block_conditions", rep)
     # C1-C6 together are the Leibniz identity on T
@@ -378,10 +373,7 @@ def main(argv=None) -> int:
         args.func(args, fileio.load_file(args.file), out)
         sys.stdout.write(out.render(args.json))
         return 0
-    except fileio.ParseError as e:
-        sys.stderr.write("input error: %s\n" % e)
-        return 2
-    except OSError as e:
+    except (fileio.ParseError, OSError) as e:
         sys.stderr.write("input error: %s\n" % e)
         return 2
     except ValidationError as e:

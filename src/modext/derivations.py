@@ -27,11 +27,9 @@ per nonzero entry of D (scaled by their common denominator) and constant
 of the module's integer tables, so they cost time in proportion to their
 terms; the witness of a pair whose sides differ is its integer sides
 divided by the tables' denominator times D's.  No check builds the
-system.  The inner map x -> (a -> a x - x a) is held as its columns,
-the flattened ad_{u_s}, one sparse vector per basis element of U read
-off the nonzero action constants: Inn(A, U) is their span, an inner
-derivation their sum over the nonzeros of x, and the center the kernel
-of the matrix they are the columns of, for U = A.
+system.  The inner map x -> (a -> a x - x a) is held as its ad columns
+and eliminated once per U by ``_inner``, for Inn(A, U), innerness
+witnesses and H^0(A, U) = {x : a x = x a}, the center for U = A.
 
 Row order of the Leibniz system is lexicographic in (i, j, k); columns
 are D's matrix entries in row-major order.  Both are fixed so computed
@@ -40,12 +38,13 @@ bases are canonical.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import List
+from itertools import chain, product
+from typing import List, NamedTuple
 
 from .algebra import (Algebra, Bimodule, LinearMap, _columns, _failures, _product, _sides,
                       _sum_sparse)
-from .linalg import PRIME, SparseMatrix, Subspace, _cancel_mod_p, _monic, coordinates, nullspace
+from .linalg import (PRIME, SparseMatrix, Subspace, _cancel_mod_p, _distinct_rows, _monic, _rref,
+                     coordinates, nullspace)
 from .reports import ConditionReport
 
 
@@ -157,10 +156,6 @@ class DerivationSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def as_subspace(self) -> Subspace:
-        """The flattened derivation matrices' span in Q^(n*m), the kernel solved."""
-        return self.kernel
-
     def __repr__(self):
         return "DerivationSpace(dim=%d)" % self.dim
 
@@ -196,35 +191,58 @@ def derivation_space(a: Algebra, u: Bimodule) -> DerivationSpace:
     return DerivationSpace(ker, basis)
 
 
-def inner_map(a: Algebra, u: Bimodule) -> list:
-    """The linear map x -> ad_x from U into flattened Hom(A, U), as its
-    columns: vector s is the flattened matrix of ad_{u_s}: b -> b u_s -
-    u_s b, its entry k * dim A + i coordinate k of e_i u_s - u_s e_i, kept
-    as its nonzeros {index: Fraction}."""
+class _Inner(NamedTuple):
+    columns: list    # ad_{u_s} flattened, {index: Fraction}, one per basis element of U
+    inn: Subspace    # Inn(A, U)
+    preimages: list  # for each row of inn, the x {s: Fraction} with that ad_x
+    h0: Subspace     # H^0(A, U) = {x : a x = x a}, the center when U = A
+
+
+def _inner(a: Algebra, u: Bimodule) -> _Inner:
+    """The inner map x -> ad_x of u, built and eliminated once, kept on u.
+
+    Column s is the flattened ad_{u_s}, entry k * dim A + i coordinate k
+    of e_i u_s - u_s e_i.  One ``_rref`` of the rows ad_{u_s} + e_s, tag
+    e_s at column m n + n - 1 - s: rows with their pivot in the ad part are
+    Inn's, their tags the x with that ad, and the other rows' tags span H^0.
+    Reversed tags put H^0's pivots at the s with ad_{u_s} in the span of
+    the ad_{u_r}, r < s, ``solve``'s free columns on the transposed map,
+    where every Inn row's tag is 0.
+    """
     if u.algebra is not a:
         raise ValueError("module is not over the given algebra")
-    m, n = a.dim, u.dim
-    columns = [{} for _ in range(n)]
-    for i, s in product(range(m), range(n)):
-        for k, c in u.left_table[i][s]:
-            columns[s][k * m + i] = c
-        for k, c in u.right_table[s][i]:
-            columns[s][k * m + i] = columns[s].get(k * m + i, 0) - c
-    return [{r: c for r, c in col.items() if c} for col in columns]
+    if u._inner is None:
+        m, n = a.dim, u.dim
+        columns = [{} for _ in range(n)]
+        for i, s in product(range(m), range(n)):
+            for k, c in u.left_table[i][s]:
+                columns[s][k * m + i] = c
+            for k, c in u.right_table[s][i]:
+                columns[s][k * m + i] = columns[s].get(k * m + i, 0) - c
+        columns = [{r: c for r, c in col.items() if c} for col in columns]
+        mn, last = m * n, m * n + n - 1  # the tag of u_s is column last - s
+        pivots, rows = _rref(_distinct_rows(chain(col.items(), ((last - s, 1),))
+                                            for s, col in enumerate(columns)), last + 1)
+        rank = sum(p < mn for p in pivots)  # the pivots ascend: Inn's rows come first
+        tags = [{last - c: x for c, x in row.items() if c >= mn} for row in rows]
+        inn = Subspace._reduced(mn, pivots[:rank], [{c: x for c, x in row.items() if c < mn}
+                                                    for row in rows[:rank]])
+        h0 = Subspace.row_space(SparseMatrix(n - rank, n, [t.items() for t in tags[rank:]]))
+        u._inner = _Inner(columns, inn, tags[:rank], h0)
+    return u._inner
 
 
 def inner_derivation(a: Algebra, u: Bimodule, x) -> LinearMap:
     """The inner derivation b -> b x - x b for the coordinates x of a
-    module element: the ad columns summed over the nonzeros of x only."""
-    flat = _sum_sparse(coordinates(u.dim, x).items(), inner_map(a, u))
+    module element: the kept ad columns summed over the nonzeros of x only."""
+    flat = _sum_sparse(coordinates(u.dim, x).items(), _inner(a, u).columns)
     return LinearMap._from_columns(a, u, _columns(flat, a.dim))
 
 
 def inner_space(a: Algebra, u: Bimodule) -> Subspace:
     """Image of the inner map x -> ad_x inside flattened Hom(A, U): the
-    span of its columns, taken as the rows of a matrix."""
-    columns = inner_map(a, u)
-    return Subspace.row_space(SparseMatrix(u.dim, a.dim * u.dim, [c.items() for c in columns]))
+    ad rows of its kept elimination."""
+    return _inner(a, u).inn
 
 
 def h1_dimension(a: Algebra, u: Bimodule) -> int:

@@ -9,11 +9,10 @@ reads; ``solve`` takes its right side as those nonzeros {row: value}
 and augments only their rows.  The systems solved are very sparse, so
 there is one elimination loop, ``_echelon``, on sparse rows: a
 ``Matrix`` hands it ``enumerate`` of each row, a ``SparseMatrix`` its
-stored nonzeros.  Every system the package builds is a
-``SparseMatrix``: the Leibniz rows, the powers of ``analysis.min_poly``,
-and the inner map held as its ad columns, one sparse vector per basis
-element, spanned as rows for Inn and eliminated on its transpose for the
-center and innerness witnesses.  Each row is read once as a primitive
+stored nonzeros.  The package builds sparse rows only: the Leibniz
+rows, the inner map's tagged ad columns (``derivations._inner``) and
+the tagged powers of ``analysis.min_poly``.  Each row is read once as
+a primitive
 integer row, first entry positive, and empty and repeated rows are
 dropped (the Leibniz system of T(M3, M3) has 1,944 rows, 437 of them
 distinct).  The loop
@@ -113,10 +112,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = Fraction(1)
-        return m
+        return cls(n, n, [unit_vec(n, i) for i in range(n)])
 
     def __eq__(self, other):
         return (
@@ -481,8 +477,13 @@ class Subspace:
     @classmethod
     def row_space(cls, m) -> "Subspace":
         """The span of the rows of a Matrix or SparseMatrix: ``_rref``'s rows."""
+        return cls._reduced(m.cols, *_rref(_distinct_rows(m.pairs()), m.cols))
+
+    @classmethod
+    def _reduced(cls, ambient_dim: int, pivots: list, rows: list) -> "Subspace":
+        """The span of RREF rows {column: Fraction} with these pivots, kept as they are."""
         s = cls.__new__(cls)
-        s.ambient_dim, (s.pivots, s.rows) = m.cols, _rref(_distinct_rows(m.pairs()), m.cols)
+        s.ambient_dim, s.pivots, s.rows = ambient_dim, pivots, rows
         return s
 
     @classmethod

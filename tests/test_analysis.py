@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from math import gcd
@@ -21,7 +22,7 @@ from modext.analysis import (
 from modext.algebra import Algebra, LinearMap, annihilator, is_module_hom
 from modext.derivations import derivation_space
 from modext.extension import quotient_algebra, trivial_extension
-from modext.linalg import Subspace, rank, unit_vec, zero_vec
+from modext.linalg import Matrix, Subspace, nullspace, rank, solve, unit_vec, zero_vec
 from modext.samples import (
     column_module,
     cyclic_group_algebra,
@@ -35,7 +36,7 @@ from modext.samples import (
 )
 
 from families import basis_change, self_extension, twin, upper_triangular
-from oracles import largest_nilpotent_ideal_dim
+from oracles import ad_vectors, largest_nilpotent_ideal_dim, tensors_of
 
 
 class TestCenter:
@@ -52,6 +53,18 @@ class TestCenter:
         z = center(upper_triangular_2())
         assert z.dim == 1
         assert z.contains_vector([1, 0, 1])  # E11 + E22
+
+    @pytest.mark.parametrize("build", [
+        lambda: matrix_units(3), lambda: upper_triangular(3), lambda: cyclic_group_algebra(4),
+        lambda: zero_product(3), lambda: self_extension(matrix_units(2)),
+        lambda: self_extension(upper_triangular(3)), lambda: _twin(matrix_units(2)),
+        lambda: _twin(upper_triangular(3)), lambda: _twin(cyclic_group_algebra(4)),
+    ], ids=["M3", "UT3", "Q[C4]", "zero_product(3)", "T(M2,M2)", "T(UT3,UT3)",
+            "M2'", "UT3'", "Q[C4]'"])
+    def test_is_the_nullspace_of_the_transposed_inner_map(self, build):
+        a = build()
+        ads = Matrix.from_rows(ad_vectors(*tensors_of(a, a.self_bimodule())))
+        assert center(a) == nullspace(ads.transpose())
 
 
 class TestRadical:
@@ -169,6 +182,21 @@ class TestTheoremRadicals:
         assert radical(self_extension(a)).radical == want
 
 
+def _min_poly_by_solve(a, x):
+    """The first power of x in the span of the powers before it, one
+    ``solve`` per power, in the unitization if A has no unit."""
+    alg, e = a, a.unit()
+    if e is None:
+        alg, e, x = unitization(a), unit_vec(a.dim + 1, 0), [0] + list(x)
+    powers = [e]
+    while True:
+        nxt = alg.mul_vec(powers[-1], x)
+        dep = solve(Matrix.from_rows(powers).transpose(), {k: c for k, c in enumerate(nxt) if c})
+        if dep is not None:
+            return Polynomial([-c for c in dep] + [1])
+        powers.append(nxt)
+
+
 class TestMinPoly:
     def test_unit_has_t_minus_one(self):
         for a in (field_q(), dual_numbers(), matrix_units(2)):
@@ -186,14 +214,26 @@ class TestMinPoly:
         assert min_poly(z, unit_vec(2, 0)) == Polynomial([0, 0, 1])
 
     def test_min_poly_annihilates_its_element(self, corpus_pairs):
-        import random
-
         rng = random.Random(17)
         for name, a, _ in corpus_pairs[:12]:
             x = [Fraction(rng.randint(-3, 3)) for _ in range(a.dim)]
             p = min_poly(a, x)
             val = poly_eval_in_algebra(a, p, x)
             assert all(c == 0 for c in val), name
+
+    @pytest.mark.parametrize("build, x", [
+        (lambda: truncated_poly(12), unit_vec(12, 1)),
+        (lambda: truncated_poly(12), [1, 1] + [0] * 10),
+        (lambda: matrix_units(3), 11),
+        (lambda: cyclic_group_algebra(5), 12),
+        (lambda: zero_product(4), 13),
+    ], ids=["Q[t]/(t^12) at t", "Q[t]/(t^12) at 1+t", "M3", "Q[C5]", "zero_product(4)"])
+    def test_matches_a_solve_for_each_power(self, build, x):
+        a = build()
+        if isinstance(x, int):  # a seed
+            rng = random.Random(x)
+            x = [rng.randint(-3, 3) for _ in range(a.dim)]
+        assert min_poly(a, x) == _min_poly_by_solve(a, x)
 
     def test_str_rendering(self):
         assert str(Polynomial([-1, 1])) == "t - 1"

@@ -17,10 +17,12 @@ import modext.derivations as derivations
 from modext.constructions import lift
 from modext.derivations import inner_derivation, is_derivation
 from modext.extension import trivial_extension
-from modext.linalg import Matrix, unit_vec, zero_vec
+from modext.linalg import Matrix, SparseMatrix, solve, unit_vec, zero_vec
 from modext.reports import HypothesisError
-from modext.samples import dual_numbers, field_q, matrix_units, truncated_poly
+from modext.samples import (cyclic_group_algebra, dual_numbers, field_q, matrix_units,
+                            truncated_poly)
 
+from families import basis_change, twin, upper_triangular
 from oracles import leibniz_holds
 
 
@@ -287,20 +289,62 @@ class TestInnerWitness:
             inner_witness(t, LinearMap.identity(t.total))
         assert not exc.value.report.passed
 
-    def test_wrong_solution_is_rejected(self, monkeypatch):
-        import modext.blocks as blocks
-
+    def test_wrong_solution_is_rejected(self):
+        # a candidate that does not reproduce D fails the certificate: D is
+        # a derivation, so the Leibniz check passes and no witness is given
         a = matrix_units(2)
         t = trivial_extension(a, a.self_bimodule())
         tsb = t.total.self_bimodule()
         d = inner_derivation(t.total, tsb, unit_vec(t.total.dim, 1))
-        real = blocks.solve
-        # E12 is not central, so shifting the solution by it changes ad
-        monkeypatch.setattr(
-            blocks, "solve", lambda m, b: [x + y for x, y in zip(real(m, b), unit_vec(m.cols, 1))]
-        )
-        with pytest.raises(AssertionError, match="witness"):
-            inner_witness(t, d)
+        kept = derivations._inner(t.total, tsb)
+        # E12 is not central, so shifting every preimage by it changes ad
+        shifted = [{**x, 1: x.get(1, 0) + 1} for x in kept.preimages]
+        tsb._inner = kept._replace(preimages=shifted)
+        assert inner_witness(t, d) is None
+        tsb._inner = kept
+        assert inner_witness(t, d) is not None
+
+    @pytest.mark.parametrize("build", [
+        lambda: matrix_units(2), lambda: matrix_units(3), lambda: matrix_units(4),
+        lambda: upper_triangular(3), lambda: upper_triangular(4),
+        lambda: cyclic_group_algebra(4), lambda: truncated_poly(12),
+        lambda: twin(matrix_units(2), *basis_change(4, 3)),
+        lambda: twin(matrix_units(3), *basis_change(9, 3)),
+        lambda: twin(upper_triangular(3), *basis_change(6, 3)),
+        lambda: twin(upper_triangular(4), *basis_change(10, 3)),
+        lambda: twin(cyclic_group_algebra(4), *basis_change(4, 3)),
+    ], ids=["M2", "M3", "M4", "UT3", "UT4", "Q[C4]", "Q[t]/(t^12)",
+            "M2'", "M3'", "UT3'", "UT4'", "Q[C4]'"])
+    def test_is_solve_on_the_transposed_inner_map(self, build):
+        # the witness read off the kept elimination is byte-equal to the
+        # one solve gives, free columns zeroed, on every Der basis map of T
+        a = build()
+        t = trivial_extension(a, a.self_bimodule())
+        n = t.total.dim
+        # T's ad columns, which test_inner_derivation_is_the_naive_commutator checks
+        columns = derivations._inner(t.total, t.total.self_bimodule()).columns
+        transposed = SparseMatrix(n, n * n, [c.items() for c in columns]).transpose()
+        outer = 0
+        for d in derivations.derivation_space(t.total, t.total.self_bimodule()).basis:
+            entries = {r * n + s: x for s, col in enumerate(d.columns) for r, x in col.items()}
+            x = solve(transposed, entries)
+            w = inner_witness(t, d)
+            if x is None:
+                assert w is None
+                outer += 1
+            else:
+                assert w[0].coords + w[1].coords == x
+                assert [type(c) for c in w[0].coords + w[1].coords] == [Fraction] * n
+        assert outer > 0  # the grading (a, u) -> (0, u) is outer, so H1(T(A, A)) > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_grading_derivation_of_t_mn_mn_has_no_witness(self, n):
+        # (a, u) -> (0, u) is a derivation on T(M_n, M_n), and outer
+        a = matrix_units(n)
+        t = trivial_extension(a, a.self_bimodule())
+        d = assemble(t, BlockDecomposition(tau2=LinearMap.identity(t.module)))
+        assert is_derivation(t.total, t.total.self_bimodule(), d).passed
+        assert inner_witness(t, d) is None
 
 
 def _comparable(out):

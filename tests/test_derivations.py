@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from modext.algebra import Algebra, LinearMap
+from modext.algebra import Algebra, LinearMap, _sum_sparse
 from modext.analysis import center
 from modext.derivations import (
     LeibnizSystem,
@@ -19,17 +19,20 @@ from modext.derivations import (
     is_derivation,
     leibniz_rows,
 )
-from modext import linalg
+from modext import derivations, linalg
 from modext.constructions import corner_module
 from modext.extension import quotient_algebra, quotient_bimodule, trivial_extension
 from modext.io import load_file
 from modext.linalg import PRIME, Matrix, SparseMatrix, Subspace, nullspace, rank, solve, unit_vec
 from modext.samples import (
+    column_module,
     dual_numbers,
+    left_regular_module,
     matrix_units,
     q_plus_q,
     truncated_poly,
     upper_triangular_2,
+    zero_action_module,
     zero_product,
 )
 
@@ -254,6 +257,44 @@ class TestInner:
                 transposed = [list(row) for row in zip(*ads)]
                 assert center(alg).basis == dense_nullspace(transposed), name
 
+    @pytest.mark.parametrize("build", [
+        lambda: matrix_units(3).self_bimodule(),
+        lambda: self_extension(matrix_units(2)).self_bimodule(),
+        lambda: self_extension(upper_triangular(3)).self_bimodule(),
+        lambda: column_module(3),
+        lambda: left_regular_module(truncated_poly(5)),
+        lambda: zero_action_module(matrix_units(2), 3),
+    ], ids=["M3", "T(M2,M2)", "T(UT3,UT3)", "column_module(3)", "Q[t]/(t^5) left",
+            "zero_action(M2, 3)"])
+    def test_kept_elimination_is_the_row_space_and_the_kernel(self, build):
+        """Inn is the row space of the ad columns, and H^0 = {x : a x = x a}
+        the kernel of the matrix they are the columns of."""
+        u = build()
+        a = u.algebra
+        ads = Matrix.from_rows(oracles.ad_vectors(*tensors_of(a, u)))
+        kept = derivations._inner(a, u)
+        assert inner_space(a, u) == Subspace.row_space(ads)
+        assert kept.h0 == nullspace(ads.transpose())
+        assert inner_space(a, u).dim + kept.h0.dim == u.dim
+        for row, x in zip(kept.inn.rows, kept.preimages):  # ad_x is the row
+            assert _sum_sparse(x.items(), kept.columns) == row
+
+    def test_inn_center_and_witnesses_build_one_elimination(self, monkeypatch):
+        from modext.blocks import inner_witness
+
+        reduced = []
+        real = derivations._rref
+        monkeypatch.setattr(derivations, "_rref", lambda *args: reduced.append(args[1]) or real(*args))
+        a = matrix_units(3)
+        t = trivial_extension(a, a.self_bimodule())
+        tsb = t.total.self_bimodule()
+        der = derivation_space(t.total, tsb)
+        assert (inner_space(t.total, tsb).dim, center(t.total).dim) == (16, 2)
+        witnesses = [inner_witness(t, d) for d in der.basis]
+        assert sum(w is None for w in witnesses) == 1
+        inner_derivation(t.total, tsb, unit_vec(t.total.dim, 1))
+        assert reduced == [t.total.dim ** 2 + t.total.dim]  # T's ad rows and their tags
+
     def test_inner_derivation_is_the_naive_commutator(self, corpus_pairs):
         rng = random.Random(24)
         for name, a, u in corpus_pairs:
@@ -357,7 +398,7 @@ class TestDenseTwins:
         assert (der.dim, inner_space(dense, dense.self_bimodule()).dim) == (want_der, want_inn)
         conjugates = [(q * d.matrix * p).flatten()
                       for d in derivation_space(a, a.self_bimodule()).basis]
-        assert der.as_subspace() == Subspace(a.dim ** 2, conjugates)
+        assert der.kernel == Subspace(a.dim ** 2, conjugates)
 
 
 TWINS = pytest.mark.parametrize("build, extend", [
@@ -570,7 +611,7 @@ class TestH1:
     def test_inner_contained_in_der(self, corpus_pairs):
         for name, a, u in corpus_pairs:
             der = derivation_space(a, u)
-            assert der.as_subspace().contains(inner_space(a, u)), name
+            assert der.kernel.contains(inner_space(a, u)), name
 
 
 class TestStructuralProperties:

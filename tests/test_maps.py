@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from modext import algebra, analysis, blocks, linalg
+from modext import algebra, analysis, blocks, derivations, linalg
 from modext.algebra import Algebra, LinearMap, is_module_hom
 from modext.analysis import (center, find_surjective_left_hom, is_nontrivial_idempotent,
                              is_simple_prime, min_poly, radical)
@@ -147,9 +147,8 @@ class TestStoredForm:
     def test_no_dense_matrix_is_built(self, monkeypatch):
         """The entry points build no ``Matrix``: it is only the boundary
         form of io, ``LinearMap(..., Matrix)``, ``.matrix`` and ``rref``.
-        Each right side handed to ``solve`` is its nonzeros only: the unit
-        hands it 2 dim A entries, and ``min_poly`` and ``inner_witness``
-        no zero."""
+        The unit is the one caller of ``solve``, and hands it its right
+        side as its 2 dim A nonzeros only."""
         steps = []  # (name, algebra A, the extension T(A, A))
         for name, a in (("UT2", upper_triangular(2)), ("M2", matrix_units(2))):
             t = trivial_extension(a, a.self_bimodule())
@@ -164,8 +163,7 @@ class TestStoredForm:
             sides.append((current[0], b))
             return linalg.solve(m, b)
 
-        for module in (algebra, analysis, blocks):
-            monkeypatch.setattr(module, "solve", spy)
+        monkeypatch.setattr(algebra, "solve", spy)
 
         def run(label, call):
             before = len(built)
@@ -201,7 +199,8 @@ class TestStoredForm:
             run((name, "corner_tau"), lambda: corner_tau(a, unit_vec(a.dim, 0), der[0]))
         assert {k: n for k, n in counts.items() if n} == {}
         assert len(counts) == 4 * 19
-        assert {"unit", "min_poly", "inner_witness"} <= {label[1] for label, _ in sides}
+        assert {label[1] for label, _ in sides} == {"unit"}
+        assert not any(hasattr(module, "solve") for module in (analysis, blocks, derivations))
         for (name, step), b in sides:
             assert type(b) is dict and all(b.values()), (name, step)
             if step == "unit":
