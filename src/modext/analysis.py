@@ -120,7 +120,7 @@ def is_nilpotent_subspace(a: Algebra, s: Subspace) -> bool:
         if not power:
             return True
         products = (_product(table, x, y).items() for x in power for y in gens)
-        power = _echelon(_distinct_rows(products), a.dim)[2]
+        power = _echelon(_distinct_rows(products))[2]
     return not power
 
 

@@ -69,10 +69,6 @@ def _parse_rows(rows, cols, data, path: str) -> list:
     return out
 
 
-def _parse_matrix(rows, cols, data, path: str) -> Matrix:
-    return Matrix(rows, cols, _parse_rows(rows, cols, data, path))
-
-
 def _parse_tensor(d1, d2, d3, data, path: str):
     if not isinstance(data, list) or len(data) != d1:
         raise ParseError(path, "expected %d slices" % d1)
@@ -118,13 +114,21 @@ class ArtifactFile(Record):
             return self.extension().total
         return self.algebra if tag == "algebra" else self.module
 
-    def linear_map(self, name: str) -> LinearMap:
+    def linear_map(self, name: str, source: str, target: str) -> LinearMap:
+        """The named map, which the file must declare source -> target."""
         if name not in self.maps:
             raise ParseError("maps", "no map named %r in file" % name)
         entry = self.maps[name]
-        return LinearMap(
-            self._carrier(entry.source), self._carrier(entry.target), entry.matrix
-        )
+        if (entry.source, entry.target) != (source, target):
+            raise ParseError("maps", "map %r is declared %s -> %s, not %s -> %s"
+                             % (name, entry.source, entry.target, source, target))
+        return LinearMap(self._carrier(source), self._carrier(target), entry.matrix)
+
+    def subspace(self, name: str) -> Subspace:
+        """The named subspace of the algebra."""
+        if name not in self.subspaces:
+            raise ParseError("subspaces", "no subspace named %r" % name)
+        return self.subspaces[name]
 
     def algebra_element(self, name: str) -> list:
         """Coordinates of the named element, which must live in the algebra."""
@@ -214,7 +218,7 @@ def parse_document(doc) -> ArtifactFile:
         tgt = entry.get("target", "algebra")
         rows = _carrier_dim(tgt, dim, module_dim, path)
         cols = _carrier_dim(src, dim, module_dim, path)
-        matrix = _parse_matrix(rows, cols, entry.get("matrix"), path + ".matrix")
+        matrix = Matrix(rows, cols, _parse_rows(rows, cols, entry.get("matrix"), path + ".matrix"))
         out.maps[entry["name"]] = MapEntry(entry["name"], src, tgt, matrix)
 
     for path, entry in _named_entries(doc, "elements", "element"):

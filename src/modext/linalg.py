@@ -47,6 +47,7 @@ A ``Subspace`` keeps only its sparse RREF rows, as ``_rref`` returns them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -289,17 +290,18 @@ def _cancel_mod_p(row: dict, prow: dict, c: int):
     return _subtract(row, prow, row[c], PRIME)
 
 
-def _echelon(rows: list, cols: int, prepare=lambda row, c: row, cancel=_cancel,
-             sparsest=False):
+def _echelon(rows: list, prepare=lambda row, c: row, cancel=_cancel, sparsest=False):
     """Forward elimination: (pivots, picked, done), where row picked[j] of
     rows, made ready once by prepare, cleared column pivots[j] from the
     other live rows by cancel and ended as done[j].  Ties go to the lowest
     index.  Left to right, each column's pivot is its live row with the
     fewest nonzeros; if sparsest (Markowitz), each step takes the live row
     with the fewest nonzeros and pivots on its column with the fewest live
-    rows.  The rows handed in stay as they are: cancel updates a copy."""
+    rows.  The rows handed in stay as they are: cancel updates a copy.
+    Only the columns the rows touch are indexed: a cancel moves nonzeros
+    among those columns only."""
     rows = [dict(row) for row in rows]
-    where = [set() for _ in range(cols)]  # column -> live rows nonzero there
+    where = defaultdict(set)  # touched column -> live rows nonzero there
     for i, row in enumerate(rows):
         for c in row:
             where[c].add(i)
@@ -308,7 +310,7 @@ def _echelon(rows: list, cols: int, prepare=lambda row, c: row, cancel=_cancel,
 
     def choices():  # each next pivot (row, column) under the rule
         if not sparsest:
-            for c in range(cols):
+            for c in sorted(where):
                 if where[c]:
                     yield min(where[c], key=lambda i: (len(rows[i]), i)), c
         while heap:
@@ -342,7 +344,7 @@ def _rref(rows: list, cols: int, sparsest=False):
     rows, in ``_echelon``'s pivot order under its rule.  Back-substitution,
     last pivot first, adds only free columns to a row, so the rows holding
     each pivot column are indexed once."""
-    pivots, _, done = _echelon(rows, cols, sparsest=sparsest)
+    pivots, _, done = _echelon(rows, sparsest=sparsest)
     holders = SparseMatrix(len(done), cols, [row.items() for row in done]).transpose().data
     for j in range(len(done) - 1, 0, -1):
         for i, _ in holders[pivots[j]]:
@@ -368,7 +370,7 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(_distinct_rows(m.pairs()), m.cols)[0])
+    return len(_echelon(_distinct_rows(m.pairs()))[0])
 
 
 def _complement(pivots: list, rows: list, cols: int) -> dict:
@@ -429,8 +431,7 @@ def nullspace(m) -> "Subspace":
     sample = sorted(range(len(rows)), key=lambda i: len(rows[i]))[: m.cols]
     picked = []
     while True:
-        pick = _echelon([residues[i] for i in sample], m.cols, _monic, _cancel_mod_p,
-                        sparsest=True)[1]
+        pick = _echelon([residues[i] for i in sample], _monic, _cancel_mod_p, sparsest=True)[1]
         picked = [sample[j] for j in pick] if len(pick) > len(picked) else range(len(rows))
         kernel = _kernel_vectors(*_rref([rows[i] for i in picked], m.cols, sparsest=True),
                                  m.cols)

@@ -13,9 +13,10 @@ from modext.algebra import (
     is_module_hom,
 )
 from modext.analysis import is_idempotent, min_poly
+from modext.blocks import inner_witness
 from modext.constructions import corner_basis
 from modext.derivations import inner_derivation
-from modext.extension import norm_l1, trivial_extension
+from modext.extension import ModuleExtension, ideal_check, norm_l1, trivial_extension
 from modext.linalg import Matrix, Subspace, coordinates, solve, unit_vec, zero_vec
 from modext.samples import (
     column_module,
@@ -633,3 +634,35 @@ def test_associativity_independent_oracle(corpus_pairs):
                     lhs = oracle_mul(mul, oracle_mul(mul, ei, ej), ek)
                     rhs = oracle_mul(mul, ei, oracle_mul(mul, ej, ek))
                     assert lhs == rhs, (name, i, j, k)
+
+
+def _q_and_a_zero_module():
+    q = field_q()
+    return trivial_extension(q, zero_action_module(q, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Algebra([[[0, 0]], [[0, 0]]]), "tensor shape mismatch"),
+    (lambda: Algebra([[[0, 0]]]), "tensor shape mismatch"),
+    (lambda: Algebra([[[0]]], basis_names=["a", "b"]), "basis name count"),
+    (lambda: Bimodule(field_q(), [], []), "left tensor first axis"),
+    (lambda: annihilator(field_q(), zero_action_module(dual_numbers(), 1)),
+     "bimodule is not over the given algebra"),
+    (lambda: is_module_hom(LinearMap.identity(column_module(2)), side="middle"),
+     "side must be left, right or both"),
+    (lambda: is_module_hom(LinearMap.identity(field_q())), "requires bimodule source and target"),
+    (lambda: is_module_hom(LinearMap(zero_action_module(field_q(), 1),
+                                     zero_action_module(field_q(), 1), Matrix.from_rows([[1]]))),
+     "different algebras"),
+    (lambda: inner_witness(_q_and_a_zero_module(), LinearMap.identity(field_q())),
+     "map is not square"),
+    (lambda: ModuleExtension(field_q(), zero_action_module(field_q(), 1)),
+     "module is not over the given base algebra"),
+    (lambda: ideal_check(field_q(), Subspace.full(2)), "subspace ambient dimension"),
+], ids=["table planes", "table entries", "basis names", "bimodule left axis",
+        "annihilator algebra", "module hom side", "module hom carriers",
+        "module hom algebras", "witness map shape", "extension module", "ideal ambient"])
+def test_argument_checks_raise_value_error(call, message):
+    # each check of the Python API's arguments, before any work is done
+    with pytest.raises(ValueError, match=message):
+        call()

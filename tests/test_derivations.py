@@ -457,9 +457,9 @@ class TestIntegerLeibnizRows:
         calls = []
         real = linalg._echelon
 
-        def spy(rows, cols, *arithmetic, sparsest=False):
-            calls.append((rows, copy.deepcopy(rows), cols, arithmetic, sparsest))
-            return real(rows, cols, *arithmetic, sparsest=sparsest)
+        def spy(rows, *arithmetic, sparsest=False):
+            calls.append((rows, copy.deepcopy(rows), arithmetic, sparsest))
+            return real(rows, *arithmetic, sparsest=sparsest)
 
         monkeypatch.setattr(linalg, "_echelon", spy)
         a = _dense_twin(build, extend)
@@ -468,9 +468,10 @@ class TestIntegerLeibnizRows:
                   (oracles.monic, oracles.copying_cancel_mod_p)}
         rules = {(bool(arithmetic), sparsest) for *_, arithmetic, sparsest in calls}
         assert rules == {(True, True), (False, True), (False, False)}
-        for rows, before, cols, arithmetic, sparsest in calls:
+        cols = a.dim ** 2  # the oracle's width: past every column, D's entries the widest
+        for rows, before, arithmetic, sparsest in calls:
             assert rows == before
-            assert real(rows, cols, *arithmetic, sparsest=sparsest) == \
+            assert real(rows, *arithmetic, sparsest=sparsest) == \
                 oracles.copying_echelon(rows, cols, *oracle[arithmetic], sparsest=sparsest)
 
 

@@ -128,7 +128,7 @@ class TestShippedFiles:
         assert art.algebra.dim == 4
         assert art.module.dim == 2
         assert "p" in art.elements
-        d = art.linear_map("D")
+        d = art.linear_map("D", "total", "total")
         assert d.matrix.rows == 6
 
     def test_upper_triangular_file_contents(self):
@@ -216,7 +216,7 @@ class TestStructuralErrors:
     def test_missing_map_lookup(self):
         art = parse_document(self.good_doc())
         with pytest.raises(ParseError):
-            art.linear_map("ghost")
+            art.linear_map("ghost", "algebra", "algebra")
 
     def test_extension_requires_a_module_section(self):
         art = parse_document(self.good_doc())

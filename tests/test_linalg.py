@@ -95,9 +95,9 @@ class TestModularRowBasis:
         sizes, seen = {}, []
         real_echelon, real_rejected = linalg._echelon, linalg._rejected
 
-        def echelon_spy(basis_rows, cols, *arithmetic, **rule):
+        def echelon_spy(basis_rows, *arithmetic, **rule):
             sizes["mod p" if arithmetic else "exact"] = len(basis_rows)
-            return real_echelon(basis_rows, cols, *arithmetic, **rule)
+            return real_echelon(basis_rows, *arithmetic, **rule)
 
         def rejected_spy(*args):
             out = list(real_rejected(*args))
@@ -591,7 +591,7 @@ def test_echelon_matches_the_copying_loop_and_leaves_its_rows(data):
              (oracles.monic, oracles.copying_cancel_mod_p))):
         before = copy.deepcopy(handed)
         for sparsest in (False, True):
-            assert linalg._echelon(handed, cols, *arithmetic, sparsest=sparsest) == \
+            assert linalg._echelon(handed, *arithmetic, sparsest=sparsest) == \
                 oracles.copying_echelon(handed, cols, *oracle, sparsest=sparsest)
         assert handed == before
 
@@ -612,11 +612,11 @@ def test_nullspace_leaves_its_rows_on_the_fallback_to_all_rows(rows, monkeypatch
         handed.append((out, copy.deepcopy(out)))
         return out
 
-    def echelon_spy(basis_rows, cols, *arithmetic, **rule):
+    def echelon_spy(basis_rows, *arithmetic, **rule):
         handed.append((basis_rows, copy.deepcopy(basis_rows)))
         if not arithmetic:
             exact.append(len(basis_rows))
-        return real_echelon(basis_rows, cols, *arithmetic, **rule)
+        return real_echelon(basis_rows, *arithmetic, **rule)
 
     monkeypatch.setattr(linalg, "_distinct_rows", distinct_spy)
     monkeypatch.setattr(linalg, "_echelon", echelon_spy)
