@@ -17,7 +17,6 @@ failure, 2 input error.  Output is deterministic: identical inputs and
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -110,11 +109,6 @@ def _flat(v):
     if isinstance(v, list):
         return "[" + ", ".join(str(x) for x in v) + "]"
     return str(v)
-
-
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
 def cmd_validate(args, art, out: dict) -> None:
@@ -303,12 +297,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out = {
-            "command": args.cmd,
-            "input": os.path.basename(args.file),
-            "input_digest": _digest(args.file),
-        }
-        args.func(args, fileio.load_file(args.file), out)
+        art = fileio.load_file(args.file)
+        out = {"command": args.cmd, "input": os.path.basename(args.file), "input_digest": art.digest}
+        args.func(args, art, out)
         sys.stdout.write(_render(out, args.json))
         return 0
     except (fileio.ParseError, OSError) as e:

@@ -11,6 +11,7 @@ violations surface as ValidationError from the constructors.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -96,6 +97,7 @@ class ArtifactFile(Record):
         self.element_carriers: Dict[str, str] = {}
         self.subspaces: Dict[str, Subspace] = {}
         self._extension: Optional[ModuleExtension] = None  # built on first use
+        self.digest: Optional[str] = None  # set by load_file
 
     def bimodule(self) -> Bimodule:
         """The bimodule section, which the file must declare."""
@@ -243,12 +245,16 @@ def parse_document(doc) -> ArtifactFile:
 
 
 def load_file(path: str) -> ArtifactFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as e:  # bad UTF-8, long ints, deep nesting
-            raise ParseError("$", "invalid JSON: %s" % e)
-    return parse_document(doc)
+    """The file parsed, its bytes read once: the digest is their sha256 prefix."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # bad UTF-8, long ints, deep nesting
+        raise ParseError("$", "invalid JSON: %s" % e)
+    art = parse_document(doc)
+    art.digest = hashlib.sha256(data).hexdigest()[:16]
+    return art
 
 
 def matrix_to_lists(m: Matrix):

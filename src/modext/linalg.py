@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals: ``fractions.Fraction`` and
 Python ints, no floats, no tolerances.
 
-Vectors and ``Matrix`` rows are dense lists at the boundary.  Every
+Vectors are dense lists at the boundary, and ``Matrix`` is the dense
+boundary record of a map: it does no arithmetic but ``+``.  Every
 vector a caller hands the package is read once, by ``coordinates``: its
 length checked, its entries coerced by ``frac``, its nonzeros
 {index: Fraction} handed on.  ``Subspace(n, vectors)`` spans what it
@@ -90,7 +91,8 @@ def unit_vec(n: int, i: int) -> Vector:
 
 
 class Matrix:
-    """Dense rational matrix, row-major, immutable by convention."""
+    """The dense boundary record: a rational matrix, row-major, immutable
+    by convention, as io, ``LinearMap`` and ``rref`` hand it over."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -124,65 +126,17 @@ class Matrix:
         )
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
         return Matrix(
             self.rows,
             self.cols,
             [[x + y for x, y in zip(a, b)] for a, b in zip(self.data, other.data)],
         )
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            self.rows,
-            self.cols,
-            [[x - y for x, y in zip(a, b)] for a, b in zip(self.data, other.data)],
-        )
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        out = Matrix.zeros(self.rows, other.cols)
-        nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
-        for row, dst in zip(self.data, out.data):
-            for k, a in enumerate(row):
-                if a:
-                    for j, x in nonzeros[k]:
-                        dst[j] += a * x
-        return out
-
-    def apply(self, v: Vector) -> Vector:
-        x = coordinates(self.cols, v)
-        return [sum((row[c] * a for c, a in x.items()), Fraction(0)) for row in self.data]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-
-    def flatten(self) -> Vector:
-        """Row-major entry vector."""
-        return [x for row in self.data for x in row]
-
-    @classmethod
-    def unflatten(cls, rows: int, cols: int, entries: Sequence) -> "Matrix":
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
-        return cls(
-            rows, cols, [entries[i * cols : (i + 1) * cols] for i in range(rows)]
-        )
-
     def pairs(self):
         """Each row as (column, value) pairs, the form ``_echelon`` reads."""
         return map(enumerate, self.data)
-
-    def _same_shape(self, other: "Matrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     def __repr__(self):
         return "Matrix(%d, %d, %r)" % (self.rows, self.cols, self.data)

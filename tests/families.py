@@ -5,6 +5,7 @@ import random
 from modext.algebra import Algebra
 from modext.extension import trivial_extension
 from modext.linalg import Matrix, rref, unit_vec
+from oracles import apply_matrix
 
 
 def upper_triangular(n):
@@ -19,9 +20,24 @@ def upper_triangular(n):
     return Algebra(mul)
 
 
+def from_columns(cols):
+    """The Matrix whose columns are the vectors cols."""
+    return Matrix(len(cols[0]) if cols else 0, len(cols), list(zip(*cols)))
+
+
+def row_major(m):
+    """The entries of the Matrix m, row by row."""
+    return [x for row in m.data for x in row]
+
+
+def from_row_major(rows, cols, xs):
+    """The rows x cols Matrix whose entries, row by row, are xs."""
+    return Matrix(rows, cols, [xs[i * cols:(i + 1) * cols] for i in range(rows)])
+
+
 def left_mul_matrix(a, x):
     """Matrix of y -> x y on the algebra basis: column j is x e_j."""
-    return Matrix.from_rows([a.mul_vec(x, unit_vec(a.dim, j)) for j in range(a.dim)]).transpose()
+    return from_columns([a.mul_vec(x, unit_vec(a.dim, j)) for j in range(a.dim)])
 
 
 def self_extension(a):
@@ -42,5 +58,5 @@ def basis_change(d, seed):
 def twin(a, p, q):
     """A on the basis f_i = sum_k p[k][i] e_k, whose products are dense:
     f_i f_j in e-coordinates, mapped to f-coordinates by q = p^-1."""
-    f = p.transpose().data  # row i: the e-coordinates of f_i
-    return Algebra([[q.apply(a.mul_vec(x, y)) for y in f] for x in f])
+    f = list(zip(*p.data))  # f[i]: the e-coordinates of f_i
+    return Algebra([[apply_matrix(q.data, a.mul_vec(x, y)) for y in f] for x in f])

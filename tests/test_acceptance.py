@@ -46,6 +46,7 @@ from modext.samples import (
 )
 
 from cases import ALL_NEGATIVE_CASES
+from families import row_major
 from oracles import (
     derivation_dim,
     inner_dim,
@@ -142,7 +143,7 @@ def test_criterion_3_innerness(corpus_der_t):
         inn = inner_space(t.total, tsb)
         for d in der.basis:
             w = inner_witness(t, d)
-            if (w is not None) != inn.contains_vector(d.matrix.flatten()):
+            if (w is not None) != inn.contains_vector(row_major(d.matrix)):
                 mismatches += 1
             checked += 1
         for _ in range(3):

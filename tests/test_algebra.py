@@ -30,7 +30,7 @@ from modext.samples import (
     zero_product,
 )
 
-from families import basis_change, left_mul_matrix, twin, upper_triangular
+from families import basis_change, from_columns, left_mul_matrix, twin, upper_triangular
 from oracles import (apply_matrix, dense_nullspace, dense_rref, left_act, mul_vec,
                      right_act, tensors_of)
 
@@ -353,7 +353,6 @@ def _entry_points():
         "min_poly": (lambda x: min_poly(a, x), 2),
         "is_idempotent": (lambda x: is_idempotent(a, x), 2),
         "corner_basis": (lambda x: corner_basis(a, x), 2),
-        "Matrix.apply": (Matrix.identity(2).apply, 2),
         "Subspace": (lambda x: Subspace(2, [x]), 2),
         "contains_vector": (full.contains_vector, 2),
         "coords_of": (full.coords_of, 2),
@@ -573,7 +572,7 @@ class TestModuleHom:
         # constants of either sign and above 1
         cols = [[1, 1, 0, 0], [0, 1, -1, 0], [0, 0, 1, 2], [0, 0, 0, 1]]
         m2 = matrix_units(2)
-        p = Matrix.from_rows(cols).transpose()
+        p = from_columns(cols)
         a = Algebra([[solve(p, dict(enumerate(m2.mul_vec(x, y)))) for y in cols] for x in cols])
         u = a.self_bimodule()
         n, left, right = u.dim, u.left, u.right

@@ -22,10 +22,11 @@ from modext.analysis import (
 from modext.algebra import Algebra, LinearMap, annihilator, is_module_hom
 from modext.derivations import derivation_space
 from modext.extension import quotient_algebra, trivial_extension
-from modext.linalg import Matrix, Subspace, nullspace, rank, solve, unit_vec, zero_vec
+from modext.linalg import Subspace, nullspace, rank, solve, unit_vec, zero_vec
 from modext.samples import (
     column_module,
     cyclic_group_algebra,
+    direct_sum,
     dual_numbers,
     field_q,
     matrix_units,
@@ -35,7 +36,7 @@ from modext.samples import (
     zero_product,
 )
 
-from families import basis_change, self_extension, twin, upper_triangular
+from families import basis_change, from_columns, self_extension, twin, upper_triangular
 from oracles import ad_vectors, largest_nilpotent_ideal_dim, tensors_of
 
 
@@ -63,8 +64,7 @@ class TestCenter:
             "M2'", "UT3'", "Q[C4]'"])
     def test_is_the_nullspace_of_the_transposed_inner_map(self, build):
         a = build()
-        ads = Matrix.from_rows(ad_vectors(*tensors_of(a, a.self_bimodule())))
-        assert center(a) == nullspace(ads.transpose())
+        assert center(a) == nullspace(from_columns(ad_vectors(*tensors_of(a, a.self_bimodule()))))
 
 
 class TestRadical:
@@ -181,6 +181,28 @@ class TestTheoremRadicals:
         want = Subspace(12, [unit_vec(12, k) for k in strict + list(range(6, 12))])
         assert radical(self_extension(a)).radical == want
 
+    @pytest.mark.parametrize("build, commutative", [
+        (lambda: truncated_poly(6), True),
+        (lambda: cyclic_group_algebra(4), True),
+        (lambda: direct_sum(truncated_poly(3), cyclic_group_algebra(2)), True),
+        (lambda: self_extension(truncated_poly(4)), True),
+        (lambda: self_extension(cyclic_group_algebra(3)), True),
+        (lambda: _twin(truncated_poly(6)), True),
+        (lambda: matrix_units(2), False),
+    ], ids=["Q[t]/(t^6)", "Q[C4]", "Q[t]/(t^3)+Q[C2]", "T(Q[t]/(t^4))", "T(Q[C3])",
+            "Q[t]/(t^6)'", "M2"])
+    def test_derivations_of_a_commutative_algebra_map_into_the_radical(self, build,
+                                                                       commutative):
+        """The finite-dimensional form of Singer-Wermer (Math. Ann. 129,
+        1955) and Thomas (Ann. of Math. 128, 1988): for commutative A,
+        every D in Der(A) has D(A) in rad A.  M2, whose radical is 0 and
+        whose inner derivations are not, is the non-commutative control."""
+        a = build()
+        rad = radical(a).radical
+        images = [d(unit_vec(a.dim, s)) for d in derivation_space(a, a.self_bimodule()).basis
+                  for s in range(a.dim)]
+        assert all(map(rad.contains_vector, images)) == commutative
+
 
 def _min_poly_by_solve(a, x):
     """The first power of x in the span of the powers before it, one
@@ -191,7 +213,7 @@ def _min_poly_by_solve(a, x):
     powers = [e]
     while True:
         nxt = alg.mul_vec(powers[-1], x)
-        dep = solve(Matrix.from_rows(powers).transpose(), {k: c for k, c in enumerate(nxt) if c})
+        dep = solve(from_columns(powers), {k: c for k, c in enumerate(nxt) if c})
         if dep is not None:
             return Polynomial([-c for c in dep] + [1])
         powers.append(nxt)

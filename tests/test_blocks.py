@@ -22,7 +22,7 @@ from modext.reports import HypothesisError
 from modext.samples import (cyclic_group_algebra, dual_numbers, field_q, matrix_units,
                             truncated_poly)
 
-from families import basis_change, twin, upper_triangular
+from families import basis_change, row_major, twin, upper_triangular
 from oracles import leibniz_holds
 
 
@@ -278,7 +278,7 @@ class TestInnerWitness:
             inn = inner_space(t.total, tsb)
             for d in der.basis:
                 w = inner_witness(t, d)
-                member = inn.contains_vector(d.matrix.flatten())
+                member = inn.contains_vector(row_major(d.matrix))
                 assert (w is not None) == member, name
 
     def test_non_derivation_rejected(self):

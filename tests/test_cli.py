@@ -1,3 +1,4 @@
+import builtins
 import json
 import shlex
 import shutil
@@ -471,6 +472,19 @@ class TestDeterminism:
         _, j1, _ = run(capsys, *argv, "--json")
         _, j2, _ = run(capsys, *argv, "--json")
         assert j1 == j2
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", M2), ("der", M2, "--inner", "--h1"), ("decompose", M2, "--map", "D"),
+        ("construct", "corner", M2), ("analyze", M2, "--simple", "--annihilator"),
+    ], ids=lambda c: c[0])
+    def test_each_command_opens_its_input_once(self, capsys, monkeypatch, argv):
+        # load_file reads the bytes it parses and digests
+        opened = []
+        real = builtins.open
+        monkeypatch.setattr(builtins, "open",
+                            lambda file, *args, **kw: opened.append(file) or real(file, *args, **kw))
+        assert run(capsys, *argv)[0] == 0
+        assert opened == [M2]
 
 
 def _readme_cli_examples():

@@ -37,9 +37,11 @@ from modext.samples import (
 )
 
 import oracles
-from families import basis_change, self_extension, twin, upper_triangular
+from families import (basis_change, from_columns, from_row_major, row_major, self_extension,
+                      twin, upper_triangular)
 from oracles import (
     dense_nullspace,
+    dense_product,
     derivation_dim,
     inner_dim,
     leibniz_first_failure,
@@ -80,7 +82,7 @@ class TestIsDerivation:
         verdicts = []
         for name, a, u in corpus_pairs:
             mul, left, right = tensors_of(a, u)
-            basis = [d.matrix.flatten() for d in derivation_space(a, u).basis]
+            basis = [row_major(d.matrix) for d in derivation_space(a, u).basis]
             for trial in range(6):
                 flat = [0] * (a.dim * u.dim)
                 if trial < 4:
@@ -91,7 +93,7 @@ class TestIsDerivation:
                         flat[rng.randrange(len(flat))] += rng.choice([-1, 1])
                 else:
                     flat = [rng.randint(-2, 2) for _ in flat]
-                f = LinearMap(a, u, Matrix.unflatten(u.dim, a.dim, flat))
+                f = LinearMap(a, u, from_row_major(u.dim, a.dim, flat))
                 rep = is_derivation(a, u, f)
                 expected = leibniz_first_failure(mul, left, right, f.matrix.data)
                 assert rep.passed == (expected is None), name
@@ -132,11 +134,11 @@ class TestOneStatementOfTheIdentity:
                 m, n = alg.dim, mod.dim
                 rows = list(leibniz_rows(alg, mod))
                 mul, left, right = tensors_of(alg, mod)
-                basis = [d.matrix.flatten() for d in der.basis]
+                basis = [row_major(d.matrix) for d in der.basis]
                 for flat in _random_maps(rng, basis, m * n):
                     residual = {divmod(r // n, m) for r, row in enumerate(rows)
                                 if sum(c * flat[col] for col, c in row)}
-                    d = Matrix.unflatten(n, m, flat)
+                    d = from_row_major(n, m, flat)
                     failures = list(_failing_pairs(alg, mod, LinearMap(alg, mod, d)))
                     assert [pair for pair, _, _ in failures] == sorted(residual), name
                     for (i, j), lhs, rhs in failures:
@@ -274,7 +276,7 @@ class TestInner:
         ads = Matrix.from_rows(oracles.ad_vectors(*tensors_of(a, u)))
         kept = derivations._inner(a, u)
         assert inner_space(a, u) == Subspace.row_space(ads)
-        assert kept.h0 == nullspace(ads.transpose())
+        assert kept.h0 == nullspace(from_columns(ads.data))
         assert inner_space(a, u).dim + kept.h0.dim == u.dim
         for row, x in zip(kept.inn.rows, kept.preimages):  # ad_x is the row
             assert _sum_sparse(x.items(), kept.columns) == row
@@ -396,9 +398,10 @@ class TestDenseTwins:
         der = derivation_space(dense, dense.self_bimodule())
         assert len(rejected) == rounds and not rejected[-1]
         assert (der.dim, inner_space(dense, dense.self_bimodule()).dim) == (want_der, want_inn)
-        conjugates = [(q * d.matrix * p).flatten()
-                      for d in derivation_space(a, a.self_bimodule()).basis]
-        assert der.kernel == Subspace(a.dim ** 2, conjugates)
+        n = a.dim
+        conjugates = [[x for row in dense_product(dense_product(q.data, d.matrix.data, n), p.data, n)
+                       for x in row] for d in derivation_space(a, a.self_bimodule()).basis]
+        assert der.kernel == Subspace(n * n, conjugates)
 
 
 TWINS = pytest.mark.parametrize("build, extend", [
@@ -445,7 +448,7 @@ class TestIntegerLeibnizRows:
         rational = leibniz_rational_rows(*tensors_of(a, u))
         distinct = [list(r) for r in dict.fromkeys(map(tuple, rational)) if any(r)]
         der = derivation_space(a, u)
-        assert [d.matrix.flatten() for d in der.basis] == dense_nullspace(distinct)
+        assert [row_major(d.matrix) for d in der.basis] == dense_nullspace(distinct)
 
     @TWINS
     def test_echelon_matches_the_copying_loop_on_the_system(self, build, extend,
@@ -623,9 +626,10 @@ class TestStructuralProperties:
             der = derivation_space(a, u)
             for d1 in der.basis:
                 for d2 in der.basis:
-                    bracket = LinearMap(
-                        a, u, d1.matrix * d2.matrix - d2.matrix * d1.matrix
-                    )
+                    x, y = d1.matrix.data, d2.matrix.data
+                    xy, yx = dense_product(x, y, a.dim), dense_product(y, x, a.dim)
+                    bracket = LinearMap(a, u, Matrix.from_rows(
+                        [[s - t for s, t in zip(r1, r2)] for r1, r2 in zip(xy, yx)]))
                     assert is_derivation(a, u, bracket).passed, name
 
     def test_dimension_invariant_under_base_change(self):
@@ -639,14 +643,13 @@ class TestStructuralProperties:
                 )
                 if rank(p) == n:
                     break
-            cols = p.transpose().data
-            basis_mat = Matrix.from_rows(cols).transpose()
+            cols = list(zip(*p.data))
             new_mul = []
             for i in range(n):
                 plane = []
                 for j in range(n):
                     prod = a.mul_vec(cols[i], cols[j])
-                    plane.append(solve(basis_mat, dict(enumerate(prod))))
+                    plane.append(solve(p, dict(enumerate(prod))))
                 new_mul.append(plane)
             b = Algebra(new_mul)
             assert (

@@ -349,7 +349,7 @@ def twin_idempotents():
     corners are no coordinate subspaces, with p the image of E11."""
     for name, a in (("M2", matrix_units(2)), ("UT3", upper_triangular(3))):
         p, q = basis_change(a.dim, 5)  # the basis f_i = sum_k p[k][i] e_k
-        yield name + "'", twin(a, p, q), q.apply(unit_vec(a.dim, 0))
+        yield name + "'", twin(a, p, q), apply_matrix(q.data, unit_vec(a.dim, 0))
 
 
 class TestEchelonReadOffs:

@@ -35,7 +35,7 @@ from modext.extension import ideal_check, quotient_bimodule, trivial_extension
 from modext.linalg import Matrix, Subspace, unit_vec
 from modext.samples import matrix_units, truncated_poly
 
-from families import basis_change, twin, upper_triangular
+from families import basis_change, from_row_major, row_major, twin, upper_triangular
 from oracles import (
     apply_matrix,
     dense_rref,
@@ -79,15 +79,15 @@ def _maps(rng, alg, mod):
     one at a rational point, unless it is zero, and a rational combination
     of the Der basis), each also perturbed at one and at two entries."""
     n, m = mod.dim, alg.dim
-    basis = [d.matrix.flatten() for d in derivation_space(alg, mod).basis]
+    basis = [row_major(d.matrix) for d in derivation_space(alg, mod).basis]
     weights = [rng.choice(RATIONALS) for _ in basis]
     combination = [sum(w * v[k] for w, v in zip(weights, basis)) for k in range(n * m)]
     inner = inner_derivation(alg, mod, [rng.choice(RATIONALS) for _ in range(n)])
     out = []
-    for flat in ([inner.matrix.flatten()] if not inner.is_zero() else []) + [combination]:
+    for flat in ([row_major(inner.matrix)] if not inner.is_zero() else []) + [combination]:
         assert any(Fraction(x).denominator > 1 for x in flat)
         for count in (0, 1, 2):
-            out.append(Matrix.unflatten(n, m, _perturbed(rng, flat, count)))
+            out.append(from_row_major(n, m, _perturbed(rng, flat, count)))
     return out
 
 
@@ -204,7 +204,7 @@ def test_module_hom_matches_dense_evaluation(name, a):
     for src, tgt, rows in ((u, g, iso), (g, u, inverse)):
         for count in (0, 0, 1, 1, 2):
             flat = _perturbed(rng, [x for row in rows for x in row], count)
-            f = LinearMap(src, tgt, Matrix.unflatten(u.dim, u.dim, flat))
+            f = LinearMap(src, tgt, from_row_major(u.dim, u.dim, flat))
             rep = is_module_hom(f, "both")
             want = _module_hom_witnesses(f, a.dim)
             assert [c.witness for c in rep.checks] == want, name
@@ -225,7 +225,7 @@ def _other_modules():
     # E11 of M2 and E33 of UT3 in the twins' coordinates
     for name, alg, source, index in ((m2, a, matrix_units(2), 0),
                                      (ut3, b, upper_triangular(3), 5)):
-        p = basis_change(source.dim, 3)[1].apply(unit_vec(source.dim, index))
+        p = apply_matrix(basis_change(source.dim, 3)[1].data, unit_vec(source.dim, index))
         corner = corner_module(alg, p)
         basis = corner_basis(alg, p).basis
         inclusion = Matrix(alg.dim, corner.dim, [list(row) for row in zip(*basis)])
@@ -306,8 +306,8 @@ def test_checks_on_other_modules_match_dense_evaluation(name, a, u, homs):
     hom_verdicts = set()
     for f in homs:
         for count in (0, 1, 2):
-            flat = _perturbed(rng, f.matrix.flatten(), count)
-            g = Matrix.unflatten(f.matrix.rows, f.matrix.cols, flat)
+            flat = _perturbed(rng, row_major(f.matrix), count)
+            g = from_row_major(f.matrix.rows, f.matrix.cols, flat)
             for e in [g] + _zero_columns(rng, g):
                 hom_verdicts.add(_check_module_hom(LinearMap(f.source, f.target, e)))
     assert {True, False} <= {x for v in hom_verdicts for x in v}, name
@@ -320,7 +320,7 @@ def test_every_unit_map_matches_dense_evaluation(name, a):
     for alg in (a, t.total):
         mod = alg.self_bimodule()
         for r, s in product(range(alg.dim), repeat=2):
-            e = Matrix.unflatten(alg.dim, alg.dim, unit_vec(alg.dim**2, r * alg.dim + s))
+            e = from_row_major(alg.dim, alg.dim, unit_vec(alg.dim**2, r * alg.dim + s))
             passed = _check_derivation(alg, mod, e)
             if alg is t.total:
                 assert _check_blocks(t, e) == passed

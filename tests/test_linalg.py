@@ -18,7 +18,8 @@ from modext.linalg import (
     unit_vec,
 )
 import oracles
-from oracles import dense_nullspace, dense_rref, sympy_nullspace, sympy_rref
+from families import from_columns
+from oracles import apply_matrix, dense_nullspace, dense_rref, sympy_nullspace, sympy_rref
 
 
 def M(rows):
@@ -68,7 +69,7 @@ class TestNullspace:
     def test_basis_vectors_are_in_the_kernel(self):
         m = M([[1, 2, 3], [4, 5, 6]])
         for v in nullspace(m).basis:
-            assert all(x == 0 for x in m.apply(v))
+            assert all(x == 0 for x in apply_matrix(m.data, v))
 
 
 class TestModularRowBasis:
@@ -124,7 +125,7 @@ class TestSolve:
     def test_solution_actually_solves(self):
         m = M([[2, 1, 0], [0, 1, 1]])
         x = solve(m, {0: 3, 1: 5})
-        assert m.apply(x) == [3, 5]
+        assert apply_matrix(m.data, x) == [3, 5]
 
 
 class TestSubspace:
@@ -316,7 +317,7 @@ def test_grassmann_identity(data):
 def test_coords_of_agrees_with_solve_inside_the_span(m, weights):
     s = Subspace(m.cols, m.data)
     v = [sum(w * row[j] for w, row in zip(weights, m.data)) for j in range(m.cols)]
-    expected = solve(Matrix.from_rows(s.basis).transpose(), dict(enumerate(v))) if s.dim else []
+    expected = solve(from_columns(s.basis), dict(enumerate(v))) if s.dim else []
     assert s.coords_of(v) == expected
 
 
@@ -512,47 +513,6 @@ def test_sparse_pairs_and_dense_rows_give_the_same_kernel(rows):
                           [[(c, x) for c, x in enumerate(row) if x] for row in rows])
     assert nullspace(sparse) == nullspace(M(rows))
     assert rank(sparse) == rank(M(rows))
-
-
-@st.composite
-def product_factors(draw):
-    """Rational factors r x k and k x c, each dimension 0 to 5, with zero
-    rows and columns forced in."""
-    r, k, c = draw(st.tuples(*[st.integers(0, 5)] * 3))
-    nonzero = draw(st.sampled_from([small_rationals, big_rationals]))
-
-    def factor(rows, cols):
-        out = [[draw(nonzero) if draw(st.booleans()) else Fraction(0) for _ in range(cols)]
-               for _ in range(rows)]
-        for i in draw(st.sets(st.integers(0, 4), max_size=2)):
-            if i < rows:
-                out[i] = [Fraction(0)] * cols
-        for j in draw(st.sets(st.integers(0, 4), max_size=2)):
-            for row in out:
-                if j < cols:
-                    row[j] = Fraction(0)
-        return out
-
-    return (r, k, c), factor(r, k), factor(k, c)
-
-
-@settings(max_examples=150, deadline=None)
-@given(product_factors())
-def test_product_matches_the_dense_oracle(factors):
-    # every entry a Fraction, zeros too: witnesses print their entries
-    (r, k, c), a, b = factors
-    got = Matrix(r, k, a) * Matrix(k, c, b)
-    assert (got.rows, got.cols) == (r, c)
-    assert got.data == oracles.dense_product(a, b, c)
-    assert all(type(x) is Fraction for row in got.data for x in row)
-
-
-def test_product_with_an_empty_inner_or_outer_dimension():
-    b = [[Fraction(1, 2), Fraction(0), Fraction(-3)]] * 2
-    assert (Matrix(0, 2, []) * Matrix(2, 3, b)) == Matrix(0, 3, [])
-    zero = Matrix(2, 0, [[], []]) * Matrix(0, 3, [])
-    assert zero == Matrix.zeros(2, 3)
-    assert all(type(x) is Fraction for row in zero.data for x in row)
 
 
 # -- the in-place elimination loop against the copying one -------------------

@@ -1,0 +1,42 @@
+"""Theorem families past the dim <= 4 corpus, each pinned by exact answers.
+
+The CI workflow also runs each test on its own under ``timeout 30``: the
+time limit catches fill-in blow-ups and a return to the Leibniz rows at
+all pairs.
+"""
+
+from modext.algebra import LinearMap
+from modext.analysis import center
+from modext.blocks import BlockDecomposition, assemble, inner_witness
+from modext.derivations import derivation_space, inner_derivation, inner_space
+from modext.extension import trivial_extension
+from modext.samples import matrix_units, truncated_poly
+
+
+def test_der_t_of_truncated_poly_30():
+    """dim Der T(Q[t]/(t^30)) = 3n - 2 = 88."""
+    a = truncated_poly(30)
+    t = trivial_extension(a, a.self_bimodule()).total
+    dim = derivation_space(t, t.self_bimodule()).dim
+    assert dim == 88, dim
+
+
+def test_der_inn_center_and_witnesses_of_t_m7_m7():
+    """dim Der T(M7,M7) = 2n^2 - 1 = 97, dim Inn = 2n^2 - 2 = 96, H1 = 1,
+    dim Z(T) = 2; the grading (a,u) -> (0,u) is outer and ad_x is
+    witnessed."""
+    a = matrix_units(7)
+    ext = trivial_extension(a, a.self_bimodule())
+    t = ext.total
+    dim = derivation_space(t, t.self_bimodule()).dim
+    inn = inner_space(t, t.self_bimodule()).dim
+    z = center(t).dim
+    assert dim == 97, dim
+    assert inn == 96, inn
+    assert dim - inn == 1, dim - inn
+    assert z == 2, z
+    grading = assemble(ext, BlockDecomposition(tau2=LinearMap.identity(ext.module)))
+    assert inner_witness(ext, grading) is None
+    d = inner_derivation(t, t.self_bimodule(), [i % 5 - 2 for i in range(t.dim)])
+    b, v = inner_witness(ext, d)
+    assert inner_derivation(t, t.self_bimodule(), ext.pair(b.coords, v.coords)) == d
