@@ -8,11 +8,13 @@ in ascending k, which products, actions and axiom checks read;
 ``mul_tensor``, ``left`` and ``right`` are dense views built when read.
 They verify associativity and the bimodule axioms eagerly, so any
 constructed value is a genuine algebra / bimodule; a violation raises
-ValidationError with the report.  The four identities are the blocks of
-T(A,U)'s associator, evaluated by one helper.  Structures derived from
-validated parts (T(A,U), the unitization, direct sums, A/I, the corner
-A p) hold their axioms by construction; their builders hand in tables
-with the private ``_skip_check`` instead of verifying them again.
+ValidationError with the report.  The four identities are associativity
+of one table, evaluated by ``_associativity_failures``: A's, or T(A,U)'s
+at the triples with one index in U, where it is the bimodule axioms.
+Structures derived from validated parts (T(A,U), the unitization, direct
+sums, A/I, the corner A p) hold their axioms by construction; their
+builders hand in tables with the private ``_skip_check`` instead of
+verifying them again.
 
 A caller's coordinate vector is read once, by ``linalg.coordinates`` at
 its carrier's dimension: length checked, entries coerced by ``frac``,
@@ -33,9 +35,9 @@ check already knows (den^2 for the axioms, the tables' denominator
 times the map's, and so on), so no identity is evaluated twice.  A
 bimodule acting by its algebra's own table, as the self-bimodule does,
 takes that table's integers instead of scaling it again.  The axiom
-checks pack each product vector of an outer table into one int,
-coordinate k in signed slot k of S bits (Kronecker substitution), S =
-twice the bits of the largest constant + bit_length(the most constants
+checks pack one table, A's or T(A,U)'s, each product vector into one
+int, coordinate k in signed slot k of S bits (Kronecker substitution), S
+= twice the bits of the largest constant + bit_length(the most constants
 at one pair) + 2: each side's slots lie below 2^(S-2) in absolute value,
 so two packed sides are equal exactly when every slot is.  A failing
 triple's sides are unpacked for its witness.
@@ -63,6 +65,8 @@ from .linalg import (
     zero_vec,
 )
 from .reports import ConditionReport
+
+_UNSOLVED = object()  # Algebra.unit before its first solve
 
 
 class ValidationError(ValueError):
@@ -124,13 +128,13 @@ def _integer_tables(*tables) -> tuple:
                         for entries in plane] for plane in table] for table in tables)
 
 
-def _packed_tables(*tables) -> tuple:
-    """(S, the integer tables with each pair's product vector packed in
+def _packed_table(table) -> tuple:
+    """(S, the integer table with each pair's product vector packed in
     slots of S bits), S as the module docstring gives it."""
-    entries = [entries for table in tables for plane in table for entries in plane]
+    entries = [entries for plane in table for entries in plane]
     bits = max((abs(c).bit_length() for e in entries for _, c in e), default=0)
     width = 2 * bits + max(map(len, entries), default=0).bit_length() + 2
-    return width, [[_packed(plane, width) for plane in table] for table in tables]
+    return width, [_packed(plane, width) for plane in table]
 
 
 def _unpacked(x: int, width: int, dim: int) -> list:
@@ -140,17 +144,21 @@ def _unpacked(x: int, width: int, dim: int) -> list:
     return [(x >> width * k) % (half << 1) - half for k in range(dim)]
 
 
-def _associator(xy, xy_z, yz, x_yz, i: int, j: int, k: int):
-    """((x_i y_j) z_k, x_i (y_j z_k)), each a packed int, from the sparse
-    tables of the inner products xy, yz and the outer ones xy_z, x_yz as
-    ``_packed_tables`` packs them along with the inner ones: one
-    multiply-add per constant of an inner product."""
-    lhs = rhs = 0
-    for s, c in xy[i][j]:
-        lhs += c * xy_z[s][k]
-    for s, c in yz[j][k]:
-        rhs += c * x_yz[i][s]
-    return lhs, rhs
+def _associativity_failures(den: int, table, triples):
+    """((i, j, k), (e_i e_j) e_k, e_i (e_j e_k)) for each triple whose sides
+    differ, in order, lazily, on an integer table times den: each side
+    summed as a packed int, one multiply-add per constant of an inner
+    product, and a failing triple's sides unpacked and divided by den^2."""
+    width, packed = _packed_table(table)
+    for i, j, k in triples:
+        lhs = rhs = 0
+        for s, c in table[i][j]:
+            lhs += c * packed[s][k]
+        for s, c in table[j][k]:
+            rhs += c * packed[i][s]
+        if lhs != rhs:
+            yield (i, j, k), *(_over(_unpacked(x, width, len(table)), den * den)
+                               for x in (lhs, rhs))
 
 
 def _sum_sparse(terms, vectors) -> dict:
@@ -229,6 +237,13 @@ def block_table(dim: int, blocks) -> list:
     return out
 
 
+def _extension_table(mul, left, right) -> list:
+    """T(A,U)'s table from A's and U's action tables: A's coordinates, then
+    U's, (e_i, 0)(0, u_j) = (0, e_i u_j) and (0, u_j)(e_i, 0) = (0, u_j e_i)."""
+    m = len(mul)
+    return block_table(m + len(right), [(mul, (0, 0, 0)), (left, (0, m, m)), (right, (m, 0, m))])
+
+
 def _names(basis_names, dim: int, prefix: str) -> list:
     """The given basis names, one per dimension, or prefix0, prefix1, ..."""
     if basis_names is None:
@@ -254,26 +269,16 @@ class Algebra:
             report = self.associativity_report()
             if not report.passed:
                 raise ValidationError(report)
-        self._unit = None
-        self._unit_computed = False
+        self._unit = _UNSOLVED  # the unit's coordinates or None, once solved
         self._self_bimodule = None
 
     mul_tensor = _view("mul_table")
 
     def associativity_report(self) -> ConditionReport:
-        rep = ConditionReport("associativity")
         n = self.dim
-        den, z = self.integer_table
-        width, (packed,) = _packed_tables(z)
-        for i, j, k in product(range(n), repeat=3):
-            lhs, rhs = _associator(z, packed, z, packed, i, j, k)
-            if lhs != rhs:  # each side carries den^2
-                witness = ((i, j, k), *(_over(_unpacked(x, width, n), den * den)
-                                        for x in (lhs, rhs)))
-                rep.add("associativity", False, witness=witness)
-                return rep
-        rep.add("associativity", True, note="%d identities hold" % n**3)
-        return rep
+        failures = _associativity_failures(*self.integer_table, product(range(n), repeat=3))
+        return ConditionReport("associativity").first(
+            "associativity", failures, note="%d identities hold" % n**3)
 
     def mul_basis(self, i: int, j: int) -> Vector:
         return _dense(dict(self.mul_table[i][j]), self.dim)
@@ -296,15 +301,12 @@ class Algebra:
         Solves e e_i = e_i = e_i e for all i; a unit is unique when it
         exists.  Cached after the first computation.
         """
-        if self._unit_computed:
-            return None if self._unit is None else list(self._unit)
-        n = self.dim
-        # rows 2(i n + k) and 2(i n + k) + 1, (x e_i, e_i x) at coordinate k, equal delta_{ik}
-        x = solve(_action_rows(self.self_bimodule()),
-                  {2 * (n + 1) * i + side: 1 for i in range(n) for side in (0, 1)})
-        self._unit = x
-        self._unit_computed = True
-        return None if x is None else list(x)
+        if self._unit is _UNSOLVED:
+            n = self.dim
+            # rows 2(i n + k) and 2(i n + k) + 1, (x e_i, e_i x) at coordinate k, equal delta_{ik}
+            self._unit = solve(_action_rows(self.self_bimodule()),
+                               {2 * (n + 1) * i + side: 1 for i in range(n) for side in (0, 1)})
+        return None if self._unit is None else list(self._unit)
 
     def __repr__(self):
         return "Algebra(dim=%d)" % self.dim
@@ -347,29 +349,25 @@ class Bimodule:
         """Compatibility axioms: (ab)u=a(bu), u(ab)=(ua)b, (au)b=a(ub),
         plus the unit axiom e.u = u.e = u when the algebra is unital.
 
-        Each is T(A,U)'s associator on one triple of blocks, checked in
-        (i, j, t) order and, at each triple, in the order above, on the
-        integer tables with packed sides; a witness's sides are unpacked
-        and divided by their den^2.
+        Each is associativity of T(A,U)'s integer table, the one table
+        packed, at the triples (i, j, u_t), (u_t, i, j) and (i, u_t, j), in
+        (i, j, t) order; a witness keeps the sides' U coordinates, swapped
+        for u(ab) = (ua)b.
         """
         rep = ConditionReport("bimodule axioms")
         a = self.algebra
         m, n = a.dim, self.dim
-        den, (mul, left, right) = self.integer_tables
-        width, (_, lp, rp) = _packed_tables(mul, left, right)  # left, right packed
-
-        def identities():  # (name, indices, sides) at (i, j, t)
-            yield "(ab)u = a(bu)", (i, j, t), _associator(mul, lp, left, lp, i, j, t)
-            # x(yz) = (xy)z with x = u: the associator's sides swapped
-            yield "u(ab) = (ua)b", (t, i, j), _associator(right, rp, mul, rp, t, i, j)[::-1]
-            yield "(au)b = a(ub)", (i, t, j), _associator(left, rp, right, lp, i, t, j)
-
-        for i, j, t in product(range(m), range(m), range(n)):
-            for name, indices, (lhs, rhs) in identities():
-                if lhs != rhs:
-                    rep.add(name, False, witness=(indices, *(
-                        _over(_unpacked(x, width, n), den * den) for x in (lhs, rhs))))
-                    return rep
+        den, tables = self.integer_tables
+        triples = (x for i, j, t in product(range(m), range(m), range(m, m + n))
+                   for x in ((i, j, t), (t, i, j), (i, t, j)))
+        for (i, j, k), lhs, rhs in _associativity_failures(den, _extension_table(*tables), triples):
+            name, indices, sides = (
+                ("(ab)u = a(bu)", (i, j, k - m), (lhs, rhs)) if k >= m else
+                # x(yz) = (xy)z with x = u: the associator's sides swapped
+                ("u(ab) = (ua)b", (i - m, j, k), (rhs, lhs)) if i >= m else
+                ("(au)b = a(ub)", (i, j - m, k), (lhs, rhs)))
+            rep.add(name, False, witness=(indices, *(x[m:] for x in sides)))
+            return rep
         rep.add("compatibility", True, note="%d triples checked" % (3 * m * m * n))
         # Unital action is recorded but not required: perfectly good
         # bimodules (e.g. a left ideal with the right action zeroed out)
@@ -540,6 +538,6 @@ def is_module_hom(f: LinearMap, side: str = "both") -> ConditionReport:
                  else _sides((p, m, q), dcols, ncols, (sr, None, tr)))
         cells = (((i, j), (i * p + j if left else j * m + i) * q)
                  for i, j in product(range(m), range(p)))
-        witness = next(_failures(sides, cells, q, fden * sden * tden), None)
-        rep.add("f(au) = a f(u)" if left else "f(ua) = f(u) a", witness is None, witness=witness)
+        rep.first("f(au) = a f(u)" if left else "f(ua) = f(u) a",
+                  _failures(sides, cells, q, fden * sden * tden))
     return rep

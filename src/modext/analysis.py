@@ -10,9 +10,9 @@ is tested against the integer kernel of those rows (``ideal_check``),
 and each power is kept as integer echelon rows.
 
 Simplicity (equivalently primeness, for finite-dimensional algebras)
-is decided through the center: a semisimple algebra is simple iff the
-minimal polynomial of a generic central element has degree dim Z and is
-irreducible over Q.  sympy factors it, imported only for a degree above 1.
+is decided through the center, a product of fields when A is semisimple,
+by factoring central elements' minimal polynomials over Q (``is_simple_prime``).
+sympy factors them, imported only for a degree above 1.
 """
 
 from __future__ import annotations
@@ -45,8 +45,11 @@ _PROBES = 8  # seeded central elements is_simple_prime tries before giving up
 
 class RadicalReport(NamedTuple):
     radical: Subspace
-    is_semisimple: bool
     note: str = ""
+
+    @property
+    def is_semisimple(self) -> bool:
+        return self.radical.dim == 0
 
 
 class Polynomial(Record):
@@ -73,14 +76,14 @@ class Polynomial(Record):
         return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
-class SimplePrimeReport(Record):
-    _fields = ("simple", "prime", "evidence")
+class SimplePrimeReport(NamedTuple):
+    simple: Optional[bool]  # None means indeterminate after all probes
+    evidence: dict
 
-    def __init__(self, simple: Optional[bool], prime: Optional[bool],
-                 evidence: Optional[dict] = None):
-        self.simple = simple  # None means indeterminate after all probes
-        self.prime = prime
-        self.evidence = {} if evidence is None else evidence
+    @property
+    def prime(self) -> Optional[bool]:
+        """A finite-dimensional algebra is prime iff it is simple."""
+        return self.simple
 
 
 def center(a: Algebra) -> Subspace:
@@ -146,11 +149,7 @@ def radical(a: Algebra) -> RadicalReport:
         raise AssertionError("computed radical is not a two-sided ideal")
     if not is_nilpotent_subspace(a, rad):
         raise AssertionError("computed radical is not nilpotent")
-    return RadicalReport(
-        radical=rad,
-        is_semisimple=rad.dim == 0,
-        note="trace criterion on the unitization; verified nilpotent ideal",
-    )
+    return RadicalReport(rad, "trace criterion on the unitization; verified nilpotent ideal")
 
 
 def _with_unit(a: Algebra, x) -> Tuple[Algebra, dict, dict]:
@@ -227,22 +226,20 @@ def is_simple_prime(a: Algebra, seed: int = 0) -> SimplePrimeReport:
     """Simplicity / primeness of a finite-dimensional algebra.
 
     A finite-dimensional algebra is prime iff it is simple, and simple
-    iff it is semisimple with a field for a center.  The center is
-    probed with seeded random elements until one has a minimal
-    polynomial of full degree dim Z; simplicity is then irreducibility
-    of that polynomial over Q.  If every probe is degenerate the result
-    is indeterminate (simple=None) with the attempts recorded.  The zero
+    iff it is semisimple with a field for a center, a product of fields.
+    Seeded random central elements are probed, each one's minimal
+    polynomial factored over Q: more than one factor shows a zero
+    divisor (not simple), one factor of full degree dim Z a field
+    (simple); any other probe moves on.  If none decides, the result is
+    indeterminate (simple=None) with the attempts recorded.  The zero
     algebra is neither: both notions need a nonzero ring.
     """
     if a.dim == 0:
-        return SimplePrimeReport(False, False, {"reason": "zero algebra"})
+        return SimplePrimeReport(False, {"reason": "zero algebra"})
     rad = radical(a)
     if not rad.is_semisimple:
-        return SimplePrimeReport(
-            simple=False,
-            prime=False,
-            evidence={"reason": "radical is nonzero", "radical_dim": rad.radical.dim},
-        )
+        return SimplePrimeReport(False, {"reason": "radical is nonzero",
+                                         "radical_dim": rad.radical.dim})
     z = center(a)
     rng = random.Random(seed)
     attempts = []
@@ -251,23 +248,14 @@ def is_simple_prime(a: Algebra, seed: int = 0) -> SimplePrimeReport:
         elem = _dense(_sum_sparse(enumerate(weights), z.rows), a.dim)
         poly = min_poly(a, elem)
         attempts.append(str(poly))
-        if poly.degree == z.dim:
-            factors = _factor_over_q(poly)
-            simple = len(factors) == 1 and factors[0][1] == 1
-            return SimplePrimeReport(
-                simple=simple,
-                prime=simple,
-                evidence={
-                    "center_dim": z.dim,
-                    "min_poly": str(poly),
-                    "factors": [(str(f), m) for f, m in factors],
-                },
-            )
-    return SimplePrimeReport(
-        simple=None,
-        prime=None,
-        evidence={"reason": "all retries degenerate", "attempts": attempts},
-    )
+        factors = _factor_over_q(poly)
+        if len(factors) > 1 or poly.degree == z.dim:
+            return SimplePrimeReport(len(factors) == 1 and factors[0][1] == 1, {
+                "center_dim": z.dim,
+                "min_poly": str(poly),
+                "factors": [(str(f), m) for f, m in factors],
+            })
+    return SimplePrimeReport(None, {"reason": "all retries degenerate", "attempts": attempts})
 
 
 def find_surjective_left_hom(a: Algebra, u: Bimodule) -> Optional[LinearMap]:

@@ -57,20 +57,8 @@ def _witness_json(w):
 
 
 def _report_json(rep: ConditionReport):
-    return {
-        "title": rep.title,
-        "passed": rep.passed,
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "witness": _witness_json(c.witness),
-                "note": c.note,
-                "informational": c.informational,
-            }
-            for c in rep.checks
-        ],
-    }
+    return {"title": rep.title, "passed": rep.passed,
+            "checks": [{**c._asdict(), "witness": _witness_json(c.witness)} for c in rep.checks]}
 
 
 def _render(doc: dict, as_json: bool) -> str:
@@ -215,11 +203,7 @@ def cmd_analyze(args, art, out: dict) -> None:
         out["center"] = _space(center(a))
     if args.radical:
         rep = radical(a)
-        out["radical"] = {
-            **_space(rep.radical),
-            "semisimple": rep.is_semisimple,
-            "note": rep.note,
-        }
+        out["radical"] = {**_space(rep.radical), "semisimple": rep.is_semisimple, "note": rep.note}
     if args.unit:
         e = a.unit()
         out["unit"] = None if e is None else _fmt_vec(e)

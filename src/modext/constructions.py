@@ -86,11 +86,10 @@ def quotient_derivation(
     require(is_derivation(a, a.self_bimodule(), delta), "delta is not a derivation on A")
     # delta(w) for each echelon row w of I, over the nonzeros of w and of delta's columns
     images = delta._images(ideal.rows)
-    for r in ideal._outside(images):  # the first row w with delta(w) outside I
-        rep = ConditionReport("delta(I) in I")
-        rep.add("delta(I) in I", False,
-                witness=((), *(_dense(v[r], a.dim) for v in (ideal.rows, images))))
-        raise HypothesisError("delta does not preserve the ideal", rep)
+    outside = (((), *(_dense(v[r], a.dim) for v in (ideal.rows, images)))
+               for r in ideal._outside(images))  # each row w with delta(w) outside I, lazily
+    require(ConditionReport("delta(I) in I").first("delta(I) in I", outside),
+            "delta does not preserve the ideal")
 
     # tau(e_c + I) = delta(e_c) + I on the coset representatives e_c
     tau = LinearMap._from_columns(quotient, quotient,

@@ -145,19 +145,15 @@ class LeibnizSystem:
         self.matrix = SparseMatrix(len(rows), algebra.dim * module.dim, rows)
 
 
-class DerivationSpace:
+class DerivationSpace(NamedTuple):
     """Canonical basis of Der(A, U), with the kernel it was read off."""
 
-    def __init__(self, kernel: Subspace, basis: List[LinearMap]):
-        self.kernel = kernel
-        self.basis = basis
+    kernel: Subspace
+    basis: List[LinearMap]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def __repr__(self):
-        return "DerivationSpace(dim=%d)" % self.dim
 
 
 def is_derivation(a: Algebra, u: Bimodule, f: LinearMap) -> ConditionReport:
@@ -167,13 +163,8 @@ def is_derivation(a: Algebra, u: Bimodule, f: LinearMap) -> ConditionReport:
     """
     if f.target.dim != u.dim or f.source.dim != a.dim:
         raise ValueError("map shape does not match A -> U")
-    rep = ConditionReport("Leibniz identity")
-    bad = next(_failing_pairs(a, u, f), None)
-    if bad is None:
-        rep.add("D(ab) = aD(b) + D(a)b", True, note="%d pairs" % a.dim**2)
-    else:
-        rep.add("D(ab) = aD(b) + D(a)b", False, witness=bad)
-    return rep
+    return ConditionReport("Leibniz identity").first(
+        "D(ab) = aD(b) + D(a)b", _failing_pairs(a, u, f), note="%d pairs" % a.dim**2)
 
 
 def derivation_space(a: Algebra, u: Bimodule) -> DerivationSpace:

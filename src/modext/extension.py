@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Tuple
 
-from .algebra import Algebra, Bimodule, LinearMap, _product, _sum_sparse, block_table
+from .algebra import Algebra, Bimodule, LinearMap, _extension_table, _product, _sum_sparse
 from .linalg import (Matrix, SparseMatrix, Subspace, Vector, _complement, _dense, _integer_row,
                      _kernel_vectors, _over, _rejected, coordinates)
 from .reports import ConditionReport, require
@@ -34,11 +34,7 @@ class ModuleExtension:
             raise ValueError("module is not over the given base algebra")
         self.base = base
         self.module = module
-        m = base.dim
-        # (e_i, 0)(0, u_j) = (0, e_i u_j) and (0, u_j)(e_i, 0) = (0, u_j e_i)
-        mul = block_table(m + module.dim, [(base.mul_table, (0, 0, 0)),
-                                           (module.left_table, (0, m, m)),
-                                           (module.right_table, (m, 0, m))])
+        mul = _extension_table(base.mul_table, module.left_table, module.right_table)
         names = ["a:%s" % s for s in base.basis_names] + [
             "u:%s" % s for s in module.basis_names
         ]
@@ -113,12 +109,9 @@ def ideal_check(a: Algebra, s: Subspace) -> ConditionReport:
     for name, left in (("A.s in s", True), ("s.A in s", False)):
         prods = (_product(table, {i: 1}, row) if left else _product(table, row, {i: 1})
                  for i, (_, (_, row)) in cells)
-        witness = None
-        for r, prod in _rejected(prods, kernel, bits):
-            i, (w, (wden, _)) = cells[r]
-            witness = ((i,), _dense(w, a.dim), _over(_dense(prod, a.dim), den * wden))
-            break
-        rep.add(name, witness is None, witness=witness)
+        rep.first(name, (((i,), _dense(w, a.dim), _over(_dense(prod, a.dim), den * wden))
+                         for r, prod in _rejected(prods, kernel, bits)
+                         for i, (w, (wden, _)) in [cells[r]]))
     return rep
 
 

@@ -47,6 +47,15 @@ class ConditionReport(Record):
     def add(self, name, passed, witness=None, note="", informational=False):
         self.checks.append(Check(name, passed, witness, note, informational))
 
+    def first(self, name, failures, note="") -> "ConditionReport":
+        """Record the check ``name`` from its lazy stream of failure
+        witnesses: failed with the first one, which is all of the stream
+        that is evaluated, or passed with ``note`` when there is none.
+        Returns the report."""
+        witness = next(iter(failures), None)
+        self.add(name, witness is None, witness=witness, note=note if witness is None else "")
+        return self
+
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks if not c.informational)

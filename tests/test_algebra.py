@@ -18,6 +18,7 @@ from modext.constructions import corner_basis
 from modext.derivations import inner_derivation
 from modext.extension import ModuleExtension, ideal_check, norm_l1, trivial_extension
 from modext.linalg import Matrix, Subspace, coordinates, solve, unit_vec, zero_vec
+from modext.reports import Check, ConditionReport
 from modext.samples import (
     column_module,
     dual_numbers,
@@ -665,3 +666,34 @@ def test_argument_checks_raise_value_error(call, message):
     # each check of the Python API's arguments, before any work is done
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_elements_are_equal_on_one_carrier_only():
+    # the coordinates are read exactly, so "1" and 1 agree; the carrier
+    # is compared by identity, so a twin of the same dimension does not
+    a, b = q_plus_q(), q_plus_q()
+    assert Element(a, ["1", 0]) == Element(a, [1, 0])
+    assert Element(a, [1, 0]) != Element(b, [1, 0])
+    assert Element(a, [1, 0]) != [1, 0]
+
+
+def test_a_report_with_a_failed_check_is_false():
+    rep = ConditionReport("demo")
+    rep.add("holds", True)
+    assert rep
+    rep.add("fails", False, witness=((0,), [1], [0]))
+    assert not rep and rep.failures() == [rep.checks[1]]
+
+
+def test_first_records_the_first_witness_and_stops():
+    drawn = []
+
+    def failures():
+        for k in range(3):
+            drawn.append(k)
+            yield (k,), [k], [0]
+
+    rep = ConditionReport("demo").first("fails", failures())
+    assert rep.checks == [Check("fails", False, ((0,), [0], [0]))] and drawn == [0]
+    rep = ConditionReport("demo").first("holds", [], note="0 identities")
+    assert rep.checks == [Check("holds", True, None, "0 identities")]

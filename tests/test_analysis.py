@@ -19,8 +19,9 @@ from modext.analysis import (
     radical,
     unitization,
 )
-from modext.algebra import Algebra, LinearMap, annihilator, is_module_hom
-from modext.derivations import derivation_space
+from modext import analysis
+from modext.algebra import Algebra, Bimodule, LinearMap, annihilator, is_module_hom
+from modext.derivations import LeibnizSystem, derivation_space
 from modext.extension import quotient_algebra, trivial_extension
 from modext.linalg import Subspace, nullspace, rank, solve, unit_vec, zero_vec
 from modext.samples import (
@@ -257,6 +258,11 @@ class TestMinPoly:
             x = [rng.randint(-3, 3) for _ in range(a.dim)]
         assert min_poly(a, x) == _min_poly_by_solve(a, x)
 
+    def test_trailing_zero_coefficients_are_dropped(self):
+        p = Polynomial([1, 2, 0, 0])
+        assert p.degree == 1 and p == Polynomial([1, 2])
+        assert p != [1, 2]  # a record equals only a record of its own class
+
     def test_str_rendering(self):
         assert str(Polynomial([-1, 1])) == "t - 1"
         assert str(Polynomial([0, -1, 1])) == "t^2 - t"
@@ -319,6 +325,36 @@ class TestSimplePrime:
         r1 = is_simple_prime(a, seed=3)
         r2 = is_simple_prime(a, seed=3)
         assert r1.evidence == r2.evidence
+
+    def test_q_plus_q_evidence_is_its_first_full_degree_probe(self):
+        rep = is_simple_prime(q_plus_q())
+        assert rep.evidence["min_poly"] == "t^2 - 7*t + 12"
+        assert len(rep.evidence["factors"]) == 2
+
+    @pytest.mark.parametrize("k", [10, 20])
+    def test_a_split_probe_decides_a_sum_of_fields(self, k):
+        # Q^k has a k-dimensional center; a probe of lower degree whose
+        # minimal polynomial splits already shows a zero divisor
+        a = field_q()
+        for _ in range(k - 1):
+            a = direct_sum(a, field_q())
+        rep = is_simple_prime(a)
+        assert (rep.simple, rep.prime) == (False, False)
+        assert len(rep.evidence["factors"]) > 1
+
+    def test_indeterminate_when_no_probe_decides(self, monkeypatch):
+        # every weight 1 probes the unit of Q x Q: t - 1, one factor below dim Z = 2
+        class Ones:
+            def __init__(self, seed):
+                pass
+
+            def randint(self, lo, hi):
+                return 1
+
+        monkeypatch.setattr(analysis.random, "Random", Ones)
+        rep = is_simple_prime(q_plus_q())
+        assert (rep.simple, rep.prime) == (None, None)
+        assert rep.evidence == {"reason": "all retries degenerate", "attempts": ["t - 1"] * 8}
 
     def test_zero_algebra_is_neither(self):
         # both notions need a nonzero ring; the probe would never reach dim Z = 0
@@ -414,6 +450,16 @@ class TestSurjectiveLeftHom:
 
         a = dual_numbers()
         assert find_surjective_left_hom(a, zero_action_module(a, 1)) is None
+
+    def test_none_when_every_left_hom_has_low_rank(self):
+        # Q x Q on Q^2: e1 acts as the identity on the left, e2 and the
+        # right action as zero; f(e2) = f(e2 e2) = e2 f(e2) = 0, so the
+        # left homs are f(e1) in Q^2, a 2-dimensional space of rank-1 maps
+        a = q_plus_q()
+        left = [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]
+        u = Bimodule(a, left, [[[0, 0]] * 2 for _ in range(2)])
+        assert nullspace(LeibnizSystem(a, u).matrix).dim == 2
+        assert find_surjective_left_hom(a, u) is None
 
     def test_found_homs_are_left_homs_across_the_corpus(self, corpus_pairs):
         for name, a, u in corpus_pairs:

@@ -676,3 +676,13 @@ def test_packed_certificate_at_the_width_bound_cancels_one_slot_only():
     # cancels the -1, a false zero; the certificate's slots are wider
     carry = SparseMatrix(2, 2, [[(0, 2), (1, 3)], [(0, 1), (1, -1)]])
     assert [i for i, _ in linalg._rejected([{0: 1, 1: 2}], carry, 2)] == [0]
+
+
+def test_matrix_data_must_match_its_declared_shape():
+    with pytest.raises(ValueError, match="does not match declared shape"):
+        Matrix(2, 2, [[1]])
+
+
+def test_matrix_sum_refuses_a_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Matrix.identity(2) + Matrix.zeros(2, 3)

@@ -5,12 +5,14 @@ time limit catches fill-in blow-ups and a return to the Leibniz rows at
 all pairs.
 """
 
+import pytest
+
 from modext.algebra import LinearMap
 from modext.analysis import center
 from modext.blocks import BlockDecomposition, assemble, inner_witness
 from modext.derivations import derivation_space, inner_derivation, inner_space
 from modext.extension import trivial_extension
-from modext.samples import matrix_units, truncated_poly
+from modext.samples import column_module, matrix_units, truncated_poly
 
 
 def test_der_t_of_truncated_poly_30():
@@ -40,3 +42,25 @@ def test_der_inn_center_and_witnesses_of_t_m7_m7():
     d = inner_derivation(t, t.self_bimodule(), [i % 5 - 2 for i in range(t.dim)])
     b, v = inner_witness(ext, d)
     assert inner_derivation(t, t.self_bimodule(), ext.pair(b.coords, v.coords)) == d
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_column_module_of_m_n(n):
+    """T(M_n, Q^n), Q^n the column vectors with the right action zero:
+    dim Der(M_n, Q^n) = n and H1 = 0, each derivation a -> a D(1) =
+    ad_{D(1)}; dim Der T = dim Inn T = n^2 + n, so H1(T) = 0; and
+    Z(T) = 0, T having no unit, as (0, u)(1, 0) = 0."""
+    a = matrix_units(n)
+    u = column_module(n, a)
+    der = derivation_space(a, u)
+    assert der.dim == n, der.dim
+    assert inner_space(a, u).dim == n
+    assert all(inner_derivation(a, u, d(a.unit())) == d for d in der.basis)
+    ext = trivial_extension(a, u)
+    t = ext.total
+    dim = derivation_space(t, t.self_bimodule()).dim
+    assert dim == inner_space(t, t.self_bimodule()).dim == n * n + n, dim
+    assert center(t).dim == 0
+    assert t.unit() is None
+    u1, one = ext.pair([0] * (n * n), [1] + [0] * (n - 1)), ext.pair(a.unit(), [0] * n)
+    assert not any(t.mul_vec(u1, one))
