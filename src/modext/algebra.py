@@ -19,7 +19,7 @@ verifying them again.
 A caller's coordinate vector is read once, by ``linalg.coordinates`` at
 its carrier's dimension: length checked, entries coerced by ``frac``,
 nonzeros handed on.  A ``LinearMap`` is held as its sparse columns and
-applied by summing them over those nonzeros; ``derivations._inner``
+applied by summing them over those nonzeros; ``derivations._ad_columns``
 holds the inner map as its ad columns.  ``Algebra.unit`` hands ``solve``
 only the 2 dim nonzeros of its right side.
 
@@ -337,7 +337,8 @@ class Bimodule:
             self.integer_tables = _integer_tables(algebra.mul_table, self.left_table,
                                                   self.right_table)
         self.report = None  # the axiom report, unless built with _skip_check
-        self._inner = None  # the inner map's elimination, built by derivations._inner
+        self._ad = None  # the inner map's columns, built by derivations._ad_columns
+        self._inner = None  # their elimination, built by derivations._inner
         if not _skip_check:
             self.report = self.axiom_report()
             if not self.report.passed:

@@ -23,7 +23,7 @@ from itertools import chain
 from typing import List, NamedTuple, Optional, Tuple
 
 from .algebra import Algebra, Bimodule, LinearMap, _columns, _product, _sum_sparse, block_table
-from .derivations import LeibnizSystem, _inner
+from .derivations import _inner, derivation_space
 from .extension import ideal_check
 from .linalg import (
     SparseMatrix,
@@ -268,10 +268,10 @@ def find_surjective_left_hom(a: Algebra, u: Bimodule) -> Optional[LinearMap]:
     m, n = a.dim, u.dim
     if n > m:
         return None
-    # f(ab) = a f(b) are the Leibniz rows of U with its right action zeroed,
-    # a bimodule too, so the rows at A's generators alone cut out f
+    # f(ab) = a f(b) is the Leibniz identity into U with its right action
+    # zeroed, a bimodule too: the left homs are its derivations
     left_only = Bimodule(a, u.left_table, [[[]] * m for _ in range(n)], _skip_check=True)
-    sol = nullspace(LeibnizSystem(a, left_only).matrix)
+    sol = derivation_space(a, left_only).kernel
     if sol.dim == 0:
         return None
     for k in range(a.dim + 1):

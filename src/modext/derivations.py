@@ -1,50 +1,52 @@
-"""Derivation spaces as nullspaces of the Leibniz linear system.
+"""Derivation spaces, solved in D's values on a generating set.
 
-A linear map D: A -> U is a derivation when D(ab) = a D(b) + D(a) b.  On
-basis pairs this is a linear system in the entries of D's matrix; the
-derivation space is its exact nullspace.  Only the pairs (g, e_j) with g
-in a generating set G of A are needed: if the words g1(g2(...g_r)) of G
-span A, a linear D with Leibniz at every (g, y) is a derivation, since
-the x with Leibniz at every (x, y) form a subspace that holds G and,
-with x, each g x: D(gxy) = g D(xy) + D(g) xy = gx D(y) + D(gx) y, by
-associativity and the bimodule axioms alone.  ``generators`` picks G
-left to right, each e_j outside the span mod PRIME of the words so far,
-that span kept closed under left multiplication by G on A's integer
-table; the pick ends with the words' residues spanning F_p^m, so the
-integer words have rank m over Q, and if PRIME divides a constant G only
-grows, at worst to every basis vector.  ``leibniz_rows`` reads the terms
-of the identity's two sides at each pair (i, j), i among its first
-factors, off the nonzero constants of the module's integer tables and
-sums them into sparse integer rows (the rational rows times the tables'
-denominator); ``LeibnizSystem.matrix`` holds them for i in G.
-``nullspace`` drops the empty and repeated ones, picks its row basis mod
-a prime and certifies the basis by a zero integer residual on every row,
-so the solve's certificate is the span of G and that residual, and
-``DerivationSpace`` keeps that kernel, not the system.  ``is_derivation``
-and the C1-C6 checker in ``blocks`` check every pair: they sum the sides
-D(ab) and a D(b) + D(a) b at all pairs at once, in integers, one term
-per nonzero entry of D (scaled by their common denominator) and constant
-of the module's integer tables, so they cost time in proportion to their
-terms; the witness of a pair whose sides differ is its integer sides
-divided by the tables' denominator times D's.  No check builds the
-system.  The inner map x -> (a -> a x - x a) is held as its ad columns
-and eliminated once per U by ``_inner``, for Inn(A, U), innerness
-witnesses and H^0(A, U) = {x : a x = x a}, the center for U = A.
+A linear map D: A -> U is a derivation when D(ab) = a D(b) + D(a) b.  A
+derivation is fixed by its values on a generating set G of A: if the
+words g1(g2(...g_r)) of G span A, D(g w) = g D(w) + D(g) w gives D on
+each word.  ``generators`` picks G left to right, each e_j outside the
+span mod PRIME of the words so far, that span kept closed under left
+multiplication by G on A's integer table; the pick ends with the words'
+residues spanning F_p^m, so the integer words have rank m over Q, and if
+PRIME divides a constant G only grows, at worst to every basis vector.
+``LeibnizSystem`` takes the |G| n coordinates of the D(g) as unknowns.
+It builds the words breadth first on the module's integer tables, each
+D(w) as integer rows over the unknowns, and wherever a product g w is
+already in the words' span, the two values of D there must agree: those
+are its rows.  Their kernel is Der(A, U): with them, Leibniz holds at
+every (g, y), and the x with Leibniz at every (x, y) form a subspace
+that holds G and, with x, each g x, since D(gxy) = g D(xy) + D(g) xy =
+gx D(y) + D(gx) y by associativity and the bimodule axioms alone.  The
+kernel is lifted to D's matrix entries through the system's integer
+map, the coordinates of each e_j in the words read once, and the
+canonical basis is the RREF of the lifted vectors.  The certificate of a
+solve is the words' exact rank m, ``nullspace``'s zero integer residual
+on the rows solved, and the lifted rank, equal to the kernel's since the
+lift is injective; ``DerivationSpace`` keeps the lifted kernel, not the
+system.  ``is_derivation`` and the C1-C6 checker in ``blocks`` check
+every pair: they sum the sides D(ab) and a D(b) + D(a) b at all pairs at
+once, in integers, one term per nonzero entry of D (scaled by their
+common denominator) and constant of the module's integer tables, so they
+cost time in proportion to their terms; the witness of a pair whose
+sides differ is its integer sides divided by the tables' denominator
+times D's.  No check builds the system.  The inner map x -> (a -> a x -
+x a) is held as its ad columns (``_ad_columns``) and eliminated once per
+U by ``_inner``, for Inn(A, U), innerness witnesses and H^0(A, U) = {x :
+a x = x a}, the center for U = A.
 
-Row order of the Leibniz system is lexicographic in (i, j, k); columns
-are D's matrix entries in row-major order.  Both are fixed so computed
-bases are canonical.
+The words, the system's rows and its unknowns come in a fixed order, and
+D's entries are flattened row-major, so computed bases are canonical.
 """
 
 from __future__ import annotations
 
 from itertools import chain, product
+from math import lcm
 from typing import List, NamedTuple
 
 from .algebra import (Algebra, Bimodule, LinearMap, _columns, _failures, _product, _sides,
                       _sum_sparse)
-from .linalg import (PRIME, SparseMatrix, Subspace, _cancel_mod_p, _distinct_rows, _monic, _rref,
-                     coordinates, nullspace)
+from .linalg import (PRIME, SparseMatrix, Subspace, _cancel, _cancel_mod_p, _distinct_rows,
+                     _integer_row, _monic, _rref, coordinates, nullspace)
 from .reports import ConditionReport
 
 
@@ -80,36 +82,6 @@ def generators(algebra: Algebra) -> list:
     return gens
 
 
-def leibniz_rows(algebra: Algebra, module: Bimodule, firsts=None):
-    """Sparse rows [(column, int)] of the Leibniz system in (i, j, k) order,
-    i in firsts (all of range(dim A) by default): row (i, j, k) states that
-    coordinate k of D(e_i e_j) - e_i D(e_j) - D(e_i) e_j vanishes, times the
-    denominator module.integer_tables[0].  Column t * dim A + s is the
-    entry d[t][s]; the terms are read off the nonzero constants of the
-    integer tables."""
-    if module.algebra is not algebra:
-        raise ValueError("module is not over the given algebra")
-    m, n = algebra.dim, module.dim
-    mul, left, right = module.integer_tables[1]
-    for i, j in product(range(m) if firsts is None else firsts, range(m)):
-        rows = [{} for _ in range(n)]
-        # D(e_i e_j)_k = sum_s c[i][j][s] d[k][s], one term per (k, column)
-        for s, c in mul[i][j]:
-            for k in range(n):
-                rows[k][k * m + s] = c
-        # (e_i D(e_j))_k = sum_t l[i][t][k] d[t][j]; (D(e_i) e_j)_k = sum_t r[t][j][k] d[t][i]
-        rhs = [(k, t * m + j, c) for t in range(n) for k, c in left[i][t]]
-        rhs += [(k, t * m + i, c) for t in range(n) for k, c in right[t][j]]
-        for k, col, c in rhs:
-            row = rows[k]
-            if col in row:
-                row[col] -= c
-            else:
-                row[col] = -c
-        for row in rows:
-            yield [item for item in row.items() if item[1]]
-
-
 def _failing_pairs(algebra: Algebra, module: Bimodule, d: LinearMap):
     """((i, j), D(e_i e_j), e_i D(e_j) + D(e_i) e_j) for each basis pair
     whose sides differ, in (i, j) order, for the map d = D.
@@ -130,19 +102,73 @@ def _failing_pairs(algebra: Algebra, module: Bimodule, d: LinearMap):
 
 
 class LeibnizSystem:
-    """The linear system expressing the derivation identity.
+    """The derivation identity in D's values on the generators G of A.
 
-    Unknowns are the entries d[t][s] of D's (u.dim x a.dim) matrix.
-    ``matrix`` is the integer rows of ``leibniz_rows`` with first factors
-    ``generators`` of the algebra, empty ones included, as a SparseMatrix:
-    its kernel is that of the rows at all pairs.
+    Unknown q * dim U + t is coordinate t of D(e_G[q]).  The words are
+    the e_g, g in G, then each product g w_s, in turn, outside the span
+    of the words so far, formed on the module's integer tables; D(g w) =
+    g D(w) + D(g) w keeps each D(w_s) as dim U integer rows over the
+    unknowns.  A product v in that span, c v + sum c_s w_s = 0 by the
+    tags its reduction carries, gives the rows c D(v) + sum c_s D(w_s) =
+    0, which ``matrix`` holds, empty ones left out.  ``lift`` is the
+    integer map, over one denominator, from the unknowns to D's
+    flattened entries (column t * dim A + j), {column: int} per unknown:
+    e_j read once in the words.
     """
 
     def __init__(self, algebra: Algebra, module: Bimodule):
-        self.algebra = algebra
-        self.module = module
-        rows = list(leibniz_rows(algebra, module, generators(algebra)))
-        self.matrix = SparseMatrix(len(rows), algebra.dim * module.dim, rows)
+        if module.algebra is not algebra:
+            raise ValueError("module is not over the given algebra")
+        self.algebra, self.module = algebra, module
+        m, n = algebra.dim, module.dim
+        mul, left, right = module.integer_tables[1]
+        gens = generators(algebra)
+        size = len(gens) * n  # D(w) is kept flat, {t * size + unknown: int} for D(w)_t
+        words, values, echelon, rows = [], [], {}, []
+
+        def reduced(v: dict, tag: int) -> dict:  # v + e_tag, v's part cancelled by the words
+            v = {**v, tag: 1}
+            while (c := min(v)) < m and c in echelon:
+                _cancel(v, echelon[c], c)
+            return v
+
+        def add(v: dict, dv: dict):  # the product v, with D(v) = dv, as a word or as rows
+            r = reduced(v, m + len(words))
+            values.append(dv)
+            if (c := min(r)) < m:
+                echelon[c] = r
+                words.append(v)
+                return
+            split = {}
+            for key, x in _sum_sparse([(k - m, x) for k, x in r.items()], values).items():
+                split.setdefault(key // size, []).append((key % size, x))
+            rows.extend(split[t] for t in sorted(split))
+            values.pop()
+
+        for q, g in enumerate(gens):
+            add({g: 1}, {t * size + q * n + t: 1 for t in range(n)})
+        for s, w in enumerate(words):  # words grows as it is read: breadth first
+            rights = [(k * size + t, c * x) for t, (j, x) in product(range(n), w.items())
+                      for k, c in right[t][j]]  # D(g) w, but for g's offset q n
+            entries = [(*divmod(key, size), x) for key, x in values[s].items()]  # (t, unknown, x)
+            for q, g in enumerate(gens):  # D(g w) = g D(w) + D(g) w
+                dv = {}
+                for t, col, x in entries:
+                    for k, c in left[g][t]:
+                        dv[k * size + col] = dv.get(k * size + col, 0) + c * x
+                for key, x in rights:
+                    dv[key + q * n] = dv.get(key + q * n, 0) + x
+                add(_product(mul, {g: 1}, w), {key: x for key, x in dv.items() if x})
+        if len(words) != m:
+            raise AssertionError("the words of the generators do not span the algebra")
+        coords = [reduced({j: 1}, 2 * m) for j in range(m)]  # a e_j + sum c_s w_s = 0
+        den = lcm(*(r[2 * m] for r in coords))
+        self.lift = [{} for _ in range(size)]
+        for j, r in enumerate(coords):
+            scale = -den // r.pop(2 * m)  # den e_j = sum scale c_s w_s
+            for key, x in _sum_sparse([(k - m, scale * x) for k, x in r.items()], values).items():
+                self.lift[key % size][key // size * m + j] = x
+        self.matrix = SparseMatrix(len(rows), size, rows)
 
 
 class DerivationSpace(NamedTuple):
@@ -168,8 +194,8 @@ def is_derivation(a: Algebra, u: Bimodule, f: LinearMap) -> ConditionReport:
 
 
 def derivation_space(a: Algebra, u: Bimodule) -> DerivationSpace:
-    """All derivations A -> U, as the nullspace of the Leibniz system on
-    the generator rows of A.
+    """All derivations A -> U: the nullspace of the Leibniz system in D's
+    values on the generators of A, lifted to D's entries.
 
     That kernel is Der(A, U) only because A is associative and U a
     bimodule over it.  Structures built from input are checked; each one
@@ -177,9 +203,15 @@ def derivation_space(a: Algebra, u: Bimodule) -> DerivationSpace:
     ``constructions``, ``extension`` and ``analysis``) holds its axioms by
     construction.
     """
-    ker = nullspace(LeibnizSystem(a, u).matrix)
-    basis = [LinearMap._from_columns(a, u, _columns(k, a.dim)) for k in ker.rows]
-    return DerivationSpace(ker, basis)
+    system = LeibnizSystem(a, u)
+    ker = nullspace(system.matrix)
+    lifted = [list(_sum_sparse(_integer_row(row.items())[1].items(), system.lift).items())
+              for row in ker.rows]
+    der = Subspace.row_space(SparseMatrix(len(lifted), a.dim * u.dim, lifted))
+    if der.dim != ker.dim:
+        raise AssertionError("the lifted kernel lost rank")
+    basis = [LinearMap._from_columns(a, u, _columns(k, a.dim)) for k in der.rows]
+    return DerivationSpace(der, basis)
 
 
 class _Inner(NamedTuple):
@@ -189,20 +221,13 @@ class _Inner(NamedTuple):
     h0: Subspace     # H^0(A, U) = {x : a x = x a}, the center when U = A
 
 
-def _inner(a: Algebra, u: Bimodule) -> _Inner:
-    """The inner map x -> ad_x of u, built and eliminated once, kept on u.
-
-    Column s is the flattened ad_{u_s}, entry k * dim A + i coordinate k
-    of e_i u_s - u_s e_i.  One ``_rref`` of the rows ad_{u_s} + e_s, tag
-    e_s at column m n + n - 1 - s: rows with their pivot in the ad part are
-    Inn's, their tags the x with that ad, and the other rows' tags span H^0.
-    Reversed tags put H^0's pivots at the s with ad_{u_s} in the span of
-    the ad_{u_r}, r < s, ``solve``'s free columns on the transposed map,
-    where every Inn row's tag is 0.
-    """
+def _ad_columns(a: Algebra, u: Bimodule) -> list:
+    """The inner map's columns, built once and kept on u apart from their
+    elimination: column s is the flattened ad_{u_s}, entry k * dim A + i
+    coordinate k of e_i u_s - u_s e_i."""
     if u.algebra is not a:
         raise ValueError("module is not over the given algebra")
-    if u._inner is None:
+    if u._ad is None:
         m, n = a.dim, u.dim
         columns = [{} for _ in range(n)]
         for i, s in product(range(m), range(n)):
@@ -210,7 +235,23 @@ def _inner(a: Algebra, u: Bimodule) -> _Inner:
                 columns[s][k * m + i] = c
             for k, c in u.right_table[s][i]:
                 columns[s][k * m + i] = columns[s].get(k * m + i, 0) - c
-        columns = [{r: c for r, c in col.items() if c} for col in columns]
+        u._ad = [{r: c for r, c in col.items() if c} for col in columns]
+    return u._ad
+
+
+def _inner(a: Algebra, u: Bimodule) -> _Inner:
+    """The inner map x -> ad_x of u, eliminated once, kept on u.
+
+    One ``_rref`` of the rows ad_{u_s} + e_s (``_ad_columns``), tag e_s at
+    column m n + n - 1 - s: rows with their pivot in the ad part are
+    Inn's, their tags the x with that ad, and the other rows' tags span H^0.
+    Reversed tags put H^0's pivots at the s with ad_{u_s} in the span of
+    the ad_{u_r}, r < s, ``solve``'s free columns on the transposed map,
+    where every Inn row's tag is 0.
+    """
+    columns = _ad_columns(a, u)
+    if u._inner is None:
+        m, n = a.dim, u.dim
         mn, last = m * n, m * n + n - 1  # the tag of u_s is column last - s
         pivots, rows = _rref(_distinct_rows(chain(col.items(), ((last - s, 1),))
                                             for s, col in enumerate(columns)), last + 1)
@@ -225,8 +266,9 @@ def _inner(a: Algebra, u: Bimodule) -> _Inner:
 
 def inner_derivation(a: Algebra, u: Bimodule, x) -> LinearMap:
     """The inner derivation b -> b x - x b for the coordinates x of a
-    module element: the kept ad columns summed over the nonzeros of x only."""
-    flat = _sum_sparse(coordinates(u.dim, x).items(), _inner(a, u).columns)
+    module element: the kept ad columns summed over the nonzeros of x only,
+    with no elimination."""
+    flat = _sum_sparse(coordinates(u.dim, x).items(), _ad_columns(a, u))
     return LinearMap._from_columns(a, u, _columns(flat, a.dim))
 
 

@@ -4,7 +4,8 @@ Everything here works directly on raw structure-constant tensors
 (nested lists of Fractions) with straightforward nested loops, or hands
 the linear algebra to sympy.  Nothing imports the package's own linear
 algebra or derivation machinery, so agreement between the two routes is
-meaningful.
+meaningful; ``leibniz_rows`` reads only the integer tables a structure
+keeps.
 """
 
 from fractions import Fraction
@@ -246,6 +247,31 @@ def leibniz_rational_rows(mul, left, right):
                     row[t * m + i] -= right[t][j][k]
                 rows.append(row)
     return rows
+
+
+def leibniz_rows(algebra, module, firsts=None):
+    """The all-pairs Leibniz system as sparse integer rows [(column, int)]
+    in (i, j, k) order, i in firsts (all of range(dim A) by default): row
+    (i, j, k) states that coordinate k of D(e_i e_j) - e_i D(e_j) -
+    D(e_i) e_j vanishes, times the denominator module.integer_tables[0].
+    Column t * dim A + s is the entry d[t][s]; the terms are read off the
+    nonzero constants of the integer tables, and a pair with no term at k
+    gives an empty row."""
+    m, n = algebra.dim, module.dim
+    mul, left, right = module.integer_tables[1]
+    for i, j in product(range(m) if firsts is None else firsts, range(m)):
+        rows = [{} for _ in range(n)]
+        # D(e_i e_j)_k = sum_s c[i][j][s] d[k][s], one term per (k, column)
+        for s, c in mul[i][j]:
+            for k in range(n):
+                rows[k][k * m + s] = c
+        # (e_i D(e_j))_k = sum_t l[i][t][k] d[t][j]; (D(e_i) e_j)_k = sum_t r[t][j][k] d[t][i]
+        rhs = [(k, t * m + j, c) for t in range(n) for k, c in left[i][t]]
+        rhs += [(k, t * m + i, c) for t in range(n) for k, c in right[t][j]]
+        for k, col, c in rhs:
+            rows[k][col] = rows[k].get(col, 0) - c
+        for row in rows:
+            yield [item for item in row.items() if item[1]]
 
 
 def _leibniz_sympy_matrix(mul, left, right):
