@@ -250,13 +250,14 @@ def leibniz_rational_rows(mul, left, right):
 
 
 def leibniz_rows(algebra, module, firsts=None):
-    """The all-pairs Leibniz system as sparse integer rows [(column, int)]
-    in (i, j, k) order, i in firsts (all of range(dim A) by default): row
-    (i, j, k) states that coordinate k of D(e_i e_j) - e_i D(e_j) -
-    D(e_i) e_j vanishes, times the denominator module.integer_tables[0].
-    Column t * dim A + s is the entry d[t][s]; the terms are read off the
-    nonzero constants of the integer tables, and a pair with no term at k
-    gives an empty row."""
+    """Sparse rows [(column, int)] of the Leibniz system in (i, j, k) order,
+    i in firsts (all of range(dim A) by default): row (i, j, k) states that
+    coordinate k of D(e_i e_j) - e_i D(e_j) - D(e_i) e_j vanishes, times the
+    denominator module.integer_tables[0].  Column t * dim A + s is the
+    entry d[t][s]; the terms are read off the nonzero constants of the
+    integer tables, and a pair with no term at k gives an empty row."""
+    if module.algebra is not algebra:
+        raise ValueError("module is not over the given algebra")
     m, n = algebra.dim, module.dim
     mul, left, right = module.integer_tables[1]
     for i, j in product(range(m) if firsts is None else firsts, range(m)):
@@ -269,7 +270,11 @@ def leibniz_rows(algebra, module, firsts=None):
         rhs = [(k, t * m + j, c) for t in range(n) for k, c in left[i][t]]
         rhs += [(k, t * m + i, c) for t in range(n) for k, c in right[t][j]]
         for k, col, c in rhs:
-            rows[k][col] = rows[k].get(col, 0) - c
+            row = rows[k]
+            if col in row:
+                row[col] -= c
+            else:
+                row[col] = -c
         for row in rows:
             yield [item for item in row.items() if item[1]]
 
