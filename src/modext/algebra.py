@@ -4,8 +4,9 @@ An algebra is given by a rank-3 rational tensor ``mul`` on a chosen
 basis: e_i e_j = sum_k mul[i][j][k] e_k.  A bimodule over it carries two
 such tensors for the left and right actions.  The constructors store
 each only as a sparse table [i][j] -> [(k, c)] of its nonzero constants,
-in ascending k, which products, actions and axiom checks read;
-``mul_tensor``, ``left`` and ``right`` are dense views built when read.
+in ascending k (an int 0 skipped, any other entry coerced by ``frac``),
+which products, actions and axiom checks read; ``mul_tensor``, ``left``
+and ``right`` are dense views built when read.
 They verify associativity and the bimodule axioms eagerly, so any
 constructed value is a genuine algebra / bimodule; a violation raises
 ValidationError with the report.  The four identities are associativity
@@ -83,7 +84,7 @@ class ValidationError(ValueError):
 
 def _table(t, d1: int, d2: int, d3: int) -> list:
     """The sparse table [i][j] -> [(k, c)] of a d1 x d2 x d3 tensor's
-    nonzero constants, each coerced to a Fraction before the zero test."""
+    nonzero constants, each but an int 0 coerced before the zero test."""
     if len(t) != d1 or any(len(plane) != d2 for plane in t):
         raise ValueError("tensor shape mismatch")
     out = []
@@ -92,7 +93,8 @@ def _table(t, d1: int, d2: int, d3: int) -> list:
         for entry in plane:
             if len(entry) != d3:
                 raise ValueError("tensor shape mismatch")
-            row.append([(k, c) for k, c in enumerate(map(frac, entry)) if c])
+            row.append([(k, c) for k, x in enumerate(entry) if x or type(x) is not int
+                        for c in (frac(x),) if c])
         out.append(row)
     return out
 

@@ -29,9 +29,9 @@ common denominator) and constant of the module's integer tables, so they
 cost time in proportion to their terms; the witness of a pair whose
 sides differ is its integer sides divided by the tables' denominator
 times D's.  No check builds the system.  The inner map x -> (a -> a x -
-x a) is held as its ad columns (``_ad_columns``) and eliminated once per
-U by ``_inner``, for Inn(A, U), innerness witnesses and H^0(A, U) = {x :
-a x = x a}, the center for U = A.
+x a) is held as its ad columns (``_ad_columns``), summed on the integer
+tables, and eliminated once per U by ``_inner``, for Inn(A, U),
+innerness witnesses and H^0(A, U) = {x : a x = x a}, the center for U = A.
 
 The words, the system's rows and its unknowns come in a fixed order, and
 D's entries are flattened row-major, so computed bases are canonical.
@@ -39,6 +39,7 @@ D's entries are flattened row-major, so computed bases are canonical.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain, product
 from math import lcm
 from typing import List, NamedTuple
@@ -224,18 +225,19 @@ class _Inner(NamedTuple):
 def _ad_columns(a: Algebra, u: Bimodule) -> list:
     """The inner map's columns, built once and kept on u apart from their
     elimination: column s is the flattened ad_{u_s}, entry k * dim A + i
-    coordinate k of e_i u_s - u_s e_i."""
+    coordinate k of e_i u_s - u_s e_i, summed on u's integer tables."""
     if u.algebra is not a:
         raise ValueError("module is not over the given algebra")
     if u._ad is None:
         m, n = a.dim, u.dim
+        den, (_, left, right) = u.integer_tables
         columns = [{} for _ in range(n)]
         for i, s in product(range(m), range(n)):
-            for k, c in u.left_table[i][s]:
+            for k, c in left[i][s]:
                 columns[s][k * m + i] = c
-            for k, c in u.right_table[s][i]:
+            for k, c in right[s][i]:
                 columns[s][k * m + i] = columns[s].get(k * m + i, 0) - c
-        u._ad = [{r: c for r, c in col.items() if c} for col in columns]
+        u._ad = [{r: Fraction(c, den) for r, c in col.items() if c} for col in columns]
     return u._ad
 
 

@@ -21,7 +21,7 @@ from itertools import product
 from typing import List, Tuple
 
 from .algebra import Algebra, Bimodule, LinearMap, _extension_table, _product, _sum_sparse
-from .linalg import (Matrix, SparseMatrix, Subspace, Vector, _complement, _dense, _integer_row,
+from .linalg import (Matrix, SparseMatrix, Subspace, Vector, _dense, _integer_row,
                      _kernel_vectors, _over, _rejected, coordinates)
 from .reports import ConditionReport, require
 
@@ -136,7 +136,8 @@ def _quotient(a: Algebra, ideal: Subspace) -> Tuple[List[int], Bimodule, LinearM
     """The coset columns of quotient_bimodule, A/I and the projection."""
     require(ideal_check(a, ideal), "subspace is not a two-sided ideal")
     m = a.dim
-    rows = _complement(ideal.pivots, ideal.rows, m)  # the projection's rows
+    rows = {v[0][0]: {k: Fraction(x, v[0][1]) for k, x in v}  # the projection's rows
+            for v in _kernel_vectors(ideal.pivots, ideal.rows, m).data}
     complement = list(rows)
     images = [dict(col) for col in SparseMatrix(len(rows), m, [
         row.items() for row in rows.values()]).transpose().data]  # and its columns

@@ -28,23 +28,24 @@ the fewest live rows.  That keeps fill low, and a row with one nonzero
 is a pivot with no fill, the singleton presolve of structured Gaussian
 elimination (LaMacchia and Odlyzko, CRYPTO 1990).
 
-``nullspace`` picks its row basis mod PRIME from the ``cols`` sparsest
-distinct rows and eliminates exactly over the picked rows, both by
-Markowitz's rule; ``rref``, ``rank``, ``solve`` and ``Subspace``
-eliminate exactly, left to right.  It certifies the kernel by a zero
-integer residual on every distinct row (Dixon, Numer. Math. 40, 1982)
-and adds the rows it rejects to the next pick.  The certificate packs
-the kernel vectors' entries at a column into one int, vector j in signed
-slot j of S bits (Kronecker substitution): S = the bits of the largest
-sum of a row's absolute values + those of the largest vector entry + 2.
-Each slot of a row's packed sum then lies below 2^(S-2) in absolute
-value, so the highest nonzero slot outweighs all below it, and the sum
-is 0 exactly when every slot is.  Rationals come back only at the end,
-one division per entry by its row's pivot.  The reduced row echelon
-form is unique, so the rows and pivot order the kernel picks never
-show: every canonical basis is the one plain Gauss-Jordan gives, and
-its free columns give its complement, a kernel basis (``_complement``).
-A ``Subspace`` keeps only its sparse RREF rows, as ``_rref`` returns them.
+``nullspace`` picks rows mod PRIME from the ``cols`` sparsest distinct
+rows and keeps their Gauss-Jordan rows in integers, both by Markowitz's
+rule; ``rref``, ``rank``, ``solve`` and ``Subspace`` eliminate exactly,
+left to right.  It certifies the kernel read off those rows by a zero
+integer residual on every distinct row (Dixon, Numer. Math. 40, 1982);
+a rejected row's remainder against them becomes a new pivot row.  The
+certificate packs the kernel vectors' entries at a column into one int,
+vector j in signed slot j of S bits (Kronecker substitution): S = the
+bits of the largest sum of a row's absolute values + those of the
+largest vector entry + 2.  Each slot of a row's packed sum then lies
+below 2^(S-2) in absolute value, so the highest nonzero slot outweighs
+all below it, and the sum is 0 exactly when every slot is.  Rationals
+come back only at the end of ``_rref``, one division per entry by its
+row's pivot.  The reduced row echelon form is unique, so the rows and
+pivot order the kernel picks never show: every canonical basis is the
+one plain Gauss-Jordan gives, and its free columns give its complement,
+a kernel basis (``_kernel_vectors``).  A ``Subspace`` keeps only its
+sparse RREF rows, as ``_rref`` returns them.
 """
 
 from __future__ import annotations
@@ -294,17 +295,32 @@ def _echelon(rows: list, prepare=lambda row, c: row, cancel=_cancel, sparsest=Fa
     return pivots, picked, done
 
 
-def _rref(rows: list, cols: int, sparsest=False):
-    """Pivot columns and rows {column: Fraction} of the RREF of integer
-    rows, in ``_echelon``'s pivot order under its rule.  Back-substitution,
-    last pivot first, adds only free columns to a row, so the rows holding
-    each pivot column are indexed once."""
-    pivots, _, done = _echelon(rows, sparsest=sparsest)
+def _extend(pivots: list, done: list, rows: list, cols: int, sparsest=False) -> int:
+    """Grow integer Gauss-Jordan rows done (each nonzero at its own pivot
+    only) and their pivots in place by the rows' remainders against done,
+    eliminated under ``_echelon``'s rule: the number of pivots added."""
+    at, start = dict(zip(pivots, done)), len(done)
+    if at:
+        rows = [dict(row) for row in rows]
+        for row in rows:
+            for c in [c for c in row if c in at]:
+                _cancel(row, at[c], c)
+    new, _, rows = _echelon(rows, sparsest=sparsest)
+    pivots += new
+    done += rows
     holders = SparseMatrix(len(done), cols, [row.items() for row in done]).transpose().data
-    for j in range(len(done) - 1, 0, -1):
+    for j in range(len(done) - 1, start - 1, -1):  # adds free columns only
         for i, _ in holders[pivots[j]]:
             if i != j:
                 _cancel(done[i], done[j], pivots[j])
+    return len(new)
+
+
+def _rref(rows: list, cols: int):
+    """Pivot columns and rows {column: Fraction} of the RREF of integer
+    rows, left to right: ``_extend``'s rows over their pivot entries."""
+    pivots, done = [], []
+    _extend(pivots, done, rows, cols)
     return pivots, [{k: Fraction(x, row[c]) for k, x in row.items()}
                     for c, row in zip(pivots, done)]
 
@@ -328,24 +344,22 @@ def rank(m: Matrix) -> int:
     return len(_echelon(_distinct_rows(m.pairs()))[0])
 
 
-def _complement(pivots: list, rows: list, cols: int) -> dict:
-    """{f: row} for each free column f of the RREF rows {column: value}:
-    row f is e_f minus the f entry of each row at that row's pivot.  These
-    rows span the kernel of the RREF rows; as the rows of a matrix they
-    are the projection onto the free columns along the RREF rows' span."""
-    taken = set(pivots)
-    out = {f: {f: Fraction(1)} for f in range(cols) if f not in taken}
-    for p, row in zip(pivots, rows):
-        for k, x in row.items():
-            if k in out:
-                out[k][p] = -x
-    return out
-
-
 def _kernel_vectors(pivots: list, rows: list, cols: int) -> SparseMatrix:
-    """The rows of ``_complement`` as primitive integer vectors."""
-    vectors = _distinct_rows(v.items() for v in _complement(pivots, rows, cols).values())
-    return SparseMatrix(len(vectors), cols, [list(v.items()) for v in vectors])
+    """Primitive integer vectors spanning the kernel of Gauss-Jordan rows
+    {column: value}, read by ``_integer_row``: for each free column f in
+    turn, l e_f minus l/d times each row's f entry at its pivot, d its
+    pivot entry and l the lcm of those d, over its gcd.  Vector f starts
+    at (f, x); over x, it is row f of the projection onto the free columns."""
+    rows = [_integer_row(row.items())[1] for row in rows]
+    ds = [row[p] for p, row in zip(pivots, rows)]
+    holders = SparseMatrix(len(rows), cols, [row.items() for row in rows]).transpose().data
+    vectors = []
+    for f in sorted(set(range(cols)).difference(pivots)):
+        l = lcm(*(ds[i] for i, _ in holders[f]))
+        v = [(f, l)] + [(pivots[i], -x * (l // ds[i])) for i, x in holders[f]]
+        g = gcd(*(x for _, x in v))
+        vectors.append([(k, x // g) for k, x in v])
+    return SparseMatrix(len(vectors), cols, vectors)
 
 
 def _packed(lists: Iterable, width: int) -> list:
@@ -374,27 +388,23 @@ def nullspace(m) -> "Subspace":
     """Canonical basis of the right kernel {x : m x = 0} of a Matrix or
     SparseMatrix.
 
-    The first sample is the m.cols sparsest distinct rows.  Its rows picked
-    as pivots mod PRIME are independent over Q, so their kernel contains
-    ker m; it is returned once every distinct row has zero product with it,
-    in integers.  A rejected row joins the next sample; if the pick mod PRIME
-    stops growing, PRIME divides a minor of m, and all rows are eliminated.
+    The m.cols sparsest distinct rows picked as pivots mod PRIME are
+    independent over Q, so their kernel holds ker m; it is returned once
+    every distinct row has zero product with it, in integers.  The rows it
+    rejects extend the picked ones; if they add no pivot, it was wrong.
     """
     rows = _distinct_rows(m.pairs())
-    residues = [{c: x % PRIME for c, x in row.items() if x % PRIME} for row in rows]
     bits = max((sum(map(abs, row.values())) for row in rows), default=0).bit_length()
-    sample = sorted(range(len(rows)), key=lambda i: len(rows[i]))[: m.cols]
-    picked = []
+    sample = sorted(rows, key=len)[: m.cols]
+    pick = _echelon([{c: x % PRIME for c, x in row.items() if x % PRIME} for row in sample],
+                    _monic, _cancel_mod_p, sparsest=True)[1]
+    pivots, done, new = [], [], [sample[j] for j in pick]
     while True:
-        pick = _echelon([residues[i] for i in sample], _monic, _cancel_mod_p, sparsest=True)[1]
-        picked = [sample[j] for j in pick] if len(pick) > len(picked) else range(len(rows))
-        kernel = _kernel_vectors(*_rref([rows[i] for i in picked], m.cols, sparsest=True),
-                                 m.cols)
-        if not (rejected := [i for i, _ in _rejected(rows, kernel, bits)]):
-            return Subspace.row_space(kernel)
-        if len(picked) == len(rows):
+        if not _extend(pivots, done, new, m.cols, sparsest=True) and new:
             raise AssertionError("nullspace vector has a nonzero residual")
-        sample = picked + rejected
+        kernel = _kernel_vectors(pivots, done, m.cols)
+        if not (new := [row for _, row in _rejected(rows, kernel, bits)]):
+            return Subspace.row_space(kernel)
 
 
 def solve(m, b: dict) -> Optional[Vector]:

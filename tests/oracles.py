@@ -22,6 +22,18 @@ def tensors_of(algebra, module):
     return algebra.mul_tensor, module.left, module.right
 
 
+def coerced_table(t):
+    """The sparse table [i][j] -> [(k, c)] of a tensor, each entry coerced
+    to a Fraction before its zero test: a float refused, a string read as
+    Fraction reads it."""
+    def coerce(x):
+        if isinstance(x, float):
+            raise TypeError("%r is a float" % x)
+        return x if isinstance(x, Fraction) else Fraction(x)
+    return [[[(k, c) for k, c in enumerate(map(coerce, entry)) if c] for entry in plane]
+            for plane in t]
+
+
 def mul_vec(mul, x, y):
     n = len(mul)
     out = [Fraction(0)] * len(mul[0][0]) if n else []

@@ -32,8 +32,8 @@ from modext.samples import (
 )
 
 from families import basis_change, from_columns, left_mul_matrix, twin, upper_triangular
-from oracles import (apply_matrix, dense_nullspace, dense_rref, left_act, mul_vec,
-                     right_act, tensors_of)
+from oracles import (apply_matrix, coerced_table, dense_nullspace, dense_rref, left_act,
+                     mul_vec, right_act, tensors_of)
 
 
 def built_or_report(build, *args):
@@ -384,6 +384,68 @@ def test_solve_reads_its_right_side_as_nonzeros():
     for key in (2, -1, "0", 0.0, True):
         with pytest.raises(ValueError, match=r"outside range\(2\)"):
             solve(m, {key: 1})
+
+
+def _typed(table):
+    return [[[(k, type(c), c) for k, c in entries] for entries in plane] for plane in table]
+
+
+class TestDenseTensorEntries:
+    """A dense tensor's entries: the int 0 is skipped unread, every other
+    entry is coerced by ``frac`` and kept when nonzero, so the sparse
+    tables are those of coercing every entry first."""
+
+    ZEROS = [0, Fraction(0), "0", False]
+
+    @staticmethod
+    def _idempotent_and_null(one, zero):
+        """Q e0 + Q e1 with e0 e0 = one e0 and every other product zero."""
+        return [[[one, zero], [zero, zero]], [[zero, zero], [zero, zero]]]
+
+    @pytest.mark.parametrize("zero", ZEROS, ids=repr)
+    def test_zeros_of_every_type_are_dropped(self, zero):
+        a = Algebra(self._idempotent_and_null(1, zero))
+        assert _typed(a.mul_table) == [[[(0, Fraction, 1)], []], [[], []]]
+        u = Bimodule(field_q(), [[[1, zero], [zero, 1]]], [[[1, zero]], [[zero, 1]]])
+        assert _typed(u.left_table) == [[[(0, Fraction, 1)], [(1, Fraction, 1)]]]
+        assert _typed(u.right_table) == [[[(0, Fraction, 1)]], [[(1, Fraction, 1)]]]
+
+    def test_a_rational_string_is_stored_as_a_fraction(self):
+        # e e = e/2 acting on Q by 1/2 from both sides
+        a = Algebra([[["1/2"]]])
+        u = Bimodule(a, [[["1/2"]]], [[["1/2"]]])
+        for table in (a.mul_table, u.left_table, u.right_table):
+            assert _typed(table) == [[[(0, Fraction, Fraction(1, 2))]]]
+
+    @pytest.mark.parametrize("x", [0.0, 0.5])
+    def test_a_float_raises_even_when_zero(self, x):
+        with pytest.raises(TypeError, match="%r is a float" % x):
+            Algebra(self._idempotent_and_null(1, x))
+        with pytest.raises(TypeError, match="%r is a float" % x):
+            Bimodule(field_q(), [[[1, x], [0, 1]]], [[[1, 0]], [[0, 1]]])
+
+    def test_every_sample_table_is_the_coerce_first_table(self, monkeypatch):
+        from modext import algebra, samples
+
+        seen = []
+        real = algebra._table
+
+        def spy(t, *shape):
+            seen.append((t, real(t, *shape)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(algebra, "_table", spy)
+        samples.corpus()
+        for n in (2, 3, 4):
+            samples.truncated_poly(n + 2), samples.matrix_units(n)
+            samples.cyclic_group_algebra(n), samples.column_module(n)
+        widest = max((t for t, _ in seen), key=len)
+        mixed = [[[x if i % 3 else Fraction(x) if j % 2 else str(x) for i, x in enumerate(e)]
+                  for j, e in enumerate(plane)] for plane in widest]
+        Algebra(mixed)  # the widest sample tensor with Fraction and string entries
+        assert len(seen) > 30
+        for t, table in seen:
+            assert _typed(table) == _typed(coerced_table(t))
 
 
 class TestProducts:

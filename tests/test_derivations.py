@@ -5,6 +5,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modext.algebra import Algebra, LinearMap, _sum_sparse
 from modext.analysis import center
@@ -451,6 +452,53 @@ def _dense_twin(build, extend):
     p, q = basis_change(a.dim, seed=1)
     dense = twin(a, p, q)
     return self_extension(dense) if extend else dense
+
+
+def _naive_ad_columns(a, u):
+    """The flattened ad_{u_s}, nonzeros only, from the rational tensors."""
+    return [{r: x for r, x in enumerate(col) if x}
+            for col in oracles.ad_vectors(*tensors_of(a, u))]
+
+
+class TestAdColumns:
+    """``_ad_columns`` sums on the integer tables and makes a Fraction of
+    each nonzero left: column s is the naive rational ad_{u_s}, its zeros
+    left out."""
+
+    @staticmethod
+    def _check(a, u):
+        columns = derivations._ad_columns(a, u)
+        assert columns == _naive_ad_columns(a, u)
+        assert all(type(x) is Fraction for col in columns for x in col.values())
+        return columns
+
+    def test_on_the_corpus(self, corpus_pairs):
+        for _, a, u in corpus_pairs:
+            self._check(a, u)
+
+    @TWINS
+    def test_on_the_dense_twins(self, build, extend):
+        a = _dense_twin(build, extend)
+        assert a.self_bimodule().integer_tables[0] != 1
+        self._check(a, a.self_bimodule())
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([lambda: matrix_units(2), lambda: truncated_poly(4),
+                            lambda: upper_triangular(2),
+                            lambda: self_extension(upper_triangular_2())]),
+           st.integers(0, 10**6))
+    def test_on_seeded_dense_twins(self, build, seed):
+        a = build()
+        dense = twin(a, *basis_change(a.dim, seed=seed))
+        self._check(dense, dense.self_bimodule())
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 36])
+    def test_every_column_of_a_commutative_t_is_empty(self, n):
+        t = self_extension(truncated_poly(n))
+        u = t.self_bimodule()
+        if n < 36:  # the naive columns of the 72-dimensional T take about 5 s
+            self._check(t, u)
+        assert derivations._ad_columns(t, u) == [{}] * t.dim
 
 
 class TestIntegerLeibnizRows:

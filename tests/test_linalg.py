@@ -73,36 +73,43 @@ class TestNullspace:
 
 
 class TestModularRowBasis:
-    """nullspace picks its rows by elimination mod PRIME, from the m.cols
-    sparsest distinct rows first.  The certificate rejects each row outside
-    the span of the picked rows, and the next sample is the picked rows and
-    the rejected ones.  Where the rank mod PRIME is below the rank over Q,
-    the pick stops growing and every row is eliminated.  verdicts holds, per
-    round, the number of rows sampled mod PRIME, eliminated exactly, and
-    rejected by the certificate."""
+    """nullspace picks its first rows by elimination mod PRIME, from the
+    m.cols sparsest distinct rows, and brings the picked rows to
+    Gauss-Jordan form exactly.  The certificate rejects each row outside
+    their span; the rejected rows are reduced exactly against the kept
+    rows, and only their nonzero remainders are eliminated, as new pivot
+    rows, with no second pick mod PRIME.  Where the rank mod PRIME is below
+    the rank over Q, the remainders hold what the pick missed.  verdicts
+    holds, per round, the number of rows eliminated mod PRIME and exactly
+    in that round, and the number the certificate rejected."""
 
     @pytest.mark.parametrize("rows, verdicts", [
         ([[PRIME]], [(1, 1, 0)]),
-        # rank mod PRIME below rank over Q: round 2 eliminates every row
-        ([[PRIME, 1], [0, 1]], [(2, 1, 1), (2, 2, 0)]),
-        ([[1, 1], [1, 1 + PRIME]], [(2, 1, 1), (2, 2, 0)]),
-        ([[PRIME, 0, 1], [0, PRIME, 1], [1, 1, 0]], [(3, 2, 1), (3, 3, 0)]),
+        # rank mod PRIME below rank over Q: round 2 eliminates the one remainder
+        ([[PRIME, 1], [0, 1]], [(2, 1, 1), (0, 1, 0)]),
+        ([[1, 1], [1, 1 + PRIME]], [(2, 1, 1), (0, 1, 0)]),
+        ([[PRIME, 0, 1], [0, PRIME, 1], [1, 1, 0]], [(3, 2, 1), (0, 1, 0)]),
         # the 3 sparsest rows have rank 2: round 1 rejects only (1,1,1), and
-        # round 2 samples it with the 2 picked rows, not all 4 rows
-        ([[1, 1, 1], [1, 1, 0], [1, 0, 0], [0, 1, 0]], [(3, 2, 1), (3, 3, 0)]),
+        # round 2 eliminates its remainder alone, not the 2 picked rows again
+        ([[1, 1, 1], [1, 1, 0], [1, 0, 0], [0, 1, 0]], [(3, 2, 1), (0, 1, 0)]),
+        # two rejected rows with one remainder (0,0,1) up to a factor: both
+        # are eliminated in round 2, and one pivot joins
+        ([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 1, 1], [1, 2, 1]], [(3, 2, 2), (0, 2, 0)]),
     ])
     def test_kernel_is_the_dense_one_after_the_certificate(self, rows, verdicts,
                                                              monkeypatch):
-        sizes, seen = {}, []
+        sizes, seen = {"mod p": 0, "exact": 0}, []
         real_echelon, real_rejected = linalg._echelon, linalg._rejected
 
         def echelon_spy(basis_rows, *arithmetic, **rule):
-            sizes["mod p" if arithmetic else "exact"] = len(basis_rows)
+            if rule.get("sparsest"):  # not the canonical RREF of the kernel
+                sizes["mod p" if arithmetic else "exact"] += len(basis_rows)
             return real_echelon(basis_rows, *arithmetic, **rule)
 
         def rejected_spy(*args):
             out = list(real_rejected(*args))
             seen.append((sizes["mod p"], sizes["exact"], len(out)))
+            sizes.update({"mod p": 0, "exact": 0})
             return out
 
         monkeypatch.setattr(linalg, "_echelon", echelon_spy)
@@ -556,14 +563,39 @@ def test_echelon_matches_the_copying_loop_and_leaves_its_rows(data):
         assert handed == before
 
 
+@settings(max_examples=200, deadline=None)
+@given(sparse_integer_rows(), st.integers(0, 10))
+def test_extend_keeps_gauss_jordan_rows_of_every_row_so_far(data, cut):
+    # rows handed in two batches, as nullspace hands its picked and then
+    # its rejected rows: after each, every kept row is nonzero at its own
+    # pivot and at no other, the kept rows span what the rows so far span,
+    # the count returned is the rank gained, and the rows handed in stay
+    rows, cols = data
+    dense = lambda rs: [[r.get(c, 0) for c in range(cols)] for r in rs]
+    before = copy.deepcopy(rows)
+    for sparsest in (False, True):
+        pivots, done = [], []
+        for so_far, batch in ((rows[:cut], rows[:cut]), (rows, rows[cut:])):
+            rank = len(pivots)
+            assert linalg._extend(pivots, done, batch, cols, sparsest) == len(pivots) - rank
+            for p, row in zip(pivots, done):
+                assert row[p] and not set(row).intersection(pivots).difference([p])
+            want, want_pivots = dense_rref(dense(so_far)) if so_far else ([], [])
+            got, got_pivots = dense_rref(dense(done)) if done else ([], [])
+            assert (got[:len(got_pivots)], got_pivots) == (want[:len(want_pivots)], want_pivots)
+        assert rows == before
+
+
 @pytest.mark.parametrize("rows", [
     [[PRIME, 1], [0, 1]],
     [[1, 1], [1, 1 + PRIME]],
     [[PRIME, 0, 1], [0, PRIME, 1], [1, 1, 0]],
 ])
-def test_nullspace_leaves_its_rows_on_the_fallback_to_all_rows(rows, monkeypatch):
+def test_nullspace_leaves_its_rows_when_prime_divides_a_minor(rows, monkeypatch):
     # the rows nullspace reads, and every list handed to _echelon, are
-    # unchanged once it returns; the last exact pass is over all rows
+    # unchanged once it returns; the pick mod PRIME misses a row, yet no
+    # row is eliminated exactly twice: the exact passes, the kernel's
+    # canonical RREF aside, eliminate as many rows as the rank
     handed, exact = [], []
     real_distinct, real_echelon = linalg._distinct_rows, linalg._echelon
 
@@ -574,14 +606,14 @@ def test_nullspace_leaves_its_rows_on_the_fallback_to_all_rows(rows, monkeypatch
 
     def echelon_spy(basis_rows, *arithmetic, **rule):
         handed.append((basis_rows, copy.deepcopy(basis_rows)))
-        if not arithmetic:
+        if not arithmetic and rule.get("sparsest"):
             exact.append(len(basis_rows))
         return real_echelon(basis_rows, *arithmetic, **rule)
 
     monkeypatch.setattr(linalg, "_distinct_rows", distinct_spy)
     monkeypatch.setattr(linalg, "_echelon", echelon_spy)
     assert nullspace(M(rows)).basis == dense_nullspace(rows)
-    assert exact[-2] == len(handed[0][0])  # the fallback eliminated every row
+    assert len(exact) == 2 and sum(exact) == len(dense_rref(rows)[1])
     assert all(now == before for now, before in handed)
 
 
