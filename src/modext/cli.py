@@ -12,6 +12,13 @@ Each command writes its result into one dict, printed as indented text
 or, with --json, as JSON.  Exit codes: 0 success, 1 axiom or hypothesis
 failure, 2 input error.  Output is deterministic: identical inputs and
 --seed give identical bytes.
+
+Only ``io`` (with ``algebra``, ``linalg`` and ``reports``) is imported
+with this module; each command imports what it runs, so ``validate``
+loads nothing more, ``der`` adds ``derivations``, ``decompose`` adds
+``blocks``, ``derivations`` and ``extension``, ``construct`` those and
+``constructions``, and ``analyze`` adds ``analysis``, ``derivations``
+and ``extension``.
 """
 
 from __future__ import annotations
@@ -22,18 +29,7 @@ import os
 import sys
 
 from . import io as fileio
-from .algebra import ValidationError, annihilator
-from .analysis import (
-    center,
-    is_idempotent,
-    is_simple_prime,
-    min_poly,
-    radical,
-)
-from .blocks import blocks_of, check_block_conditions, inner_witness, split_d1_d2
-from .constructions import corner_tau, lift, quotient_derivation, transport
-from .derivations import derivation_space, inner_space
-from .extension import submultiplicativity_constant
+from .algebra import ValidationError
 from .reports import ConditionReport, HypothesisError
 
 
@@ -109,6 +105,8 @@ def cmd_validate(args, art, out: dict) -> None:
 
 
 def cmd_der(args, art, out: dict) -> None:
+    from .derivations import derivation_space, inner_space
+
     a = art.algebra
     if args.module == "file":
         u = art.bimodule()
@@ -129,6 +127,8 @@ def cmd_der(args, art, out: dict) -> None:
 
 
 def cmd_decompose(args, art, out: dict) -> None:
+    from .blocks import blocks_of, check_block_conditions, inner_witness, split_d1_d2
+
     t = art.extension()
     d = art.linear_map(args.map, "total", "total")
     b = blocks_of(t, d)
@@ -172,6 +172,8 @@ def _write_result(args, out: dict, result) -> None:
 
 
 def cmd_construct(args, art, out: dict) -> None:
+    from .constructions import corner_tau, lift, quotient_derivation, transport
+
     a = art.algebra
     if args.recipe == "lift":
         t = art.extension()
@@ -198,6 +200,10 @@ def cmd_construct(args, art, out: dict) -> None:
 
 
 def cmd_analyze(args, art, out: dict) -> None:
+    from .algebra import annihilator
+    from .analysis import center, is_idempotent, is_simple_prime, min_poly, radical
+    from .extension import submultiplicativity_constant
+
     a = art.algebra
     if args.center:
         out["center"] = _space(center(a))

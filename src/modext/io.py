@@ -15,12 +15,14 @@ import hashlib
 import json
 import re
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
 
 from .algebra import Algebra, Bimodule, LinearMap
-from .extension import ModuleExtension, trivial_extension
 from .linalg import Matrix, Subspace
 from .reports import Record
+
+if TYPE_CHECKING:
+    from .extension import ModuleExtension
 
 FORMAT_VERSION = "1"
 
@@ -107,6 +109,8 @@ class ArtifactFile(Record):
 
     def extension(self) -> ModuleExtension:
         if self._extension is None:
+            from .extension import trivial_extension  # validate builds no T(A, U)
+
             self._extension = trivial_extension(self.algebra, self.bimodule())
         return self._extension
 

@@ -1,5 +1,6 @@
 """Cold start: sympy is loaded only when a minimal polynomial is factored,
-and dataclasses (which loads inspect, ast, dis and tokenize) never.
+dataclasses (which loads inspect, ast, dis and tokenize) never, and
+``import modext`` and each command load only the package modules they run.
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=src``, so that
 nothing the test session imported can leak into ``sys.modules``.  The
@@ -39,7 +40,9 @@ else:
         code = main(case)
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
 print(json.dumps({"code": code, "digest": digest, "sympy": "sympy" in sys.modules,
-                  "dataclasses": "dataclasses" in sys.modules}))
+                  "dataclasses": "dataclasses" in sys.modules,
+                  "modules": sorted(k[len("modext."):] for k in sys.modules
+                                    if k.startswith("modext."))}))
 """
 
 WITHOUT_SYMPY = [
@@ -99,6 +102,28 @@ def test_json_command_leaves_sympy_and_dataclasses_unloaded(argv):
     assert (got["sympy"], got["dataclasses"]) == (False, False)
     assert got["code"] == 0
     assert got["digest"] == expected_digest(argv)
+
+
+# the package modules a command must not load: validate builds no T(A, U)
+# and solves nothing, der solves Der and Inn on A alone
+NOT_LOADED = {
+    "validate": {"analysis", "blocks", "constructions", "derivations", "extension"},
+    "der": {"analysis", "blocks", "constructions"},
+    "analyze": {"blocks", "constructions"},
+}
+
+
+def test_import_loads_no_package_module():
+    assert run_fresh("modext")["modules"] == []
+
+
+@pytest.mark.parametrize("argv", [argv for argv in WITHOUT_SYMPY if argv[0] in NOT_LOADED],
+                         ids=" ".join)
+def test_command_loads_only_the_modules_it_runs(argv):
+    got = run_fresh(argv)
+    assert got["code"] == 0
+    assert {"algebra", "cli", "io", "linalg", "reports"} <= set(got["modules"])
+    assert not NOT_LOADED[argv[0]] & set(got["modules"])
 
 
 def test_simple_on_a_semisimple_algebra_loads_sympy(tmp_path, monkeypatch):

@@ -37,3 +37,11 @@ def test_a_planted_import_and_definition_are_named(lint, tmp_path):
         "src/modext/cli.py:1: Fraction is imported but unused"]
     assert lint.unreferenced_names(tmp_path) == [
         "src/modext/cli.py:4: _fmt is defined but never referenced"]
+
+
+def test_the_package_init_is_checked_too(lint, tmp_path):
+    for d in ("src/modext", "tests", "tools"):
+        (tmp_path / d).mkdir(parents=True)
+    (tmp_path / "src/modext/__init__.py").write_text("from .algebra import Algebra\n")
+    assert lint.unused_imports(tmp_path) == [
+        "src/modext/__init__.py:1: Algebra is imported but unused"]

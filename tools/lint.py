@@ -2,14 +2,14 @@
 
     python3 tools/lint.py [imports] [names]
 
-``imports``: no unused imports in src/modext, tests and tools (the
-package ``__init__.py``, whose imports are the public re-exports, is
-exempt).  ``names``: every module-level or class-level definition in
-src/modext is referenced from src/modext, tests, tools or perfbench, as
-a loaded name, an attribute, an imported name or a string constant
-(``__version__`` and dunders exempt).  With no argument both run.  Each
-check prints its findings, or one line saying there are none; the
-script exits 1 when any check found something.
+``imports``: no unused imports in src/modext, tests and tools, the
+package ``__init__.py`` included.  ``names``: every module-level or
+class-level definition in src/modext is referenced from src/modext,
+tests, tools or perfbench, as a loaded name, an attribute, an imported
+name or a string constant (``__version__`` and dunders exempt).  With
+no argument both run.  Each check prints its findings, or one line
+saying there are none; the script exits 1 when any check found
+something.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ def _files(root: Path, dirs):
 def unused_imports(root: Path = ROOT) -> list:
     bad = []
     for _, path in _files(root, ("src/modext", "tests", "tools")):
-        if path == Path("src/modext/__init__.py"):  # its imports are the public re-exports
-            continue
         tree = ast.parse((root / path).read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
