@@ -35,6 +35,7 @@ from .linalg import (
     _echelon,
     _integer_row,
     coordinates,
+    frac,
     nullspace,
     rank,
 )
@@ -53,12 +54,13 @@ class RadicalReport(NamedTuple):
 
 
 class Polynomial(Record):
-    """Rational polynomial, coefficients lowest degree first."""
+    """Rational polynomial, coefficients lowest degree first, each coerced
+    by ``frac``: a float raises TypeError."""
 
     _fields = ("coefficients",)
 
     def __init__(self, coefficients: List[Fraction]):
-        self.coefficients = [Fraction(c) for c in coefficients]
+        self.coefficients = [frac(c) for c in coefficients]
         while self.coefficients and self.coefficients[-1] == 0:
             self.coefficients.pop()
 
@@ -123,7 +125,7 @@ def is_nilpotent_subspace(a: Algebra, s: Subspace) -> bool:
         if not power:
             return True
         products = (_product(table, x, y).items() for x in power for y in gens)
-        power = _echelon(_distinct_rows(products))[2]
+        power = _echelon(_distinct_rows(products))[1]
     return not power
 
 

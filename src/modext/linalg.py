@@ -13,38 +13,31 @@ there is one elimination loop, ``_echelon``, on sparse rows: a
 stored nonzeros.  The package builds sparse rows only: the Leibniz
 rows, the inner map's tagged ad columns (``derivations._inner``), the
 words of ``derivations.LeibnizSystem``, reduced with their tags, and
-the tagged powers of ``analysis.min_poly``.  Each row is read once as
-a primitive
-integer row, first entry positive, and empty and repeated rows are
-dropped (the Leibniz system of T(M3, M3) has 641 rows, 123 of them
-distinct).  The loop
-takes its row arithmetic as a parameter: primitive integers, cancelling
-by ``a*row - b*pivot`` with a, b reduced by their gcd (Bareiss, Math.
-Comp. 22, 1968), or residues mod PRIME; either cancel updates a live row
-in place, in the loop's own copy of the rows.  Its pivot rule is left to
-right, each column in turn on its sparsest live row, or Markowitz's
-(Management Sci. 3, 1957): the sparsest live row, on its column met by
-the fewest live rows.  That keeps fill low, and a row with one nonzero
-is a pivot with no fill, the singleton presolve of structured Gaussian
-elimination (LaMacchia and Odlyzko, CRYPTO 1990).
+the tagged powers of ``analysis.min_poly``.  Each row is read once as a
+primitive integer row, first entry positive, and empty and repeated
+rows are dropped (the Leibniz system of T(M3, M3) has 641 rows, 123 of
+them distinct).  The loop pivots left to right, each column in turn on
+its sparsest live row, and cancels by ``a*row - b*pivot`` with a, b
+reduced by their gcd, the row kept primitive (Bareiss, Math. Comp. 22,
+1968), in place, in the loop's own copy of the rows.
 
-``nullspace`` picks rows mod PRIME from the ``cols`` sparsest distinct
-rows and keeps their Gauss-Jordan rows in integers, both by Markowitz's
-rule; ``rref``, ``rank``, ``solve`` and ``Subspace`` eliminate exactly,
-left to right.  It certifies the kernel read off those rows by a zero
-integer residual on every distinct row (Dixon, Numer. Math. 40, 1982);
-a rejected row's remainder against them becomes a new pivot row.  The
-certificate packs the kernel vectors' entries at a column into one int,
-vector j in signed slot j of S bits (Kronecker substitution): S = the
-bits of the largest sum of a row's absolute values + those of the
-largest vector entry + 2.  Each slot of a row's packed sum then lies
-below 2^(S-2) in absolute value, so the highest nonzero slot outweighs
-all below it, and the sum is 0 exactly when every slot is.  Rationals
-come back only at the end of ``_rref``, one division per entry by its
-row's pivot.  The reduced row echelon form is unique, so the rows and
-pivot order the kernel picks never show: every canonical basis is the
-one plain Gauss-Jordan gives, and its free columns give its complement,
-a kernel basis (``_kernel_vectors``).  A ``Subspace`` keeps only its
+``nullspace`` eliminates the ``cols`` sparsest distinct rows, as
+``rref``, ``rank``, ``solve`` and ``Subspace`` eliminate theirs, and
+keeps their Gauss-Jordan rows in integers.  It certifies the kernel
+read off those rows by a zero integer residual on every distinct row
+(Dixon, Numer. Math. 40, 1982); a rejected row's remainder against them
+becomes a new pivot row.  The certificate packs the kernel vectors'
+entries at a column into one int, vector j in signed slot j of S bits
+(Kronecker substitution): S = the bits of the largest sum of a row's
+absolute values + those of the largest vector entry + 2.  Each slot of
+a row's packed sum then lies below 2^(S-2) in absolute value, so the
+highest nonzero slot outweighs all below it, and the sum is 0 exactly
+when every slot is.  Rationals come back only at the end of ``_rref``,
+one division per entry by its row's pivot.  The reduced row echelon
+form is unique, so the rows and pivot order the kernel picks never
+show: every canonical basis is the one plain Gauss-Jordan gives, and
+its free columns give its complement, a kernel basis
+(``_kernel_vectors``).  A ``Subspace`` keeps only its
 sparse RREF rows, as ``_rref`` returns them.
 """
 
@@ -52,7 +45,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -61,7 +53,7 @@ Vector = list  # list[Fraction]
 
 _ZERO = Fraction(0)  # the one zero that zero_vec shares, skipped by identity
 
-PRIME = 2**31 - 1  # the modulus of nullspace's row basis; residue products < 2^62
+PRIME = 2**31 - 1  # the modulus of derivations.generators' word span; residue products < 2^62
 
 
 def frac(x) -> Fraction:
@@ -246,66 +238,49 @@ def _cancel_mod_p(row: dict, prow: dict, c: int):
     return _subtract(row, prow, row[c], PRIME)
 
 
-def _echelon(rows: list, prepare=lambda row, c: row, cancel=_cancel, sparsest=False):
-    """Forward elimination: (pivots, picked, done), where row picked[j] of
-    rows, made ready once by prepare, cleared column pivots[j] from the
-    other live rows by cancel and ended as done[j].  Ties go to the lowest
-    index.  Left to right, each column's pivot is its live row with the
-    fewest nonzeros; if sparsest (Markowitz), each step takes the live row
-    with the fewest nonzeros and pivots on its column with the fewest live
-    rows.  The rows handed in stay as they are: cancel updates a copy.
-    Only the columns the rows touch are indexed: a cancel moves nonzeros
-    among those columns only."""
+def _echelon(rows: list):
+    """Forward elimination, left to right: (pivots, done).  Each column
+    in turn that a live row meets is pivots[j]: its live row with the
+    fewest nonzeros, lowest index on ties, clears it from the other live
+    rows by ``_cancel`` and ends as done[j].  The rows handed in stay as
+    they are: the loop cancels in a copy.  Only the columns the rows touch
+    are indexed: a cancel moves nonzeros among those columns only."""
     rows = [dict(row) for row in rows]
     where = defaultdict(set)  # touched column -> live rows nonzero there
     for i, row in enumerate(rows):
         for c in row:
             where[c].add(i)
-    heap = [(len(row), i) for i, row in enumerate(rows) if row] if sparsest else []
-    heapify(heap)  # (nonzeros, row), stale once the row changes or is picked
-
-    def choices():  # each next pivot (row, column) under the rule
-        if not sparsest:
-            for c in sorted(where):
-                if where[c]:
-                    yield min(where[c], key=lambda i: (len(rows[i]), i)), c
-        while heap:
-            n, p = heappop(heap)
-            if len(rows[p]) == n:  # a picked row is emptied
-                row = rows[p]
-                yield p, min(row, key=lambda k: (len(where[k]), k)) if n > 1 else next(iter(row))
-
-    pivots, picked, done = [], [], []
-    for p, c in choices():
-        prow, rows[p] = prepare(rows[p], c), {}
+    pivots, done = [], []
+    for c in sorted(where):
+        if not where[c]:
+            continue
+        p = min(where[c], key=lambda i: (len(rows[i]), i))
+        prow, rows[p] = rows[p], {}
         for k in prow:
             where[k].discard(p)
         live, where[c] = where[c], set()  # every live row leaves column c
         for i in live:
-            gained, lost = cancel(rows[i], prow, c)
+            gained, lost = _cancel(rows[i], prow, c)
             for k in lost:
                 where[k].discard(i)
             for k in gained:
                 where[k].add(i)
-            if sparsest and rows[i]:
-                heappush(heap, (len(rows[i]), i))
         pivots.append(c)
-        picked.append(p)
         done.append(prow)
-    return pivots, picked, done
+    return pivots, done
 
 
-def _extend(pivots: list, done: list, rows: list, cols: int, sparsest=False) -> int:
+def _extend(pivots: list, done: list, rows: list, cols: int) -> int:
     """Grow integer Gauss-Jordan rows done (each nonzero at its own pivot
     only) and their pivots in place by the rows' remainders against done,
-    eliminated under ``_echelon``'s rule: the number of pivots added."""
+    eliminated by ``_echelon``: the number of pivots added."""
     at, start = dict(zip(pivots, done)), len(done)
     if at:
         rows = [dict(row) for row in rows]
         for row in rows:
             for c in [c for c in row if c in at]:
                 _cancel(row, at[c], c)
-    new, _, rows = _echelon(rows, sparsest=sparsest)
+    new, rows = _echelon(rows)
     pivots += new
     done += rows
     holders = SparseMatrix(len(done), cols, [row.items() for row in done]).transpose().data
@@ -388,19 +363,16 @@ def nullspace(m) -> "Subspace":
     """Canonical basis of the right kernel {x : m x = 0} of a Matrix or
     SparseMatrix.
 
-    The m.cols sparsest distinct rows picked as pivots mod PRIME are
-    independent over Q, so their kernel holds ker m; it is returned once
-    every distinct row has zero product with it, in integers.  The rows it
-    rejects extend the picked ones; if they add no pivot, it was wrong.
+    The kernel of the m.cols sparsest distinct rows holds ker m; it is
+    returned once every distinct row has zero product with it, in
+    integers.  The rows it rejects extend the eliminated ones; if they add
+    no pivot, it was wrong.
     """
     rows = _distinct_rows(m.pairs())
     bits = max((sum(map(abs, row.values())) for row in rows), default=0).bit_length()
-    sample = sorted(rows, key=len)[: m.cols]
-    pick = _echelon([{c: x % PRIME for c, x in row.items() if x % PRIME} for row in sample],
-                    _monic, _cancel_mod_p, sparsest=True)[1]
-    pivots, done, new = [], [], [sample[j] for j in pick]
+    pivots, done, new = [], [], sorted(rows, key=len)[: m.cols]
     while True:
-        if not _extend(pivots, done, new, m.cols, sparsest=True) and new:
+        if not _extend(pivots, done, new, m.cols) and new:
             raise AssertionError("nullspace vector has a nonzero residual")
         kernel = _kernel_vectors(pivots, done, m.cols)
         if not (new := [row for _, row in _rejected(rows, kernel, bits)]):

@@ -6,8 +6,6 @@ HypothesisError.  The lists are shared between the unit tests and the
 acceptance suite, which requires at least ten rejections per recipe.
 """
 
-from fractions import Fraction
-
 from modext.algebra import LinearMap
 from modext.constructions import corner_tau, lift, quotient_derivation, transport
 from modext.extension import trivial_extension
@@ -29,12 +27,6 @@ from families import left_mul_matrix
 
 def _mat(rows):
     return Matrix.from_rows(rows)
-
-
-def _scaled_identity(n, c):
-    return Matrix.from_rows(
-        [[Fraction(c) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    )
 
 
 def euler_matrix():

@@ -413,8 +413,8 @@ def largest_nilpotent_ideal_dim(mul, max_seed_size=2):
 #
 # Each cancel builds a new row, and the loop finds the columns a row gained
 # or lost by comparing key sets.  The kernel's loop must pick the same
-# pivots and rows and end with the same rows, in both arithmetics and
-# under both pivot rules.
+# pivots and end with the same rows.  The residue cancels mod PRIME are the
+# reference for the ones ``derivations.generators`` runs.
 
 PRIME = 2**31 - 1
 
@@ -450,57 +450,30 @@ def copying_cancel_mod_p(row, prow, c):
     return {k: r for k, x in _combination(row, prow, 1, row[c]).items() if (r := x % PRIME)}
 
 
-def copying_echelon(rows, cols, prepare=lambda row, c: row, cancel=copying_cancel,
-                    sparsest=False):
-    """(pivots, picked, done) of forward elimination with a new row per
-    cancel.  Left to right, the pivot of a column is the live row with the
-    fewest nonzeros, lowest index on ties.  With sparsest (Markowitz), each
-    step scans every live row for the one with the fewest nonzeros, lowest
-    index on ties, and pivots on its column met by the fewest live rows,
-    lowest column on ties."""
+def copying_echelon(rows, cols):
+    """(pivots, done) of forward elimination with a new row per cancel,
+    left to right: the pivot of a column is the live row with the fewest
+    nonzeros, lowest index on ties."""
     rows = list(rows)
-    if sparsest:
-        return _copying_markowitz(rows, prepare, cancel)
     where = [set() for _ in range(cols)]
     for i, row in enumerate(rows):
         for c in row:
             where[c].add(i)
-    pivots, picked, done = [], [], []
+    pivots, done = [], []
     for c in range(cols):
         if not where[c]:
             continue
         p = min(where[c], key=lambda i: (len(rows[i]), i))
-        prow = prepare(rows[p], c)
+        prow = rows[p]
         for k in prow:
             where[k].discard(p)
         for i in list(where[c]):
             row = rows[i]
-            rows[i] = new = cancel(row, prow, c)
+            rows[i] = new = copying_cancel(row, prow, c)
             for k in row.keys() - new.keys():
                 where[k].discard(i)
             for k in new.keys() - row.keys():
                 where[k].add(i)
         pivots.append(c)
-        picked.append(p)
         done.append(prow)
-    return pivots, picked, done
-
-
-def _copying_markowitz(rows, prepare, cancel):
-    """copying_echelon's Markowitz rule, with no index of columns: the live
-    rows are the nonempty rows not yet picked, counted afresh each step."""
-    live = {i for i, row in enumerate(rows) if row}
-    pivots, picked, done = [], [], []
-    while live:
-        p = min(live, key=lambda i: (len(rows[i]), i))
-        c = min(rows[p], key=lambda k: (sum(k in rows[i] for i in live), k))
-        prow = prepare(rows[p], c)
-        live.discard(p)
-        for i in [i for i in live if c in rows[i]]:
-            rows[i] = cancel(rows[i], prow, c)
-            if not rows[i]:
-                live.discard(i)
-        pivots.append(c)
-        picked.append(p)
-        done.append(prow)
-    return pivots, picked, done
+    return pivots, done

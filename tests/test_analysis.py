@@ -263,6 +263,15 @@ class TestMinPoly:
         assert p.degree == 1 and p == Polynomial([1, 2])
         assert p != [1, 2]  # a record equals only a record of its own class
 
+    def test_coefficients_are_read_by_frac(self):
+        # a float raises, as everywhere else in the package; a rational
+        # string is read exactly
+        with pytest.raises(TypeError, match="is a float"):
+            Polynomial([0.1, 1])
+        p = Polynomial(["1/2", 1])
+        assert p.coefficients == [Fraction(1, 2), Fraction(1)]
+        assert all(type(c) is Fraction for c in p.coefficients)
+
     def test_str_rendering(self):
         assert str(Polynomial([-1, 1])) == "t - 1"
         assert str(Polynomial([0, -1, 1])) == "t^2 - t"

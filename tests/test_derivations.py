@@ -537,29 +537,23 @@ class TestIntegerLeibnizRows:
     @TWINS
     def test_echelon_matches_the_copying_loop_on_the_system(self, build, extend,
                                                              monkeypatch):
-        # every elimination derivation_space runs, mod PRIME and exact, ends
-        # as the copying loop's does under the same pivot rule and leaves the
-        # rows it was handed; nullspace's two passes take the sparsest rule,
-        # the canonical basis the left-to-right one
+        # every elimination derivation_space runs ends as the copying loop's
+        # does and leaves the rows it was handed
         calls = []
         real = linalg._echelon
 
-        def spy(rows, *arithmetic, sparsest=False):
-            calls.append((rows, copy.deepcopy(rows), arithmetic, sparsest))
-            return real(rows, *arithmetic, sparsest=sparsest)
+        def spy(rows):
+            calls.append((rows, copy.deepcopy(rows)))
+            return real(rows)
 
         monkeypatch.setattr(linalg, "_echelon", spy)
         a = _dense_twin(build, extend)
         derivation_space(a, a.self_bimodule())
-        oracle = {(): (), (linalg._monic, linalg._cancel_mod_p):
-                  (oracles.monic, oracles.copying_cancel_mod_p)}
-        rules = {(bool(arithmetic), sparsest) for *_, arithmetic, sparsest in calls}
-        assert rules == {(True, True), (False, True), (False, False)}
+        assert calls
         cols = a.dim ** 2  # the oracle's width: past every column, D's entries the widest
-        for rows, before, arithmetic, sparsest in calls:
+        for rows, before in calls:
             assert rows == before
-            assert real(rows, *arithmetic, sparsest=sparsest) == \
-                oracles.copying_echelon(rows, cols, *oracle[arithmetic], sparsest=sparsest)
+            assert real(rows) == oracles.copying_echelon(rows, cols)
 
 
 class TestLeibnizSystemShape:

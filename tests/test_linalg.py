@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modext import linalg
+from modext.derivations import LeibnizSystem
 from modext.linalg import (
     PRIME,
     Matrix,
@@ -73,49 +74,66 @@ class TestNullspace:
 
 
 class TestModularRowBasis:
-    """nullspace picks its first rows by elimination mod PRIME, from the
-    m.cols sparsest distinct rows, and brings the picked rows to
-    Gauss-Jordan form exactly.  The certificate rejects each row outside
-    their span; the rejected rows are reduced exactly against the kept
-    rows, and only their nonzero remainders are eliminated, as new pivot
-    rows, with no second pick mod PRIME.  Where the rank mod PRIME is below
-    the rank over Q, the remainders hold what the pick missed.  verdicts
-    holds, per round, the number of rows eliminated mod PRIME and exactly
-    in that round, and the number the certificate rejected."""
+    """nullspace eliminates the m.cols sparsest distinct rows exactly, left
+    to right, to Gauss-Jordan form.  The certificate rejects each row
+    outside their span; the rejected rows are reduced exactly against the
+    kept rows, and only their nonzero remainders are eliminated, as new
+    pivot rows.  Where PRIME divides a minor nothing changes: no step works
+    mod PRIME.  verdicts holds, per round, the number of rows eliminated
+    in that round, the canonical RREF of the kernel left out, and the
+    number the certificate rejected."""
 
-    @pytest.mark.parametrize("rows, verdicts", [
-        ([[PRIME]], [(1, 1, 0)]),
-        # rank mod PRIME below rank over Q: round 2 eliminates the one remainder
-        ([[PRIME, 1], [0, 1]], [(2, 1, 1), (0, 1, 0)]),
-        ([[1, 1], [1, 1 + PRIME]], [(2, 1, 1), (0, 1, 0)]),
-        ([[PRIME, 0, 1], [0, PRIME, 1], [1, 1, 0]], [(3, 2, 1), (0, 1, 0)]),
+    CASES = [
+        ([[PRIME]], [(1, 0)]),
+        # rank mod PRIME below rank over Q: the exact pass keeps every row
+        ([[PRIME, 1], [0, 1]], [(2, 0)]),
+        ([[1, 1], [1, 1 + PRIME]], [(2, 0)]),
+        ([[PRIME, 0, 1], [0, PRIME, 1], [1, 1, 0]], [(3, 0)]),
         # the 3 sparsest rows have rank 2: round 1 rejects only (1,1,1), and
-        # round 2 eliminates its remainder alone, not the 2 picked rows again
-        ([[1, 1, 1], [1, 1, 0], [1, 0, 0], [0, 1, 0]], [(3, 2, 1), (0, 1, 0)]),
+        # round 2 eliminates its remainder alone, not the 3 sampled rows again
+        ([[1, 1, 1], [1, 1, 0], [1, 0, 0], [0, 1, 0]], [(3, 1), (1, 0)]),
         # two rejected rows with one remainder (0,0,1) up to a factor: both
         # are eliminated in round 2, and one pivot joins
-        ([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 1, 1], [1, 2, 1]], [(3, 2, 2), (0, 2, 0)]),
-    ])
+        ([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 1, 1], [1, 2, 1]], [(3, 2), (2, 0)]),
+    ]
+
+    @pytest.mark.parametrize("rows, verdicts", CASES)
     def test_kernel_is_the_dense_one_after_the_certificate(self, rows, verdicts,
                                                              monkeypatch):
-        sizes, seen = {"mod p": 0, "exact": 0}, []
+        sizes, seen = [0], []
         real_echelon, real_rejected = linalg._echelon, linalg._rejected
 
-        def echelon_spy(basis_rows, *arithmetic, **rule):
-            if rule.get("sparsest"):  # not the canonical RREF of the kernel
-                sizes["mod p" if arithmetic else "exact"] += len(basis_rows)
-            return real_echelon(basis_rows, *arithmetic, **rule)
+        def echelon_spy(basis_rows):
+            sizes[0] += len(basis_rows)
+            return real_echelon(basis_rows)
 
         def rejected_spy(*args):
             out = list(real_rejected(*args))
-            seen.append((sizes["mod p"], sizes["exact"], len(out)))
-            sizes.update({"mod p": 0, "exact": 0})
+            seen.append((sizes[0], len(out)))
+            sizes[0] = 0
             return out
 
+        # the canonical RREF of the kernel follows the last certificate, so
+        # no verdict counts its rows
         monkeypatch.setattr(linalg, "_echelon", echelon_spy)
         monkeypatch.setattr(linalg, "_rejected", rejected_spy)
         assert nullspace(M(rows)).basis == dense_nullspace(rows)
         assert seen == verdicts
+
+    def test_nullspace_makes_no_modular_arithmetic(self, corpus_extensions, monkeypatch):
+        # the mod-PRIME row arithmetic serves derivations.generators only
+        t = next(t.total for name, _, _, t in corpus_extensions if name == "M2 self")
+        system = LeibnizSystem(t, t.self_bimodule()).matrix
+        want = nullspace(system)
+
+        def refuse(*args):
+            raise AssertionError("nullspace worked mod PRIME")
+
+        monkeypatch.setattr(linalg, "_monic", refuse)
+        monkeypatch.setattr(linalg, "_cancel_mod_p", refuse)
+        for rows, _ in self.CASES:
+            assert nullspace(M(rows)).basis == dense_nullspace(rows)
+        assert nullspace(system) == want
 
 
 class TestSolve:
@@ -547,43 +565,57 @@ def test_the_oracle_reduces_mod_the_kernel_prime():
 @settings(max_examples=200, deadline=None)
 @given(sparse_integer_rows())
 def test_echelon_matches_the_copying_loop_and_leaves_its_rows(data):
-    # the same (pivots, picked, done) on the integer rows and on their
-    # residues mod PRIME, under each pivot rule, and the rows handed in are
-    # left as they were
+    # the same (pivots, done) as the copying loop, and the rows handed in
+    # are left as they were
     rows, cols = data
-    residues = [{c: x % PRIME for c, x in row.items() if x % PRIME} for row in rows]
-    for handed, arithmetic, oracle in (
-            (rows, (), ()),
-            (residues, (linalg._monic, linalg._cancel_mod_p),
-             (oracles.monic, oracles.copying_cancel_mod_p))):
-        before = copy.deepcopy(handed)
-        for sparsest in (False, True):
-            assert linalg._echelon(handed, *arithmetic, sparsest=sparsest) == \
-                oracles.copying_echelon(handed, cols, *oracle, sparsest=sparsest)
-        assert handed == before
+    before = copy.deepcopy(rows)
+    assert linalg._echelon(rows) == oracles.copying_echelon(rows, cols)
+    assert rows == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_integer_rows(), st.data())
+def test_residue_cancels_match_the_copying_ones(data, choice):
+    # derivations.generators' row arithmetic mod PRIME: _monic scales a
+    # residue row to 1 at a column, and _cancel_mod_p clears that column
+    # from another row in place, reporting the columns gained and lost
+    rows, _ = data
+    residues = [r for row in rows if (r := {c: x % PRIME for c, x in row.items() if x % PRIME})]
+    if not residues:
+        return
+    pivot = choice.draw(st.sampled_from(residues))
+    c = choice.draw(st.sampled_from(sorted(pivot)))
+    prow = linalg._monic(pivot, c)
+    assert prow == oracles.monic(pivot, c) and prow[c] == 1
+    for row in residues:
+        if c in row:
+            before = dict(row)
+            gained, lost = linalg._cancel_mod_p(row, prow, c)
+            assert row == oracles.copying_cancel_mod_p(before, prow, c)
+            assert (set(gained), set(lost)) == (row.keys() - before.keys(),
+                                                before.keys() - row.keys())
 
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_integer_rows(), st.integers(0, 10))
 def test_extend_keeps_gauss_jordan_rows_of_every_row_so_far(data, cut):
-    # rows handed in two batches, as nullspace hands its picked and then
+    # rows handed in two batches, as nullspace hands its sampled and then
     # its rejected rows: after each, every kept row is nonzero at its own
     # pivot and at no other, the kept rows span what the rows so far span,
     # the count returned is the rank gained, and the rows handed in stay
     rows, cols = data
     dense = lambda rs: [[r.get(c, 0) for c in range(cols)] for r in rs]
     before = copy.deepcopy(rows)
-    for sparsest in (False, True):
-        pivots, done = [], []
-        for so_far, batch in ((rows[:cut], rows[:cut]), (rows, rows[cut:])):
-            rank = len(pivots)
-            assert linalg._extend(pivots, done, batch, cols, sparsest) == len(pivots) - rank
-            for p, row in zip(pivots, done):
-                assert row[p] and not set(row).intersection(pivots).difference([p])
-            want, want_pivots = dense_rref(dense(so_far)) if so_far else ([], [])
-            got, got_pivots = dense_rref(dense(done)) if done else ([], [])
-            assert (got[:len(got_pivots)], got_pivots) == (want[:len(want_pivots)], want_pivots)
-        assert rows == before
+    pivots, done = [], []
+    for so_far, batch in ((rows[:cut], rows[:cut]), (rows, rows[cut:])):
+        rank = len(pivots)
+        assert linalg._extend(pivots, done, batch, cols) == len(pivots) - rank
+        for p, row in zip(pivots, done):
+            assert row[p] and not set(row).intersection(pivots).difference([p])
+        want, want_pivots = dense_rref(dense(so_far)) if so_far else ([], [])
+        got, got_pivots = dense_rref(dense(done)) if done else ([], [])
+        assert (got[:len(got_pivots)], got_pivots) == (want[:len(want_pivots)], want_pivots)
+    assert rows == before
 
 
 @pytest.mark.parametrize("rows", [
@@ -593,10 +625,8 @@ def test_extend_keeps_gauss_jordan_rows_of_every_row_so_far(data, cut):
 ])
 def test_nullspace_leaves_its_rows_when_prime_divides_a_minor(rows, monkeypatch):
     # the rows nullspace reads, and every list handed to _echelon, are
-    # unchanged once it returns; the pick mod PRIME misses a row, yet no
-    # row is eliminated exactly twice: the exact passes, the kernel's
-    # canonical RREF aside, eliminate as many rows as the rank
-    handed, exact = [], []
+    # unchanged once it returns
+    handed = []
     real_distinct, real_echelon = linalg._distinct_rows, linalg._echelon
 
     def distinct_spy(data):
@@ -604,20 +634,17 @@ def test_nullspace_leaves_its_rows_when_prime_divides_a_minor(rows, monkeypatch)
         handed.append((out, copy.deepcopy(out)))
         return out
 
-    def echelon_spy(basis_rows, *arithmetic, **rule):
+    def echelon_spy(basis_rows):
         handed.append((basis_rows, copy.deepcopy(basis_rows)))
-        if not arithmetic and rule.get("sparsest"):
-            exact.append(len(basis_rows))
-        return real_echelon(basis_rows, *arithmetic, **rule)
+        return real_echelon(basis_rows)
 
     monkeypatch.setattr(linalg, "_distinct_rows", distinct_spy)
     monkeypatch.setattr(linalg, "_echelon", echelon_spy)
     assert nullspace(M(rows)).basis == dense_nullspace(rows)
-    assert len(exact) == 2 and sum(exact) == len(dense_rref(rows)[1])
     assert all(now == before for now, before in handed)
 
 
-# -- the Markowitz pivot rule and the packed certificate ----------------------
+# -- singleton chains and the packed certificate ------------------------------
 
 @st.composite
 def singleton_chain_matrices(draw):

@@ -4,9 +4,10 @@
 
 ``imports``: no unused imports in src/modext, tests and tools, the
 package ``__init__.py`` included.  ``names``: every module-level or
-class-level definition in src/modext is referenced from src/modext,
-tests, tools or perfbench, as a loaded name, an attribute, an imported
-name or a string constant (``__version__`` and dunders exempt).  With
+class-level definition in src/modext and in the test helper modules
+(``HELPERS``) is referenced from src/modext, tests, tools or perfbench,
+as a loaded name, an attribute, an imported name or a string constant
+(``__version__`` and dunders exempt).  With
 no argument both run.  Each check prints its findings, or one line
 saying there are none; the script exits 1 when any check found
 something.
@@ -20,6 +21,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+HELPERS = ("tests/oracles.py", "tests/families.py", "tests/cases.py")  # checked as src/modext
 
 
 def _files(root: Path, dirs):
@@ -47,7 +49,7 @@ def unreferenced_names(root: Path = ROOT) -> list:
     defined, used = [], set()
     for d, path in _files(root, ("src/modext", "tests", "tools", "perfbench")):
         tree = ast.parse((root / path).read_text())
-        if d == "src/modext":
+        if d == "src/modext" or path.as_posix() in HELPERS:
             body = tree.body + [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
             for node in body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -72,7 +74,8 @@ def unreferenced_names(root: Path = ROOT) -> list:
 
 CHECKS = {
     "imports": (unused_imports, "no unused imports"),
-    "names": (unreferenced_names, "every name defined in src/modext is referenced"),
+    "names": (unreferenced_names,
+              "every name defined in src/modext and the test helpers is referenced"),
 }
 
 
