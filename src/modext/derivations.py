@@ -4,10 +4,9 @@ A linear map D: A -> U is a derivation when D(ab) = a D(b) + D(a) b.  A
 derivation is fixed by its values on a generating set G of A: if the
 words g1(g2(...g_r)) of G span A, D(g w) = g D(w) + D(g) w gives D on
 each word.  ``generators`` picks G left to right, each e_j outside the
-span mod PRIME of the words so far, that span kept closed under left
-multiplication by G on A's integer table; the pick ends with the words'
-residues spanning F_p^m, so the integer words have rank m over Q, and if
-PRIME divides a constant G only grows, at worst to every basis vector.
+span over Q of the words so far, that span kept as primitive integer
+rows on A's integer table, closed under left multiplication by G; the
+pick ends when the words span A.
 ``LeibnizSystem`` takes the |G| n coordinates of the D(g) as unknowns.
 It builds the words breadth first on the module's integer tables, each
 D(w) as integer rows over the unknowns, and wherever a product g w is
@@ -41,32 +40,30 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product
-from math import lcm
+from math import gcd, lcm
 from typing import List, NamedTuple
 
 from .algebra import (Algebra, Bimodule, LinearMap, _columns, _failures, _product, _sides,
                       _sum_sparse)
-from .linalg import (PRIME, SparseMatrix, Subspace, _cancel, _cancel_mod_p, _distinct_rows,
-                     _integer_row, _monic, _rref, coordinates, nullspace)
+from .linalg import (SparseMatrix, Subspace, _cancel, _distinct_rows, _integer_row, _rref,
+                     coordinates, nullspace)
 from .reports import ConditionReport
 
 
 def generators(algebra: Algebra) -> list:
     """Indices G, ascending, of basis vectors whose words g1(g2(...g_r))
-    span A: e_j joins G when it lies outside the span mod PRIME of the
-    words so far, kept as monic residue rows by leading column and closed
-    under left multiplication by G on the integer table."""
+    span A: e_j joins G when it lies outside the span over Q of the words
+    so far, kept as primitive integer rows by leading column, reduced by
+    ``_cancel`` and closed under left multiplication by G on the integer
+    table."""
     m = algebra.dim
     table = algebra.integer_table[1]
     span, gens = {}, []
 
     def reduced(v: dict) -> dict:
         while v and (c := min(v)) in span:
-            _cancel_mod_p(v, span[c], c)
+            _cancel(v, span[c], c)
         return v
-
-    def times(g: int, v: dict) -> dict:  # g v mod PRIME
-        return {k: r for k, x in _product(table, {g: 1}, v).items() if (r := x % PRIME)}
 
     for j in range(m):
         if len(span) == m:
@@ -74,12 +71,12 @@ def generators(algebra: Algebra) -> list:
         if not reduced({j: 1}):
             continue
         gens.append(j)
-        todo = [{j: 1}] + [times(j, v) for v in span.values()]
+        todo = [{j: 1}] + [_product(table, {j: 1}, v) for v in span.values()]
         while todo:
             if v := reduced(todo.pop()):
-                c = min(v)
-                span[c] = v = _monic(v, c)
-                todo += [times(g, v) for g in gens]
+                d = gcd(*v.values())
+                span[min(v)] = v = {k: x // d for k, x in v.items()}
+                todo += [_product(table, {g: 1}, v) for g in gens]
     return gens
 
 

@@ -11,9 +11,10 @@ and augments only their rows.  The systems solved are very sparse, so
 there is one elimination loop, ``_echelon``, on sparse rows: a
 ``Matrix`` hands it ``enumerate`` of each row, a ``SparseMatrix`` its
 stored nonzeros.  The package builds sparse rows only: the Leibniz
-rows, the inner map's tagged ad columns (``derivations._inner``), the
-words of ``derivations.LeibnizSystem``, reduced with their tags, and
-the tagged powers of ``analysis.min_poly``.  Each row is read once as a
+rows, the inner map's tagged ad columns (``derivations._inner``), and,
+each reduced by ``_cancel``, the word span of ``derivations.generators``,
+the words of ``derivations.LeibnizSystem``, with their tags, and the
+tagged powers of ``analysis.min_poly``.  Each row is read once as a
 primitive integer row, first entry positive, and empty and repeated
 rows are dropped (the Leibniz system of T(M3, M3) has 641 rows, 123 of
 them distinct).  The loop pivots left to right, each column in turn on
@@ -52,8 +53,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 Vector = list  # list[Fraction]
 
 _ZERO = Fraction(0)  # the one zero that zero_vec shares, skipped by identity
-
-PRIME = 2**31 - 1  # the modulus of derivations.generators' word span; residue products < 2^62
 
 
 def frac(x) -> Fraction:
@@ -192,50 +191,29 @@ def _distinct_rows(data: Iterable[Iterable]) -> list:
     return list(distinct.values())
 
 
-def _subtract(row: dict, prow: dict, b: int, modulus: int = 0):
-    """row -= b*prow in place, mod modulus when one is given: (the columns
-    that became nonzero, the columns that became zero)."""
-    gained, lost = [], []
-    for k, y in prow.items():
-        if k in row:
-            x = row[k] - b * y
-            if modulus:
-                x %= modulus
-            if x:
-                row[k] = x
-            else:
-                del row[k]
-                lost.append(k)
-        else:
-            row[k] = -b * y % modulus if modulus else -b * y
-            gained.append(k)
-    return gained, lost
-
-
 def _cancel(row: dict, prow: dict, c: int):
     """row <- primitive a*row - b*prow in place, with a, b chosen to clear
-    column c: the columns it gained and lost, as ``_subtract``."""
+    column c: (the columns that became nonzero, the columns that became
+    zero)."""
     g = gcd(prow[c], row[c])
     a, b = prow[c] // g, row[c] // g
     if a != 1:
         for k, x in row.items():
             row[k] = a * x
-    changed = _subtract(row, prow, b)
+    gained, lost = [], []
+    for k, y in prow.items():
+        if k not in row:
+            row[k] = -b * y
+            gained.append(k)
+        elif x := row[k] - b * y:
+            row[k] = x
+        else:
+            del row[k]
+            lost.append(k)
     if (g := gcd(*row.values())) > 1:
         for k, x in row.items():
             row[k] = x // g
-    return changed
-
-
-def _monic(row: dict, c: int) -> dict:
-    """The residue row scaled mod PRIME to 1 at column c."""
-    inv = pow(row[c], -1, PRIME)
-    return {k: x * inv % PRIME for k, x in row.items()}
-
-
-def _cancel_mod_p(row: dict, prow: dict, c: int):
-    """row -= row[c] * prow mod PRIME in place, for a prow 1 at column c."""
-    return _subtract(row, prow, row[c], PRIME)
+    return gained, lost
 
 
 def _echelon(rows: list):

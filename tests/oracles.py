@@ -16,6 +16,8 @@ import sympy
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+PRIME = 2**31 - 1  # test data: constants and minors divisible by it
+
 
 def tensors_of(algebra, module):
     """Raw (mul, left, right) tensors of an Algebra / Bimodule pair."""
@@ -131,8 +133,8 @@ def dense_nullspace(rows):
     return dense_rref(basis)[0][: len(basis)] if basis else []
 
 
-def word_span_dim(mul, gens):
-    """dim over Q of the span of the words g1(g2(...g_r)) of the basis
+def word_span(mul, gens):
+    """A basis over Q of the span of the words g1(g2(...g_r)) of the basis
     vectors gens: the span of gens closed under left multiplication by
     them, grown one independent vector at a time through dense_rref."""
     n = len(mul)
@@ -143,7 +145,25 @@ def word_span_dim(mul, gens):
         if len(dense_rref(basis + [v])[1]) > len(basis):
             basis.append(v)
             todo += [mul_vec(mul, unit(g), v) for g in gens]
-    return len(basis)
+    return basis
+
+
+def word_span_dim(mul, gens):
+    """dim over Q of the span of the words of the basis vectors gens."""
+    return len(word_span(mul, gens))
+
+
+def exact_generators(mul):
+    """The generators G, picked left to right in Fractions: e_j joins G
+    when it lies outside the span over Q of the words of the G before it
+    (``word_span``), grown afresh for each j."""
+    n, gens = len(mul), []
+    for j in range(n):
+        basis = word_span(mul, gens)
+        e = [Fraction(int(k == j)) for k in range(n)]
+        if len(dense_rref(basis + [e])[1]) > len(basis):
+            gens.append(j)
+    return gens
 
 def dense_intersection(a_rows, b_rows, n):
     """RREF basis of span(a_rows) ∩ span(b_rows) in Q^n through dense_rref
@@ -413,10 +433,7 @@ def largest_nilpotent_ideal_dim(mul, max_seed_size=2):
 #
 # Each cancel builds a new row, and the loop finds the columns a row gained
 # or lost by comparing key sets.  The kernel's loop must pick the same
-# pivots and end with the same rows.  The residue cancels mod PRIME are the
-# reference for the ones ``derivations.generators`` runs.
-
-PRIME = 2**31 - 1
+# pivots and end with the same rows.
 
 
 def _combination(row, prow, a, b):
@@ -437,17 +454,6 @@ def copying_cancel(row, prow, c):
     out = _combination(row, prow, prow[c] // g, row[c] // g)
     g = gcd(*out.values())
     return out if g == 1 else {k: x // g for k, x in out.items()}
-
-
-def monic(row, c):
-    """The residue row scaled mod PRIME to 1 at column c."""
-    inv = pow(row[c], -1, PRIME)
-    return {k: x * inv % PRIME for k, x in row.items()}
-
-
-def copying_cancel_mod_p(row, prow, c):
-    """row - row[c] * prow mod PRIME, for a prow that is 1 at column c."""
-    return {k: r for k, x in _combination(row, prow, 1, row[c]).items() if (r := x % PRIME)}
 
 
 def copying_echelon(rows, cols):

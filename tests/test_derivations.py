@@ -23,7 +23,7 @@ from modext import derivations, linalg
 from modext.constructions import corner_module
 from modext.extension import quotient_algebra, quotient_bimodule, trivial_extension
 from modext.io import load_file
-from modext.linalg import PRIME, Matrix, SparseMatrix, Subspace, nullspace, rank, solve, unit_vec
+from modext.linalg import Matrix, SparseMatrix, Subspace, nullspace, rank, solve, unit_vec
 from modext.samples import (
     column_module,
     dual_numbers,
@@ -40,9 +40,11 @@ import oracles
 from families import (basis_change, from_columns, from_row_major, row_major, self_extension,
                       twin, upper_triangular)
 from oracles import (
+    PRIME,
     dense_nullspace,
     dense_product,
     derivation_dim,
+    exact_generators,
     inner_dim,
     leibniz_first_failure,
     leibniz_holds,
@@ -631,6 +633,24 @@ def _generator_row_cases():
 GENERATOR_ROW_CASES = _generator_row_cases()
 
 
+def _exact_pick_cases():
+    """(name, A) for the exact pick: the data files' algebras and their
+    T(A, U), dense twins on three seeds, and Q[t]/(t^n) scaled by PRIME."""
+    cases = []
+    for path in sorted(DATA.glob("*.json")):
+        doc = load_file(str(path))
+        t = trivial_extension(doc.algebra, doc.module or doc.algebra.self_bimodule()).total
+        cases += [(path.name, doc.algebra), ("T of " + path.name, t)]
+    for seed, (name, a) in enumerate((("Q[t]/(t^6)'", truncated_poly(6)),
+                                      ("UT3'", upper_triangular(3)),
+                                      ("T(M2,M2)'", self_extension(matrix_units(2)))), 1):
+        cases.append((name, twin(a, *basis_change(a.dim, seed=seed))))
+    return cases + [("scaled Q[t]/(t^%d)" % n, _scaled_poly(n)) for n in range(2, 13)]
+
+
+EXACT_PICK_CASES = _exact_pick_cases()
+
+
 class TestGeneratorRows:
     """Der(A, U) is solved in D's values on the generating set G of A: the
     lifted kernel is that of the rows at every pair."""
@@ -668,16 +688,29 @@ class TestGeneratorRows:
         assert kernel.contains(_full_kernel(a, u)) and kernel.dim > 3
 
     @pytest.mark.parametrize("n", [2, 4, 7])
-    def test_constants_divisible_by_the_prime_grow_g(self, n):
-        # mod p the span of 1 and t is 2-dimensional, so every basis vector
-        # joins G and the system is the full one; over Q, 1 and t suffice
+    def test_constants_divisible_by_the_prime_keep_g_at_1_and_t(self, n):
+        # over Q the words of 1 and t span the algebra, whatever prime
+        # divides its constants, so the pick stops at G = [0, 1]
         a = _scaled_poly(n)
         u = a.self_bimodule()
-        assert generators(a) == list(range(n))
+        assert generators(a) == [0, 1]
         assert word_span_dim(a.mul_tensor, [0, 1]) == n
         der = derivation_space(a, u)
         assert der.kernel == _full_kernel(a, u)
         assert der.dim == n - 1
+
+    def test_prime_scaled_system_is_solved_in_the_values_at_1_and_t(self):
+        a = _scaled_poly(12)
+        assert LeibnizSystem(a, a.self_bimodule()).matrix.cols == 24  # 2 generators x 12
+
+    @pytest.mark.parametrize("name, a", EXACT_PICK_CASES, ids=[c[0] for c in EXACT_PICK_CASES])
+    def test_pick_is_the_exact_fraction_one(self, name, a):
+        assert generators(a) == exact_generators(a.mul_tensor)
+
+    def test_pick_is_the_exact_fraction_one_on_the_corpus(self, corpus_extensions):
+        for name, a, _, t in corpus_extensions:
+            for b in (a, t.total):
+                assert generators(b) == exact_generators(b.mul_tensor), name
 
 
 class TestH1:

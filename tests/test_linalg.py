@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modext import linalg
-from modext.derivations import LeibnizSystem
 from modext.linalg import (
-    PRIME,
     Matrix,
     SparseMatrix,
     Subspace,
@@ -20,7 +18,7 @@ from modext.linalg import (
 )
 import oracles
 from families import from_columns
-from oracles import apply_matrix, dense_nullspace, dense_rref, sympy_nullspace, sympy_rref
+from oracles import PRIME, apply_matrix, dense_nullspace, dense_rref, sympy_nullspace, sympy_rref
 
 
 def M(rows):
@@ -119,21 +117,6 @@ class TestModularRowBasis:
         monkeypatch.setattr(linalg, "_rejected", rejected_spy)
         assert nullspace(M(rows)).basis == dense_nullspace(rows)
         assert seen == verdicts
-
-    def test_nullspace_makes_no_modular_arithmetic(self, corpus_extensions, monkeypatch):
-        # the mod-PRIME row arithmetic serves derivations.generators only
-        t = next(t.total for name, _, _, t in corpus_extensions if name == "M2 self")
-        system = LeibnizSystem(t, t.self_bimodule()).matrix
-        want = nullspace(system)
-
-        def refuse(*args):
-            raise AssertionError("nullspace worked mod PRIME")
-
-        monkeypatch.setattr(linalg, "_monic", refuse)
-        monkeypatch.setattr(linalg, "_cancel_mod_p", refuse)
-        for rows, _ in self.CASES:
-            assert nullspace(M(rows)).basis == dense_nullspace(rows)
-        assert nullspace(system) == want
 
 
 class TestSolve:
@@ -558,10 +541,6 @@ def sparse_integer_rows(draw):
     return rows, cols
 
 
-def test_the_oracle_reduces_mod_the_kernel_prime():
-    assert oracles.PRIME == PRIME
-
-
 @settings(max_examples=200, deadline=None)
 @given(sparse_integer_rows())
 def test_echelon_matches_the_copying_loop_and_leaves_its_rows(data):
@@ -571,29 +550,6 @@ def test_echelon_matches_the_copying_loop_and_leaves_its_rows(data):
     before = copy.deepcopy(rows)
     assert linalg._echelon(rows) == oracles.copying_echelon(rows, cols)
     assert rows == before
-
-
-@settings(max_examples=200, deadline=None)
-@given(sparse_integer_rows(), st.data())
-def test_residue_cancels_match_the_copying_ones(data, choice):
-    # derivations.generators' row arithmetic mod PRIME: _monic scales a
-    # residue row to 1 at a column, and _cancel_mod_p clears that column
-    # from another row in place, reporting the columns gained and lost
-    rows, _ = data
-    residues = [r for row in rows if (r := {c: x % PRIME for c, x in row.items() if x % PRIME})]
-    if not residues:
-        return
-    pivot = choice.draw(st.sampled_from(residues))
-    c = choice.draw(st.sampled_from(sorted(pivot)))
-    prow = linalg._monic(pivot, c)
-    assert prow == oracles.monic(pivot, c) and prow[c] == 1
-    for row in residues:
-        if c in row:
-            before = dict(row)
-            gained, lost = linalg._cancel_mod_p(row, prow, c)
-            assert row == oracles.copying_cancel_mod_p(before, prow, c)
-            assert (set(gained), set(lost)) == (row.keys() - before.keys(),
-                                                before.keys() - row.keys())
 
 
 @settings(max_examples=200, deadline=None)
