@@ -167,8 +167,8 @@ def split_d1_d2(t: ModuleExtension, d: LinearMap) -> Tuple[LinearMap, LinearMap]
 def inner_witness(t: ModuleExtension, d: LinearMap) -> Optional[Tuple[Element, Element]]:
     """Solve D = ad_{(b,v)} exactly; (b, v) or None.
 
-    x sums the preimages of Inn's rows in T's kept inner-map elimination
-    (``derivations._inner``), weighted by D's entries at Inn's pivots; it
+    x sums the preimages of Inn's rows in T's kept elimination (``_inner``)
+    by D's entries at Inn's pivots, so x is 0 at the center's pivots; it
     keeps one b across the delta1 and tau2 blocks and forces tau1 = 0.
     Certificate: T's ad columns summed over x are D's nonzero entries, which
     proves D a derivation: the Leibniz identity is checked only if it fails.

@@ -117,7 +117,6 @@ class LeibnizSystem:
     def __init__(self, algebra: Algebra, module: Bimodule):
         if module.algebra is not algebra:
             raise ValueError("module is not over the given algebra")
-        self.algebra, self.module = algebra, module
         m, n = algebra.dim, module.dim
         mul, left, right = module.integer_tables[1]
         gens = generators(algebra)
@@ -242,23 +241,20 @@ def _inner(a: Algebra, u: Bimodule) -> _Inner:
     """The inner map x -> ad_x of u, eliminated once, kept on u.
 
     One ``_rref`` of the rows ad_{u_s} + e_s (``_ad_columns``), tag e_s at
-    column m n + n - 1 - s: rows with their pivot in the ad part are
-    Inn's, their tags the x with that ad, and the other rows' tags span H^0.
-    Reversed tags put H^0's pivots at the s with ad_{u_s} in the span of
-    the ad_{u_r}, r < s, ``solve``'s free columns on the transposed map,
-    where every Inn row's tag is 0.
+    column m n + s: rows with their pivot in the ad part are Inn's, their
+    tags the x with that ad, and the other rows are H^0's RREF rows, as
+    they stand, shifted by m n.  Every Inn row's tag is 0 at H^0's pivots.
     """
     columns = _ad_columns(a, u)
     if u._inner is None:
-        m, n = a.dim, u.dim
-        mn, last = m * n, m * n + n - 1  # the tag of u_s is column last - s
-        pivots, rows = _rref(_distinct_rows(chain(col.items(), ((last - s, 1),))
-                                            for s, col in enumerate(columns)), last + 1)
+        mn, n = a.dim * u.dim, u.dim
+        pivots, rows = _rref(_distinct_rows(chain(col.items(), ((mn + s, 1),))
+                                            for s, col in enumerate(columns)), mn + n)
         rank = sum(p < mn for p in pivots)  # the pivots ascend: Inn's rows come first
-        tags = [{last - c: x for c, x in row.items() if c >= mn} for row in rows]
+        tags = [{c - mn: x for c, x in row.items() if c >= mn} for row in rows]
         inn = Subspace._reduced(mn, pivots[:rank], [{c: x for c, x in row.items() if c < mn}
                                                     for row in rows[:rank]])
-        h0 = Subspace.row_space(SparseMatrix(n - rank, n, [t.items() for t in tags[rank:]]))
+        h0 = Subspace._reduced(n, [p - mn for p in pivots[rank:]], tags[rank:])
         u._inner = _Inner(columns, inn, tags[:rank], h0)
     return u._inner
 

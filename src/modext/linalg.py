@@ -44,7 +44,7 @@ sparse RREF rows, as ``_rref`` returns them.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import abc, defaultdict
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -66,8 +66,10 @@ def frac(x) -> Fraction:
 
 def coordinates(n: int, x) -> dict:
     """The nonzero coordinates {index: Fraction} of a caller's vector x of
-    length n, each entry coerced by ``frac``: every vector a caller hands
-    the package is read here, once."""
+    length n, each entry coerced by ``frac``; a string, bytes or a mapping,
+    whose characters or keys would be read as entries, raises TypeError."""
+    if isinstance(x, (str, bytes, abc.Mapping)):
+        raise TypeError("a vector is a sequence of entries, not a %s" % type(x).__name__)
     if len(x) != n:
         raise ValueError("coordinate vector has length %d, expected %d" % (len(x), n))
     return {i: c for i, c in enumerate(map(frac, x)) if c}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -373,6 +374,20 @@ def test_one_reader_at_every_entry_point(name):
     with pytest.raises(TypeError, match=r"0\.1 is a float"):
         read([0.1] + [1] * (n - 1))
     assert read(["1/2", "-3"] + ["0"] * (n - 2)) == read([Fraction(1, 2), -3] + [0] * (n - 2))
+
+
+@pytest.mark.parametrize("x, kind", [
+    ({0: 1, 1: 2}, "dict"), (MappingProxyType({0: 1, 1: 2}), "mappingproxy"),
+    ("11", "str"), (b"\x01\x02", "bytes"),
+], ids=["dict", "mappingproxy", "str", "bytes"])
+def test_a_string_or_a_mapping_is_not_a_vector(x, kind):
+    """Read as a vector, a mapping gave its keys and a string its
+    characters: coordinates(2, {0: 1, 1: 2}) was {1: 1}."""
+    a = dual_numbers()
+    for read in (lambda: coordinates(2, x), lambda: a.mul_vec(x, [0, 1]),
+                 lambda: a.mul_vec([0, 1], x), lambda: Subspace(2, [x])):
+        with pytest.raises(TypeError, match="not a %s$" % kind):
+            read()
 
 
 def test_solve_reads_its_right_side_as_nonzeros():

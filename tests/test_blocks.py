@@ -14,6 +14,7 @@ from modext.blocks import (
     split_d1_d2,
 )
 import modext.derivations as derivations
+from modext.analysis import center
 from modext.constructions import lift
 from modext.derivations import inner_derivation, is_derivation
 from modext.extension import trivial_extension
@@ -315,26 +316,30 @@ class TestInnerWitness:
         lambda: twin(cyclic_group_algebra(4), *basis_change(4, 3)),
     ], ids=["M2", "M3", "M4", "UT3", "UT4", "Q[C4]", "Q[t]/(t^12)",
             "M2'", "M3'", "UT3'", "UT4'", "Q[C4]'"])
-    def test_is_solve_on_the_transposed_inner_map(self, build):
-        # the witness read off the kept elimination is byte-equal to the
-        # one solve gives, free columns zeroed, on every Der basis map of T
+    def test_substitutes_back_and_is_zero_at_the_center_pivots(self, build):
+        # on every Der basis map of T, a witness exists exactly when solve
+        # finds one on the transposed inner map; its ad is D, and of the
+        # witnesses it is the one that is zero at the center's pivots
         a = build()
         t = trivial_extension(a, a.self_bimodule())
+        tsb = t.total.self_bimodule()
         n = t.total.dim
         # T's ad columns, which test_inner_derivation_is_the_naive_commutator checks
-        columns = derivations._inner(t.total, t.total.self_bimodule()).columns
+        columns = derivations._inner(t.total, tsb).columns
         transposed = SparseMatrix(n, n * n, [c.items() for c in columns]).transpose()
+        pivots = center(t.total).pivots
         outer = 0
-        for d in derivations.derivation_space(t.total, t.total.self_bimodule()).basis:
+        for d in derivations.derivation_space(t.total, tsb).basis:
             entries = {r * n + s: x for s, col in enumerate(d.columns) for r, x in col.items()}
-            x = solve(transposed, entries)
             w = inner_witness(t, d)
-            if x is None:
+            if solve(transposed, entries) is None:
                 assert w is None
                 outer += 1
             else:
-                assert w[0].coords + w[1].coords == x
-                assert [type(c) for c in w[0].coords + w[1].coords] == [Fraction] * n
+                x = w[0].coords + w[1].coords
+                assert inner_derivation(t.total, tsb, x) == d
+                assert [x[p] for p in pivots] == [0] * len(pivots)
+                assert [type(c) for c in x] == [Fraction] * n
         assert outer > 0  # the grading (a, u) -> (0, u) is outer, so H1(T(A, A)) > 0
 
     @pytest.mark.parametrize("n", [2, 3, 4])

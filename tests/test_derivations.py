@@ -316,6 +316,20 @@ class TestInner:
         inner_derivation(t.total, tsb, unit_vec(t.total.dim, 1))
         assert reduced == [t.total.dim ** 2 + t.total.dim]  # T's ad rows and their tags
 
+    def test_inner_map_is_row_reduced_once(self, monkeypatch):
+        # H^0's rows are read off the one elimination: no second _rref,
+        # through derivations' binding or linalg's (Subspace.row_space)
+        reduced = []
+        real = linalg._rref
+        spy = lambda *args: reduced.append(args[1]) or real(*args)
+        monkeypatch.setattr(derivations, "_rref", spy)
+        monkeypatch.setattr(linalg, "_rref", spy)
+        a = matrix_units(3)
+        t = trivial_extension(a, a.self_bimodule())
+        kept = derivations._inner(t.total, t.total.self_bimodule())
+        assert (kept.inn.dim, kept.h0.dim) == (16, 2)
+        assert reduced == [t.total.dim ** 2 + t.total.dim]  # 342 columns, once
+
     def test_inner_derivation_is_the_naive_commutator(self, corpus_pairs):
         rng = random.Random(24)
         for name, a, u in corpus_pairs:
